@@ -75,12 +75,6 @@ class TunnelFailurePattern:
     tunnel_failed: tuple[tuple[str, bool], ...]
     condition_state: tuple[tuple[str, bool], ...]
 
-    def failed(self, tunnel_id: str) -> bool:
-        return dict(self.tunnel_failed)[tunnel_id]
-
-    def active(self, cond_id: str) -> bool:
-        return dict(self.condition_state)[cond_id]
-
     def as_point(self) -> dict[Indicator, float]:
         point: dict[Indicator, float] = {}
         for e in self.scenario.failed_links:

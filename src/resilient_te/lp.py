@@ -83,9 +83,6 @@ class LinearProgram:
         self._vars.append(_Var(name, lb, ub, binary))
         return name
 
-    def has_var(self, name: str) -> bool:
-        return name in self._index
-
     def add_row(self, coeffs: dict[str, float], sense: str, rhs: float, name: str = "") -> int:
         if sense not in ("<=", ">=", "="):
             raise ValueError(f"bad sense {sense!r}")
@@ -115,10 +112,6 @@ class LinearProgram:
 
     def binary_vars(self) -> list[str]:
         return [v.name for v in self._vars if v.binary]
-
-    def var_bounds(self, name: str) -> tuple[float, float]:
-        v = self._vars[self._index[name]]
-        return (v.lb, v.ub)
 
     def set_bounds(self, name: str, lb: float, ub: float) -> None:
         v = self._vars[self._index[name]]

@@ -43,9 +43,6 @@ class Topology:
     def has_link(self, link_id: str) -> bool:
         return link_id in self._by_id
 
-    def incident(self, node: str) -> list[Link]:
-        return [ln for ln in self.links if node in ln.ends]
-
 
 @dataclass(frozen=True)
 class Tunnel:
@@ -85,10 +82,6 @@ class Condition:
     alive_links: frozenset[str] = frozenset()
     dead_links: frozenset[str] = frozenset()
 
-    @property
-    def is_always(self) -> bool:
-        return not self.alive_links and not self.dead_links
-
 
 @dataclass(frozen=True)
 class FlowDemand:
@@ -126,9 +119,6 @@ class NetworkInstance:
 
     def tunnels_for(self, src: str, dst: str) -> list[Tunnel]:
         return [t for t in self.tunnels if t.src == src and t.dst == dst]
-
-    def sequences_for(self, src: str, dst: str) -> list[LogicalSequence]:
-        return [q for q in self.logical_sequences if q.src == src and q.dst == dst]
 
     def condition(self, cond_id: str) -> Condition:
         for c in self.conditions:
@@ -242,13 +232,6 @@ def _walk_path(topo: Topology, start: str, path: tuple[str, ...]) -> list[str] |
         else:
             return None
         seq.append(cur)
-    return seq
-
-
-def tunnel_nodes(topo: Topology, tunnel: Tunnel) -> list[str]:
-    seq = _walk_path(topo, tunnel.src, tunnel.path)
-    if seq is None:
-        raise ValueError(f"tunnel {tunnel.id} path is discontiguous")
     return seq
 
 

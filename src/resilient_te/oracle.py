@@ -7,8 +7,6 @@ any tunnel choice, with one aggregated commodity per destination.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .failsets import SCENARIO_GUARD, ScenarioBlowupError, scenario_count
@@ -24,14 +22,6 @@ class McfResult:
     #: in the direction of head_node.
     flow: dict[tuple[str, str, str], float]
     satisfied: dict[tuple[str, str], float]
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("RESILIENT_TE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def solve_mcf(instance: NetworkInstance, scenario: Scenario, objective: str = "throughput") -> McfResult:
@@ -118,21 +108,15 @@ def worst_case_optimal(instance: NetworkInstance, k: int,
                        objective: str = "throughput") -> tuple[float, Scenario]:
     """Minimum MCF objective over every scenario of at most k link failures.
 
-    Ties pick the lexicographically smallest scenario so reductions stay
-    reproducible under parallel evaluation.
+    Ties pick the lexicographically smallest scenario.
     """
     n = len(instance.topology.links)
     if scenario_count(n, k) > SCENARIO_GUARD:
         raise ScenarioBlowupError(f"scenario count for k={k} exceeds guard")
     scenarios = enumerate_scenarios(instance.topology, k)
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda sc: solve_mcf(instance, sc, objective), scenarios))
-    else:
-        results = [solve_mcf(instance, sc, objective) for sc in scenarios]
     best_val, best_sc = None, None
-    for sc, res in zip(scenarios, results):
+    for sc in scenarios:
+        res = solve_mcf(instance, sc, objective)
         if best_val is None or res.objective < best_val - 1e-12 or \
            (abs(res.objective - best_val) <= 1e-12 and sc.key() < best_sc.key()):
             best_val, best_sc = res.objective, sc

@@ -271,15 +271,14 @@ def percentile_analysis(allocs: list[ScenarioAlloc], pinst: ProbabilisticInstanc
 # Shared LP pieces.
 
 
-def _scenario_rows(lp: LinearProgram, pinst: ProbabilisticInstance, q: int,
-                   loss_var, alloc_var) -> None:
-    """Demand and capacity rows for one scenario; allocation variables exist
-    only for tunnels alive in that scenario."""
+def _demand_rows(lp: LinearProgram, pinst: ProbabilisticInstance, q: int,
+                 loss_var, alloc_var) -> None:
+    """One row per pair with demand: the pair's tunnels alive in scenario q
+    plus its demand-weighted unit losses cover the pair's demand."""
     sc = pinst.scenarios[q]
-    units = pinst.units
     pair_demand: dict[Pair, float] = {}
     pair_loss_terms: dict[Pair, dict[str, float]] = {}
-    for unit in units:
+    for unit in pinst.units:
         for pair, d in unit.members:
             if d <= 0:
                 continue
@@ -287,17 +286,23 @@ def _scenario_rows(lp: LinearProgram, pinst: ProbabilisticInstance, q: int,
             terms = pair_loss_terms.setdefault(pair, {})
             lv = loss_var(unit.id)
             terms[lv] = terms.get(lv, 0.0) + d
-    live_any: dict[str, Tunnel] = {}
-    for pair in pair_demand:
-        for t in pinst.live_tunnels(pair, sc):
-            live_any[t.id] = t
-    for t in live_any.values():
-        lp.add_var(alloc_var(t.id))
     for pair, D in sorted(pair_demand.items()):
         coeffs = dict(pair_loss_terms[pair])
         for t in pinst.live_tunnels(pair, sc):
             coeffs[alloc_var(t.id)] = coeffs.get(alloc_var(t.id), 0.0) + 1.0
         lp.add_row(coeffs, ">=", D, name=f"demand:{q}:{pair[0]}>{pair[1]}")
+
+
+def _scenario_rows(lp: LinearProgram, pinst: ProbabilisticInstance, q: int,
+                   loss_var, alloc_var) -> None:
+    """Demand and capacity rows for one scenario; allocation variables exist
+    only for tunnels alive in that scenario."""
+    sc = pinst.scenarios[q]
+    demanded = dict.fromkeys(pair for u in pinst.units for pair, d in u.members if d > 0)
+    live_any = {t.id: t for pair in demanded for t in pinst.live_tunnels(pair, sc)}
+    for tid in live_any:
+        lp.add_var(alloc_var(tid))
+    _demand_rows(lp, pinst, q, loss_var, alloc_var)
     for ln in pinst.instance.topology.links:
         coeffs = {}
         for t in live_any.values():
@@ -726,26 +731,11 @@ def solve_cvar(pinst: ProbabilisticInstance, variant: str = "flow_adaptive",
             tail[f"s::{u.id}::{q}"] = -probs[q] / (1 - beta)
         lp.add_row(tail, ">=", 0.0, name=f"cvar:{u.id}")
     for q in Q:
+        loss_var = lambda uid, q=q: f"l::{uid}::{q}"
         if variant == "flow_adaptive":
-            _scenario_rows(lp, pinst, q,
-                           lambda uid, q=q: f"l::{uid}::{q}",
-                           lambda tid, q=q: f"x::{q}::{tid}")
+            _scenario_rows(lp, pinst, q, loss_var, lambda tid, q=q: f"x::{q}::{tid}")
         else:
-            sc = pinst.scenarios[q]
-            pair_demand: dict[Pair, float] = {}
-            pair_terms: dict[Pair, dict[str, float]] = {}
-            for u in units:
-                for pair, d in u.members:
-                    if d <= 0:
-                        continue
-                    pair_demand[pair] = pair_demand.get(pair, 0.0) + d
-                    terms = pair_terms.setdefault(pair, {})
-                    terms[f"l::{u.id}::{q}"] = terms.get(f"l::{u.id}::{q}", 0.0) + d
-            for pair, D in sorted(pair_demand.items()):
-                coeffs = dict(pair_terms[pair])
-                for t in pinst.live_tunnels(pair, sc):
-                    coeffs[f"x::{t.id}"] = coeffs.get(f"x::{t.id}", 0.0) + 1.0
-                lp.add_row(coeffs, ">=", D, name=f"demand:{q}:{pair}")
+            _demand_rows(lp, pinst, q, loss_var, lambda tid: f"x::{tid}")
     lp.set_objective({"theta": 1.0}, "min")
     sol = solve_lp(lp)
     if sol.status != "optimal":

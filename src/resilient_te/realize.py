@@ -45,9 +45,6 @@ class ReservationMatrix:
     active_sequences: dict[Pair, list[LogicalSequence]]
     reservation: ReservationPlan
 
-    def index(self, pair: Pair) -> int:
-        return self.pairs.index(pair)
-
 
 @dataclass
 class ScenarioRouting:
@@ -157,30 +154,11 @@ def _check_wcdd(M: np.ndarray, tol: float = 1e-9) -> None:
 
 
 def gaussian_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting; rhs may be a matrix."""
-    A = M.astype(float).copy()
-    B = rhs.astype(float).copy()
-    if B.ndim == 1:
-        B = B[:, None]
-        squeeze = True
-    else:
-        squeeze = False
-    n = A.shape[0]
-    perm = list(range(n))
-    for col in range(n):
-        pivot = col + int(np.argmax(np.abs(A[col:, col])))
-        if abs(A[pivot, col]) < 1e-14:
-            raise MatrixNotWcddError("singular reservation matrix")
-        if pivot != col:
-            A[[col, pivot]] = A[[pivot, col]]
-            B[[col, pivot]] = B[[pivot, col]]
-        factors = A[col + 1:, col] / A[col, col]
-        A[col + 1:, col:] -= np.outer(factors, A[col, col:])
-        B[col + 1:] -= np.outer(factors, B[col])
-    X = np.zeros_like(B)
-    for row in range(n - 1, -1, -1):
-        X[row] = (B[row] - A[row, row + 1:] @ X[row + 1:]) / A[row, row]
-    return X[:, 0] if squeeze else X
+    """LU elimination with partial pivoting (numpy/LAPACK); rhs may be a matrix."""
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise MatrixNotWcddError("singular reservation matrix") from exc
 
 
 def jacobi_solve(M: np.ndarray, rhs: np.ndarray, max_iter: int = 100_000,
@@ -199,6 +177,23 @@ def jacobi_solve(M: np.ndarray, rhs: np.ndarray, max_iter: int = 100_000,
     return x
 
 
+def _solve_checked(matrix: ReservationMatrix, rhs: np.ndarray,
+                   method: str = "direct") -> np.ndarray:
+    """Solve the checked WCDD system for a demand vector, or for a matrix
+    with one demand vector per column; every solution lies in [0, 1]."""
+    _check_wcdd(matrix.matrix)
+    if matrix.matrix.shape[0] == 0:
+        return np.zeros_like(rhs, dtype=float)
+    solver = gaussian_solve if method == "direct" else jacobi_solve
+    U = solver(matrix.matrix, rhs)
+    residual = np.abs(matrix.matrix @ U - rhs).max(axis=0)
+    if np.any(residual > RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs, axis=0))):
+        raise MatrixNotWcddError(f"linear system residual {np.max(residual):.3e}")
+    if np.any(U < -1e-7) or np.any(U > 1 + 1e-7):
+        raise MatrixNotWcddError("utilization fraction escaped [0, 1]")
+    return U
+
+
 def solve_reservation_system(matrix: ReservationMatrix, method: str = "direct",
                              rhs: np.ndarray | None = None) -> dict[Pair, float]:
     """Utilization fraction of each pair's reservation; unique and in [0, 1].
@@ -206,18 +201,7 @@ def solve_reservation_system(matrix: ReservationMatrix, method: str = "direct",
     `rhs` defaults to the full demand vector; pass a per-destination or
     per-pair demand vector to apportion utilization.
     """
-    _check_wcdd(matrix.matrix)
-    if matrix.matrix.shape[0] == 0:
-        return {}
-    demand = matrix.demand if rhs is None else rhs
-    solver = gaussian_solve if method == "direct" else jacobi_solve
-    U = solver(matrix.matrix, demand)
-    residual = np.max(np.abs(matrix.matrix @ U - demand)) if U.size else 0.0
-    scale = 1.0 + float(np.linalg.norm(demand))
-    if residual > RESIDUAL_TOL * scale:
-        raise MatrixNotWcddError(f"linear system residual {residual:.3e}")
-    if np.any(U < -1e-7) or np.any(U > 1 + 1e-7):
-        raise MatrixNotWcddError("utilization fraction escaped [0, 1]")
+    U = _solve_checked(matrix, matrix.demand if rhs is None else rhs, method)
     return {pair: float(U[i]) for i, pair in enumerate(matrix.pairs)}
 
 
@@ -266,25 +250,23 @@ def _find_cycle(out: dict[str, list[str]]) -> list[str] | None:
 
 
 def extract_routing(plan: ReservationPlan, instance: NetworkInstance,
-                    scenario: Scenario, method: str = "direct") -> ScenarioRouting:
+                    scenario: Scenario) -> ScenarioRouting:
     """Per-destination tunnel flows realizing the plan under one scenario."""
     matrix = build_reservation_matrix(plan, instance, scenario)
-    _check_wcdd(matrix.matrix)
-    util = solve_reservation_system(matrix, method)
+    dests = sorted(matrix.demand_by_dest)
+    # Column 0 is the full demand, column 1 + d the demand toward dests[d].
+    rhs = np.column_stack([matrix.demand] + [matrix.demand_by_dest[d] for d in dests])
+    U = _solve_checked(matrix, rhs)
+    util = {pair: float(U[i, 0]) for i, pair in enumerate(matrix.pairs)}
     flow: dict[tuple[str, str], float] = {}
-    for dest, dvec in sorted(matrix.demand_by_dest.items()):
-        if matrix.matrix.shape[0]:
-            solver = gaussian_solve if method == "direct" else jacobi_solve
-            Ut = solver(matrix.matrix, dvec)
-        else:
-            Ut = np.zeros(0)
+    for col, dest in enumerate(dests, start=1):
         # Aggregate per-pair flow toward this destination, cancel cycles,
         # then prorate each pair's tunnels by the surviving share.
         pair_flow: dict[Pair, float] = {}
         reserved: dict[Pair, float] = {}
         for i, pair in enumerate(matrix.pairs):
             total_a = sum(plan.tunnel_reservation[t.id] for t in matrix.live_tunnels.get(pair, []))
-            value = float(Ut[i]) * total_a
+            value = float(U[i, col]) * total_a
             if value > 1e-12:
                 pair_flow[pair] = value
                 reserved[pair] = total_a

@@ -26,11 +26,14 @@ from .failsets import (
     shared_link_bound,
 )
 from .lp import INF, LinearProgram, Solution, solve_lp
-from .net import Condition, LogicalSequence, NetworkInstance
+from .net import Condition, NetworkInstance
 
 MODELS = ("ffc", "ffc_plus", "ls", "cls", "logical_flow")
 OBJECTIVES = ("demand_scale", "throughput")
 MODES = ("enumerate", "dual")
+
+#: Optimal values at or below this are simplex noise, read as exactly 0.
+_NOISE_TOL = 1e-12
 
 
 class InternalModelError(RuntimeError):
@@ -95,9 +98,6 @@ class ProtectedConstraint:
         term[var] = term.get(var, 0.0) + coef
 
 
-_DUAL_SEQ = itertools.count()
-
-
 def dualize_constraint(lp: LinearProgram, protected: ProtectedConstraint,
                        polytope: FailurePolytope) -> list[str]:
     """Emit the robust counterpart of one protected constraint into `lp`.
@@ -105,9 +105,10 @@ def dualize_constraint(lp: LinearProgram, protected: ProtectedConstraint,
     Adds one multiplier per polytope row (nonnegative for inequality rows,
     free for equality rows), one nonnegative multiplier per indicator upper
     bound, a dual-feasibility row per indicator, and the single row bounding
-    the worst case by the protected base.  Returns the new variable names.
+    the worst case by the protected base.  Returns the new variable names,
+    tagged by the row count of `lp` so names do not depend on call history.
     """
-    tag = f"rc{next(_DUAL_SEQ)}"
+    tag = f"rc{lp.num_rows}"
     lam: list[str] = []
     for r_idx, row in enumerate(polytope.rows):
         name = f"{tag}:lam{r_idx}"
@@ -146,7 +147,7 @@ def dualize_constraint(lp: LinearProgram, protected: ProtectedConstraint,
 
 
 def _enumerate_rows(lp: LinearProgram, protected: ProtectedConstraint,
-                    points: list[dict[Indicator, float]], label: str) -> None:
+                    points: list[dict[Indicator, float]]) -> None:
     for idx, point in enumerate(points):
         coeffs = dict(protected.base)
         for ind, term in protected.indicator_terms.items():
@@ -154,7 +155,7 @@ def _enumerate_rows(lp: LinearProgram, protected: ProtectedConstraint,
             if v:
                 for var, coef in term.items():
                     coeffs[var] = coeffs.get(var, 0.0) - coef * v
-        lp.add_row(coeffs, ">=", 0.0, name=f"en:{label}:{idx}")
+        lp.add_row(coeffs, ">=", 0.0, name=f"en:{protected.label}:{idx}")
 
 
 def _ffc_worst_points(instance: NetworkInstance, pair: tuple[str, str],
@@ -179,24 +180,10 @@ def _ffc_worst_points(instance: NetworkInstance, pair: tuple[str, str],
 # --------------------------------------------------------------------------
 # Model assembly.
 
-
-def _protected_pairs(instance: NetworkInstance, sequences: tuple[LogicalSequence, ...]) -> list[tuple[str, str]]:
-    pairs: dict[tuple[str, str], None] = {}
-    for pair in instance.demand_pairs():
-        pairs.setdefault(pair, None)
-    for q in sequences:
-        for seg in q.segments:
-            pairs.setdefault(seg, None)
-    return list(pairs)
-
-
-def _segment_loads(sequences: tuple[LogicalSequence, ...], pair: tuple[str, str]) -> list[tuple[LogicalSequence, int]]:
-    out = []
-    for q in sequences:
-        mult = sum(1 for seg in q.segments if seg == pair)
-        if mult:
-            out.append((q, mult))
-    return out
+#: One carrier term of a protected pair: (variable, coefficient, condition).
+#: A positive coefficient offers reservation to the pair, a negative one
+#: loads it; a condition id makes the term count only while it is active.
+Carrier = tuple[str, float, str | None]
 
 
 def _add_capacity_rows(lp: LinearProgram, instance: NetworkInstance) -> None:
@@ -226,79 +213,91 @@ def _add_objective(lp: LinearProgram, instance: NetworkInstance, objective: str)
         lp.set_objective(obj, "max")
 
 
-def _sequence_condition(instance: NetworkInstance, q: LogicalSequence,
-                        conditional: bool) -> str | None:
-    if not conditional:
-        return None
-    return q.condition
+def _assemble(instance: NetworkInstance, model: str, k: int, objective: str, mode: str,
+              conditions: list[Condition], variables: list[str],
+              rows: list[tuple[dict[str, float], str, float, str]],
+              carriers: dict[tuple[str, str], list[Carrier]]) -> LinearProgram:
+    """The one protected-constraint assembler behind every model.
 
-
-def build_robust_lp(instance: NetworkInstance, model: str, k: int,
-                    objective: str = "throughput", mode: str = "dual") -> LinearProgram:
-    """Compile one robust reservation model to a linear program."""
-    if model not in ("ffc", "ffc_plus", "ls", "cls"):
-        raise ValueError(f"unknown model {model!r}")
+    Declares tunnel, carrier (`variables`) and scale variables, adds the
+    capacity, objective and carrier `rows`, then protects each pair of
+    `carriers`, in order: live tunnel reservations plus the pair's carrier
+    terms must cover its scaled demand under every admissible failure.
+    """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-
-    use_ls = model in ("ls", "cls")
-    conditional = model == "cls"
-    sequences = instance.logical_sequences if use_ls else ()
-    referenced = sorted({q.condition for q in sequences if q.condition is not None}) if conditional else []
-    conditions = [instance.condition(c) for c in referenced]
-
     lp = LinearProgram(name=f"{model}:{objective}:{mode}:k={k}")
     for t in instance.tunnels:
         lp.add_var(f"a::{t.id}")
-    for q in sequences:
-        lp.add_var(f"b::{q.id}")
+    for var in variables:
+        lp.add_var(var)
     for s, t in instance.demand_pairs():
         lp.add_var(f"z::{s}>{t}")
     _add_capacity_rows(lp, instance)
     _add_objective(lp, instance, objective)
+    for coeffs, sense, rhs, name in rows:
+        lp.add_row(coeffs, sense, rhs, name=name)
 
     if model == "ffc":
         polytope = build_ffc_polytope(instance, k)
-    elif model == "ffc_plus" or (use_ls and not conditions):
-        polytope = build_exact_polytope(instance, k)
-    else:
+    elif conditions or model == "logical_flow":
         polytope = build_hint_polytope(instance, k, conditions)
-
+    else:
+        polytope = build_exact_polytope(instance, k)
     if mode == "enumerate" and model != "ffc":
-        patterns = enumerate_patterns(instance, k, conditions)
-        points = [p.as_point() for p in patterns]
+        points = [p.as_point() for p in enumerate_patterns(instance, k, conditions)]
 
-    for pair in _protected_pairs(instance, sequences):
+    for pair, terms in carriers.items():
         s, t = pair
         protected = ProtectedConstraint(label=f"{s}>{t}")
         for tun in instance.tunnels_for(s, t):
             protected.add_base(f"a::{tun.id}", 1.0)
             protected.add_indicator(("y", tun.id), f"a::{tun.id}", 1.0)
-        for q in sequences:
-            if (q.src, q.dst) == pair:
-                cond = _sequence_condition(instance, q, conditional)
-                if cond is None:
-                    protected.add_base(f"b::{q.id}", 1.0)
-                else:
-                    protected.add_indicator(("h", cond), f"b::{q.id}", -1.0)
-        for q, mult in _segment_loads(sequences, pair):
-            cond = _sequence_condition(instance, q, conditional)
+        for var, coef, cond in terms:
             if cond is None:
-                protected.add_base(f"b::{q.id}", -float(mult))
+                protected.add_base(var, coef)
             else:
-                protected.add_indicator(("h", cond), f"b::{q.id}", float(mult))
+                protected.add_indicator(("h", cond), var, -coef)
         if instance.demand_for(s, t) > 0:
             protected.add_base(f"z::{s}>{t}", -instance.demand_for(s, t))
 
         if mode == "dual":
             dualize_constraint(lp, protected, polytope)
-        elif model == "ffc":
-            _enumerate_rows(lp, protected, _ffc_worst_points(instance, pair, k), protected.label)
         else:
-            _enumerate_rows(lp, protected, points, protected.label)
+            if model == "ffc":
+                points = _ffc_worst_points(instance, pair, k)
+            _enumerate_rows(lp, protected, points)
     return lp
+
+
+def build_robust_lp(instance: NetworkInstance, model: str, k: int,
+                    objective: str = "throughput", mode: str = "dual") -> LinearProgram:
+    """Compile one robust reservation model to a linear program.
+
+    Demand pairs are protected first, then every segment of a sequence; a
+    sequence offers its own pair and loads each of its segments.
+    """
+    if model not in ("ffc", "ffc_plus", "ls", "cls"):
+        raise ValueError(f"unknown model {model!r}")
+    sequences = instance.logical_sequences if model in ("ls", "cls") else ()
+    conditional = model == "cls"
+    referenced = {q.condition for q in sequences if q.condition is not None} if conditional else ()
+    conditions = [instance.condition(c) for c in sorted(referenced)]
+
+    carriers: dict[tuple[str, str], list[Carrier]] = {pair: [] for pair in instance.demand_pairs()}
+    for q in sequences:
+        for seg in q.segments:
+            carriers.setdefault(seg, [])
+    for q in sequences:
+        cond = q.condition if conditional else None
+        if (q.src, q.dst) in carriers:
+            carriers[(q.src, q.dst)].append((f"b::{q.id}", 1.0, cond))
+        for seg in q.segments:
+            carriers[seg].append((f"b::{q.id}", -1.0, cond))
+    return _assemble(instance, model, k, objective, mode, conditions,
+                     [f"b::{q.id}" for q in sequences], [], carriers)
 
 
 def solve_robust(instance: NetworkInstance, model: str, k: int,
@@ -312,14 +311,22 @@ def solve_robust(instance: NetworkInstance, model: str, k: int,
     return _extract_plan(instance, model, k, objective, mode, sol)
 
 
+def _reserved(sol: Solution, var: str) -> float:
+    """A reservation read from the optimum, with simplex noise snapped to 0.
+
+    A 1e-16 reservation would still make a sequence active, and pull its
+    segments into realization although they reserve nothing.
+    """
+    val = sol.value(var)
+    return val if val > _NOISE_TOL else 0.0
+
+
 def _extract_plan(instance: NetworkInstance, model: str, k: int, objective: str,
                   mode: str, sol: Solution) -> ReservationPlan:
-    a = {t.id: max(0.0, sol.value(f"a::{t.id}")) for t in instance.tunnels}
-    b = {q.id: max(0.0, sol.value(f"b::{q.id}"))
+    a = {t.id: _reserved(sol, f"a::{t.id}") for t in instance.tunnels}
+    b = {q.id: _reserved(sol, f"b::{q.id}")
          for q in instance.logical_sequences if sol.primal.get(f"b::{q.id}") is not None}
-    z = {}
-    for s, t in instance.demand_pairs():
-        z[(s, t)] = max(0.0, sol.value(f"z::{s}>{t}"))
+    z = {(s, t): _reserved(sol, f"z::{s}>{t}") for s, t in instance.demand_pairs()}
     return ReservationPlan(
         model=model, mode=mode, objective_kind=objective,
         objective=float(sol.objective), tunnel_reservation=a,
@@ -339,8 +346,6 @@ def solve_logical_flow(instance: NetworkInstance, conditions: list[Condition | N
     `conditions` may contain None for the unconditional base flow.  With no
     flows at all this reduces exactly to the tunnel-only model.
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
     named = [c for c in conditions if c is not None]
     demand_pairs = instance.demand_pairs()
     flows: list[LogicalFlow] = []
@@ -349,28 +354,19 @@ def solve_logical_flow(instance: NetworkInstance, conditions: list[Condition | N
             cid = c.id if c is not None else None
             wid = f"w::{s}>{t}::{cid or 'always'}"
             flows.append(LogicalFlow(wid, (s, t), cid))
+    support = list(dict.fromkeys(sorted({(t.src, t.dst) for t in instance.tunnels}) + demand_pairs))
 
-    tunnel_pairs = sorted({(t.src, t.dst) for t in instance.tunnels})
-    support_pairs: dict[tuple[str, str], None] = {}
-    for pair in tunnel_pairs:
-        support_pairs.setdefault(pair, None)
-    for pair in demand_pairs:
-        support_pairs.setdefault(pair, None)
-    support = list(support_pairs)
-
-    lp = LinearProgram(name=f"logical_flow:{objective}:{mode}:k={k}")
-    for t in instance.tunnels:
-        lp.add_var(f"a::{t.id}")
+    variables: list[str] = []
+    carriers: dict[tuple[str, str], list[Carrier]] = {pair: [] for pair in support}
     for w in flows:
-        lp.add_var(f"bw::{w.id}")
+        variables.append(f"bw::{w.id}")
+        carriers[w.pair].append((f"bw::{w.id}", 1.0, w.condition))
         for (i, j) in support:
-            lp.add_var(f"pw::{w.id}::{i}>{j}")
-    for s, t in demand_pairs:
-        lp.add_var(f"z::{s}>{t}")
-    _add_capacity_rows(lp, instance)
-    _add_objective(lp, instance, objective)
+            variables.append(f"pw::{w.id}::{i}>{j}")
+            carriers[(i, j)].append((f"pw::{w.id}::{i}>{j}", -1.0, w.condition))
 
     # Flow balance of each logical flow over the segment graph.
+    rows = []
     nodes = sorted(instance.topology.nodes)
     for w in flows:
         s, t = w.pair
@@ -387,46 +383,19 @@ def solve_logical_flow(instance: NetworkInstance, conditions: list[Condition | N
             elif i == t:
                 coeffs[f"bw::{w.id}"] = coeffs.get(f"bw::{w.id}", 0.0) + 1.0
             if coeffs:
-                lp.add_row(coeffs, "=", 0.0, name=f"flowbal:{w.id}:{i}")
+                rows.append((coeffs, "=", 0.0, f"flowbal:{w.id}:{i}"))
 
-    polytope = build_hint_polytope(instance, k, named)
-    if mode == "enumerate":
-        points = [p.as_point() for p in enumerate_patterns(instance, k, named)]
-
-    for pair in support:
-        s, t = pair
-        protected = ProtectedConstraint(label=f"{s}>{t}")
-        for tun in instance.tunnels_for(s, t):
-            protected.add_base(f"a::{tun.id}", 1.0)
-            protected.add_indicator(("y", tun.id), f"a::{tun.id}", 1.0)
-        for w in flows:
-            avail = f"bw::{w.id}" if w.pair == pair else None
-            load = f"pw::{w.id}::{s}>{t}"
-            if w.condition is None:
-                if avail:
-                    protected.add_base(avail, 1.0)
-                protected.add_base(load, -1.0)
-            else:
-                if avail:
-                    protected.add_indicator(("h", w.condition), avail, -1.0)
-                protected.add_indicator(("h", w.condition), load, 1.0)
-        if instance.demand_for(s, t) > 0:
-            protected.add_base(f"z::{s}>{t}", -instance.demand_for(s, t))
-        if mode == "dual":
-            dualize_constraint(lp, protected, polytope)
-        else:
-            _enumerate_rows(lp, protected, points, protected.label)
-
+    lp = _assemble(instance, "logical_flow", k, objective, mode, named, variables, rows, carriers)
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise InternalModelError(f"logical flow model reported {sol.status}")
     plan = _extract_plan(instance, "logical_flow", k, objective, mode, sol)
-    reservation = {w.id: max(0.0, sol.value(f"bw::{w.id}")) for w in flows}
+    reservation = {w.id: _reserved(sol, f"bw::{w.id}") for w in flows}
     segment_load = {}
     for w in flows:
         for (i, j) in support:
             val = sol.value(f"pw::{w.id}::{i}>{j}")
-            if val > 1e-12:
+            if val > _NOISE_TOL:
                 segment_load[(w.id, i, j)] = val
     flow_plan = LogicalFlowPlan(tuple(flows), reservation, segment_load)
     return plan, flow_plan

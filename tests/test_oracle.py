@@ -87,11 +87,3 @@ def test_disconnected_pair_yields_zero():
     res2 = solve_mcf(inst, Scenario(frozenset({"e1", "e2", "e3"})), "demand_scale")
     assert res2.objective == pytest.approx(0.0)
 
-
-def test_parallel_reduction_is_deterministic(monkeypatch):
-    inst = four_tunnel_example()
-    seq_val, seq_wit = worst_case_optimal(inst, 2, "throughput")
-    monkeypatch.setenv("RESILIENT_TE_THREADS", "3")
-    par_val, par_wit = worst_case_optimal(inst, 2, "throughput")
-    assert par_val == seq_val
-    assert par_wit == seq_wit

@@ -28,7 +28,9 @@ from resilient_te.realize import (
     solve_reservation_system,
     widest_path_decompose,
 )
+from resilient_te import robust
 from resilient_te.robust import ReservationPlan, solve_logical_flow, solve_robust
+from tests.conftest import random_instance
 
 
 def nested_plan(with_third: bool) -> tuple[NetworkInstance, ReservationPlan]:
@@ -309,3 +311,29 @@ def test_widest_path_requires_a_route():
     fp = LogicalFlowPlan((LogicalFlow("w", ("a", "d"), None),), {"w": 1.0}, {})
     with pytest.raises(InternalModelError):
         widest_path_decompose(fp)
+
+
+def test_simplex_noise_on_zero_reservations_still_realizes(monkeypatch):
+    # A simplex optimum may hold 1e-16 where the exact answer is 0.  Such a
+    # reservation must not activate a sequence whose segments reserve
+    # nothing, whatever the BLAS build rounds to.
+    real_solve = robust.solve_lp
+
+    def noisy_solve(lp):
+        sol = real_solve(lp)
+        for var, val in sol.primal.items():
+            if val == 0.0 and var.split("::")[0] in ("a", "b", "z"):
+                sol.primal[var] = 2e-16
+        return sol
+
+    monkeypatch.setattr(robust, "solve_lp", noisy_solve)
+    cases = [
+        (hint_example("ls"), "ls", "throughput"),
+        (hint_example("cls"), "cls", "throughput"),
+        (random_instance(1, n_nodes=8, extra_links=6, n_pairs=3, with_sequences=True),
+         "ls", "throughput"),
+    ]
+    for inst, model, objective in cases:
+        plan = solve_robust(inst, model, 1, objective, "dual")
+        for sc in enumerate_scenarios(inst.topology, 1):
+            extract_routing(plan, inst, sc)

@@ -5,8 +5,10 @@ from resilient_te.fixtures import four_tunnel_example, hint_example, parallel_ex
 from resilient_te.lp import LinearProgram, solve_lp
 from resilient_te.net import Condition, NetworkInstance
 from resilient_te.oracle import worst_case_optimal
+from resilient_te import robust
 from resilient_te.robust import (
     ProtectedConstraint,
+    build_robust_lp,
     dualize_constraint,
     solve_logical_flow,
     solve_robust,
@@ -197,3 +199,22 @@ def test_exact_polytope_reused_for_ls_without_conditions():
     assert all(r.sense in ("<=", "=") for r in poly.rows)
     plan = solve_robust(inst, "ls", 1, "throughput", "dual")
     assert plan.objective >= 0
+
+
+def test_lp_text_does_not_depend_on_call_history(monkeypatch):
+    # Dual multiplier names must come from the LP being built, not from a
+    # process-wide counter, so building a model twice gives the same text.
+    inst = hint_example("cls")
+    first = build_robust_lp(inst, "cls", 2, "throughput", "dual").to_lp_text()
+    assert build_robust_lp(inst, "cls", 2, "throughput", "dual").to_lp_text() == first
+
+    seen = []
+
+    def capture(lp):
+        seen.append(lp.to_lp_text())
+        return solve_lp(lp)
+
+    monkeypatch.setattr(robust, "solve_lp", capture)
+    for _ in range(2):
+        solve_logical_flow(inst, [None, inst.conditions[0]], 2, "throughput", "dual")
+    assert seen[0] == seen[1]
