@@ -11,7 +11,9 @@ convex in the selection.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,8 +42,11 @@ class ProbUnit:
     threshold: float = 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProbabilisticInstance:
+    """A network with probabilistic scenarios; frozen, so the scenario view
+    below is computed once and cannot go stale."""
+
     instance: NetworkInstance
     scenarios: list[Scenario]
     beta: float
@@ -52,33 +57,37 @@ class ProbabilisticInstance:
         if total > 1 + 1e-9:
             raise ValueError(f"scenario probabilities sum to {total} > 1")
 
-    @property
+    @cached_property
     def probs(self) -> list[float]:
         return [sc.prob or 0.0 for sc in self.scenarios]
 
-    @property
+    @cached_property
     def units(self) -> list[ProbUnit]:
         demands = {d.flow_id: d for d in self.instance.demands}
         if self.flow_sets:
-            out = []
-            for set_id, members in sorted(self.flow_sets.items()):
-                entries = tuple((demands[f].pair, demands[f].demand) for f in members)
-                out.append(ProbUnit(set_id, entries, self.beta))
-            return out
-        out = []
-        for d in self.instance.demands:
-            out.append(ProbUnit(
-                d.flow_id, ((d.pair, d.demand),),
-                d.beta if d.beta is not None else self.beta,
-                d.loss_threshold if d.loss_threshold is not None else 0.0))
-        return out
+            return [ProbUnit(set_id, tuple((demands[f].pair, demands[f].demand) for f in members),
+                             self.beta)
+                    for set_id, members in sorted(self.flow_sets.items())]
+        return [ProbUnit(d.flow_id, ((d.pair, d.demand),),
+                         d.beta if d.beta is not None else self.beta,
+                         d.loss_threshold if d.loss_threshold is not None else 0.0)
+                for d in self.instance.demands]
 
     def pairs(self) -> list[Pair]:
-        seen: dict[Pair, None] = {}
+        return list(dict.fromkeys(pair for u in self.units for pair, _ in u.members))
+
+    @cached_property
+    def pair_demand(self) -> dict[Pair, tuple[float, dict[str, float]]]:
+        """Each pair with positive demand: its total demand and each unit's
+        share of it, in order of first appearance."""
+        out: dict[Pair, tuple[float, dict[str, float]]] = {}
         for u in self.units:
-            for pair, _ in u.members:
-                seen.setdefault(pair, None)
-        return list(seen)
+            for pair, d in u.members:
+                if d > 0:
+                    total, shares = out.get(pair, (0.0, {}))
+                    shares[u.id] = shares.get(u.id, 0.0) + d
+                    out[pair] = (total + d, shares)
+        return out
 
     def live_tunnels(self, pair: Pair, scenario: Scenario) -> list[Tunnel]:
         topo = self.instance.topology
@@ -87,6 +96,25 @@ class ProbabilisticInstance:
 
     def unit_connected(self, unit: ProbUnit, scenario: Scenario) -> bool:
         return all(self.live_tunnels(pair, scenario) for pair, d in unit.members if d > 0)
+
+    @cached_property
+    def live(self) -> list[dict[Pair, list[Tunnel]]]:
+        """Per scenario index, each member pair's live tunnels."""
+        pairs = self.pairs()
+        return [{pair: self.live_tunnels(pair, sc) for pair in pairs} for sc in self.scenarios]
+
+    @cached_property
+    def routed(self) -> list[list[Tunnel]]:
+        """Per scenario index, the live tunnels of the pairs with demand."""
+        return [list({t.id: t for pair in self.pair_demand for t in live[pair]}.values())
+                for live in self.live]
+
+    @cached_property
+    def connected(self) -> dict[tuple[str, int], bool]:
+        """(unit, scenario index) -> every member pair with demand keeps a
+        live tunnel."""
+        return {(u.id, q): all(live[pair] for pair, d in u.members if d > 0)
+                for u in self.units for q, live in enumerate(self.live)}
 
 
 @dataclass
@@ -103,9 +131,6 @@ class CriticalSelection:
 
     def __getitem__(self, key: tuple[str, int]) -> float:
         return self.values[key]
-
-    def column(self, q: int) -> dict[str, float]:
-        return {uid: v for (uid, qq), v in self.values.items() if qq == q}
 
     def covered_mass(self, pinst: "ProbabilisticInstance", unit_id: str) -> float:
         return sum(pinst.probs[q] for (uid, q), v in self.values.items()
@@ -144,7 +169,6 @@ class BendersState:
     iterations: int = 0
     incumbent_history: list[float] = field(default_factory=list)
     bound_history: list[float] = field(default_factory=list)
-    incumbent_allocs: "list[ScenarioAlloc] | None" = None
 
 
 # --------------------------------------------------------------------------
@@ -209,13 +233,10 @@ def design_beta(pinst: ProbabilisticInstance,
                 ladder: tuple[float, ...] = (0.9, 0.99, 0.999, 0.9999)) -> float:
     """Largest target on the ladder for which every unit stays connected in
     scenarios of at least that total probability."""
-    best = 0.0
-    for unit in pinst.units:
-        mass = sum(p for sc, p in zip(pinst.scenarios, pinst.probs)
-                   if pinst.unit_connected(unit, sc))
-        candidate = max((b for b in ladder if b <= mass + 1e-12), default=0.0)
-        best = candidate if best == 0.0 else min(best, candidate)
-    return best
+    def reachable(mass: float) -> float:
+        return max((b for b in ladder if b <= mass + 1e-12), default=0.0)
+
+    return min((reachable(_connected_mass(pinst, u)) for u in pinst.units), default=0.0)
 
 
 # --------------------------------------------------------------------------
@@ -268,63 +289,59 @@ def percentile_analysis(allocs: list[ScenarioAlloc], pinst: ProbabilisticInstanc
 
 
 # --------------------------------------------------------------------------
-# Shared LP pieces.
+# Shared LP pieces.  Loss variables are named l::{unit}{sfx} and allocation
+# variables x::{tunnel}{x_sfx}, the suffixes telling scenarios apart.
 
 
 def _demand_rows(lp: LinearProgram, pinst: ProbabilisticInstance, q: int,
-                 loss_var, alloc_var) -> None:
+                 sfx: str, x_sfx: str) -> None:
     """One row per pair with demand: the pair's tunnels alive in scenario q
     plus its demand-weighted unit losses cover the pair's demand."""
-    sc = pinst.scenarios[q]
-    pair_demand: dict[Pair, float] = {}
-    pair_loss_terms: dict[Pair, dict[str, float]] = {}
-    for unit in pinst.units:
-        for pair, d in unit.members:
-            if d <= 0:
-                continue
-            pair_demand[pair] = pair_demand.get(pair, 0.0) + d
-            terms = pair_loss_terms.setdefault(pair, {})
-            lv = loss_var(unit.id)
-            terms[lv] = terms.get(lv, 0.0) + d
-    for pair, D in sorted(pair_demand.items()):
-        coeffs = dict(pair_loss_terms[pair])
-        for t in pinst.live_tunnels(pair, sc):
-            coeffs[alloc_var(t.id)] = coeffs.get(alloc_var(t.id), 0.0) + 1.0
-        lp.add_row(coeffs, ">=", D, name=f"demand:{q}:{pair[0]}>{pair[1]}")
+    for pair, (total, shares) in sorted(pinst.pair_demand.items()):
+        coeffs = {f"l::{uid}{sfx}": d for uid, d in shares.items()}
+        for t in pinst.live[q][pair]:
+            coeffs[f"x::{t.id}{x_sfx}"] = coeffs.get(f"x::{t.id}{x_sfx}", 0.0) + 1.0
+        lp.add_row(coeffs, ">=", total, name=f"demand:{q}:{pair[0]}>{pair[1]}")
 
 
-def _scenario_rows(lp: LinearProgram, pinst: ProbabilisticInstance, q: int,
-                   loss_var, alloc_var) -> None:
+def _capacity_rows(lp: LinearProgram, pinst: ProbabilisticInstance, tunnels: Sequence[Tunnel],
+                   x_sfx: str, label: str) -> None:
+    for ln in pinst.instance.topology.links:
+        coeffs = {f"x::{t.id}{x_sfx}": 1.0 for t in tunnels if ln.id in t.path}
+        if coeffs:
+            lp.add_row(coeffs, "<=", ln.capacity, name=f"cap:{label}:{ln.id}")
+
+
+def _scenario_rows(lp: LinearProgram, pinst: ProbabilisticInstance, q: int, sfx: str) -> None:
     """Demand and capacity rows for one scenario; allocation variables exist
     only for tunnels alive in that scenario."""
-    sc = pinst.scenarios[q]
-    demanded = dict.fromkeys(pair for u in pinst.units for pair, d in u.members if d > 0)
-    live_any = {t.id: t for pair in demanded for t in pinst.live_tunnels(pair, sc)}
-    for tid in live_any:
-        lp.add_var(alloc_var(tid))
-    _demand_rows(lp, pinst, q, loss_var, alloc_var)
-    for ln in pinst.instance.topology.links:
-        coeffs = {}
-        for t in live_any.values():
-            if ln.id in t.path:
-                coeffs[alloc_var(t.id)] = coeffs.get(alloc_var(t.id), 0.0) + 1.0
-        if coeffs:
-            lp.add_row(coeffs, "<=", ln.capacity, name=f"cap:{q}:{ln.id}")
+    for t in pinst.routed[q]:
+        lp.add_var(f"x::{t.id}{sfx}")
+    _demand_rows(lp, pinst, q, sfx, sfx)
+    _capacity_rows(lp, pinst, pinst.routed[q], sfx, str(q))
 
 
-def _alloc_from(sol: Solution, pinst: ProbabilisticInstance, q: int,
-                loss_var, alloc_var) -> ScenarioAlloc:
-    sc = pinst.scenarios[q]
+def _read_alloc(sol: Solution, pinst: ProbabilisticInstance, q: int, sfx: str,
+                static: bool = False, pair_losses: bool = False) -> ScenarioAlloc:
+    """Scenario q's positive allocations, from the shared x::{tunnel} when
+    `static`, and each unit's loss clipped into [0, 1]: l::{unit}{sfx}, or
+    with `pair_losses` the worst pl::{q}::{pair} of its members with demand."""
+    tunnels, x_sfx = (pinst.instance.tunnels, "") if static else (pinst.routed[q], sfx)
     alloc = {}
-    for pair in pinst.pairs():
-        for t in pinst.live_tunnels(pair, sc):
-            v = sol.primal.get(alloc_var(t.id))
-            if v and v > 1e-12:
-                alloc[t.id] = v
+    for t in tunnels:
+        v = sol.value(f"x::{t.id}{x_sfx}")
+        if v > 1e-12:
+            alloc[t.id] = v
     losses = {}
-    for unit in pinst.units:
-        losses[unit.id] = min(1.0, max(0.0, sol.value(loss_var(unit.id), 1.0)))
+    for u in pinst.units:
+        names = ([f"pl::{q}::{a}>{b}" for (a, b), d in u.members if d > 0] if pair_losses
+                 else [f"l::{u.id}{sfx}"])
+        losses[u.id] = min(1.0, max(0.0, max((sol.value(n, 1.0) for n in names), default=0.0)))
     return ScenarioAlloc(alloc, losses)
+
+
+def _connected_mass(pinst: ProbabilisticInstance, unit: ProbUnit) -> float:
+    return sum(p for q, p in enumerate(pinst.probs) if pinst.connected[(unit.id, q)])
 
 
 # --------------------------------------------------------------------------
@@ -352,12 +369,14 @@ def selection_from_losses(pinst: ProbabilisticInstance,
 
 
 def _objective_value(pinst: ProbabilisticInstance, report: LossReport) -> float:
+    """The worst threshold-adjusted percentile loss, which is what the
+    MIP and the Benders bound certify."""
     return max((max(0.0, report.flow_loss[u.id] - u.threshold) for u in pinst.units),
                default=0.0)
 
 
-def solve_direct_mip(pinst: ProbabilisticInstance, node_budget: int = 100_000,
-                     ) -> tuple[list[ScenarioAlloc], dict[tuple[str, int], float], LossReport]:
+def solve_direct_mip(pinst: ProbabilisticInstance,
+                     ) -> tuple[list[ScenarioAlloc], CriticalSelection, LossReport]:
     """Minimize the worst per-unit percentile loss by choosing critical
     scenarios and a per-scenario routing jointly.
 
@@ -389,9 +408,7 @@ def solve_direct_mip(pinst: ProbabilisticInstance, node_budget: int = 100_000,
             lp.add_var(f"z::{u.id}::{q}", binary=True)
             lp.add_var(f"l::{u.id}::{q}", 0.0, 1.0)
     for q in Q:
-        _scenario_rows(lp, pinst, q,
-                       lambda uid, q=q: f"l::{uid}::{q}",
-                       lambda tid, q=q: f"x::{q}::{tid}")
+        _scenario_rows(lp, pinst, q, f"::{q}")
     for u in units:
         lp.add_row({f"z::{u.id}::{q}": pinst.probs[q] for q in Q}, ">=", u.beta,
                    name=f"avail:{u.id}")
@@ -400,18 +417,13 @@ def solve_direct_mip(pinst: ProbabilisticInstance, node_budget: int = 100_000,
                        ">=", -1.0 - u.threshold, name=f"lossbound:{u.id}:{q}")
     lp.set_objective({"alpha": 1.0}, "min")
     cutoff = warm[3] if warm is not None else None
-    sol = solve_mip(lp, node_budget=node_budget, cutoff=cutoff)
+    sol = solve_mip(lp, cutoff=cutoff)
     if sol.status != "optimal":
         if warm is not None and sol.status == "infeasible":
             # nothing beats the warm start, so it is optimal
             return warm[0], warm[1], warm[2]
         raise RuntimeError(f"direct MIP reported {sol.status}")
-    allocs = [
-        _alloc_from(sol, pinst, q,
-                    lambda uid, q=q: f"l::{uid}::{q}",
-                    lambda tid, q=q: f"x::{q}::{tid}")
-        for q in Q
-    ]
+    allocs = [_read_alloc(sol, pinst, q, f"::{q}") for q in Q]
     selection = CriticalSelection(
         {(u.id, q): round(sol.value(f"z::{u.id}::{q}")) * 1.0 for u in units for q in Q})
     report = percentile_analysis(allocs, pinst)
@@ -439,81 +451,67 @@ def benders_subproblem(pinst: ProbabilisticInstance, q: int,
     The subproblem is always feasible (drop everything, take loss one), so
     the cut exists and is tight at the proposed selection.
     """
-    units = pinst.units
     lp = LinearProgram(name=f"sub:{q}")
     lp.add_var("alpha")
-    for u in units:
+    for u in pinst.units:
         lp.add_var(f"l::{u.id}")
-    loss_rows = {}
-    cap_rows = {}
-    for u in units:
-        loss_rows[u.id] = lp.add_row(
-            {"alpha": 1.0, f"l::{u.id}": -1.0}, ">=",
-            z_col.get(u.id, 0.0) - 1.0 - u.threshold, name=f"lossbound:{u.id}")
-        cap_rows[u.id] = lp.add_row({f"l::{u.id}": 1.0}, "<=", 1.0, name=f"losscap:{u.id}")
-    _scenario_rows(lp, pinst, q, lambda uid: f"l::{uid}", lambda tid: f"x::{tid}")
+    loss_row_unit = {}
+    for u in pinst.units:
+        row = lp.add_row({"alpha": 1.0, f"l::{u.id}": -1.0}, ">=",
+                         z_col.get(u.id, 0.0) - 1.0 - u.threshold, name=f"lossbound:{u.id}")
+        loss_row_unit[row] = u.id
+        lp.add_row({f"l::{u.id}": 1.0}, "<=", 1.0, name=f"losscap:{u.id}")
+    _scenario_rows(lp, pinst, q, "")
     lp.set_objective({"alpha": 1.0}, "min")
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise RuntimeError(f"subproblem {q} reported {sol.status}")
 
-    names = lp.row_names()
     const = 0.0
     coeff = {}
-    for idx, (name, dual) in enumerate(zip(names, sol.duals)):
+    for idx, dual in enumerate(sol.duals):
         if not dual:
             continue
         row_rhs = lp._rows[idx].rhs
-        if name.startswith("lossbound:"):
-            uid = name.split(":", 1)[1]
+        uid = loss_row_unit.get(idx)
+        if uid is not None:
             coeff[uid] = coeff.get(uid, 0.0) + dual
             const += dual * (row_rhs - z_col.get(uid, 0.0))
         else:
             const += dual * row_rhs
-    cut = Cut(q, const, coeff)
-    alloc = _alloc_from(sol, pinst, q, lambda uid: f"l::{uid}", lambda tid: f"x::{tid}")
-    return SubproblemResult(sol.objective, alloc, cut)
+    return SubproblemResult(sol.objective, _read_alloc(sol, pinst, q, ""), Cut(q, const, coeff))
 
 
 def connectivity_selection(pinst: ProbabilisticInstance) -> dict[tuple[str, int], float]:
     """Starting point: every scenario is critical for every unit still
     connected in it."""
-    sel = {}
-    for u in pinst.units:
-        for q, sc in enumerate(pinst.scenarios):
-            sel[(u.id, q)] = 1.0 if pinst.unit_connected(u, sc) else 0.0
-    return sel
+    return {key: 1.0 if ok else 0.0 for key, ok in pinst.connected.items()}
 
 
 def check_availability(pinst: ProbabilisticInstance) -> None:
     for u in pinst.units:
-        mass = sum(p for sc, p in zip(pinst.scenarios, pinst.probs)
-                   if pinst.unit_connected(u, sc))
+        mass = _connected_mass(pinst, u)
         if mass < u.beta - 1e-9:
             raise InfeasibleTargetError(u.id, mass, u.beta)
 
 
-def benders_master(pinst: ProbabilisticInstance, cuts: list[Cut],
-                   heuristics: dict | None = None,
-                   node_budget: int = 100_000) -> tuple[CriticalSelection, float]:
+def benders_master(pinst: ProbabilisticInstance, cuts: list[Cut], *,
+                   fixed: dict[tuple[str, int], float] | None = None,
+                   previous: dict[tuple[str, int], float] | None = None,
+                   hamming_limit: float | None = None) -> tuple[CriticalSelection, float]:
     """Selection minimizing the cut envelope, subject to availability.
 
-    heuristics keys: "start" (return the connectivity selection when no cuts
-    exist), "hamming_limit" plus "previous" (restrict movement), "fixed"
-    (mapping (unit, scenario) -> forced value).
+    `fixed` maps (unit, scenario) to a forced value; disconnected pairs are
+    always forced to 0.  With `previous` and `hamming_limit`, the selection
+    moves at most that many entries away from `previous`.
     """
-    heuristics = heuristics or {}
     check_availability(pinst)
-    if not cuts and heuristics.get("start"):
-        return CriticalSelection(connectivity_selection(pinst)), 0.0
-
     units = pinst.units
     Q = range(len(pinst.scenarios))
-    fixed: dict[tuple[str, int], float] = dict(heuristics.get("fixed", {}))
-    for u in units:
-        for q, sc in enumerate(pinst.scenarios):
-            if not pinst.unit_connected(u, sc):
-                fixed[(u.id, q)] = 0.0
+    fixed = dict(fixed or {})
+    for key, ok in pinst.connected.items():
+        if not ok:
+            fixed[key] = 0.0
 
     lp = LinearProgram(name="master")
     lp.add_var("alpha")
@@ -530,9 +528,7 @@ def benders_master(pinst: ProbabilisticInstance, cuts: list[Cut],
         for uid, w in cut.coeff.items():
             coeffs[f"z::{uid}::{cut.scenario_index}"] = -w
         lp.add_row(coeffs, ">=", cut.const, name=f"cut:{c_idx}")
-    previous = heuristics.get("previous")
-    limit = heuristics.get("hamming_limit")
-    if previous is not None and limit is not None:
+    if previous is not None and hamming_limit is not None:
         coeffs = {}
         base = 0.0
         for u in units:
@@ -545,9 +541,9 @@ def benders_master(pinst: ProbabilisticInstance, cuts: list[Cut],
                     base += 1.0
                 else:
                     coeffs[f"z::{u.id}::{q}"] = 1.0
-        lp.add_row(coeffs, "<=", limit - base, name="hamming")
+        lp.add_row(coeffs, "<=", hamming_limit - base, name="hamming")
     lp.set_objective({"alpha": 1.0}, "min")
-    sol = solve_mip(lp, node_budget=node_budget)
+    sol = solve_mip(lp)
     if sol.status != "optimal":
         raise RuntimeError(f"master reported {sol.status}")
     selection = CriticalSelection({(u.id, q): round(sol.value(f"z::{u.id}::{q}")) * 1.0
@@ -555,21 +551,19 @@ def benders_master(pinst: ProbabilisticInstance, cuts: list[Cut],
     return selection, max(0.0, sol.objective)
 
 
-def benders_run(pinst: ProbabilisticInstance, max_iterations: int = 5,
-                heuristics: dict | None = None,
+def benders_run(pinst: ProbabilisticInstance, max_iterations: int = 5, *,
+                prune_perfect: bool = True,
                 ) -> tuple[list[ScenarioAlloc], LossReport, BendersState]:
     """Iterate master and per-scenario subproblems until the bound certifies
     the incumbent or the iteration budget runs out.
 
-    Default heuristics: connectivity starting point, perfect-scenario
-    pruning, and a Hamming-distance trust region around the previous
-    selection (doubled whenever an iteration fails to improve).
+    Starts from the connectivity selection; perfect-scenario pruning (off
+    with `prune_perfect=False`) pins the scenarios that are lossless there,
+    and a Hamming-distance trust region around the previous selection
+    (doubled whenever an iteration fails to improve) shapes each step.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    heuristics = dict(heuristics or {})
-    use_hamming = heuristics.get("use_hamming", True)
-    prune_perfect = heuristics.get("prune_perfect", True)
     check_availability(pinst)
     units = pinst.units
     Q = range(len(pinst.scenarios))
@@ -587,12 +581,11 @@ def benders_run(pinst: ProbabilisticInstance, max_iterations: int = 5,
         if prune_perfect and res.alpha <= 1e-9:
             perfect[q] = res.alloc
             for u in units:
-                if pinst.unit_connected(u, pinst.scenarios[q]):
+                if pinst.connected[(u.id, q)]:
                     fixed[(u.id, q)] = 1.0
 
     nontrivial = [q for q in Q if q not in perfect]
-    hamming = heuristics.get(
-        "hamming_limit", max(1.0, 0.1 * len(units) * max(1, len(nontrivial))))
+    hamming = max(1.0, 0.1 * len(units) * max(1, len(nontrivial)))
 
     best_allocs: list[ScenarioAlloc] | None = None
     best_report: LossReport | None = None
@@ -605,14 +598,10 @@ def benders_run(pinst: ProbabilisticInstance, max_iterations: int = 5,
             state.cuts.append(res.cut)
         allocs = [perfect[q] if q in perfect else results[q].alloc for q in Q]
         report = percentile_analysis(allocs, pinst)
-        # Objective value of this routing: the worst threshold-adjusted
-        # percentile, which is what the master's bound certifies.
-        value = max((max(0.0, report.flow_loss[u.id] - u.threshold) for u in units),
-                    default=0.0)
+        value = _objective_value(pinst, report)
         state.incumbent_history.append(value)
         if value < state.incumbent - 1e-12:
             state.incumbent = value
-            state.incumbent_allocs = allocs
             best_allocs, best_report = allocs, report
 
     consume(z)
@@ -621,15 +610,13 @@ def benders_run(pinst: ProbabilisticInstance, max_iterations: int = 5,
         state.iterations += 1
         # The certifying bound comes from the unrestricted master; the trust
         # region only shapes the next iterate.
-        _, bound = benders_master(pinst, state.cuts, {"fixed": fixed})
+        _, bound = benders_master(pinst, state.cuts, fixed=fixed)
         state.lower_bound = max(state.lower_bound, bound)
         state.bound_history.append(state.lower_bound)
         if state.lower_bound >= state.incumbent - 1e-6:
             break
-        step_opts = {"fixed": fixed}
-        if use_hamming:
-            step_opts.update({"previous": prev, "hamming_limit": hamming})
-        z = benders_master(pinst, state.cuts, step_opts)[0].values
+        z = benders_master(pinst, state.cuts, fixed=fixed, previous=prev,
+                           hamming_limit=hamming)[0].values
         before = state.incumbent
         consume(z)
         if state.incumbent >= before - 1e-12:
@@ -647,11 +634,8 @@ def benders_run(pinst: ProbabilisticInstance, max_iterations: int = 5,
 def solve_scenario_minmax(pinst: ProbabilisticInstance) -> list[ScenarioAlloc]:
     """Independently minimize the worst unit loss in every scenario (the
     scenario-centric baseline); every unit is treated as critical."""
-    out = []
-    for q in range(len(pinst.scenarios)):
-        res = benders_subproblem(pinst, q, {u.id: 1.0 for u in pinst.units})
-        out.append(res.alloc)
-    return out
+    return [benders_subproblem(pinst, q, {u.id: 1.0 for u in pinst.units}).alloc
+            for q in range(len(pinst.scenarios))]
 
 
 def solve_cvar(pinst: ProbabilisticInstance, variant: str = "flow_adaptive",
@@ -671,14 +655,11 @@ def solve_cvar(pinst: ProbabilisticInstance, variant: str = "flow_adaptive",
     lp = LinearProgram(name=f"cvar:{variant}")
     lp.add_var("theta", -1.0)
 
-    static = variant in ("flow_static", "scen_static")
+    static = variant != "flow_adaptive"
     if static:
         for t in pinst.instance.tunnels:
             lp.add_var(f"x::{t.id}")
-        for ln in pinst.instance.topology.links:
-            coeffs = {f"x::{t.id}": 1.0 for t in pinst.instance.tunnels if ln.id in t.path}
-            if coeffs:
-                lp.add_row(coeffs, "<=", ln.capacity, name=f"cap:{ln.id}")
+        _capacity_rows(lp, pinst, pinst.instance.tunnels, "", "static")
 
     if variant == "scen_static":
         # CVaR of the per-scenario worst loss across pairs.
@@ -687,69 +668,41 @@ def solve_cvar(pinst: ProbabilisticInstance, variant: str = "flow_adaptive",
         for q in Q:
             lp.add_var(f"sl::{q}", 0.0, 1.0)
             lp.add_var(f"s::{q}")
-            lp.add_row({"s::{0}".format(q): 1.0, "sl::{0}".format(q): -1.0, "var_anchor": 1.0},
+            lp.add_row({f"s::{q}": 1.0, f"sl::{q}": -1.0, "var_anchor": 1.0},
                        ">=", 0.0, name=f"tail:{q}")
             for pair in pairs:
-                lp.add_var(f"pl::{q}::{pair[0]}>{pair[1]}", 0.0, 1.0)
-                lp.add_row({f"sl::{q}": 1.0, f"pl::{q}::{pair[0]}>{pair[1]}": -1.0},
-                           ">=", 0.0, name=f"worst:{q}:{pair}")
+                pl = f"pl::{q}::{pair[0]}>{pair[1]}"
+                lp.add_var(pl, 0.0, 1.0)
+                lp.add_row({f"sl::{q}": 1.0, pl: -1.0}, ">=", 0.0, name=f"worst:{q}:{pair}")
                 D = sum(d for u in units for (p2, d) in u.members if p2 == pair)
-                coeffs = {f"pl::{q}::{pair[0]}>{pair[1]}": D}
-                for t in pinst.live_tunnels(pair, pinst.scenarios[q]):
+                coeffs = {pl: D}
+                for t in pinst.live[q][pair]:
                     coeffs[f"x::{t.id}"] = coeffs.get(f"x::{t.id}", 0.0) + 1.0
                 lp.add_row(coeffs, ">=", D, name=f"demand:{q}:{pair}")
         lp.add_row({"theta": 1.0, "var_anchor": -1.0,
                     **{f"s::{q}": -probs[q] / (1 - beta) for q in Q}}, ">=", 0.0,
                    name="cvar")
-        lp.set_objective({"theta": 1.0}, "min")
-        sol = solve_lp(lp)
-        if sol.status != "optimal":
-            raise RuntimeError(f"scen_static CVaR reported {sol.status}")
-        allocs = []
+    else:
+        # Per-unit CVaR.
+        for u in units:
+            lp.add_var(f"anchor::{u.id}", -1.0)
+            tail = {"theta": 1.0, f"anchor::{u.id}": -1.0}
+            for q in Q:
+                lp.add_var(f"l::{u.id}::{q}", 0.0, 1.0)
+                lp.add_var(f"s::{u.id}::{q}")
+                lp.add_row({f"s::{u.id}::{q}": 1.0, f"anchor::{u.id}": 1.0,
+                            f"l::{u.id}::{q}": -1.0}, ">=", 0.0, name=f"tail:{u.id}:{q}")
+                tail[f"s::{u.id}::{q}"] = -probs[q] / (1 - beta)
+            lp.add_row(tail, ">=", 0.0, name=f"cvar:{u.id}")
         for q in Q:
-            alloc = {t.id: sol.value(f"x::{t.id}") for t in pinst.instance.tunnels
-                     if sol.value(f"x::{t.id}") > 1e-12}
-            losses = {}
-            for u in units:
-                worst = 0.0
-                for pair, d in u.members:
-                    if d > 0:
-                        worst = max(worst, sol.value(f"pl::{q}::{pair[0]}>{pair[1]}", 1.0))
-                losses[u.id] = min(1.0, max(0.0, worst))
-            allocs.append(ScenarioAlloc(alloc, losses))
-        return allocs, percentile_analysis(allocs, pinst), float(sol.objective)
-
-    # Per-unit CVaR variants.
-    for u in units:
-        lp.add_var(f"anchor::{u.id}", -1.0)
-        tail = {"theta": 1.0, f"anchor::{u.id}": -1.0}
-        for q in Q:
-            lp.add_var(f"l::{u.id}::{q}", 0.0, 1.0)
-            lp.add_var(f"s::{u.id}::{q}")
-            lp.add_row({f"s::{u.id}::{q}": 1.0, f"anchor::{u.id}": 1.0,
-                        f"l::{u.id}::{q}": -1.0}, ">=", 0.0, name=f"tail:{u.id}:{q}")
-            tail[f"s::{u.id}::{q}"] = -probs[q] / (1 - beta)
-        lp.add_row(tail, ">=", 0.0, name=f"cvar:{u.id}")
-    for q in Q:
-        loss_var = lambda uid, q=q: f"l::{uid}::{q}"
-        if variant == "flow_adaptive":
-            _scenario_rows(lp, pinst, q, loss_var, lambda tid, q=q: f"x::{q}::{tid}")
-        else:
-            _demand_rows(lp, pinst, q, loss_var, lambda tid: f"x::{tid}")
+            if static:
+                _demand_rows(lp, pinst, q, f"::{q}", "")
+            else:
+                _scenario_rows(lp, pinst, q, f"::{q}")
     lp.set_objective({"theta": 1.0}, "min")
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise RuntimeError(f"{variant} CVaR reported {sol.status}")
-    allocs = []
-    for q in Q:
-        if variant == "flow_adaptive":
-            allocs.append(_alloc_from(sol, pinst, q,
-                                      lambda uid, q=q: f"l::{uid}::{q}",
-                                      lambda tid, q=q: f"x::{q}::{tid}"))
-        else:
-            alloc = {t.id: sol.value(f"x::{t.id}") for t in pinst.instance.tunnels
-                     if sol.value(f"x::{t.id}") > 1e-12}
-            losses = {u.id: min(1.0, max(0.0, sol.value(f"l::{u.id}::{q}", 1.0)))
-                      for u in units}
-            allocs.append(ScenarioAlloc(alloc, losses))
+    allocs = [_read_alloc(sol, pinst, q, f"::{q}", static, variant == "scen_static")
+              for q in Q]
     return allocs, percentile_analysis(allocs, pinst), float(sol.objective)

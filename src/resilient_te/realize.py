@@ -12,6 +12,7 @@ local proportional splitting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .net import LogicalSequence, NetworkInstance, Scenario, Tunnel, sequence_ac
 from .robust import LogicalFlowPlan, ReservationPlan
 
 Pair = tuple[str, str]
+Node = TypeVar("Node")
 
 RESIDUAL_TOL = 1e-9
 
@@ -168,6 +170,8 @@ def jacobi_solve(M: np.ndarray, rhs: np.ndarray, max_iter: int = 100_000,
     if np.any(np.abs(d) < 1e-14):
         raise MatrixNotWcddError("zero diagonal entry")
     R = M - np.diag(d)
+    if rhs.ndim == 2:
+        d = d[:, None]
     x = np.zeros_like(rhs, dtype=float)
     for _ in range(max_iter):
         nxt = (rhs - R @ x) / d
@@ -209,10 +213,10 @@ def _cancel_cycles(arc_flow: dict[Pair, float], tol: float = 1e-12) -> dict[Pair
     """Remove directed cycles by subtracting the cycle's bottleneck flow."""
     flows = {a: f for a, f in arc_flow.items() if f > tol}
     while True:
-        out: dict[str, list[str]] = {}
+        out: dict[str, set[str]] = {}
         for (u, v) in flows:
-            out.setdefault(u, []).append(v)
-        cycle = _find_cycle(out)
+            out.setdefault(u, set()).add(v)
+        cycle = _shortest_cycle(set(out), out)
         if cycle is None:
             return flows
         arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
@@ -221,32 +225,6 @@ def _cancel_cycles(arc_flow: dict[Pair, float], tol: float = 1e-12) -> dict[Pair
             flows[a] -= c
             if flows[a] <= tol:
                 del flows[a]
-
-
-def _find_cycle(out: dict[str, list[str]]) -> list[str] | None:
-    color: dict[str, int] = {}
-    stack: list[str] = []
-
-    def dfs(u: str) -> list[str] | None:
-        color[u] = 1
-        stack.append(u)
-        for v in sorted(out.get(u, [])):
-            if color.get(v, 0) == 1:
-                return stack[stack.index(v):]
-            if color.get(v, 0) == 0:
-                found = dfs(v)
-                if found:
-                    return found
-        stack.pop()
-        color[u] = 2
-        return None
-
-    for u in sorted(out):
-        if color.get(u, 0) == 0:
-            found = dfs(u)
-            if found:
-                return found
-    return None
 
 
 def extract_routing(plan: ReservationPlan, instance: NetworkInstance,
@@ -308,7 +286,7 @@ def check_topological_sort(instance: NetworkInstance, sequences: list[LogicalSeq
         for seg in q.segments:
             nodes.add(seg)
             edges.setdefault(src_pair, set()).add(seg)
-    cycle = _pair_cycle(nodes, edges)
+    cycle = _shortest_cycle(nodes, edges)
     if cycle is not None:
         return None, cycle
     # Kahn over reversed edges: pairs nothing rides on come out first.
@@ -331,11 +309,13 @@ def check_topological_sort(instance: NetworkInstance, sequences: list[LogicalSeq
     return order, None
 
 
-def _pair_cycle(nodes: set[Pair], edges: dict[Pair, set[Pair]]) -> list[Pair] | None:
-    best: list[Pair] | None = None
+def _shortest_cycle(nodes: set[Node], edges: dict[Node, set[Node]]) -> list[Node] | None:
+    """A shortest directed cycle, as its nodes in order; ties go to the
+    smallest start node."""
+    best: list[Node] | None = None
     for start in sorted(nodes):
         # BFS back to start gives the shortest cycle through it.
-        parent: dict[Pair, Pair] = {}
+        parent: dict[Node, Node] = {}
         frontier = [start]
         seen = {start}
         while frontier:

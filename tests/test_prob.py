@@ -93,6 +93,20 @@ def test_design_beta_ladder():
     assert design_beta(pinst) == pytest.approx(0.99)
 
 
+def test_design_beta_is_the_worst_unit_in_any_demand_order():
+    from resilient_te.net import Tunnel
+
+    topo = make_topology(["A", "B", "C"], [("e1", "A", "B", 1.0, 0.4),
+                                           ("e2", "A", "C", 1.0, 0.001)])
+    f1, f2 = FlowDemand("f1", ("A", "B"), 1.0), FlowDemand("f2", ("A", "C"), 1.0)
+    tunnels = (Tunnel("t1", "A", "B", ("e1",)), Tunnel("t2", "A", "C", ("e2",)))
+    scens = enumerate_prob_scenarios(topo, cutoff=0.0)
+    for demands in ((f1, f2), (f2, f1)):
+        inst = NetworkInstance(topology=topo, demands=demands, tunnels=tunnels)
+        # f1 is connected with probability 0.6, below every ladder target
+        assert design_beta(ProbabilisticInstance(inst, scens, beta=0.5)) == 0.0
+
+
 # -- percentiles and CVaR ----------------------------------------------------
 
 
@@ -242,9 +256,8 @@ def test_cut_tight_at_origin_and_valid_elsewhere():
 
 def test_master_heuristic_start_and_bounds():
     pinst = make_pinst()
-    sel, bound = benders_master(pinst, [], {"start": True})
+    sel, bound = benders_master(pinst, [])
     assert bound == 0.0
-    assert sel.values == connectivity_selection(pinst)
     assert sel.covers(pinst)
     from resilient_te.prob import Cut
 
@@ -259,7 +272,7 @@ def test_master_heuristic_start_and_bounds():
 def test_master_hamming_zero_freezes_selection():
     pinst = make_pinst()
     prev = connectivity_selection(pinst)
-    sel, _ = benders_master(pinst, [], {"previous": prev, "hamming_limit": 0.0})
+    sel, _ = benders_master(pinst, [], previous=prev, hamming_limit=0.0)
     assert sel.values == prev
 
 
@@ -306,8 +319,8 @@ def test_perfect_scenario_pruning_is_neutral():
                                tunnels=inst.tunnels)
         scens = enumerate_prob_scenarios(topo, cutoff=1e-4)
         pinst = ProbabilisticInstance(inst, scens, beta=design_beta(pinst=ProbabilisticInstance(inst, scens, beta=0.5)))
-        a = benders_run(pinst, 4, {"prune_perfect": True})[2]
-        b = benders_run(pinst, 4, {"prune_perfect": False})[2]
+        a = benders_run(pinst, 4, prune_perfect=True)[2]
+        b = benders_run(pinst, 4, prune_perfect=False)[2]
         assert a.incumbent == pytest.approx(b.incumbent, abs=1e-6)
 
 

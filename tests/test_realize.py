@@ -303,6 +303,9 @@ def test_gaussian_and_jacobi_on_random_wcdd_systems():
         assert np.allclose(M @ x, rhs, atol=1e-9)
         y = jacobi_solve(M, rhs)
         assert np.allclose(x, y, atol=1e-8)
+        # one demand vector per column, as extract_routing stacks them
+        cols = rng.uniform(0, 1, size=(n, 3))
+        assert np.allclose(jacobi_solve(M, cols), gaussian_solve(M, cols), atol=1e-8)
 
 
 def test_widest_path_requires_a_route():
