@@ -12,7 +12,7 @@ import csv
 import sys
 import time
 
-from resilient_te.generators import generate_gravity_demands, select_tunnels
+from resilient_te.generators import generate_gravity_demands, random_instance, select_tunnels
 from resilient_te.net import FlowDemand, NetworkInstance
 from resilient_te.prob import (
     ProbabilisticInstance,
@@ -25,9 +25,6 @@ from resilient_te.prob import (
     solve_direct_mip,
     solve_scenario_minmax,
 )
-
-sys.path.insert(0, "tests")
-from conftest import random_instance  # noqa: E402
 
 
 def build(seed: int, scale: float, max_scenarios: int) -> ProbabilisticInstance:

@@ -2,14 +2,16 @@
 enumerated integral counterparts.
 
 A polytope is a set of linear rows over indicator variables, each bounded in
-[0, 1].  Robust models quantify protected constraints over these sets, either
-by instantiating one row per integral point (enumerate mode) or by dualizing
-the relaxation (dual mode).
+[0, 1].  Robust models quantify each protected constraint over its pair's
+projection of these sets, either by instantiating one row per distinct
+integral point (enumerate mode) or by dualizing the relaxation restricted to
+the pair's scope (dual mode, `restrict_polytope`).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .net import (
@@ -158,6 +160,31 @@ def build_hint_polytope(instance: NetworkInstance, k: int,
     return poly
 
 
+def restrict_polytope(poly: FailurePolytope, indicators: Iterable[Indicator]) -> FailurePolytope:
+    """The projection of an ffc, exact or hint polytope onto one pair's scope.
+
+    The scope is the given tunnel `y` and condition `h` indicators plus the
+    `x` of every link sharing a row with one of them: the links on those
+    tunnels and in those conditions.  Rows inside the scope are kept (for
+    ffc, the pair's own budget row), the link budget row is cut to the
+    scope's links, and every other row is dropped.
+    The projection is exact because whatever lies outside can always be
+    completed: another tunnel's `y` in [max x_e, min(1, sum x_e)] is never
+    empty, a link outside the scope can be 0 (which only loosens the
+    budget), and a condition's hint rows always admit an `h`.
+    """
+    scope = set(indicators)
+    for row in poly.rows:
+        if any(ind in scope and ind[0] != "x" for ind, _ in row.coeffs):
+            scope.update(ind for ind, _ in row.coeffs if ind[0] == "x")
+    out = FailurePolytope([v for v in poly.variables if v in scope], budget=poly.budget)
+    for row in poly.rows:
+        coeffs = tuple((ind, c) for ind, c in row.coeffs if ind in scope)
+        if coeffs and (len(coeffs) == len(row.coeffs) or row.tag == "budget"):
+            out.rows.append(PolytopeRow(coeffs, row.sense, row.rhs, row.tag))
+    return out
+
+
 def build_srlg_polytope(instance: NetworkInstance, groups: list[Condition],
                         k_groups: int) -> FailurePolytope:
     """Group-failure polytope: the budget counts failed groups, not links.
@@ -199,7 +226,9 @@ def enumerate_patterns(instance: NetworkInstance, k: int,
     """One integral (y, h) point per scenario of at most k link failures.
 
     Distinct scenarios may induce identical patterns; both are kept so the
-    originating scenario stays attached.
+    originating scenario stays attached.  The robust models project each
+    pattern onto one pair's own indicators and drop the duplicates that
+    projection makes, per pair.
     """
     n = len(instance.topology.links)
     if scenario_count(n, k) > SCENARIO_GUARD:

@@ -1,5 +1,6 @@
 """Instance generators: gravity-model demands, near-disjoint tunnel
-selection, and splitting links into independently failing halves."""
+selection, splitting links into independently failing halves, and seeded
+random instances with optional (conditional) logical sequences."""
 
 from __future__ import annotations
 
@@ -9,8 +10,10 @@ import numpy as np
 
 from .net import (
     EMPTY_SCENARIO,
+    Condition,
     FlowDemand,
     Link,
+    LogicalSequence,
     NetworkInstance,
     Topology,
     Tunnel,
@@ -153,3 +156,93 @@ def split_sublinks(topo: Topology, instance: NetworkInstance | None = None,
     return NetworkInstance(
         topology=new_topo, demands=instance.demands, tunnels=tunnels,
         logical_sequences=instance.logical_sequences, conditions=instance.conditions)
+
+
+def random_topology(rng: np.random.Generator, n_nodes: int, extra_links: int,
+                    cap_range=(0.5, 2.0)) -> Topology:
+    """Connected topology: a random spanning tree plus extra edges."""
+    nodes = [f"v{i}" for i in range(n_nodes)]
+    links = []
+    existing = set()
+
+    def add(u, v):
+        key = (min(u, v), max(u, v))
+        lid = f"{key[0]}-{key[1]}#{sum(1 for e in existing if e[:2] == key)}"
+        existing.add(key + (lid,))
+        cap = float(np.round(rng.uniform(*cap_range), 3))
+        links.append(Link(lid, (u, v), cap))
+
+    order = list(rng.permutation(nodes))
+    for i in range(1, len(order)):
+        j = int(rng.integers(0, i))
+        add(order[i], order[j])
+    for _ in range(extra_links):
+        u, v = rng.choice(nodes, size=2, replace=False)
+        add(str(u), str(v))
+    return Topology(nodes=frozenset(nodes), links=tuple(links))
+
+
+def random_instance(seed: int, n_nodes: int = 6, extra_links: int = 4,
+                    n_pairs: int = 2, tunnels_per_pair: int = 3,
+                    with_sequences: bool = False) -> NetworkInstance:
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng, n_nodes, extra_links)
+    nodes = sorted(topo.nodes)
+    pairs = []
+    while len(pairs) < n_pairs:
+        s, t = rng.choice(nodes, size=2, replace=False)
+        if (str(s), str(t)) not in pairs:
+            pairs.append((str(s), str(t)))
+    demands = tuple(
+        FlowDemand(f"f{i}", pair, float(np.round(rng.uniform(0.3, 1.2), 3)))
+        for i, pair in enumerate(pairs))
+    tunnels = []
+    for pair in pairs:
+        tunnels.extend(select_tunnels(topo, pair, tunnels_per_pair))
+    sequences = []
+    conditions = []
+    if with_sequences:
+        for i, (s, t) in enumerate(pairs):
+            mids = [n for n in nodes if n not in (s, t)]
+            if not mids:
+                continue
+            v = str(rng.choice(mids))
+            for seg in ((s, v), (v, t)):
+                tunnels.extend(select_tunnels(topo, seg, 2, id_prefix=f"seg{i}::{seg[0]}>{seg[1]}"))
+            sequences.append(LogicalSequence(f"q{i}", s, t, (s, v, t)))
+    return NetworkInstance(
+        topology=topo, demands=demands, tunnels=tuple(tunnels),
+        logical_sequences=tuple(sequences), conditions=tuple(conditions))
+
+
+def with_conditional_sequences(instance: NetworkInstance, seed: int) -> NetworkInstance:
+    """Add one conditional sequence per demand pair (single random link dead),
+    keeping the unconditional set intact."""
+    rng = np.random.default_rng(seed)
+    nodes = sorted(instance.topology.nodes)
+    link_ids = sorted(ln.id for ln in instance.topology.links)
+    sequences = list(instance.logical_sequences)
+    conditions = list(instance.conditions)
+    tunnels = list(instance.tunnels)
+    for i, (s, t) in enumerate(instance.demand_pairs()):
+        mids = [n for n in nodes if n not in (s, t)]
+        if not mids:
+            continue
+        v = str(rng.choice(mids))
+        dead = str(rng.choice(link_ids))
+        cond = Condition(f"c{i}", dead_links=frozenset({dead}))
+        conditions.append(cond)
+        sequences.append(LogicalSequence(f"cq{i}", s, t, (s, v, t), condition=cond.id))
+        for seg in ((s, v), (v, t)):
+            tunnels.extend(select_tunnels(instance.topology, seg, 2,
+                                          id_prefix=f"cseg{i}::{seg[0]}>{seg[1]}"))
+    seen = {}
+    unique = []
+    for t in tunnels:
+        key = (t.src, t.dst, t.path)
+        if key not in seen:
+            seen[key] = t
+            unique.append(t)
+    return NetworkInstance(
+        topology=instance.topology, demands=instance.demands, tunnels=tuple(unique),
+        logical_sequences=tuple(sequences), conditions=tuple(conditions))

@@ -6,6 +6,9 @@ pair's scaled demand plus any sequence load routed through it, for every
 admissible failure.  The quantifier is discharged either by enumerating
 integral failure patterns or by dualizing the polytope relaxation; the dual
 counterpart is conservative relative to enumeration, never optimistic.
+Either way each pair sees only its own tunnels, the links they use and the
+conditions its carriers name: the pair-local polytope is an exact projection
+of the instance-wide one.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .failsets import (
     build_ffc_polytope,
     build_hint_polytope,
     enumerate_patterns,
+    restrict_polytope,
     scenario_count,
     shared_link_bound,
 )
@@ -107,7 +111,13 @@ def dualize_constraint(lp: LinearProgram, protected: ProtectedConstraint,
     bound, a dual-feasibility row per indicator, and the single row bounding
     the worst case by the protected base.  Returns the new variable names,
     tagged by the row count of `lp` so names do not depend on call history.
+    An indicator term outside the polytope raises ValueError: dropping it
+    would read that indicator as never failing, an optimistic counterpart.
     """
+    missing = set(protected.indicator_terms) - set(polytope.variables)
+    if missing:
+        names = ", ".join(f"{kind}:{ref}" for kind, ref in sorted(missing))
+        raise ValueError(f"{protected.label!r}: indicator(s) {names} not in the failure polytope")
     tag = f"rc{lp.num_rows}"
     lam: list[str] = []
     for r_idx, row in enumerate(polytope.rows):
@@ -148,14 +158,23 @@ def dualize_constraint(lp: LinearProgram, protected: ProtectedConstraint,
 
 def _enumerate_rows(lp: LinearProgram, protected: ProtectedConstraint,
                     points: list[dict[Indicator, float]]) -> None:
-    for idx, point in enumerate(points):
+    """One row per distinct projection of `points` onto the pair's indicators.
+
+    A row reads only the indicators of the pair's own terms, so points that
+    agree on those give the same row; the first of them is kept, in order.
+    """
+    seen: set[tuple[float, ...]] = set()
+    for point in points:
+        values = tuple(point.get(ind, 0.0) for ind in protected.indicator_terms)
+        if values in seen:
+            continue
         coeffs = dict(protected.base)
-        for ind, term in protected.indicator_terms.items():
-            v = point.get(ind, 0.0)
+        for term, v in zip(protected.indicator_terms.values(), values):
             if v:
                 for var, coef in term.items():
                     coeffs[var] = coeffs.get(var, 0.0) - coef * v
-        lp.add_row(coeffs, ">=", 0.0, name=f"en:{protected.label}:{idx}")
+        lp.add_row(coeffs, ">=", 0.0, name=f"en:{protected.label}:{len(seen)}")
+        seen.add(values)
 
 
 def _ffc_worst_points(instance: NetworkInstance, pair: tuple[str, str],
@@ -222,12 +241,16 @@ def _assemble(instance: NetworkInstance, model: str, k: int, objective: str, mod
     Declares tunnel, carrier (`variables`) and scale variables, adds the
     capacity, objective and carrier `rows`, then protects each pair of
     `carriers`, in order: live tunnel reservations plus the pair's carrier
-    terms must cover its scaled demand under every admissible failure.
+    terms must cover its scaled demand under every admissible failure.  Each
+    pair is dualized over its own restriction of the polytope, or enumerated
+    over the distinct projections of the failure patterns.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     lp = LinearProgram(name=f"{model}:{objective}:{mode}:k={k}")
     for t in instance.tunnels:
         lp.add_var(f"a::{t.id}")
@@ -264,7 +287,7 @@ def _assemble(instance: NetworkInstance, model: str, k: int, objective: str, mod
             protected.add_base(f"z::{s}>{t}", -instance.demand_for(s, t))
 
         if mode == "dual":
-            dualize_constraint(lp, protected, polytope)
+            dualize_constraint(lp, protected, restrict_polytope(polytope, protected.indicator_terms))
         else:
             if model == "ffc":
                 points = _ffc_worst_points(instance, pair, k)

@@ -13,7 +13,7 @@ from resilient_te.fixtures import (
     parallel_example,
     realization_example,
 )
-from resilient_te.generators import select_tunnels
+from resilient_te.generators import random_instance, select_tunnels, with_conditional_sequences
 from resilient_te.net import (
     EMPTY_SCENARIO,
     LogicalSequence,
@@ -43,7 +43,6 @@ from resilient_te.realize import (
     solve_reservation_system,
 )
 from resilient_te.robust import ReservationPlan, solve_logical_flow, solve_robust
-from tests.conftest import random_instance, with_conditional_sequences
 
 TOL = 1e-6
 

@@ -13,8 +13,8 @@ from resilient_te.failsets import (
     shared_link_bound,
 )
 from resilient_te.fixtures import four_tunnel_example, hint_example
+from resilient_te.generators import random_instance
 from resilient_te.net import Condition
-from tests.conftest import random_instance
 
 
 def integral_points(poly, free_vars=None):

@@ -12,11 +12,15 @@ from resilient_te.fixtures import (
     parallel_example,
     realization_example,
 )
-from resilient_te.generators import generate_gravity_demands, select_tunnels, split_sublinks
+from resilient_te.generators import (
+    generate_gravity_demands,
+    random_instance,
+    select_tunnels,
+    split_sublinks,
+)
 from resilient_te.io import instance_from_dict, instance_to_dict, load_instance, dump_instance
 from resilient_te.net import EMPTY_SCENARIO, NetworkInstance, Scenario, make_topology, validate_instance
 from resilient_te.oracle import solve_mcf
-from tests.conftest import random_instance
 
 
 ALL_FIXTURES = [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from resilient_te.fixtures import cvar_topo, flow_example
+from resilient_te.generators import random_instance
 from resilient_te.net import FlowDemand, NetworkInstance, Scenario, make_topology
 from resilient_te.prob import (
     InfeasibleTargetError,
@@ -22,7 +23,6 @@ from resilient_te.prob import (
     solve_direct_mip,
     solve_scenario_minmax,
 )
-from tests.conftest import random_instance
 
 
 def make_pinst(cutoff=0.0, beta=0.99):

@@ -7,6 +7,7 @@ from resilient_te.fixtures import (
     parallel_example,
     realization_example,
 )
+from resilient_te.generators import random_instance
 from resilient_te.net import (
     EMPTY_SCENARIO,
     LogicalSequence,
@@ -30,7 +31,6 @@ from resilient_te.realize import (
 )
 from resilient_te import robust
 from resilient_te.robust import ReservationPlan, solve_logical_flow, solve_robust
-from tests.conftest import random_instance
 
 
 def nested_plan(with_third: bool) -> tuple[NetworkInstance, ReservationPlan]:

@@ -1,19 +1,29 @@
+import numpy as np
 import pytest
 
-from resilient_te.failsets import FailurePolytope, build_exact_polytope
+from resilient_te.cli import main
+from resilient_te.failsets import (
+    FailurePolytope,
+    build_exact_polytope,
+    build_ffc_polytope,
+    build_hint_polytope,
+    restrict_polytope,
+)
 from resilient_te.fixtures import four_tunnel_example, hint_example, parallel_example
+from resilient_te.generators import random_instance, with_conditional_sequences
 from resilient_te.lp import LinearProgram, solve_lp
 from resilient_te.net import Condition, NetworkInstance
 from resilient_te.oracle import worst_case_optimal
 from resilient_te import robust
 from resilient_te.robust import (
+    MODES,
+    OBJECTIVES,
     ProtectedConstraint,
     build_robust_lp,
     dualize_constraint,
     solve_logical_flow,
     solve_robust,
 )
-from tests.conftest import random_instance, with_conditional_sequences
 
 
 def test_dualized_budget_matches_sort_and_sum():
@@ -218,3 +228,95 @@ def test_lp_text_does_not_depend_on_call_history(monkeypatch):
     for _ in range(2):
         solve_logical_flow(inst, [None, inst.conditions[0]], 2, "throughput", "dual")
     assert seen[0] == seen[1]
+
+
+def test_negative_budget_rejected_in_every_model_and_mode():
+    # A negative budget leaves the failure polytope empty, so a dual
+    # counterpart would read the worst case as -inf and accept any plan.
+    inst = hint_example("cls")
+    for mode in MODES:
+        for model in ("ffc", "ffc_plus", "ls", "cls"):
+            for objective in OBJECTIVES:
+                with pytest.raises(ValueError, match="k must be >= 0"):
+                    solve_robust(inst, model, -1, objective, mode)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            solve_logical_flow(inst, [None, inst.conditions[0]], -1, "throughput", mode)
+        assert main(["--fixture", "hint", "solve", "--model", "ffc-plus", "--k", "-1",
+                     "--mode", mode]) == 1
+
+
+def test_dualize_rejects_indicator_outside_polytope():
+    # Dropping the h:nope term would read it as never failing, so z = 1
+    # would pass for a guarantee that a failure of h:nope breaks.
+    poly = build_exact_polytope(four_tunnel_example(), 1)
+    lp = LinearProgram()
+    lp.add_var("a", 0.0, 1.0)
+    lp.add_var("z", 0.0, 1.0)
+    protected = ProtectedConstraint(label="nope")
+    protected.add_base("a", 1.0)
+    protected.add_base("z", -1.0)
+    protected.add_indicator(("h", "nope"), "a", 1.0)
+    with pytest.raises(ValueError, match="h:nope"):
+        dualize_constraint(lp, protected, poly)
+
+
+def _max_weight(poly, weights):
+    """max w.v over the polytope's relaxation, by the LP solver."""
+    lp = LinearProgram()
+    for kind, ref in poly.variables:
+        lp.add_var(f"{kind}:{ref}", 0.0, 1.0)
+    for row in poly.rows:
+        lp.add_row({f"{kind}:{ref}": c for (kind, ref), c in row.coeffs}, row.sense, row.rhs)
+    lp.set_objective({f"{kind}:{ref}": w for (kind, ref), w in weights.items()}, "max")
+    sol = solve_lp(lp)
+    assert sol.status == "optimal"
+    return sol.objective
+
+
+def _protected_indicators(inst):
+    """Each pair the cls model protects, with its tunnels' y and the h of
+    the conditions its carriers use."""
+    pairs = list(dict.fromkeys(inst.demand_pairs() + [
+        seg for q in inst.logical_sequences for seg in q.segments]))
+    out = {}
+    for pair in pairs:
+        conds = sorted({q.condition for q in inst.logical_sequences if q.condition
+                        and (pair == (q.src, q.dst) or pair in q.segments)})
+        out[pair] = ([("y", t.id) for t in inst.tunnels_for(*pair)], [("h", c) for c in conds])
+    return out
+
+
+def test_pair_local_polytopes_are_exact_projections():
+    rng = np.random.default_rng(7)
+    for seed in (2, 5):
+        base = random_instance(seed, n_nodes=5, extra_links=3, n_pairs=2, with_sequences=True)
+        inst = with_conditional_sequences(base, seed + 100)
+        conds = list(inst.conditions)
+        for k in (1, 2):
+            full = {"ffc": build_ffc_polytope(inst, k), "exact": build_exact_polytope(inst, k),
+                    "hint": build_hint_polytope(inst, k, conds)}
+            for pair, (ys, hs) in _protected_indicators(inst).items():
+                for kind, poly in full.items():
+                    scope = ys + hs if kind == "hint" else ys
+                    if not scope:
+                        continue
+                    weights = dict(zip(scope, rng.uniform(0.0, 1.0, len(scope))))
+                    local = restrict_polytope(poly, scope)
+                    assert len(local.rows) < len(poly.rows)
+                    assert _max_weight(local, weights) == pytest.approx(
+                        _max_weight(poly, weights), abs=1e-9), (seed, k, pair, kind)
+
+
+def test_enumerate_block_per_pair_is_small_at_k1():
+    # At k=1 a pair sees the empty scenario plus one failure per link in
+    # its scope; every other link failure projects onto the empty one.
+    for seed in (2, 5):
+        base = random_instance(seed, n_nodes=5, extra_links=3, n_pairs=2, with_sequences=True)
+        inst = with_conditional_sequences(base, seed + 100)
+        poly = build_hint_polytope(inst, 1, list(inst.conditions))
+        lp = build_robust_lp(inst, "cls", 1, "throughput", "enumerate")
+        for (s, t), (ys, hs) in _protected_indicators(inst).items():
+            links = [v for v in restrict_polytope(poly, ys + hs).variables if v[0] == "x"]
+            block = [r for r in lp._rows if r.name.startswith(f"en:{s}>{t}:")]
+            assert 1 <= len(block) <= len(links) + 1
+
