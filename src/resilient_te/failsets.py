@@ -50,7 +50,6 @@ class PolytopeRow:
 class FailurePolytope:
     variables: list[Indicator]
     rows: list[PolytopeRow] = field(default_factory=list)
-    budget: int = 0
 
     def add_row(self, coeffs: dict[Indicator, float], sense: str, rhs: float, tag: str = "") -> None:
         self.rows.append(PolytopeRow(tuple(sorted(coeffs.items())), sense, rhs, tag))
@@ -104,7 +103,7 @@ def build_ffc_polytope(instance: NetworkInstance, k: int) -> FailurePolytope:
     Pairs without tunnels contribute nothing; their protected constraints
     degenerate to zero reservations downstream.
     """
-    poly = FailurePolytope(variables=[("y", t.id) for t in instance.tunnels], budget=k)
+    poly = FailurePolytope(variables=[("y", t.id) for t in instance.tunnels])
     pairs: dict[tuple[str, str], list] = {}
     for t in instance.tunnels:
         pairs.setdefault((t.src, t.dst), []).append(t)
@@ -118,13 +117,20 @@ def build_exact_polytope(instance: NetworkInstance, k: int) -> FailurePolytope:
     """Exact link-to-tunnel coupling under a budget of k link failures."""
     variables: list[Indicator] = [("x", ln.id) for ln in instance.topology.links]
     variables += [("y", t.id) for t in instance.tunnels]
-    poly = FailurePolytope(variables=variables, budget=k)
+    poly = FailurePolytope(variables=variables)
     poly.add_row({("x", ln.id): 1.0 for ln in instance.topology.links}, "<=", float(k), tag="budget")
     for t in instance.tunnels:
         for e in t.path:
             poly.add_row({("x", e): 1.0, ("y", t.id): -1.0}, "<=", 0.0, tag=f"up:{t.id}:{e}")
         poly.add_row({("y", t.id): 1.0, **{("x", e): -1.0 for e in t.path}}, "<=", 0.0, tag=f"down:{t.id}")
     return poly
+
+
+def reject_contradictions(conditions: Iterable[Condition]) -> None:
+    """Raise ValueError for a condition listing a link as both alive and dead."""
+    for cond in conditions:
+        if cond.alive_links & cond.dead_links:
+            raise ValueError(f"condition {cond.id} lists a link as both alive and dead")
 
 
 def build_hint_polytope(instance: NetworkInstance, k: int,
@@ -135,10 +141,9 @@ def build_hint_polytope(instance: NetworkInstance, k: int,
     The single-dead-link case is emitted as the equality h = x_e; the general
     case uses three inequality rows that pin h at integral points.
     """
+    reject_contradictions(conditions)
     poly = build_exact_polytope(instance, k)
     for cond in conditions:
-        if cond.alive_links & cond.dead_links:
-            raise ValueError(f"condition {cond.id} lists a link as both alive and dead")
         h = ("h", cond.id)
         poly.variables.append(h)
         if not cond.alive_links and len(cond.dead_links) == 1:
@@ -177,7 +182,7 @@ def restrict_polytope(poly: FailurePolytope, indicators: Iterable[Indicator]) ->
     for row in poly.rows:
         if any(ind in scope and ind[0] != "x" for ind, _ in row.coeffs):
             scope.update(ind for ind, _ in row.coeffs if ind[0] == "x")
-    out = FailurePolytope([v for v in poly.variables if v in scope], budget=poly.budget)
+    out = FailurePolytope([v for v in poly.variables if v in scope])
     for row in poly.rows:
         coeffs = tuple((ind, c) for ind, c in row.coeffs if ind in scope)
         if coeffs and (len(coeffs) == len(row.coeffs) or row.tag == "budget"):
@@ -196,7 +201,7 @@ def build_srlg_polytope(instance: NetworkInstance, groups: list[Condition],
     variables: list[Indicator] = [("x", ln.id) for ln in instance.topology.links]
     variables += [("y", t.id) for t in instance.tunnels]
     variables += [("h", g.id) for g in groups]
-    poly = FailurePolytope(variables=variables, budget=k_groups)
+    poly = FailurePolytope(variables=variables)
     grouped: set[str] = set()
     for g in groups:
         if g.alive_links or not g.dead_links:

@@ -3,8 +3,17 @@
 Every optimization model in this package compiles down to this layer.  The
 solver keeps an explicit basis inverse (dense, refactorized periodically),
 prices with the Dantzig rule, and falls back to Bland's rule after a run of
-degenerate pivots.  Row duals are returned for LP solves; they are the
+degenerate pivots.  The ratio test takes the minimum ratio; ratios within
+1e-12 of it tie, and ties go to the largest |pivot column entry|, then to the
+lowest basis index (under Bland's rule, to the lowest basis index alone).
+
+Phase 1 starts from one artificial per row and stops as soon as no basic
+artificial is positive (no tolerance): its objective, the artificials' sum,
+is bounded below by 0, so that basis is phase-1 optimal.  Artificials still
+basic at 0 stay in the basis for phase 2, pinned at 0, which prices only the
+real columns.  Row duals are returned for LP solves; they are the
 sensitivities d(objective)/d(rhs) in the caller's min/max orientation.
+`Solution.pivots` counts basis changes and bound flips per phase.
 
 Sizes up to a few thousand rows and variables are in scope; nothing here is
 tuned beyond that.
@@ -165,6 +174,10 @@ class Solution:
     objective: float
     primal: dict[str, float]
     duals: list[float] | None = None
+    #: Simplex pivots (basis changes and bound flips) of the LP solve that
+    #: produced this solution, as (phase 1, phase 2); (0, 0) for a branch
+    #: and bound incumbent.
+    pivots: tuple[int, int] = (0, 0)
 
     def __getitem__(self, var: str) -> float:
         return self.primal[var]
@@ -178,85 +191,63 @@ class Solution:
 # after lower-bound shifting, free-variable splitting, slack and artificial
 # columns.  Nonbasic variables sit at 0 or at their upper bound.
 
-_AT_LOWER = 0
-_AT_UPPER = 1
-
-
 class _Standardized:
     def __init__(self, lp: LinearProgram,
                  bound_override: dict[int, tuple[float, float]] | None = None):
-        nv = len(lp._vars)
         override = bound_override or {}
-        lbs = np.empty(nv)
-        ubs = np.empty(nv)
-        for j, v in enumerate(lp._vars):
-            lb, ub = override.get(j, (v.lb, v.ub))
-            lbs[j], ubs[j] = lb, ub
+        bounds = [override.get(j, (v.lb, v.ub)) for j, v in enumerate(lp._vars)]
+        lbs = np.array([lb for lb, _ in bounds], dtype=float)
+        ubs = np.array([ub for _, ub in bounds], dtype=float)
         self.infeasible_box = bool(np.any(lbs > ubs + 1e-12))
 
         # Column layout: one column per finite-lb variable (shifted), two for
         # free variables (plus minus split).
-        self.col_of: list[tuple[int, int] | None] = [None] * nv  # (pos_col, neg_col or -1)
-        cols_lb: list[float] = []
-        cols_ub: list[float] = []
-        shift: list[float] = []
-        for j in range(nv):
-            if lbs[j] == -INF:
-                self.col_of[j] = (len(cols_ub), len(cols_ub) + 1)
-                cols_ub.extend([INF, INF])
-                shift.extend([0.0, 0.0])
-            else:
-                self.col_of[j] = (len(cols_ub), -1)
-                cols_ub.append(ubs[j] - lbs[j])
-                shift.append(lbs[j])
-        self.n_struct = len(cols_ub)
-        m = len(lp._rows)
+        self.free = lbs == -INF
+        width = np.where(self.free, 2, 1)
+        self.pos_col = np.cumsum(width) - width
+        self.neg_col = self.pos_col + 1
+        self.n_struct = int(width.sum())
+        var_shift = np.where(self.free, 0.0, lbs)
+        self.shift = np.zeros(self.n_struct)
+        self.shift[self.pos_col] = var_shift
+        struct_ub = np.full(self.n_struct, INF)
+        struct_ub[self.pos_col[~self.free]] = (ubs - lbs)[~self.free]
+
+        rows = lp._rows
+        m = len(rows)
         self.m = m
+        ri = np.array([i for i, row in enumerate(rows) for _ in row.coeffs], dtype=np.intp)
+        vj = np.array([j for row in rows for j in row.coeffs], dtype=np.intp)
+        cv = np.array([c for row in rows for c in row.coeffs.values()], dtype=float)
+        senses = np.array([row.sense for row in rows], dtype=object)
+        slack_rows = np.flatnonzero(senses != "=")
+        self.n_real = self.n_struct + slack_rows.size
+        self.ncols = self.n_real + m
 
-        dense = np.zeros((m, self.n_struct))
-        b = np.zeros(m)
-        for i, row in enumerate(lp._rows):
-            rhs = row.rhs
-            for j, c in row.coeffs.items():
-                pos, neg = self.col_of[j]
-                dense[i, pos] += c
-                if neg >= 0:
-                    dense[i, neg] -= c
-                else:
-                    rhs -= c * shift[pos]
-            b[i] = rhs
-
-        # Slack columns for inequality rows.
-        self.slack_col: list[int] = [-1] * m
-        slack_cols = []
-        for i, row in enumerate(lp._rows):
-            if row.sense == "=":
-                continue
-            col = np.zeros(m)
-            col[i] = 1.0 if row.sense == "<=" else -1.0
-            slack_cols.append(col)
-            self.slack_col[i] = self.n_struct + len(slack_cols) - 1
-        if slack_cols:
-            dense = np.hstack([dense, np.column_stack(slack_cols)])
-            cols_ub.extend([INF] * len(slack_cols))
-        self.n_real = dense.shape[1]
-
-        # One artificial per row gives a trivially feasible starting basis.
-        art = np.zeros((m, m))
-        for i in range(m):
-            art[i, i] = 1.0 if b[i] >= 0 else -1.0
-        self.A = np.hstack([dense, art]) if m else dense
-        self.ub = np.array(cols_ub + [INF] * m)
+        # Structural block, then one slack column per inequality row, then
+        # one artificial per row, which gives a trivially feasible start.
+        A = np.zeros((m, self.ncols))
+        A[ri, self.pos_col[vj]] = cv
+        split = self.free[vj]
+        A[ri[split], self.neg_col[vj[split]]] = -cv[split]
+        b = np.array([row.rhs for row in rows], dtype=float)
+        shifted = var_shift[vj]
+        for k in np.flatnonzero(shifted):
+            b[ri[k]] -= cv[k] * shifted[k]
+        A[slack_rows, self.n_struct + np.arange(slack_rows.size)] = \
+            np.where(senses[slack_rows] == "<=", 1.0, -1.0)
+        A[np.arange(m), self.n_real + np.arange(m)] = np.where(b >= 0, 1.0, -1.0)
+        self.A = A
         self.b = b
-        self.shift = np.array(shift)
-        self.ncols = self.A.shape[1]
+        self.ub = np.concatenate([struct_ub, np.full(self.ncols - self.n_struct, INF)])
+
         self.obj_sign = 1.0 if lp.sense == "min" else -1.0
         c = np.zeros(self.ncols)
-        for j, coef in lp._obj.items():
-            pos, neg = self.col_of[j]
-            c[pos] += self.obj_sign * coef
-            if neg >= 0:
-                c[neg] -= self.obj_sign * coef
+        oj = np.fromiter(lp._obj.keys(), dtype=np.intp, count=len(lp._obj))
+        ov = self.obj_sign * np.fromiter(lp._obj.values(), dtype=float, count=len(lp._obj))
+        c[self.pos_col[oj]] += ov
+        split = self.free[oj]
+        c[self.neg_col[oj[split]]] -= ov[split]
         self.c = c
 
 
@@ -264,24 +255,23 @@ class _Simplex:
     def __init__(self, std: _Standardized):
         self.std = std
         m, n = std.m, std.ncols
-        self.basis = np.array([std.n_real + i for i in range(m)], dtype=int)
+        self.basis = np.arange(std.n_real, n)
         self.in_basis = np.zeros(n, dtype=bool)
         self.in_basis[self.basis] = True
         self.at_upper = np.zeros(n, dtype=bool)  # nonbasic position
         # The artificial start basis is diag(sign(b)), which is its own inverse.
-        self.Binv = np.diag(np.where(std.b >= 0, 1.0, -1.0)) if m else np.eye(0)
-        self.xB = np.abs(std.b.copy())
+        self.Binv = np.diag(np.where(std.b >= 0, 1.0, -1.0))
+        self.xB = np.abs(std.b)
         self.pivots_since_refactor = 0
         self.degenerate_run = 0
         self.bland = False
         self.iterations = 0
+        self.pivots = [0, 0]
+        self._rank1 = np.empty((m, m))
 
     # -- linear algebra maintenance ---------------------------------------
 
     def _refactor(self) -> None:
-        m = self.std.m
-        if m == 0:
-            return
         B = self.std.A[:, self.basis]
         try:
             self.Binv = np.linalg.inv(B)
@@ -297,70 +287,68 @@ class _Simplex:
             rhs = rhs - self.std.A[:, upper_cols] @ self.std.ub[upper_cols]
         self.xB = self.Binv @ rhs
 
-    # -- pricing -----------------------------------------------------------
-
-    def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        y = c[self.basis] @ self.Binv
-        return c - y @ self.std.A
-
-    def _choose_entering(self, d: np.ndarray) -> int:
-        cand_low = ~self.in_basis & ~self.at_upper & (d < -COST_TOL) & (self.std.ub > PIVOT_TOL)
-        cand_up = ~self.in_basis & self.at_upper & (d > COST_TOL)
-        if self.bland:
-            idx = np.flatnonzero(cand_low | cand_up)
-            return int(idx[0]) if idx.size else -1
-        score = np.zeros_like(d)
-        score[cand_low] = -d[cand_low]
-        score[cand_up] = d[cand_up]
-        j = int(np.argmax(score))
-        return j if score[j] > COST_TOL else -1
-
     # -- main loop ---------------------------------------------------------
 
-    def run(self, c: np.ndarray, max_iter: int) -> None:
-        """Minimize c over the current basis state (phase body)."""
+    def run(self, c: np.ndarray, phase: int, max_iter: int) -> None:
+        """Minimize c over the current basis state (phase body).
+
+        Phase 1 prices every column and stops as soon as no basic
+        artificial is positive.  Phase 2 prices the real columns only: the
+        artificials are pinned at 0, so entering one could only flip it
+        between two equal bounds.
+        """
         std = self.std
-        if std.m == 0:
-            return
+        A, ub = std.A, std.ub
+        n_price = std.ncols if phase == 1 else std.n_real
+        c_price, A_price = c[:n_price], A[:, :n_price]
+        basis, in_basis, at_upper = self.basis, self.in_basis, self.at_upper
+        cB, ubB = c[basis], ub[basis]
+        # Pricing direction of each column: -1 may enter from its lower bound,
+        # +1 from its upper bound, 0 may not enter (basic, or a lower bound
+        # within PIVOT_TOL of its upper one).
+        dirn = np.where(at_upper, 1.0, np.where(ub > PIVOT_TOL, -1.0, 0.0))
+        dirn[in_basis] = 0.0
+        d_price = dirn[:n_price]
+        ratio = np.empty(std.m)
+        Binv, xB = self.Binv, self.xB
         while True:
+            # Phase 1 is optimal once no basic artificial is positive: its
+            # objective, their sum, is bounded below by 0.  cB is 1 exactly
+            # on the basic artificials and 0 elsewhere.
+            if phase == 1 and not (cB * xB).max() > 0.0:
+                return
             self.iterations += 1
             if self.iterations > max_iter:
                 raise SolverStallError(f"simplex exceeded {max_iter} iterations")
             if self.pivots_since_refactor >= REFACTOR_EVERY:
                 self._refactor()
-            d = self._reduced_costs(c)
-            j = self._choose_entering(d)
-            if j < 0:
+                Binv, xB = self.Binv, self.xB
+            score = (c_price - (cB @ Binv) @ A_price) * d_price
+            j = int((score > COST_TOL).argmax() if self.bland else score.argmax())
+            if not score[j] > COST_TOL:
                 return
-            entering_from_upper = self.at_upper[j]
-            col = self.Binv @ std.A[:, j]
-            # Direction of basic-variable change per unit increase of x_j
-            # (decrease when entering from the upper bound).
-            sign = -1.0 if entering_from_upper else 1.0
-            step_limit = std.ub[j]
+            from_upper = bool(at_upper[j])
+            col = Binv @ A[:, j]
+            # Rate of change of the basic variables per unit step of x_j
+            # away from its bound.
+            a = -col if from_upper else col
+            # Ratio test: a basic variable falling to 0 or rising to its
+            # upper bound blocks the step.  Ties within 1e-12 of the minimum
+            # go to the largest |col| (Bland: any size), then the lowest
+            # basis index.
+            ratio.fill(INF)
+            np.divide(xB, a, out=ratio, where=a > PIVOT_TOL)
+            np.divide(ubB - xB, -a, out=ratio, where=a < -PIVOT_TOL)
+            t = ub[j]
             leave_pos = -1
-            leave_to_upper = False
-            t = step_limit
-            ratios: list[tuple[float, int, bool]] = []
-            for i in range(std.m):
-                a = sign * col[i]
-                if a > PIVOT_TOL:
-                    ratios.append(((self.xB[i]) / a, i, False))
-                elif a < -PIVOT_TOL:
-                    ub_i = std.ub[self.basis[i]]
-                    if ub_i != INF:
-                        ratios.append(((ub_i - self.xB[i]) / (-a), i, True))
-            if ratios:
-                tmin = min(r[0] for r in ratios)
-                if tmin < t:
-                    t = max(tmin, 0.0)
-                    ties = [r for r in ratios if r[0] <= tmin + 1e-12]
-                    if self.bland:
-                        ties.sort(key=lambda r: self.basis[r[1]])
-                        leave_pos, leave_to_upper = ties[0][1], ties[0][2]
-                    else:
-                        ties.sort(key=lambda r: (-abs(col[r[1]]), self.basis[r[1]]))
-                        leave_pos, leave_to_upper = ties[0][1], ties[0][2]
+            tmin = ratio[ratio.argmin()]
+            if tmin < t:
+                t = max(tmin, 0.0)
+                ties = (ratio <= tmin + 1e-12).nonzero()[0]
+                if ties.size > 1 and not self.bland:
+                    size = np.abs(col[ties])
+                    ties = ties[size == size.max()]
+                leave_pos = int(ties[basis[ties].argmin()] if ties.size > 1 else ties[0])
             if t == INF:
                 raise _UnboundedPhase()
             if t <= 1e-11:
@@ -369,24 +357,33 @@ class _Simplex:
                     self.bland = True
             else:
                 self.degenerate_run = 0
-            self.xB = self.xB - (sign * t) * col
+            xB -= (-t if from_upper else t) * col
+            self.pivots[phase - 1] += 1
             if leave_pos < 0:
                 # Bound flip: the entering variable crosses to its other bound.
-                self.at_upper[j] = not entering_from_upper
+                at_upper[j] = not from_upper
+                dirn[j] = 1.0 if not from_upper else (-1.0 if ub[j] > PIVOT_TOL else 0.0)
                 continue
-            leaving = self.basis[leave_pos]
-            self.in_basis[leaving] = False
-            self.at_upper[leaving] = leave_to_upper
-            self.basis[leave_pos] = j
-            self.in_basis[j] = True
-            self.xB[leave_pos] = (std.ub[j] - t) if entering_from_upper else t
+            leaving = basis[leave_pos]
+            to_upper = bool(a[leave_pos] < 0)
+            in_basis[leaving] = False
+            at_upper[leaving] = to_upper
+            dirn[leaving] = 1.0 if to_upper else (-1.0 if ub[leaving] > PIVOT_TOL else 0.0)
+            basis[leave_pos] = j
+            in_basis[j] = True
+            dirn[j] = 0.0
+            cB[leave_pos] = c[j]
+            ubB[leave_pos] = ub[j]
+            xB[leave_pos] = (ub[j] - t) if from_upper else t
             piv = col[leave_pos]
             if abs(piv) < PIVOT_TOL:
                 self._refactor()
+                Binv, xB = self.Binv, self.xB
                 continue
-            row = self.Binv[leave_pos] / piv
-            self.Binv -= np.outer(col, row)
-            self.Binv[leave_pos] = row
+            row = Binv[leave_pos] / piv
+            np.multiply(col[:, None], row, out=self._rank1)
+            Binv -= self._rank1
+            Binv[leave_pos] = row
             self.pivots_since_refactor += 1
 
 
@@ -394,22 +391,18 @@ class _UnboundedPhase(Exception):
     pass
 
 
-def _solve_standardized(std: _Standardized) -> tuple[str, np.ndarray | None, np.ndarray | None]:
-    """Returns (status, column values, duals y) for the internal min problem."""
+def _solve_standardized(std: _Standardized
+                        ) -> tuple[str, np.ndarray | None, np.ndarray | None, tuple[int, int]]:
+    """Returns (status, column values, duals y, pivots per phase) for the
+    internal min problem."""
     m = std.m
     if std.infeasible_box:
-        return "infeasible", None, None
+        return "infeasible", None, None, (0, 0)
     if m == 0:
         # Only bounds: minimize each cost coordinate independently.
-        x = np.zeros(std.ncols)
-        for j in range(std.ncols):
-            if std.c[j] > 0:
-                x[j] = 0.0
-            elif std.c[j] < 0:
-                if std.ub[j] == INF:
-                    return "unbounded", None, None
-                x[j] = std.ub[j]
-        return "optimal", x, np.zeros(0)
+        if np.any((std.c < 0) & (std.ub == INF)):
+            return "unbounded", None, None, (0, 0)
+        return "optimal", np.where(std.c < 0, std.ub, 0.0), np.zeros(0), (0, 0)
 
     sx = _Simplex(std)
     max_iter = 2000 + 60 * (std.m + std.ncols)
@@ -418,13 +411,13 @@ def _solve_standardized(std: _Standardized) -> tuple[str, np.ndarray | None, np.
     c1 = np.zeros(std.ncols)
     c1[std.n_real:] = 1.0
     try:
-        sx.run(c1, max_iter)
+        sx.run(c1, 1, max_iter)
     except _UnboundedPhase:  # pragma: no cover - phase 1 is bounded below
         raise SolverStallError("phase 1 reported unbounded")
     art_value = float(np.sum(sx.xB[np.flatnonzero(sx.basis >= std.n_real)]))
     scale = 1.0 + float(np.max(np.abs(std.b))) if m else 1.0
     if art_value > FEAS_TOL * scale:
-        return "infeasible", None, None
+        return "infeasible", None, None, tuple(sx.pivots)
 
     # Pin artificials at zero for phase 2; basic ones that cannot be driven
     # out sit in redundant rows and stay at value 0.
@@ -433,9 +426,9 @@ def _solve_standardized(std: _Standardized) -> tuple[str, np.ndarray | None, np.
     sx.bland = False
     sx.degenerate_run = 0
     try:
-        sx.run(std.c, max_iter)
+        sx.run(std.c, 2, max_iter)
     except _UnboundedPhase:
-        return "unbounded", None, None
+        return "unbounded", None, None, tuple(sx.pivots)
 
     x = np.zeros(std.ncols)
     nonbasic_upper = np.flatnonzero(~sx.in_basis & sx.at_upper)
@@ -443,7 +436,7 @@ def _solve_standardized(std: _Standardized) -> tuple[str, np.ndarray | None, np.
     sx._refactor()  # exact solve before reporting
     x[sx.basis] = sx.xB
     y = std.c[sx.basis] @ sx.Binv
-    return "optimal", x, y
+    return "optimal", x, y, tuple(sx.pivots)
 
 
 def solve_lp(lp: LinearProgram) -> Solution:
@@ -456,19 +449,15 @@ def solve_lp(lp: LinearProgram) -> Solution:
 def _solve_relaxation(lp: LinearProgram,
                       bound_override: dict[int, tuple[float, float]] | None = None) -> Solution:
     std = _Standardized(lp, bound_override)
-    status, x, y = _solve_standardized(std)
+    status, x, y, pivots = _solve_standardized(std)
     if status != "optimal":
-        return Solution(status=status, objective=math.nan, primal={}, duals=None)
-    primal: dict[str, float] = {}
-    for j, v in enumerate(lp._vars):
-        pos, neg = std.col_of[j]
-        if neg >= 0:
-            primal[v.name] = float(x[pos] - x[neg])
-        else:
-            primal[v.name] = float(x[pos] + std.shift[pos])
+        return Solution(status=status, objective=math.nan, primal={}, duals=None, pivots=pivots)
+    values = x[std.pos_col] + std.shift[std.pos_col]
+    values[std.free] = x[std.pos_col[std.free]] - x[std.neg_col[std.free]]
+    primal = dict(zip((v.name for v in lp._vars), values.tolist()))
     obj = lp._obj_const + sum(coef * primal[lp._vars[j].name] for j, coef in lp._obj.items())
-    duals = [float(std.obj_sign * y[i]) for i in range(std.m)] if y is not None else None
-    return Solution(status="optimal", objective=float(obj), primal=primal, duals=duals)
+    return Solution(status="optimal", objective=float(obj), primal=primal,
+                    duals=(std.obj_sign * y).tolist(), pivots=pivots)
 
 
 def dual_objective(lp: LinearProgram, sol: Solution) -> float:

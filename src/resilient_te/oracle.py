@@ -63,14 +63,16 @@ def solve_mcf(instance: NetworkInstance, scenario: Scenario, objective: str = "t
         lp.set_objective(obj, "max")
 
     for t in dests:
-        nodes = sorted(topo.nodes - {t})
-        for i in nodes:
-            coeffs: dict[str, float] = {}
-            for lid, u, v in arcs:
-                if u == i:
-                    coeffs[f"f::{t}::{lid}::{v}"] = coeffs.get(f"f::{t}::{lid}::{v}", 0.0) + 1.0
-                if v == i:
-                    coeffs[f"f::{t}::{lid}::{v}"] = coeffs.get(f"f::{t}::{lid}::{v}", 0.0) - 1.0
+        # Each arc leaves its tail (+1) and enters its head (-1).
+        balance: dict[str, dict[str, float]] = {}
+        for lid, u, v in arcs:
+            var = f"f::{t}::{lid}::{v}"
+            out_row = balance.setdefault(u, {})
+            out_row[var] = out_row.get(var, 0.0) + 1.0
+            in_row = balance.setdefault(v, {})
+            in_row[var] = in_row.get(var, 0.0) - 1.0
+        for i in sorted(topo.nodes - {t}):
+            coeffs = balance.get(i, {})
             d = demands.get((i, t), 0.0)
             if d > 0:
                 scale_var = "Z" if objective == "demand_scale" else f"zz::{i}>{t}"

@@ -25,6 +25,7 @@ from .failsets import (
     build_ffc_polytope,
     build_hint_polytope,
     enumerate_patterns,
+    reject_contradictions,
     restrict_polytope,
     scenario_count,
     shared_link_bound,
@@ -251,6 +252,7 @@ def _assemble(instance: NetworkInstance, model: str, k: int, objective: str, mod
         raise ValueError(f"unknown mode {mode!r}")
     if k < 0:
         raise ValueError("k must be >= 0")
+    reject_contradictions(conditions)
     lp = LinearProgram(name=f"{model}:{objective}:{mode}:k={k}")
     for t in instance.tunnels:
         lp.add_var(f"a::{t.id}")
@@ -263,13 +265,14 @@ def _assemble(instance: NetworkInstance, model: str, k: int, objective: str, mod
     for coeffs, sense, rhs, name in rows:
         lp.add_row(coeffs, sense, rhs, name=name)
 
-    if model == "ffc":
-        polytope = build_ffc_polytope(instance, k)
-    elif conditions or model == "logical_flow":
-        polytope = build_hint_polytope(instance, k, conditions)
-    else:
-        polytope = build_exact_polytope(instance, k)
-    if mode == "enumerate" and model != "ffc":
+    if mode == "dual":
+        if model == "ffc":
+            polytope = build_ffc_polytope(instance, k)
+        elif conditions or model == "logical_flow":
+            polytope = build_hint_polytope(instance, k, conditions)
+        else:
+            polytope = build_exact_polytope(instance, k)
+    elif model != "ffc":
         points = [p.as_point() for p in enumerate_patterns(instance, k, conditions)]
 
     for pair, terms in carriers.items():

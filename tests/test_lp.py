@@ -113,6 +113,22 @@ def test_strong_duality_on_random_lps():
     assert optimal_seen > 30
 
 
+def test_zero_rhs_lp_needs_no_phase_one_pivots():
+    # Every artificial starts at 0, so the start basis is phase-1 optimal.
+    lp = LinearProgram()
+    for name in "xyz":
+        lp.add_var(name, 0.0, 2.0)
+    lp.add_row({"x": 1, "y": -1}, "=", 0)
+    lp.add_row({"y": 1, "z": -1}, "<=", 0)
+    lp.add_row({"x": 1, "z": 1}, ">=", 0)
+    lp.set_objective({"x": 1, "y": 1, "z": 1}, "max")
+    sol = solve_lp(lp)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(6.0)
+    assert sol.pivots[0] == 0 and sol.pivots[1] > 0
+    assert dual_objective(lp, sol) == pytest.approx(6.0)
+
+
 def test_determinism():
     rng = np.random.default_rng(7)
     lp = _random_lp(rng)
@@ -288,3 +304,51 @@ def test_random_lps_match_external_reference():
             checked += 1
             assert sol.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
     assert checked > 20
+
+
+def _flow_lp(rng):
+    """A random flow-conservation LP over boxed arcs.
+
+    Every node has a balance row, so one row is redundant; all rhs are 0
+    except, half the time, one supply/demand pair.  Phase 2 therefore starts
+    with artificials still basic at 0.
+    """
+    n = int(rng.integers(3, 7))
+    order = rng.permutation(n)
+    arcs = {(int(order[i]), int(order[(i + 1) % n])) for i in range(n)}
+    arcs |= {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3}
+    arcs = sorted(arcs)
+    cap = rng.integers(1, 7, size=len(arcs)) / 2.0
+    cost = rng.integers(-3, 4, size=len(arcs)).astype(float)
+    rhs = np.zeros(n)
+    if rng.random() < 0.5:
+        s, t = rng.choice(n, size=2, replace=False)
+        supply = rng.integers(1, 13) / 4.0
+        rhs[s], rhs[t] = supply, -supply
+    A = np.zeros((n, len(arcs)))
+    for k, (u, v) in enumerate(arcs):
+        A[u, k], A[v, k] = 1.0, -1.0
+    lp = LinearProgram()
+    for k in range(len(arcs)):
+        lp.add_var(f"f{k}", 0.0, cap[k])
+    for i in range(n):
+        lp.add_row({f"f{k}": A[i, k] for k in range(len(arcs)) if A[i, k]}, "=", rhs[i])
+    lp.set_objective({f"f{k}": cost[k] for k in range(len(arcs))}, "min")
+    return lp, cost, A, rhs, [(0.0, c) for c in cap]
+
+
+def test_degenerate_flow_lps_match_external_reference():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(5)
+    status_map = {0: "optimal", 2: "infeasible"}
+    statuses = []
+    for _ in range(150):
+        lp, cost, A, rhs, bounds = _flow_lp(rng)
+        sol = solve_lp(lp)
+        ref = linprog(cost, A_eq=A, b_eq=rhs, bounds=bounds, method="highs")
+        assert sol.status == status_map.get(ref.status, "?")
+        statuses.append(sol.status)
+        if sol.status == "optimal":
+            assert sol.objective == pytest.approx(ref.fun, abs=1e-6)
+            assert dual_objective(lp, sol) == pytest.approx(sol.objective, abs=1e-6)
+    assert statuses.count("optimal") > 100 and "infeasible" in statuses

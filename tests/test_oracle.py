@@ -1,6 +1,8 @@
 import pytest
 
-from resilient_te.fixtures import four_tunnel_example, hint_example, parallel_example
+from resilient_te import oracle
+from resilient_te.fixtures import flow_example, four_tunnel_example, hint_example, parallel_example
+from resilient_te.lp import solve_lp
 from resilient_te.net import Scenario
 from resilient_te.oracle import generalized_family, solve_mcf, worst_case_optimal
 
@@ -12,6 +14,23 @@ def test_mcf_hand_flow_after_one_failure():
     res = solve_mcf(inst, Scenario(frozenset({"1-t"})), "throughput")
     assert res.objective == pytest.approx(2.0)
     assert res.satisfied[("s", "t")] == pytest.approx(1.0)
+
+
+def test_mcf_phase_one_stops_when_no_artificial_is_positive(monkeypatch):
+    # The balance rows have rhs 0, so their artificials start at 0 and phase
+    # 1 only has to price out the capacity rows.  Running phase 1 until no
+    # column prices out took 10 pivots on this LP.
+    sols = []
+
+    def capture(lp):
+        sols.append(solve_lp(lp))
+        return sols[-1]
+
+    monkeypatch.setattr(oracle, "solve_lp", capture)
+    res = solve_mcf(flow_example(), Scenario(frozenset()), "throughput")
+    (sol,) = sols
+    assert res.objective == pytest.approx(2.0)
+    assert sol.pivots[0] <= 10
 
 
 def test_mcf_parallel_scale():

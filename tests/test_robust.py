@@ -245,6 +245,28 @@ def test_negative_budget_rejected_in_every_model_and_mode():
                      "--mode", mode]) == 1
 
 
+def test_contradictory_condition_rejected_in_every_mode():
+    # Enumerate mode builds no polytope, so the check must not live only in
+    # build_hint_polytope.
+    inst = hint_example("cls")
+    bad = Condition("bad", alive_links=frozenset({"s-1"}), dead_links=frozenset({"s-1"}))
+    for mode in MODES:
+        with pytest.raises(ValueError, match="both alive and dead"):
+            solve_logical_flow(inst, [None, bad], 1, "throughput", mode)
+
+
+def test_enumerate_mode_builds_no_polytope(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("enumerate mode built a failure polytope")
+
+    for name in ("build_ffc_polytope", "build_exact_polytope", "build_hint_polytope"):
+        monkeypatch.setattr(robust, name, refuse)
+    inst = hint_example("cls")
+    for model in ("ffc", "ffc_plus", "ls", "cls"):
+        assert solve_robust(inst, model, 1, "throughput", "enumerate").objective >= 0.0
+    solve_logical_flow(inst, [None, inst.conditions[0]], 1, "throughput", "enumerate")
+
+
 def test_dualize_rejects_indicator_outside_polytope():
     # Dropping the h:nope term would read it as never failing, so z = 1
     # would pass for a guarantee that a failure of h:nope breaks.
