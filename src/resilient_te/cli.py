@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -157,16 +158,12 @@ def _dispatch(args) -> int:
         seed = args.seed if args.seed is not None else _default_seed()
         if args.what == "demands":
             demands = generate_gravity_demands(instance.topology, seed=seed)
-            instance = type(instance)(
-                topology=instance.topology, demands=demands, tunnels=instance.tunnels,
-                logical_sequences=instance.logical_sequences, conditions=instance.conditions)
+            instance = dataclasses.replace(instance, demands=demands)
         elif args.what == "tunnels":
             tunnels = []
             for pair in instance.demand_pairs():
                 tunnels.extend(select_tunnels(instance.topology, pair, args.count))
-            instance = type(instance)(
-                topology=instance.topology, demands=instance.demands, tunnels=tuple(tunnels),
-                logical_sequences=instance.logical_sequences, conditions=instance.conditions)
+            instance = dataclasses.replace(instance, tunnels=tuple(tunnels))
         elif args.what == "scenarios":
             scenarios = enumerate_scenarios(instance.topology, args.k)
         elif args.what == "sublinks":
@@ -208,9 +205,7 @@ def _dispatch(args) -> int:
         topo = instance.topology
         if any(ln.fail_prob is None for ln in topo.links):
             topo = sample_link_probs(topo, seed=_default_seed())
-            instance = type(instance)(
-                topology=topo, demands=instance.demands, tunnels=instance.tunnels,
-                logical_sequences=instance.logical_sequences, conditions=instance.conditions)
+            instance = dataclasses.replace(instance, topology=topo)
         prob_scens = [sc for sc in scenarios if sc.prob is not None] or \
             enumerate_prob_scenarios(topo, args.cutoff)
         pinst = ProbabilisticInstance(instance, prob_scens, beta=args.beta)

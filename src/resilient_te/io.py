@@ -1,4 +1,4 @@
-"""Single-document JSON format for instances, and CSV report rows.
+"""Single-document JSON format for instances.
 
 The schema is versioned; every cross-reference (link ids in tunnel paths,
 condition ids on sequences) must resolve, which `net.validate_instance`

@@ -1,6 +1,10 @@
 """Dense two-phase simplex with bounded variables, plus branch and bound.
 
-Every optimization model in this package compiles down to this layer.  The
+Every optimization model in this package compiles down to this layer.  Each
+solve call compiles its LP once into a standard form: a variable with a
+finite lb is shifted to x - lb, one with only a finite ub is reflected to
+ub - x, and only a variable free on both sides is split in two columns.
+Branch and bound keeps that one form and re-bounds it at every node.  The
 solver keeps an explicit basis inverse (dense, refactorized periodically),
 prices with the Dantzig rule, and falls back to Bland's rule after a run of
 degenerate pivots.  The ratio test takes the minimum ratio; ratios within
@@ -21,6 +25,7 @@ tuned beyond that.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -126,9 +131,6 @@ class LinearProgram:
         v = self._vars[self._index[name]]
         v.lb, v.ub = lb, ub
 
-    def row_names(self) -> list[str]:
-        return [r.name for r in self._rows]
-
     def to_lp_text(self) -> str:
         """CPLEX-LP-style dump for external cross-checking."""
         def term(c, name, first):
@@ -153,8 +155,7 @@ class LinearProgram:
                 first = False
             if first:
                 body = "0 zero_dummy "
-            op = {"<=": "<=", ">=": ">=", "=": "="}[row.sense]
-            lines.append(f" {label}: {body}{op} {row.rhs:.12g}")
+            lines.append(f" {label}: {body}{row.sense} {row.rhs:.12g}")
         lines.append("Bounds")
         for v in self._vars:
             lo = "-inf" if v.lb == -INF else f"{v.lb:.12g}"
@@ -188,37 +189,39 @@ class Solution:
 
 # --------------------------------------------------------------------------
 # Simplex core.  Internal form: minimize c'x  s.t.  A x = b,  0 <= x <= u,
-# after lower-bound shifting, free-variable splitting, slack and artificial
-# columns.  Nonbasic variables sit at 0 or at their upper bound.
+# with slack and artificial columns.  Nonbasic variables sit at 0 or at
+# their upper bound.
 
 class _Standardized:
-    def __init__(self, lp: LinearProgram,
-                 bound_override: dict[int, tuple[float, float]] | None = None):
-        override = bound_override or {}
-        bounds = [override.get(j, (v.lb, v.ub)) for j, v in enumerate(lp._vars)]
-        lbs = np.array([lb for lb, _ in bounds], dtype=float)
-        ubs = np.array([ub for _, ub in bounds], dtype=float)
-        self.infeasible_box = bool(np.any(lbs > ubs + 1e-12))
+    """One LP compiled into the internal form.
 
-        # Column layout: one column per finite-lb variable (shifted), two for
-        # free variables (plus minus split).
-        self.free = lbs == -INF
+    The column layout, the structural and slack blocks of `A`, the row rhs
+    and `c` are built once.  `bound` sets what the bounds of one solve
+    change: the shifts, `b`, `u` and the artificial column signs.  It keeps
+    the layout, so it may change only finite bounds.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        self.lb = np.array([v.lb for v in lp._vars], dtype=float)
+        self.ub = np.array([v.ub for v in lp._vars], dtype=float)
+        no_lb, no_ub = self.lb == -INF, self.ub == INF
+
+        # Column layout: one column per variable (shifted, or reflected when
+        # only ub is finite), two per free variable (plus minus split).
+        self.free = no_lb & no_ub
+        self.reflected = no_lb & ~no_ub
+        self.col_sign = np.where(self.reflected, -1.0, 1.0)
         width = np.where(self.free, 2, 1)
         self.pos_col = np.cumsum(width) - width
         self.neg_col = self.pos_col + 1
         self.n_struct = int(width.sum())
-        var_shift = np.where(self.free, 0.0, lbs)
-        self.shift = np.zeros(self.n_struct)
-        self.shift[self.pos_col] = var_shift
-        struct_ub = np.full(self.n_struct, INF)
-        struct_ub[self.pos_col[~self.free]] = (ubs - lbs)[~self.free]
 
         rows = lp._rows
         m = len(rows)
         self.m = m
-        ri = np.array([i for i, row in enumerate(rows) for _ in row.coeffs], dtype=np.intp)
-        vj = np.array([j for row in rows for j in row.coeffs], dtype=np.intp)
-        cv = np.array([c for row in rows for c in row.coeffs.values()], dtype=float)
+        self.ri = ri = np.array([i for i, row in enumerate(rows) for _ in row.coeffs], dtype=np.intp)
+        self.vj = vj = np.array([j for row in rows for j in row.coeffs], dtype=np.intp)
+        self.cv = cv = np.array([c for row in rows for c in row.coeffs.values()], dtype=float)
         senses = np.array([row.sense for row in rows], dtype=object)
         slack_rows = np.flatnonzero(senses != "=")
         self.n_real = self.n_struct + slack_rows.size
@@ -227,28 +230,36 @@ class _Standardized:
         # Structural block, then one slack column per inequality row, then
         # one artificial per row, which gives a trivially feasible start.
         A = np.zeros((m, self.ncols))
-        A[ri, self.pos_col[vj]] = cv
+        A[ri, self.pos_col[vj]] = cv * self.col_sign[vj]
         split = self.free[vj]
         A[ri[split], self.neg_col[vj[split]]] = -cv[split]
-        b = np.array([row.rhs for row in rows], dtype=float)
-        shifted = var_shift[vj]
-        for k in np.flatnonzero(shifted):
-            b[ri[k]] -= cv[k] * shifted[k]
         A[slack_rows, self.n_struct + np.arange(slack_rows.size)] = \
             np.where(senses[slack_rows] == "<=", 1.0, -1.0)
-        A[np.arange(m), self.n_real + np.arange(m)] = np.where(b >= 0, 1.0, -1.0)
         self.A = A
-        self.b = b
-        self.ub = np.concatenate([struct_ub, np.full(self.ncols - self.n_struct, INF)])
+        self.rhs = np.array([row.rhs for row in rows], dtype=float)
 
         self.obj_sign = 1.0 if lp.sense == "min" else -1.0
         c = np.zeros(self.ncols)
         oj = np.fromiter(lp._obj.keys(), dtype=np.intp, count=len(lp._obj))
         ov = self.obj_sign * np.fromiter(lp._obj.values(), dtype=float, count=len(lp._obj))
-        c[self.pos_col[oj]] += ov
+        c[self.pos_col[oj]] += ov * self.col_sign[oj]
         split = self.free[oj]
         c[self.neg_col[oj[split]]] -= ov[split]
         self.c = c
+        self.bound(self.lb, self.ub)
+
+    def bound(self, lb: np.ndarray, ub: np.ndarray) -> None:
+        """Set the shifts, `b`, `u` and artificial signs for these bounds."""
+        self.infeasible_box = bool(np.any(lb > ub + 1e-12))
+        self.shift = np.where(self.free, 0.0, np.where(self.reflected, ub, lb))
+        self.u = np.full(self.ncols, INF)
+        self.u[self.pos_col] = ub - lb
+        b = self.rhs.copy()
+        shifted = self.shift[self.vj]
+        nz = np.flatnonzero(shifted)
+        np.subtract.at(b, self.ri[nz], self.cv[nz] * shifted[nz])
+        self.b = b
+        self.A[np.arange(self.m), self.n_real + np.arange(self.m)] = np.where(b >= 0, 1.0, -1.0)
 
 
 class _Simplex:
@@ -262,6 +273,9 @@ class _Simplex:
         # The artificial start basis is diag(sign(b)), which is its own inverse.
         self.Binv = np.diag(np.where(std.b >= 0, 1.0, -1.0))
         self.xB = np.abs(std.b)
+        # Per-solve copy of the column upper bounds: phase 2 pins the
+        # artificials here, not in the compiled form.
+        self.u = std.u.copy()
         self.pivots_since_refactor = 0
         self.degenerate_run = 0
         self.bland = False
@@ -284,7 +298,7 @@ class _Simplex:
         rhs = self.std.b.copy()
         upper_cols = np.flatnonzero(~self.in_basis & self.at_upper)
         if upper_cols.size:
-            rhs = rhs - self.std.A[:, upper_cols] @ self.std.ub[upper_cols]
+            rhs = rhs - self.std.A[:, upper_cols] @ self.u[upper_cols]
         self.xB = self.Binv @ rhs
 
     # -- main loop ---------------------------------------------------------
@@ -298,7 +312,7 @@ class _Simplex:
         between two equal bounds.
         """
         std = self.std
-        A, ub = std.A, std.ub
+        A, ub = std.A, self.u
         n_price = std.ncols if phase == 1 else std.n_real
         c_price, A_price = c[:n_price], A[:, :n_price]
         basis, in_basis, at_upper = self.basis, self.in_basis, self.at_upper
@@ -400,9 +414,9 @@ def _solve_standardized(std: _Standardized
         return "infeasible", None, None, (0, 0)
     if m == 0:
         # Only bounds: minimize each cost coordinate independently.
-        if np.any((std.c < 0) & (std.ub == INF)):
+        if np.any((std.c < 0) & (std.u == INF)):
             return "unbounded", None, None, (0, 0)
-        return "optimal", np.where(std.c < 0, std.ub, 0.0), np.zeros(0), (0, 0)
+        return "optimal", np.where(std.c < 0, std.u, 0.0), np.zeros(0), (0, 0)
 
     sx = _Simplex(std)
     max_iter = 2000 + 60 * (std.m + std.ncols)
@@ -415,13 +429,13 @@ def _solve_standardized(std: _Standardized
     except _UnboundedPhase:  # pragma: no cover - phase 1 is bounded below
         raise SolverStallError("phase 1 reported unbounded")
     art_value = float(np.sum(sx.xB[np.flatnonzero(sx.basis >= std.n_real)]))
-    scale = 1.0 + float(np.max(np.abs(std.b))) if m else 1.0
+    scale = 1.0 + float(np.max(np.abs(std.b)))
     if art_value > FEAS_TOL * scale:
         return "infeasible", None, None, tuple(sx.pivots)
 
     # Pin artificials at zero for phase 2; basic ones that cannot be driven
     # out sit in redundant rows and stay at value 0.
-    std.ub[std.n_real:] = 0.0
+    sx.u[std.n_real:] = 0.0
     sx.at_upper[std.n_real:] = False
     sx.bland = False
     sx.degenerate_run = 0
@@ -432,7 +446,7 @@ def _solve_standardized(std: _Standardized
 
     x = np.zeros(std.ncols)
     nonbasic_upper = np.flatnonzero(~sx.in_basis & sx.at_upper)
-    x[nonbasic_upper] = std.ub[nonbasic_upper]
+    x[nonbasic_upper] = sx.u[nonbasic_upper]
     sx._refactor()  # exact solve before reporting
     x[sx.basis] = sx.xB
     y = std.c[sx.basis] @ sx.Binv
@@ -443,16 +457,15 @@ def solve_lp(lp: LinearProgram) -> Solution:
     """Solve an LP (no binaries) to optimality, returning primal and duals."""
     if lp.binary_vars():
         raise ValueError("solve_lp requires a pure LP; use solve_mip")
-    return _solve_relaxation(lp)
+    return _solve_relaxation(lp, _Standardized(lp))
 
 
-def _solve_relaxation(lp: LinearProgram,
-                      bound_override: dict[int, tuple[float, float]] | None = None) -> Solution:
-    std = _Standardized(lp, bound_override)
+def _solve_relaxation(lp: LinearProgram, std: _Standardized) -> Solution:
+    """Solve `lp` under the bounds `std` was last given."""
     status, x, y, pivots = _solve_standardized(std)
     if status != "optimal":
         return Solution(status=status, objective=math.nan, primal={}, duals=None, pivots=pivots)
-    values = x[std.pos_col] + std.shift[std.pos_col]
+    values = std.shift + std.col_sign * x[std.pos_col]
     values[std.free] = x[std.pos_col[std.free]] - x[std.neg_col[std.free]]
     primal = dict(zip((v.name for v in lp._vars), values.tolist()))
     obj = lp._obj_const + sum(coef * primal[lp._vars[j].name] for j, coef in lp._obj.items())
@@ -502,41 +515,32 @@ def solve_mip(lp: LinearProgram, node_budget: int = 100_000,
     strictly beat it are pruned, and "infeasible" is returned when nothing
     better exists (the caller already holds the cutoff solution).
     """
-    import heapq
-
     bin_idx = [lp._index[name] for name in lp.binary_vars()]
     if not bin_idx:
         raise ValueError("solve_mip requires at least one binary variable")
-    maximize = lp.sense == "max"
+    # Search in min orientation: key = sign * objective, and `best` is the
+    # key to beat, first the cutoff's, then the incumbent's.
+    sign = 1.0 if lp.sense == "min" else -1.0
+    best = INF if cutoff is None else sign * cutoff
 
-    def beats_cutoff(obj: float) -> bool:
-        if cutoff is None:
-            return True
-        return obj > cutoff + 1e-9 if maximize else obj < cutoff - 1e-9
-
-    root = _solve_relaxation(lp)
+    std = _Standardized(lp)
+    root = _solve_relaxation(lp, std)
     if root.status != "optimal":
         return Solution(status=root.status, objective=math.nan, primal={})
-    if not beats_cutoff(root.objective):
+    if not sign * root.objective < best - 1e-9:
         return Solution(status="infeasible", objective=math.nan, primal={})
 
     incumbent: Solution | None = None
     counter = 0
-
-    def bound_key(obj: float) -> float:
-        return -obj if maximize else obj
-
-    heap: list[tuple[float, int, dict[int, tuple[float, float]], Solution]] = []
-    heapq.heappush(heap, (bound_key(root.objective), counter, {}, root))
+    heap: list[tuple[float, int, tuple[np.ndarray, np.ndarray], Solution]] = []
+    heapq.heappush(heap, (sign * root.objective, counter, (std.lb, std.ub), root))
     nodes = 0
     while heap:
-        key, _, fixes, relax = heapq.heappop(heap)
-        if incumbent is not None:
-            # Best-bound queue: once the best bound cannot beat the
-            # incumbent, the search is complete.
-            if (maximize and -key <= incumbent.objective + 1e-9) or \
-               (not maximize and key >= incumbent.objective - 1e-9):
-                break
+        key, _, (node_lb, node_ub), relax = heapq.heappop(heap)
+        # Best-bound queue: once the best bound cannot beat the incumbent,
+        # the search is complete.
+        if key >= best - 1e-9:
+            break
         frac_var = -1
         frac_dist = -1.0
         for j in bin_idx:
@@ -546,31 +550,25 @@ def solve_mip(lp: LinearProgram, node_budget: int = 100_000,
                 frac_dist = dist
                 frac_var = j
         if frac_var < 0:
+            # Integral and, having passed the stop above, a new incumbent.
             rounded = dict(relax.primal)
             for j in bin_idx:
                 rounded[lp._vars[j].name] = float(round(rounded[lp._vars[j].name]))
-            cand = Solution("optimal", relax.objective, rounded)
-            if incumbent is None or \
-               (maximize and cand.objective > incumbent.objective + 1e-12) or \
-               (not maximize and cand.objective < incumbent.objective - 1e-12):
-                incumbent = cand
+            best = key
+            incumbent = Solution("optimal", relax.objective, rounded)
             continue
         for branch_val in (0.0, 1.0):
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceededError(f"node budget {node_budget} exceeded", incumbent)
-            child = dict(fixes)
-            child[frac_var] = (branch_val, branch_val)
-            sol = _solve_relaxation(lp, bound_override=child)
-            if sol.status != "optimal" or not beats_cutoff(sol.objective):
+            lb, ub = node_lb.copy(), node_ub.copy()
+            lb[frac_var] = ub[frac_var] = branch_val
+            std.bound(lb, ub)
+            sol = _solve_relaxation(lp, std)
+            if sol.status != "optimal" or not sign * sol.objective < best - 1e-9:
                 continue
-            if incumbent is not None:
-                if maximize and sol.objective <= incumbent.objective + 1e-9:
-                    continue
-                if not maximize and sol.objective >= incumbent.objective - 1e-9:
-                    continue
             counter += 1
-            heapq.heappush(heap, (bound_key(sol.objective), counter, child, sol))
+            heapq.heappush(heap, (sign * sol.objective, counter, (lb, ub), sol))
     if incumbent is None:
         return Solution(status="infeasible", objective=math.nan, primal={})
     return incumbent

@@ -36,11 +36,13 @@ def solve_mcf(instance: NetworkInstance, scenario: Scenario, objective: str = "t
     topo = instance.topology
     for e in scenario.failed_links:
         topo.link(e)
-    alive = [ln for ln in topo.links if ln.id not in scenario.failed_links]
     demands: dict[tuple[str, str], float] = {}
     for d in instance.demands:
         if d.demand > 0:
             demands[d.pair] = demands.get(d.pair, 0.0) + d.demand
+    if not demands:
+        return McfResult(scenario, 0.0, {}, {})
+    alive = [ln for ln in topo.links if ln.id not in scenario.failed_links]
     dests = sorted({t for (_, t) in demands})
 
     lp = LinearProgram(name=f"mcf:{objective}")
@@ -88,8 +90,6 @@ def solve_mcf(instance: NetworkInstance, scenario: Scenario, objective: str = "t
         if coeffs:
             lp.add_row(coeffs, "<=", ln.capacity, name=f"cap:{ln.id}")
 
-    if not demands:
-        return McfResult(scenario, 0.0, {}, {})
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise RuntimeError(f"MCF solve unexpectedly {sol.status}")

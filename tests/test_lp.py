@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -10,6 +11,8 @@ from resilient_te.lp import (
     dual_objective,
     solve_lp,
     solve_mip,
+    _solve_relaxation,
+    _Standardized,
 )
 
 
@@ -192,7 +195,11 @@ def test_knapsack_matches_enumeration():
 
 
 def test_mip_bounded_by_relaxation():
+    # Both orientations: the optimum equals brute force over the binaries and
+    # is bounded by the relaxation; a cutoff at the optimum leaves nothing
+    # strictly better, and a worse cutoff leaves the optimum.
     rng = np.random.default_rng(11)
+    solved = {"max": 0, "min": 0}
     for _ in range(40):
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 4))
@@ -204,33 +211,82 @@ def test_mip_bounded_by_relaxation():
         for i in range(m):
             lp.add_row({f"z{j}": A[i, j] for j in range(n)}, "<=", b[i])
         c = np.round(rng.normal(size=n), 1)
-        lp.set_objective({f"z{j}": c[j] for j in range(n)}, "max")
-        relaxed = lp
-        mip = solve_mip(lp) if _feasible(lp) else None
-        if mip is None or mip.status != "optimal":
-            continue
-        relax_lp = LinearProgram()
-        for j in range(n):
-            relax_lp.add_var(f"z{j}", 0.0, 1.0)
-        for row in lp._rows:
-            relax_lp.add_row({lp._vars[j].name: c2 for j, c2 in row.coeffs.items()},
-                             row.sense, row.rhs)
-        relax_lp.set_objective({f"z{j}": c[j] for j in range(n)}, "max")
-        rel = solve_lp(relax_lp)
-        assert mip.objective <= rel.objective + 1e-9
+        for sense in ("max", "min"):
+            lp.set_objective({f"z{j}": c[j] for j in range(n)}, sense)
+            best = _best_assignment(lp)
+            mip = solve_mip(lp)
+            if best is None:
+                assert mip.status == "infeasible"
+                continue
+            assert mip.status == "optimal"
+            assert mip.objective == pytest.approx(best, abs=1e-9)
+            assert all(mip[f"z{j}"] in (0.0, 1.0) for j in range(n))
+            relax_lp = LinearProgram()
+            for j in range(n):
+                relax_lp.add_var(f"z{j}", 0.0, 1.0)
+            for row in lp._rows:
+                relax_lp.add_row({lp._vars[j].name: c2 for j, c2 in row.coeffs.items()},
+                                 row.sense, row.rhs)
+            relax_lp.set_objective({f"z{j}": c[j] for j in range(n)}, sense)
+            rel = solve_lp(relax_lp)
+            to_max = 1.0 if sense == "max" else -1.0
+            assert to_max * mip.objective <= to_max * rel.objective + 1e-9
+            assert solve_mip(lp, cutoff=best).status == "infeasible"
+            worse = solve_mip(lp, cutoff=best - to_max * 0.5)
+            assert worse.status == "optimal"
+            assert worse.objective == pytest.approx(best, abs=1e-9)
+            solved[sense] += 1
+    assert min(solved.values()) > 20
 
 
-def _feasible(lp):
+def test_rebounded_form_equals_a_fresh_compile():
+    # Branch and bound compiles once and re-bounds per node; each node's form
+    # must be exactly the one a fresh compile of the fixed LP gives, and a
+    # solve must leave the form as it found it.
+    rng = np.random.default_rng(8)
+    var_bounds = {"pos": (0.0, INF), "box": (-1.5, 2.0), "free": (-INF, INF),
+                  "upper": (-INF, 0.5)}
+    for _ in range(30):
+        lp = LinearProgram()
+        names = [lp.add_var(f"z{j}", binary=True) for j in range(int(rng.integers(1, 5)))]
+        for j, kind in enumerate(rng.choice(list(var_bounds), size=int(rng.integers(0, 4)))):
+            names.append(lp.add_var(f"x{j}", *var_bounds[str(kind)]))
+        for _ in range(int(rng.integers(1, 5))):
+            coeffs = {v: float(np.round(rng.normal(), 1)) for v in names}
+            lp.add_row(coeffs, str(rng.choice(["<=", ">=", "="])), float(np.round(rng.normal(), 1)))
+        lp.set_objective({v: float(np.round(rng.normal(), 1)) for v in names},
+                         str(rng.choice(["min", "max"])))
+        std = _Standardized(lp)
+        binaries = lp.binary_vars()
+        for _ in range(4):
+            fixed = [v for v in binaries if rng.random() < 0.6]
+            values = [float(rng.integers(0, 2)) for _ in fixed]
+            lb, ub = std.lb.copy(), std.ub.copy()
+            idx = [lp._index[v] for v in fixed]
+            lb[idx] = ub[idx] = values
+            std.bound(lb, ub)
+            fixed_lp = copy.deepcopy(lp)
+            for v, val in zip(fixed, values):
+                fixed_lp.set_bounds(v, val, val)
+            fresh = _Standardized(fixed_lp)
+            for attr in ("A", "b", "u", "c"):
+                np.testing.assert_array_equal(getattr(std, attr), getattr(fresh, attr))
+            first = _solve_relaxation(lp, std)
+            assert repr(_solve_relaxation(lp, std)) == repr(first)
+            assert repr(_solve_relaxation(fixed_lp, fresh)) == repr(first)
+
+
+def _best_assignment(lp):
+    """Best objective over all 0/1 assignments of the (all-binary) `lp`'s
+    variables, or None when no assignment satisfies its <= rows."""
+    best = None
     for assign in itertools.product([0.0, 1.0], repeat=lp.num_vars):
-        ok = True
-        for row in lp._rows:
-            lhs = sum(c * assign[j] for j, c in row.coeffs.items())
-            if row.sense == "<=" and lhs > row.rhs + 1e-12:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+        if all(sum(c * assign[j] for j, c in row.coeffs.items()) <= row.rhs + 1e-12
+               for row in lp._rows):
+            obj = sum(c * assign[j] for j, c in lp._obj.items())
+            if best is None or (obj > best if lp.sense == "max" else obj < best):
+                best = obj
+    return best
 
 
 def test_budget_exceeded_carries_incumbent():
@@ -257,33 +313,29 @@ def test_lp_text_dump_roundtrips_key_fields():
     assert "Binaries" in text and "z" in text.split("Binaries")[1]
 
 
-def test_random_lps_match_external_reference():
-    # scipy is an independent reference implementation here; the dual-route
-    # is this cross-check plus the in-house strong-duality identity.
+def _match_external_reference(rng, cases, kind_names):
+    """Random LPs whose variables take the bound kinds `kind_names`; status and
+    objective must match `linprog(method="highs")`.  Returns the LPs and
+    solutions found optimal."""
     linprog = pytest.importorskip("scipy.optimize").linprog
-    rng = np.random.default_rng(2024)
     status_map = {0: "optimal", 2: "infeasible", 3: "unbounded"}
-    checked = 0
-    for _ in range(120):
+    var_bounds = {"pos": (0.0, INF), "box": (-1.5, 2.0), "free": (-INF, INF),
+                  "upper": (-INF, 0.5)}
+    optimal = []
+    for _ in range(cases):
         n = int(rng.integers(1, 6))
         m = int(rng.integers(1, 7))
         A = np.round(rng.normal(size=(m, n)) * 2, 2)
         b = np.round(rng.normal(size=m) * 2, 2)
         c = np.round(rng.normal(size=n) * 2, 2)
         senses = rng.choice(["<=", ">=", "="], size=m, p=[0.5, 0.3, 0.2])
-        kinds = rng.choice(["pos", "box", "free"], size=n)
+        kinds = rng.choice(kind_names, size=n)
         lp = LinearProgram()
         bounds = []
         for j in range(n):
-            if kinds[j] == "pos":
-                lp.add_var(f"x{j}")
-                bounds.append((0, None))
-            elif kinds[j] == "box":
-                lp.add_var(f"x{j}", -1.5, 2.0)
-                bounds.append((-1.5, 2.0))
-            else:
-                lp.add_var(f"x{j}", -INF, INF)
-                bounds.append((None, None))
+            lb, ub = var_bounds[str(kinds[j])]
+            lp.add_var(f"x{j}", lb, ub)
+            bounds.append((None if lb == -INF else lb, None if ub == INF else ub))
         for i in range(m):
             lp.add_row({f"x{j}": A[i, j] for j in range(n)}, str(senses[i]), b[i])
         lp.set_objective({f"x{j}": c[j] for j in range(n)}, "min")
@@ -301,9 +353,40 @@ def test_random_lps_match_external_reference():
                       bounds=bounds, method="highs")
         assert sol.status == status_map.get(ref.status, "?")
         if sol.status == "optimal":
-            checked += 1
             assert sol.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
-    assert checked > 20
+            optimal.append((lp, sol))
+    return optimal
+
+
+def test_random_lps_match_external_reference():
+    # scipy is an independent reference implementation here; the dual-route
+    # is this cross-check plus the in-house strong-duality identity.
+    optimal = _match_external_reference(np.random.default_rng(2024), 120, ["pos", "box", "free"])
+    assert len(optimal) > 20
+
+
+def test_upper_bounded_only_variables_match_external_reference():
+    # Variables with lb = -inf and a finite ub are reflected, not split; a
+    # split would drop the ub.
+    optimal = _match_external_reference(np.random.default_rng(2025), 150,
+                                        ["pos", "box", "free", "upper"])
+    with_upper = [(lp, sol) for lp, sol in optimal
+                  if any(v.lb == -INF and v.ub < INF for v in lp._vars)]
+    assert len(with_upper) > 20
+    for lp, sol in with_upper:
+        assert dual_objective(lp, sol) == pytest.approx(sol.objective, abs=1e-6, rel=1e-6)
+
+
+def test_upper_bounded_only_variable_keeps_its_bound():
+    lp = LinearProgram()
+    lp.add_var("x", -INF, 5.0)
+    lp.add_var("y")
+    lp.add_row({"x": 1, "y": 1}, ">=", -100)
+    lp.set_objective({"x": 1}, "max")
+    sol = solve_lp(lp)
+    assert sol.status == "optimal"
+    assert sol.objective == 5.0 and sol["x"] == 5.0
+    assert dual_objective(lp, sol) == pytest.approx(5.0)
 
 
 def _flow_lp(rng):

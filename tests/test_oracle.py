@@ -1,9 +1,11 @@
+import dataclasses
+
 import pytest
 
 from resilient_te import oracle
 from resilient_te.fixtures import flow_example, four_tunnel_example, hint_example, parallel_example
 from resilient_te.lp import solve_lp
-from resilient_te.net import Scenario
+from resilient_te.net import Scenario, UnknownLinkError
 from resilient_te.oracle import generalized_family, solve_mcf, worst_case_optimal
 
 
@@ -31,6 +33,20 @@ def test_mcf_phase_one_stops_when_no_artificial_is_positive(monkeypatch):
     (sol,) = sols
     assert res.objective == pytest.approx(2.0)
     assert sol.pivots[0] <= 10
+
+
+def test_mcf_without_demand_builds_no_lp(monkeypatch):
+    # No positive demand: the empty result comes back before any LP is
+    # built, but an unknown failed link is still rejected first.
+    def no_lp(*args, **kwargs):
+        raise AssertionError("LP built for an instance without demand")
+
+    monkeypatch.setattr(oracle, "LinearProgram", no_lp)
+    inst = dataclasses.replace(flow_example(), demands=())
+    res = solve_mcf(inst, Scenario(frozenset()), "throughput")
+    assert (res.objective, res.flow, res.satisfied) == (0.0, {}, {})
+    with pytest.raises(UnknownLinkError):
+        solve_mcf(inst, Scenario(frozenset({"nope"})), "throughput")
 
 
 def test_mcf_parallel_scale():
