@@ -17,7 +17,21 @@ is bounded below by 0, so that basis is phase-1 optimal.  Artificials still
 basic at 0 stay in the basis for phase 2, pinned at 0, which prices only the
 real columns.  Row duals are returned for LP solves; they are the
 sensitivities d(objective)/d(rhs) in the caller's min/max orientation.
-`Solution.pivots` counts basis changes and bound flips per phase.
+
+Branch and bound solves its root cold and re-solves each child warm, from
+its parent's final basis, with a bounded dual simplex.  The artificials stay
+pinned at 0.  The basic variable with the largest bound violation leaves at
+the bound it violated; the entering column minimizes |reduced cost| /
+|alpha| over the nonbasic real columns that can move in the direction that
+repairs that row.  Ratios within 1e-12 of the minimum tie, and ties go to
+the largest |alpha|, then the lowest column index.  A row that no column can
+repair proves the child infeasible.  Once every basic variable is within
+its bounds, phase 2 finishes the solve; it stops at once on an optimal
+basis.  If the dual loop reaches the iteration cap or a singular basis, the
+child is solved cold on the same form instead.
+
+`Solution.pivots` counts basis changes and bound flips per phase; dual
+pivots count as phase 2, and a MIP reports the sum over its tree.
 
 Sizes up to a few thousand rows and variables are in scope; nothing here is
 tuned beyond that.
@@ -175,9 +189,10 @@ class Solution:
     objective: float
     primal: dict[str, float]
     duals: list[float] | None = None
-    #: Simplex pivots (basis changes and bound flips) of the LP solve that
-    #: produced this solution, as (phase 1, phase 2); (0, 0) for a branch
-    #: and bound incumbent.
+    #: Simplex pivots (basis changes and bound flips) as (phase 1, phase 2):
+    #: of the LP solve that produced this solution, or for `solve_mip`, summed
+    #: over every relaxation of its tree.  Dual simplex pivots count as
+    #: phase 2.
     pivots: tuple[int, int] = (0, 0)
 
     def __getitem__(self, var: str) -> float:
@@ -262,17 +277,17 @@ class _Standardized:
         self.A[np.arange(self.m), self.n_real + np.arange(self.m)] = np.where(b >= 0, 1.0, -1.0)
 
 
+#: A basis state of one compiled form: (basis columns, nonbasic-at-upper mask).
+_Basis = tuple[np.ndarray, np.ndarray]
+
+
 class _Simplex:
-    def __init__(self, std: _Standardized):
+    def __init__(self, std: _Standardized, start: _Basis | None = None):
+        """Cold: the all-artificial basis.  Warm: `start` is a (basis,
+        at_upper) state of an earlier solve on this form, with the
+        artificials pinned as in phase 2; `dual` refactors it."""
         self.std = std
         m, n = std.m, std.ncols
-        self.basis = np.arange(std.n_real, n)
-        self.in_basis = np.zeros(n, dtype=bool)
-        self.in_basis[self.basis] = True
-        self.at_upper = np.zeros(n, dtype=bool)  # nonbasic position
-        # The artificial start basis is diag(sign(b)), which is its own inverse.
-        self.Binv = np.diag(np.where(std.b >= 0, 1.0, -1.0))
-        self.xB = np.abs(std.b)
         # Per-solve copy of the column upper bounds: phase 2 pins the
         # artificials here, not in the compiled form.
         self.u = std.u.copy()
@@ -282,6 +297,25 @@ class _Simplex:
         self.iterations = 0
         self.pivots = [0, 0]
         self._rank1 = np.empty((m, m))
+        if start is None:
+            self.basis = np.arange(std.n_real, n)
+            self.at_upper = np.zeros(n, dtype=bool)  # nonbasic position
+            # The artificial start basis is diag(sign(b)), its own inverse.
+            self.Binv = np.diag(np.where(std.b >= 0, 1.0, -1.0))
+            self.xB = np.abs(std.b)
+        else:
+            self.basis, self.at_upper = start[0].copy(), start[1].copy()
+            self.pin_artificials()
+        self.in_basis = np.zeros(n, dtype=bool)
+        self.in_basis[self.basis] = True
+
+    def pin_artificials(self) -> None:
+        """Enter phase 2: artificials are pinned at 0.  Basic ones that
+        cannot be driven out sit in redundant rows at value 0."""
+        self.u[self.std.n_real:] = 0.0
+        self.at_upper[self.std.n_real:] = False
+        self.bland = False
+        self.degenerate_run = 0
 
     # -- linear algebra maintenance ---------------------------------------
 
@@ -300,6 +334,21 @@ class _Simplex:
         if upper_cols.size:
             rhs = rhs - self.std.A[:, upper_cols] @ self.u[upper_cols]
         self.xB = self.Binv @ rhs
+
+    def _update_inverse(self, leave_pos: int, col: np.ndarray) -> None:
+        """Rank-1 update of `Binv` after `col` (the entering column times
+        the old inverse) replaced basis position `leave_pos`; refactor
+        instead when the pivot is tiny."""
+        piv = col[leave_pos]
+        if abs(piv) < PIVOT_TOL:
+            self._refactor()
+            return
+        Binv = self.Binv
+        row = Binv[leave_pos] / piv
+        np.multiply(col[:, None], row, out=self._rank1)
+        Binv -= self._rank1
+        Binv[leave_pos] = row
+        self.pivots_since_refactor += 1
 
     # -- main loop ---------------------------------------------------------
 
@@ -389,60 +438,129 @@ class _Simplex:
             cB[leave_pos] = c[j]
             ubB[leave_pos] = ub[j]
             xB[leave_pos] = (ub[j] - t) if from_upper else t
-            piv = col[leave_pos]
-            if abs(piv) < PIVOT_TOL:
+            self._update_inverse(leave_pos, col)
+            Binv, xB = self.Binv, self.xB
+
+    def dual(self, max_iter: int) -> bool:
+        """Bounded dual simplex from a warm start: pivot until every basic
+        variable is within its bounds.  Returns False when a row proves the
+        LP infeasible.
+
+        The leaving row has the largest bound violation above FEAS_TOL, and
+        its variable leaves at the bound it violated.  Entering candidates
+        are the nonbasic real columns that can move (u > PIVOT_TOL) in the
+        direction that repairs that row; the least |reduced cost| / |alpha|
+        enters, ratios within 1e-12 of the minimum tie, and ties go to the
+        largest |alpha|, then the lowest column index.  When no column
+        qualifies, no point within the bounds satisfies the row.
+        """
+        std = self.std
+        n = std.n_real
+        A, c, u = std.A, std.c, self.u
+        A_real, c_real = A[:, :n], c[:n]
+        basis, in_basis, at_upper = self.basis, self.in_basis, self.at_upper
+        movable = u[:n] > PIVOT_TOL
+        self._refactor()
+        while True:
+            if self.pivots_since_refactor >= REFACTOR_EVERY:
                 self._refactor()
-                Binv, xB = self.Binv, self.xB
-                continue
-            row = Binv[leave_pos] / piv
-            np.multiply(col[:, None], row, out=self._rank1)
-            Binv -= self._rank1
-            Binv[leave_pos] = row
-            self.pivots_since_refactor += 1
+            Binv, xB = self.Binv, self.xB
+            below, above = -xB, xB - u[basis]
+            viol = np.maximum(below, above)
+            r = int(viol.argmax())
+            if not viol[r] > FEAS_TOL:
+                # Fixed columns sit at lower: at upper, phase 2 would price
+                # them as able to move down.
+                at_upper &= u > 0.0
+                return True
+            self.iterations += 1
+            if self.iterations > max_iter:
+                raise SolverStallError(f"dual simplex exceeded {max_iter} iterations")
+            to_upper = bool(above[r] > below[r])
+            alpha = Binv[r] @ A_real
+            # Rate at which each nonbasic column, stepping away from its
+            # bound, moves x_B[r] toward the bound it violates.
+            rate = np.where(at_upper[:n], alpha, -alpha)
+            if to_upper:
+                rate = -rate
+            cand = np.flatnonzero((rate > PIVOT_TOL) & movable & ~in_basis[:n])
+            if cand.size == 0:
+                return False
+            d = c_real - (c[basis] @ Binv) @ A_real
+            # |d_j| on a dual-feasible start; a wrong-signed d_j counts as 0,
+            # and phase 2 repairs such a start afterwards.
+            gain = np.where(at_upper[cand], -d[cand], d[cand])
+            ratio = np.maximum(gain, 0.0) / rate[cand]
+            ties = cand[ratio <= ratio.min() + 1e-12]
+            if ties.size > 1:
+                size = np.abs(alpha[ties])
+                ties = ties[size == size.max()]
+            j = int(ties[0])
+            col = Binv @ A[:, j]
+            leaving = basis[r]
+            step = (xB[r] - (u[leaving] if to_upper else 0.0)) / col[r]
+            entering = (u[j] if at_upper[j] else 0.0) + step
+            xB -= step * col
+            xB[r] = entering
+            in_basis[leaving] = False
+            at_upper[leaving] = to_upper
+            basis[r] = j
+            in_basis[j] = True
+            self.pivots[1] += 1
+            self._update_inverse(r, col)
 
 
 class _UnboundedPhase(Exception):
     pass
 
 
-def _solve_standardized(std: _Standardized
-                        ) -> tuple[str, np.ndarray | None, np.ndarray | None, tuple[int, int]]:
-    """Returns (status, column values, duals y, pivots per phase) for the
-    internal min problem."""
+def _solve_standardized(std: _Standardized, start: _Basis | None = None
+                        ) -> tuple[str, np.ndarray | None, np.ndarray | None, tuple[int, int],
+                                   _Basis | None]:
+    """Returns (status, column values, duals y, pivots per phase, final
+    basis state) for the internal min problem; the state is None unless
+    optimal.  With `start`, an optimal basis state of this form under other
+    bounds, the dual simplex re-solves from it; if that stalls, the solve
+    runs cold instead."""
     m = std.m
     if std.infeasible_box:
-        return "infeasible", None, None, (0, 0)
+        return "infeasible", None, None, (0, 0), None
     if m == 0:
         # Only bounds: minimize each cost coordinate independently.
         if np.any((std.c < 0) & (std.u == INF)):
-            return "unbounded", None, None, (0, 0)
-        return "optimal", np.where(std.c < 0, std.u, 0.0), np.zeros(0), (0, 0)
+            return "unbounded", None, None, (0, 0), None
+        return "optimal", np.where(std.c < 0, std.u, 0.0), np.zeros(0), (0, 0), None
 
-    sx = _Simplex(std)
     max_iter = 2000 + 60 * (std.m + std.ncols)
+    if start is not None:
+        sx = _Simplex(std, start)
+        try:
+            feasible = sx.dual(max_iter)
+        except SolverStallError:
+            # The one fallback: solve cold on the same form.
+            status, x, y, (p1, p2), state = _solve_standardized(std)
+            return status, x, y, (p1, p2 + sx.pivots[1]), state
+        if not feasible:
+            return "infeasible", None, None, tuple(sx.pivots), None
+    else:
+        sx = _Simplex(std)
+        # Phase 1: drive artificials to zero.
+        c1 = np.zeros(std.ncols)
+        c1[std.n_real:] = 1.0
+        try:
+            sx.run(c1, 1, max_iter)
+        except _UnboundedPhase:  # pragma: no cover - phase 1 is bounded below
+            raise SolverStallError("phase 1 reported unbounded")
+        art_value = float(np.sum(sx.xB[np.flatnonzero(sx.basis >= std.n_real)]))
+        scale = 1.0 + float(np.max(np.abs(std.b)))
+        if art_value > FEAS_TOL * scale:
+            return "infeasible", None, None, tuple(sx.pivots), None
+        sx.pin_artificials()
 
-    # Phase 1: drive artificials to zero.
-    c1 = np.zeros(std.ncols)
-    c1[std.n_real:] = 1.0
-    try:
-        sx.run(c1, 1, max_iter)
-    except _UnboundedPhase:  # pragma: no cover - phase 1 is bounded below
-        raise SolverStallError("phase 1 reported unbounded")
-    art_value = float(np.sum(sx.xB[np.flatnonzero(sx.basis >= std.n_real)]))
-    scale = 1.0 + float(np.max(np.abs(std.b)))
-    if art_value > FEAS_TOL * scale:
-        return "infeasible", None, None, tuple(sx.pivots)
-
-    # Pin artificials at zero for phase 2; basic ones that cannot be driven
-    # out sit in redundant rows and stay at value 0.
-    sx.u[std.n_real:] = 0.0
-    sx.at_upper[std.n_real:] = False
-    sx.bland = False
-    sx.degenerate_run = 0
     try:
         sx.run(std.c, 2, max_iter)
     except _UnboundedPhase:
-        return "unbounded", None, None, tuple(sx.pivots)
+        return "unbounded", None, None, tuple(sx.pivots), None
 
     x = np.zeros(std.ncols)
     nonbasic_upper = np.flatnonzero(~sx.in_basis & sx.at_upper)
@@ -450,27 +568,30 @@ def _solve_standardized(std: _Standardized
     sx._refactor()  # exact solve before reporting
     x[sx.basis] = sx.xB
     y = std.c[sx.basis] @ sx.Binv
-    return "optimal", x, y, tuple(sx.pivots)
+    return "optimal", x, y, tuple(sx.pivots), (sx.basis, sx.at_upper)
 
 
 def solve_lp(lp: LinearProgram) -> Solution:
     """Solve an LP (no binaries) to optimality, returning primal and duals."""
     if lp.binary_vars():
         raise ValueError("solve_lp requires a pure LP; use solve_mip")
-    return _solve_relaxation(lp, _Standardized(lp))
+    return _solve_relaxation(lp, _Standardized(lp))[0]
 
 
-def _solve_relaxation(lp: LinearProgram, std: _Standardized) -> Solution:
-    """Solve `lp` under the bounds `std` was last given."""
-    status, x, y, pivots = _solve_standardized(std)
+def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Basis | None = None
+                      ) -> tuple[Solution, _Basis | None]:
+    """Solve `lp` under the bounds `std` was last given, cold or from the
+    basis state `start`; returns the solution and its final basis state."""
+    status, x, y, pivots, state = _solve_standardized(std, start)
     if status != "optimal":
-        return Solution(status=status, objective=math.nan, primal={}, duals=None, pivots=pivots)
+        return Solution(status=status, objective=math.nan, primal={}, duals=None,
+                        pivots=pivots), None
     values = std.shift + std.col_sign * x[std.pos_col]
     values[std.free] = x[std.pos_col[std.free]] - x[std.neg_col[std.free]]
     primal = dict(zip((v.name for v in lp._vars), values.tolist()))
     obj = lp._obj_const + sum(coef * primal[lp._vars[j].name] for j, coef in lp._obj.items())
     return Solution(status="optimal", objective=float(obj), primal=primal,
-                    duals=(std.obj_sign * y).tolist(), pivots=pivots)
+                    duals=(std.obj_sign * y).tolist(), pivots=pivots), state
 
 
 def dual_objective(lp: LinearProgram, sol: Solution) -> float:
@@ -507,9 +628,11 @@ def solve_mip(lp: LinearProgram, node_budget: int = 100_000,
     """Branch and bound over the binary variables of `lp`.
 
     Best-bound node selection; branches on the most fractional binary with
-    ties broken by lowest variable index.  The returned solution has no
-    duals.  Raises BudgetExceededError (carrying the incumbent) if the node
-    budget is exhausted before the tree is.
+    ties broken by lowest variable index.  The root relaxation is solved
+    cold; each child is re-solved from its parent's final basis.  The
+    returned solution has no duals; its pivots are those of every
+    relaxation in the tree.  Raises BudgetExceededError (carrying the
+    incumbent) if the node budget is exhausted before the tree is.
 
     `cutoff` declares a known achievable objective: subtrees that cannot
     strictly beat it are pruned, and "infeasible" is returned when nothing
@@ -524,19 +647,20 @@ def solve_mip(lp: LinearProgram, node_budget: int = 100_000,
     best = INF if cutoff is None else sign * cutoff
 
     std = _Standardized(lp)
-    root = _solve_relaxation(lp, std)
+    root, root_state = _solve_relaxation(lp, std)
     if root.status != "optimal":
-        return Solution(status=root.status, objective=math.nan, primal={})
+        return Solution(status=root.status, objective=math.nan, primal={}, pivots=root.pivots)
     if not sign * root.objective < best - 1e-9:
-        return Solution(status="infeasible", objective=math.nan, primal={})
+        return Solution(status="infeasible", objective=math.nan, primal={}, pivots=root.pivots)
+    pivots = list(root.pivots)
 
     incumbent: Solution | None = None
     counter = 0
-    heap: list[tuple[float, int, tuple[np.ndarray, np.ndarray], Solution]] = []
-    heapq.heappush(heap, (sign * root.objective, counter, (std.lb, std.ub), root))
+    heap: list[tuple[float, int, tuple[np.ndarray, np.ndarray], Solution, _Basis | None]] = []
+    heapq.heappush(heap, (sign * root.objective, counter, (std.lb, std.ub), root, root_state))
     nodes = 0
     while heap:
-        key, _, (node_lb, node_ub), relax = heapq.heappop(heap)
+        key, _, (node_lb, node_ub), relax, state = heapq.heappop(heap)
         # Best-bound queue: once the best bound cannot beat the incumbent,
         # the search is complete.
         if key >= best - 1e-9:
@@ -560,15 +684,20 @@ def solve_mip(lp: LinearProgram, node_budget: int = 100_000,
         for branch_val in (0.0, 1.0):
             nodes += 1
             if nodes > node_budget:
+                if incumbent is not None:
+                    incumbent.pivots = tuple(pivots)
                 raise BudgetExceededError(f"node budget {node_budget} exceeded", incumbent)
             lb, ub = node_lb.copy(), node_ub.copy()
             lb[frac_var] = ub[frac_var] = branch_val
             std.bound(lb, ub)
-            sol = _solve_relaxation(lp, std)
+            sol, sol_state = _solve_relaxation(lp, std, state)
+            pivots[0] += sol.pivots[0]
+            pivots[1] += sol.pivots[1]
             if sol.status != "optimal" or not sign * sol.objective < best - 1e-9:
                 continue
             counter += 1
-            heapq.heappush(heap, (sign * sol.objective, counter, (lb, ub), sol))
+            heapq.heappush(heap, (sign * sol.objective, counter, (lb, ub), sol, sol_state))
     if incumbent is None:
-        return Solution(status="infeasible", objective=math.nan, primal={})
+        return Solution(status="infeasible", objective=math.nan, primal={}, pivots=tuple(pivots))
+    incumbent.pivots = tuple(pivots)
     return incumbent

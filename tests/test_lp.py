@@ -11,6 +11,7 @@ from resilient_te.lp import (
     dual_objective,
     solve_lp,
     solve_mip,
+    _Simplex,
     _solve_relaxation,
     _Standardized,
 )
@@ -239,23 +240,38 @@ def test_mip_bounded_by_relaxation():
     assert min(solved.values()) > 20
 
 
+def _random_mip(rng):
+    """A small MIP: 1-4 binaries, 0-3 continuous variables of every bound
+    kind, 1-4 dense rows of any sense."""
+    var_bounds = {"pos": (0.0, INF), "box": (-1.5, 2.0), "free": (-INF, INF),
+                  "upper": (-INF, 0.5)}
+    lp = LinearProgram()
+    names = [lp.add_var(f"z{j}", binary=True) for j in range(int(rng.integers(1, 5)))]
+    for j, kind in enumerate(rng.choice(list(var_bounds), size=int(rng.integers(0, 4)))):
+        names.append(lp.add_var(f"x{j}", *var_bounds[str(kind)]))
+    for _ in range(int(rng.integers(1, 5))):
+        coeffs = {v: float(np.round(rng.normal(), 1)) for v in names}
+        lp.add_row(coeffs, str(rng.choice(["<=", ">=", "="])), float(np.round(rng.normal(), 1)))
+    lp.set_objective({v: float(np.round(rng.normal(), 1)) for v in names},
+                     str(rng.choice(["min", "max"])))
+    return lp
+
+
+def _fixed(lp, fixes):
+    """A copy of `lp` with the binaries in `fixes` fixed to their values."""
+    fixed_lp = copy.deepcopy(lp)
+    for v, val in fixes.items():
+        fixed_lp.set_bounds(v, val, val)
+    return fixed_lp
+
+
 def test_rebounded_form_equals_a_fresh_compile():
     # Branch and bound compiles once and re-bounds per node; each node's form
     # must be exactly the one a fresh compile of the fixed LP gives, and a
     # solve must leave the form as it found it.
     rng = np.random.default_rng(8)
-    var_bounds = {"pos": (0.0, INF), "box": (-1.5, 2.0), "free": (-INF, INF),
-                  "upper": (-INF, 0.5)}
     for _ in range(30):
-        lp = LinearProgram()
-        names = [lp.add_var(f"z{j}", binary=True) for j in range(int(rng.integers(1, 5)))]
-        for j, kind in enumerate(rng.choice(list(var_bounds), size=int(rng.integers(0, 4)))):
-            names.append(lp.add_var(f"x{j}", *var_bounds[str(kind)]))
-        for _ in range(int(rng.integers(1, 5))):
-            coeffs = {v: float(np.round(rng.normal(), 1)) for v in names}
-            lp.add_row(coeffs, str(rng.choice(["<=", ">=", "="])), float(np.round(rng.normal(), 1)))
-        lp.set_objective({v: float(np.round(rng.normal(), 1)) for v in names},
-                         str(rng.choice(["min", "max"])))
+        lp = _random_mip(rng)
         std = _Standardized(lp)
         binaries = lp.binary_vars()
         for _ in range(4):
@@ -265,15 +281,168 @@ def test_rebounded_form_equals_a_fresh_compile():
             idx = [lp._index[v] for v in fixed]
             lb[idx] = ub[idx] = values
             std.bound(lb, ub)
-            fixed_lp = copy.deepcopy(lp)
-            for v, val in zip(fixed, values):
-                fixed_lp.set_bounds(v, val, val)
+            fixed_lp = _fixed(lp, dict(zip(fixed, values)))
             fresh = _Standardized(fixed_lp)
             for attr in ("A", "b", "u", "c"):
                 np.testing.assert_array_equal(getattr(std, attr), getattr(fresh, attr))
             first = _solve_relaxation(lp, std)
             assert repr(_solve_relaxation(lp, std)) == repr(first)
             assert repr(_solve_relaxation(fixed_lp, fresh)) == repr(first)
+
+
+def test_warm_children_match_a_cold_solve_of_a_fresh_compile():
+    # Each child re-solves from its parent's final basis with the dual
+    # simplex; it must agree with a cold solve of the fixed LP compiled
+    # afresh, and leave the compiled form as it found it.
+    rng = np.random.default_rng(9)
+    statuses = []
+    for _ in range(40):
+        lp = _random_mip(rng)
+        std = _Standardized(lp)
+        root, root_state = _solve_relaxation(lp, std)
+        if root.status != "optimal":
+            continue
+        for _ in range(4):
+            lb, ub = std.lb.copy(), std.ub.copy()
+            fixes, state = {}, root_state
+            for v in rng.permutation(lp.binary_vars()).tolist():
+                fixes[v] = lb[lp._index[v]] = ub[lp._index[v]] = float(rng.integers(0, 2))
+                std.bound(lb, ub)
+                form = {attr: getattr(std, attr).copy() for attr in ("A", "b", "u", "c")}
+                warm, state = _solve_relaxation(lp, std, state)
+                for attr, before in form.items():
+                    np.testing.assert_array_equal(getattr(std, attr), before)
+                fixed_lp = _fixed(lp, fixes)
+                cold = _solve_relaxation(fixed_lp, _Standardized(fixed_lp))[0]
+                assert warm.status == cold.status
+                statuses.append(warm.status)
+                if warm.status != "optimal":
+                    break
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert statuses.count("optimal") > 100 and statuses.count("infeasible") > 20
+
+
+def test_dual_loop_from_an_optimal_parent_ends_optimal():
+    # The dual ratio test keeps the parent's dual feasibility, so once every
+    # basic variable is within its bounds, phase 2 has no pivot left to take.
+    rng = np.random.default_rng(9)
+    dual_pivots = 0
+    for _ in range(300):
+        lp = _random_mip(rng)
+        std = _Standardized(lp)
+        state = _solve_relaxation(lp, std)[1]
+        lb, ub = std.lb.copy(), std.ub.copy()
+        for v in rng.permutation(lp.binary_vars()).tolist():
+            if state is None:
+                break
+            lb[lp._index[v]] = ub[lp._index[v]] = float(rng.integers(0, 2))
+            std.bound(lb, ub)
+            sx = _Simplex(std, state)
+            if not sx.dual(10_000):
+                break
+            taken = sx.pivots[1]
+            sx.run(std.c, 2, 10_000)
+            assert sx.pivots[1] == taken
+            dual_pivots += taken
+            state = sx.basis, sx.at_upper
+    assert dual_pivots > 40
+
+
+def test_child_cut_off_by_its_fixing_is_proved_infeasible_by_the_dual(monkeypatch):
+    # min z s.t. z + x >= 1.5, x <= 1: the root has z = 0.5, and z = 0 leaves
+    # the row unsatisfiable, so the dual ratio test finds no entering column.
+    lp = LinearProgram()
+    lp.add_var("z", binary=True)
+    lp.add_var("x", 0.0, 1.0)
+    lp.add_row({"z": 1, "x": 1}, ">=", 1.5)
+    lp.set_objective({"z": 1}, "min")
+    std = _Standardized(lp)
+    root, state = _solve_relaxation(lp, std)
+    assert root["z"] == pytest.approx(0.5)
+    outcomes = []
+    dual = _Simplex.dual
+
+    def spy(self, max_iter):
+        outcomes.append(dual(self, max_iter))
+        return outcomes[-1]
+
+    monkeypatch.setattr(_Simplex, "dual", spy)
+    std.bound(np.array([0.0, 0.0]), np.array([0.0, 1.0]))
+    assert _solve_relaxation(lp, std, state)[0].status == "infeasible"
+    assert outcomes == [False]
+    fixed_lp = _fixed(lp, {"z": 0.0})
+    assert _solve_relaxation(fixed_lp, _Standardized(fixed_lp))[0].status == "infeasible"
+
+
+def test_a_start_that_is_not_dual_feasible_still_reaches_the_cold_optimum():
+    # A basis optimal for the opposite objective sense is not dual feasible
+    # wherever the two optima differ; the dual loop restores the bounds and
+    # phase 2 then finishes the solve.
+    rng = np.random.default_rng(10)
+    not_dual_feasible = 0
+    for _ in range(40):
+        lp = _random_mip(rng)
+        flipped = copy.deepcopy(lp)
+        flipped.sense = "max" if lp.sense == "min" else "min"
+        opposite, state = _solve_relaxation(flipped, _Standardized(flipped))
+        if state is None:
+            continue
+        fixed_lp = _fixed(lp, {str(rng.choice(lp.binary_vars())): float(rng.integers(0, 2))})
+        warm = _solve_relaxation(fixed_lp, _Standardized(fixed_lp), state)[0]
+        cold = _solve_relaxation(fixed_lp, _Standardized(fixed_lp))[0]
+        assert warm.status == cold.status
+        if warm.status == "optimal":
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        own = _solve_relaxation(lp, _Standardized(lp))[0]
+        not_dual_feasible += own.status == "optimal" and abs(own.objective - opposite.objective) > 1e-6
+    assert not_dual_feasible > 10
+
+
+def _branching_mip():
+    """A knapsack with a cover row: its root needs phase 1 and branches."""
+    weights, values = [2, 3, 4, 5, 3], [3, 4, 5, 6, 4]
+    lp = LinearProgram()
+    for j in range(5):
+        lp.add_var(f"z{j}", binary=True)
+    lp.add_row({f"z{j}": w for j, w in enumerate(weights)}, "<=", 7.5)
+    lp.add_row({f"z{j}": 1 for j in range(5)}, ">=", 2)
+    lp.set_objective({f"z{j}": v for j, v in enumerate(values)}, "max")
+    return lp
+
+
+def test_mip_tree_takes_phase_one_pivots_only_at_its_root():
+    lp = _branching_mip()
+    root = _solve_relaxation(lp, _Standardized(lp))[0]
+    mip = solve_mip(lp)
+    assert root.pivots[0] > 0
+    assert mip.pivots[0] == root.pivots[0]
+    assert mip.pivots[1] > root.pivots[1]
+
+
+def test_mip_repeats_exactly_in_one_process():
+    # Children warm-start from their parent's basis; no basis may leak from
+    # one solve into the next.
+    lp = _branching_mip()
+    assert repr(solve_mip(lp)) == repr(solve_mip(lp))
+
+
+def test_warm_start_past_the_iteration_cap_falls_back_to_cold(monkeypatch):
+    lp = _branching_mip()
+    expected = solve_mip(lp)
+    std = _Standardized(lp)
+    _, state = _solve_relaxation(lp, std)
+    # z4 is the root's fractional binary, so fixing it leaves the dual loop
+    # a row to repair.
+    lb, ub = std.lb.copy(), std.ub.copy()
+    lb[lp._index["z4"]] = ub[lp._index["z4"]] = 1.0
+    std.bound(lb, ub)
+    cold = _solve_relaxation(lp, std)
+    dual = _Simplex.dual
+    monkeypatch.setattr(_Simplex, "dual", lambda self, max_iter: dual(self, 0))
+    assert repr(_solve_relaxation(lp, std, state)) == repr(cold)
+    capped = solve_mip(lp)
+    assert capped.objective == expected.objective
+    assert capped.pivots[0] > expected.pivots[0]
 
 
 def _best_assignment(lp):

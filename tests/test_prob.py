@@ -160,6 +160,13 @@ def test_direct_mip_flow_example():
         assert selection.covered_mass(pinst, u.id) >= u.beta - 1e-9
 
 
+def test_direct_mip_repeats_exactly_in_one_process():
+    # Its branch and bound warm-starts children; no basis may leak between
+    # solves.
+    pinst = make_pinst()
+    assert repr(solve_direct_mip(pinst)) == repr(solve_direct_mip(pinst))
+
+
 def test_scenario_minmax_shares_loss():
     pinst = make_pinst()
     report = percentile_analysis(solve_scenario_minmax(pinst), pinst)
