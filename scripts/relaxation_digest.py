@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Fingerprint every LP relaxation of one benchmark pass.
+
+    python scripts/relaxation_digest.py --workload flomore --seed 1
+
+Runs one `perfbench/run.py --seconds 0 --trace 0` pass of the workload in
+this process, with `lp._solve_relaxation` wrapped, and prints the number of
+relaxations solved and a sha256 over their results.  Each result is
+serialized as its status, pivots, the `float.hex` of its objective, primal
+names and values and duals, and the bytes of its final basis state.  Two
+checkouts that print the same line solved every relaxation identically:
+same pivots, same vertex, same basis.  A relaxation solved from inside
+another (the cold fallback of a warm start) is part of the outer result and
+is not counted on its own.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from perfbench import run  # noqa: E402  (stdlib only; numpy is not yet imported)
+
+
+def serialize(result) -> bytes:
+    sol, state = result
+    parts = [sol.status, repr(tuple(sol.pivots)), float.hex(sol.objective)]
+    parts += [f"{name}={float.hex(v)}" for name, v in sol.primal.items()]
+    parts.append("duals" if sol.duals is not None else "no duals")
+    parts += [float.hex(y) for y in sol.duals or ()]
+    out = "\n".join(parts).encode()
+    if state is not None:
+        basis, at_upper = state
+        out += b"\nbasis" + basis.astype("<i8").tobytes() + b"\nat_upper" + at_upper.tobytes()
+    return out + b"\n--\n"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True, choices=run.WORKLOAD_NAMES)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+
+    run.pin_threads()
+    from resilient_te import lp
+
+    solve = lp._solve_relaxation
+    digest = hashlib.sha256()
+    count = depth = 0
+
+    def recorded(*a, **k):
+        nonlocal count, depth
+        depth += 1
+        try:
+            result = solve(*a, **k)
+        finally:
+            depth -= 1
+        if depth == 0:
+            count += 1
+            digest.update(serialize(result))
+        return result
+
+    lp._solve_relaxation = recorded
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run.main(["--workload", args.workload, "--seed", str(args.seed),
+                         "--seconds", "0", "--trace", "0"])
+    if code != 0:
+        print(out.getvalue(), end="")
+        return code
+    summary = json.loads(out.getvalue().splitlines()[-1])
+    print(f"{args.workload} seed {args.seed}: {count} relaxations, sha256 {digest.hexdigest()}, "
+          f"correct {summary['correct']}, failed {summary['failed']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -167,7 +167,7 @@ def _dispatch(args) -> int:
         elif args.what == "scenarios":
             scenarios = enumerate_scenarios(instance.topology, args.k)
         elif args.what == "sublinks":
-            instance = split_sublinks(instance.topology, instance)
+            instance = split_sublinks(instance)
         if args.out:
             dump_instance(instance, args.out, scenarios or None)
         else:

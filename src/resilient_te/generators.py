@@ -20,6 +20,9 @@ from .net import (
 )
 from .oracle import solve_mcf
 
+#: The failure-free utilization band that gravity demands are scaled into.
+MLU_RANGE = (0.5, 0.7)
+
 
 def _adjacency(topo: Topology) -> dict[str, list[tuple[str, str]]]:
     adj: dict[str, list[tuple[str, str]]] = {n: [] for n in topo.nodes}
@@ -47,25 +50,22 @@ def is_connected(topo: Topology) -> bool:
     return len(seen) == len(topo.nodes)
 
 
-def generate_gravity_demands(topo: Topology, mlu_range: tuple[float, float] = (0.5, 0.7),
-                             seed: int = 0, weights: dict[str, float] | None = None,
-                             ) -> tuple[FlowDemand, ...]:
-    """Demands proportional to node weight products (degree by default),
+def generate_gravity_demands(topo: Topology, seed: int = 0) -> tuple[FlowDemand, ...]:
+    """Demands proportional to the product of the two end nodes' degrees,
     scaled so the failure-free network sits at a target utilization.
 
     The most-congested-link utilization of the scaled matrix is the inverse
     of the optimal demand scale, so scaling demands by target/scale lands
-    the baseline inside `mlu_range`.
+    the baseline at a target drawn from `MLU_RANGE`.
     """
     if not is_connected(topo):
         raise ValueError("gravity demands require a connected topology")
     rng = np.random.default_rng(seed)
-    if weights is None:
-        weights = {n: 0.0 for n in topo.nodes}
-        for ln in topo.links:
-            u, v = ln.ends
-            weights[u] += 1.0
-            weights[v] += 1.0
+    weights = {n: 0.0 for n in topo.nodes}
+    for ln in topo.links:
+        u, v = ln.ends
+        weights[u] += 1.0
+        weights[v] += 1.0
     nodes = sorted(topo.nodes)
     raw = []
     for i, s in enumerate(nodes):
@@ -77,7 +77,7 @@ def generate_gravity_demands(topo: Topology, mlu_range: tuple[float, float] = (0
     scale = next(iter(base.satisfied.values()))
     if scale <= 0:
         raise ValueError("gravity probe demands cannot be routed")
-    target_mlu = float(rng.uniform(*mlu_range))
+    target_mlu = float(rng.uniform(*MLU_RANGE))
     factor = scale * target_mlu
     return tuple(
         FlowDemand(d.flow_id, d.pair, d.demand * factor) for d in raw)
@@ -136,20 +136,18 @@ def select_tunnels(topo: Topology, pair: tuple[str, str], count: int,
         Tunnel(f"{prefix}::{i}", src, dst, links) for i, (links, _) in enumerate(chosen))
 
 
-def split_sublinks(topo: Topology, instance: NetworkInstance | None = None,
-                   ) -> Topology | NetworkInstance:
+def split_sublinks(instance: NetworkInstance) -> NetworkInstance:
     """Each link becomes two half-capacity sub-links failing independently.
 
     Tunnels referencing an original link are rewritten onto sub-link "a" by
     convention; failure probabilities carry over to both halves.
     """
+    topo = instance.topology
     links = []
     for ln in topo.links:
         for suffix in ("a", "b"):
             links.append(Link(f"{ln.id}::{suffix}", ln.ends, ln.capacity / 2, ln.fail_prob))
     new_topo = Topology(nodes=topo.nodes, links=tuple(links))
-    if instance is None:
-        return new_topo
     tunnels = tuple(
         Tunnel(t.id, t.src, t.dst, tuple(f"{lid}::a" for lid in t.path))
         for t in instance.tunnels)

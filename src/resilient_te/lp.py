@@ -97,7 +97,6 @@ class LinearProgram:
     _index: dict[str, int] = field(default_factory=dict)
     _rows: list[_Row] = field(default_factory=list)
     _obj: dict[int, float] = field(default_factory=dict)
-    _obj_const: float = 0.0
     sense: str = "min"
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = INF, binary: bool = False) -> str:
@@ -123,11 +122,10 @@ class LinearProgram:
         self._rows.append(_Row(mapped, sense, float(rhs), name))
         return len(self._rows) - 1
 
-    def set_objective(self, coeffs: dict[str, float], sense: str = "min", const: float = 0.0) -> None:
+    def set_objective(self, coeffs: dict[str, float], sense: str = "min") -> None:
         if sense not in ("min", "max"):
             raise ValueError(f"bad objective sense {sense!r}")
         self._obj = {self._index[v]: float(c) for v, c in coeffs.items()}
-        self._obj_const = float(const)
         self.sense = sense
 
     @property
@@ -305,6 +303,7 @@ class _Simplex:
             self.xB = np.abs(std.b)
         else:
             self.basis, self.at_upper = start[0].copy(), start[1].copy()
+            self.Binv, self.xB = np.empty((m, m)), np.empty(m)
             self.pin_artificials()
         self.in_basis = np.zeros(n, dtype=bool)
         self.in_basis[self.basis] = True
@@ -320,20 +319,19 @@ class _Simplex:
     # -- linear algebra maintenance ---------------------------------------
 
     def _refactor(self) -> None:
-        B = self.std.A[:, self.basis]
+        """Invert the basis afresh and recompute the basic values, both in
+        place, so that local aliases of `Binv` and `xB` stay current."""
+        A = self.std.A
         try:
-            self.Binv = np.linalg.inv(B)
+            self.Binv[...] = np.linalg.inv(A[:, self.basis])
         except np.linalg.LinAlgError as exc:
             raise SolverStallError("basis became singular") from exc
-        self._recompute_xb()
-        self.pivots_since_refactor = 0
-
-    def _recompute_xb(self) -> None:
-        rhs = self.std.b.copy()
+        rhs = self.std.b
         upper_cols = np.flatnonzero(~self.in_basis & self.at_upper)
         if upper_cols.size:
-            rhs = rhs - self.std.A[:, upper_cols] @ self.u[upper_cols]
-        self.xB = self.Binv @ rhs
+            rhs = rhs - A[:, upper_cols] @ self.u[upper_cols]
+        self.xB[...] = self.Binv @ rhs
+        self.pivots_since_refactor = 0
 
     def _update_inverse(self, leave_pos: int, col: np.ndarray) -> None:
         """Rank-1 update of `Binv` after `col` (the entering column times
@@ -352,8 +350,10 @@ class _Simplex:
 
     # -- main loop ---------------------------------------------------------
 
-    def run(self, c: np.ndarray, phase: int, max_iter: int) -> None:
-        """Minimize c over the current basis state (phase body).
+    def run(self, c: np.ndarray, phase: int, max_iter: int) -> bool:
+        """Minimize c over the current basis state (phase body).  Returns
+        True at an optimum and False when a column can improve c without
+        bound (an unbounded ray).
 
         Phase 1 prices every column and stops as soon as no basic
         artificial is positive.  Phase 2 prices the real columns only: the
@@ -379,17 +379,16 @@ class _Simplex:
             # objective, their sum, is bounded below by 0.  cB is 1 exactly
             # on the basic artificials and 0 elsewhere.
             if phase == 1 and not (cB * xB).max() > 0.0:
-                return
+                return True
             self.iterations += 1
             if self.iterations > max_iter:
                 raise SolverStallError(f"simplex exceeded {max_iter} iterations")
             if self.pivots_since_refactor >= REFACTOR_EVERY:
                 self._refactor()
-                Binv, xB = self.Binv, self.xB
             score = (c_price - (cB @ Binv) @ A_price) * d_price
             j = int((score > COST_TOL).argmax() if self.bland else score.argmax())
             if not score[j] > COST_TOL:
-                return
+                return True
             from_upper = bool(at_upper[j])
             col = Binv @ A[:, j]
             # Rate of change of the basic variables per unit step of x_j
@@ -413,7 +412,7 @@ class _Simplex:
                     ties = ties[size == size.max()]
                 leave_pos = int(ties[basis[ties].argmin()] if ties.size > 1 else ties[0])
             if t == INF:
-                raise _UnboundedPhase()
+                return False
             if t <= 1e-11:
                 self.degenerate_run += 1
                 if self.degenerate_run >= DEGENERATE_RUN_LIMIT:
@@ -439,7 +438,6 @@ class _Simplex:
             ubB[leave_pos] = ub[j]
             xB[leave_pos] = (ub[j] - t) if from_upper else t
             self._update_inverse(leave_pos, col)
-            Binv, xB = self.Binv, self.xB
 
     def dual(self, max_iter: int) -> bool:
         """Bounded dual simplex from a warm start: pivot until every basic
@@ -460,11 +458,11 @@ class _Simplex:
         A_real, c_real = A[:, :n], c[:n]
         basis, in_basis, at_upper = self.basis, self.in_basis, self.at_upper
         movable = u[:n] > PIVOT_TOL
+        Binv, xB = self.Binv, self.xB
         self._refactor()
         while True:
             if self.pivots_since_refactor >= REFACTOR_EVERY:
                 self._refactor()
-            Binv, xB = self.Binv, self.xB
             below, above = -xB, xB - u[basis]
             viol = np.maximum(below, above)
             r = int(viol.argmax())
@@ -510,67 +508,6 @@ class _Simplex:
             self._update_inverse(r, col)
 
 
-class _UnboundedPhase(Exception):
-    pass
-
-
-def _solve_standardized(std: _Standardized, start: _Basis | None = None
-                        ) -> tuple[str, np.ndarray | None, np.ndarray | None, tuple[int, int],
-                                   _Basis | None]:
-    """Returns (status, column values, duals y, pivots per phase, final
-    basis state) for the internal min problem; the state is None unless
-    optimal.  With `start`, an optimal basis state of this form under other
-    bounds, the dual simplex re-solves from it; if that stalls, the solve
-    runs cold instead."""
-    m = std.m
-    if std.infeasible_box:
-        return "infeasible", None, None, (0, 0), None
-    if m == 0:
-        # Only bounds: minimize each cost coordinate independently.
-        if np.any((std.c < 0) & (std.u == INF)):
-            return "unbounded", None, None, (0, 0), None
-        return "optimal", np.where(std.c < 0, std.u, 0.0), np.zeros(0), (0, 0), None
-
-    max_iter = 2000 + 60 * (std.m + std.ncols)
-    if start is not None:
-        sx = _Simplex(std, start)
-        try:
-            feasible = sx.dual(max_iter)
-        except SolverStallError:
-            # The one fallback: solve cold on the same form.
-            status, x, y, (p1, p2), state = _solve_standardized(std)
-            return status, x, y, (p1, p2 + sx.pivots[1]), state
-        if not feasible:
-            return "infeasible", None, None, tuple(sx.pivots), None
-    else:
-        sx = _Simplex(std)
-        # Phase 1: drive artificials to zero.
-        c1 = np.zeros(std.ncols)
-        c1[std.n_real:] = 1.0
-        try:
-            sx.run(c1, 1, max_iter)
-        except _UnboundedPhase:  # pragma: no cover - phase 1 is bounded below
-            raise SolverStallError("phase 1 reported unbounded")
-        art_value = float(np.sum(sx.xB[np.flatnonzero(sx.basis >= std.n_real)]))
-        scale = 1.0 + float(np.max(np.abs(std.b)))
-        if art_value > FEAS_TOL * scale:
-            return "infeasible", None, None, tuple(sx.pivots), None
-        sx.pin_artificials()
-
-    try:
-        sx.run(std.c, 2, max_iter)
-    except _UnboundedPhase:
-        return "unbounded", None, None, tuple(sx.pivots), None
-
-    x = np.zeros(std.ncols)
-    nonbasic_upper = np.flatnonzero(~sx.in_basis & sx.at_upper)
-    x[nonbasic_upper] = sx.u[nonbasic_upper]
-    sx._refactor()  # exact solve before reporting
-    x[sx.basis] = sx.xB
-    y = std.c[sx.basis] @ sx.Binv
-    return "optimal", x, y, tuple(sx.pivots), (sx.basis, sx.at_upper)
-
-
 def solve_lp(lp: LinearProgram) -> Solution:
     """Solve an LP (no binaries) to optimality, returning primal and duals."""
     if lp.binary_vars():
@@ -580,18 +517,59 @@ def solve_lp(lp: LinearProgram) -> Solution:
 
 def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Basis | None = None
                       ) -> tuple[Solution, _Basis | None]:
-    """Solve `lp` under the bounds `std` was last given, cold or from the
-    basis state `start`; returns the solution and its final basis state."""
-    status, x, y, pivots, state = _solve_standardized(std, start)
-    if status != "optimal":
-        return Solution(status=status, objective=math.nan, primal={}, duals=None,
-                        pivots=pivots), None
+    """Solve `lp` under the bounds `std` was last given; returns the solution
+    and, when it is optimal and has rows, its final basis state.
+
+    Cold, phase 1 runs from the all-artificial basis and phase 2 finishes.
+    With `start`, an optimal basis state of this form under other bounds,
+    the dual simplex re-solves from it and phase 2 finishes; if the dual
+    loop stalls, the form is solved cold instead and its pivots count as
+    phase 2 of that cold solve.
+    """
+    if std.infeasible_box:
+        return Solution("infeasible", math.nan, {}), None
+    if std.m == 0:
+        # Only bounds: minimize each cost coordinate independently.
+        if np.any((std.c < 0) & (std.u == INF)):
+            return Solution("unbounded", math.nan, {}), None
+        x, y, state, pivots = np.where(std.c < 0, std.u, 0.0), np.zeros(0), None, (0, 0)
+    else:
+        max_iter = 2000 + 60 * (std.m + std.ncols)
+        sx = _Simplex(std, start)
+        if start is not None:
+            try:
+                feasible = sx.dual(max_iter)
+            except SolverStallError:
+                # The one fallback: solve cold on the same form.
+                sol, state = _solve_relaxation(lp, std)
+                sol.pivots = (sol.pivots[0], sol.pivots[1] + sx.pivots[1])
+                return sol, state
+        else:
+            # Phase 1: drive artificials to zero.
+            c1 = np.zeros(std.ncols)
+            c1[std.n_real:] = 1.0
+            if not sx.run(c1, 1, max_iter):  # pragma: no cover - bounded below by 0
+                raise SolverStallError("phase 1 reported unbounded")
+            art_value = float(np.sum(sx.xB[np.flatnonzero(sx.basis >= std.n_real)]))
+            feasible = not art_value > FEAS_TOL * (1.0 + float(np.max(np.abs(std.b))))
+            sx.pin_artificials()
+        if not feasible:
+            return Solution("infeasible", math.nan, {}, pivots=tuple(sx.pivots)), None
+        if not sx.run(std.c, 2, max_iter):
+            return Solution("unbounded", math.nan, {}, pivots=tuple(sx.pivots)), None
+        x = np.zeros(std.ncols)
+        nonbasic_upper = np.flatnonzero(~sx.in_basis & sx.at_upper)
+        x[nonbasic_upper] = sx.u[nonbasic_upper]
+        sx._refactor()  # exact solve before reporting
+        x[sx.basis] = sx.xB
+        y = std.c[sx.basis] @ sx.Binv
+        state, pivots = (sx.basis, sx.at_upper), tuple(sx.pivots)
+
     values = std.shift + std.col_sign * x[std.pos_col]
     values[std.free] = x[std.pos_col[std.free]] - x[std.neg_col[std.free]]
     primal = dict(zip((v.name for v in lp._vars), values.tolist()))
-    obj = lp._obj_const + sum(coef * primal[lp._vars[j].name] for j, coef in lp._obj.items())
-    return Solution(status="optimal", objective=float(obj), primal=primal,
-                    duals=(std.obj_sign * y).tolist(), pivots=pivots), state
+    obj = sum(coef * primal[lp._vars[j].name] for j, coef in lp._obj.items())
+    return Solution("optimal", float(obj), primal, (std.obj_sign * y).tolist(), pivots), state
 
 
 def dual_objective(lp: LinearProgram, sol: Solution) -> float:
@@ -602,7 +580,7 @@ def dual_objective(lp: LinearProgram, sol: Solution) -> float:
     """
     if sol.duals is None:
         raise ValueError("solution carries no duals")
-    total = lp._obj_const
+    total = 0.0
     for dual, row in zip(sol.duals, lp._rows):
         total += dual * row.rhs
     # Bound contributions come from reduced costs of variables pinned at a
@@ -649,9 +627,7 @@ def solve_mip(lp: LinearProgram, node_budget: int = 100_000,
     std = _Standardized(lp)
     root, root_state = _solve_relaxation(lp, std)
     if root.status != "optimal":
-        return Solution(status=root.status, objective=math.nan, primal={}, pivots=root.pivots)
-    if not sign * root.objective < best - 1e-9:
-        return Solution(status="infeasible", objective=math.nan, primal={}, pivots=root.pivots)
+        return root
     pivots = list(root.pivots)
 
     incumbent: Solution | None = None

@@ -89,19 +89,12 @@ class ProbabilisticInstance:
                     out[pair] = (total + d, shares)
         return out
 
-    def live_tunnels(self, pair: Pair, scenario: Scenario) -> list[Tunnel]:
-        topo = self.instance.topology
-        return [t for t in self.instance.tunnels_for(*pair)
-                if tunnel_alive(topo, t, scenario)]
-
-    def unit_connected(self, unit: ProbUnit, scenario: Scenario) -> bool:
-        return all(self.live_tunnels(pair, scenario) for pair, d in unit.members if d > 0)
-
     @cached_property
     def live(self) -> list[dict[Pair, list[Tunnel]]]:
         """Per scenario index, each member pair's live tunnels."""
-        pairs = self.pairs()
-        return [{pair: self.live_tunnels(pair, sc) for pair in pairs} for sc in self.scenarios]
+        topo, pairs = self.instance.topology, self.pairs()
+        return [{pair: [t for t in self.instance.tunnels_for(*pair) if tunnel_alive(topo, t, sc)]
+                 for pair in pairs} for sc in self.scenarios]
 
     @cached_property
     def routed(self) -> list[list[Tunnel]]:
@@ -264,8 +257,7 @@ def cvar_of(losses: list[float], probs: list[float], beta: float) -> float:
     return var + excess / (1 - beta)
 
 
-def percentile_analysis(allocs: list[ScenarioAlloc], pinst: ProbabilisticInstance,
-                        beta: float | None = None) -> LossReport:
+def percentile_analysis(allocs: list[ScenarioAlloc], pinst: ProbabilisticInstance) -> LossReport:
     """Loss report for a routing, given per-unit losses in every scenario."""
     if len(allocs) != len(pinst.scenarios):
         raise ValueError("routing does not cover the scenario set")
@@ -273,18 +265,16 @@ def percentile_analysis(allocs: list[ScenarioAlloc], pinst: ProbabilisticInstanc
     flow_loss = {}
     for unit in pinst.units:
         losses = [a.unit_loss[unit.id] for a in allocs]
-        target = beta if beta is not None else unit.beta
         try:
-            flow_loss[unit.id] = percentile_of(losses, probs, target)
+            flow_loss[unit.id] = percentile_of(losses, probs, unit.beta)
         except InfeasibleTargetError:
-            raise InfeasibleTargetError(unit.id, sum(probs), target) from None
+            raise InfeasibleTargetError(unit.id, sum(probs), unit.beta) from None
     scen_loss = [max(a.unit_loss.values()) if a.unit_loss else 0.0 for a in allocs]
-    global_beta = beta if beta is not None else pinst.beta
     return LossReport(
         flow_loss=flow_loss,
         max_flow_pct_loss=max(flow_loss.values(), default=0.0),
         scen_loss=scen_loss,
-        scen_pct_loss=percentile_of(scen_loss, probs, global_beta),
+        scen_pct_loss=percentile_of(scen_loss, probs, pinst.beta),
     )
 
 
@@ -382,24 +372,21 @@ def solve_direct_mip(pinst: ProbabilisticInstance,
 
     A connectivity-based warm start (route every scenario for its connected
     units, then pick each unit's best scenarios) supplies an incumbent bound
-    so the search only explores strictly better selections.
+    so the search only explores strictly better selections.  Raises
+    InfeasibleTargetError, as the Benders loop does, when a unit is connected
+    in less probability mass than its target.
     """
+    check_availability(pinst)
     units = pinst.units
     Q = range(len(pinst.scenarios))
-
-    warm = None
-    try:
-        check_availability(pinst)
-        z0 = connectivity_selection(pinst)
-        warm_allocs = [
-            benders_subproblem(pinst, q, {u.id: z0[(u.id, q)] for u in units}).alloc
-            for q in Q
-        ]
-        warm_report = percentile_analysis(warm_allocs, pinst)
-        warm = (warm_allocs, CriticalSelection(selection_from_losses(pinst, warm_allocs)),
-                warm_report, _objective_value(pinst, warm_report))
-    except InfeasibleTargetError:
-        pass
+    z0 = connectivity_selection(pinst)
+    warm_allocs = [
+        benders_subproblem(pinst, q, {u.id: z0[(u.id, q)] for u in units}).alloc
+        for q in Q
+    ]
+    warm_report = percentile_analysis(warm_allocs, pinst)
+    warm = (warm_allocs, CriticalSelection(selection_from_losses(pinst, warm_allocs)),
+            warm_report, _objective_value(pinst, warm_report))
 
     lp = LinearProgram(name="pct-loss-mip")
     lp.add_var("alpha")
@@ -416,10 +403,9 @@ def solve_direct_mip(pinst: ProbabilisticInstance,
             lp.add_row({"alpha": 1.0, f"l::{u.id}::{q}": -1.0, f"z::{u.id}::{q}": -1.0},
                        ">=", -1.0 - u.threshold, name=f"lossbound:{u.id}:{q}")
     lp.set_objective({"alpha": 1.0}, "min")
-    cutoff = warm[3] if warm is not None else None
-    sol = solve_mip(lp, cutoff=cutoff)
+    sol = solve_mip(lp, cutoff=warm[3])
     if sol.status != "optimal":
-        if warm is not None and sol.status == "infeasible":
+        if sol.status == "infeasible":
             # nothing beats the warm start, so it is optimal
             return warm[0], warm[1], warm[2]
         raise RuntimeError(f"direct MIP reported {sol.status}")
@@ -427,7 +413,7 @@ def solve_direct_mip(pinst: ProbabilisticInstance,
     selection = CriticalSelection(
         {(u.id, q): round(sol.value(f"z::{u.id}::{q}")) * 1.0 for u in units for q in Q})
     report = percentile_analysis(allocs, pinst)
-    if warm is not None and warm[3] < _objective_value(pinst, report) - 1e-12:
+    if warm[3] < _objective_value(pinst, report) - 1e-12:
         return warm[0], warm[1], warm[2]
     return allocs, selection, report
 

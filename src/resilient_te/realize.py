@@ -11,13 +11,14 @@ local proportional splitting.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import TypeVar
 
 import numpy as np
 
 from .net import LogicalSequence, NetworkInstance, Scenario, Tunnel, sequence_active, tunnel_alive
-from .robust import LogicalFlowPlan, ReservationPlan
+from .robust import InternalModelError, LogicalFlowPlan, ReservationPlan
 
 Pair = tuple[str, str]
 Node = TypeVar("Node")
@@ -181,15 +182,13 @@ def jacobi_solve(M: np.ndarray, rhs: np.ndarray, max_iter: int = 100_000,
     return x
 
 
-def _solve_checked(matrix: ReservationMatrix, rhs: np.ndarray,
-                   method: str = "direct") -> np.ndarray:
+def _solve_checked(matrix: ReservationMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve the checked WCDD system for a demand vector, or for a matrix
     with one demand vector per column; every solution lies in [0, 1]."""
     _check_wcdd(matrix.matrix)
     if matrix.matrix.shape[0] == 0:
         return np.zeros_like(rhs, dtype=float)
-    solver = gaussian_solve if method == "direct" else jacobi_solve
-    U = solver(matrix.matrix, rhs)
+    U = gaussian_solve(matrix.matrix, rhs)
     residual = np.abs(matrix.matrix @ U - rhs).max(axis=0)
     if np.any(residual > RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs, axis=0))):
         raise MatrixNotWcddError(f"linear system residual {np.max(residual):.3e}")
@@ -198,14 +197,14 @@ def _solve_checked(matrix: ReservationMatrix, rhs: np.ndarray,
     return U
 
 
-def solve_reservation_system(matrix: ReservationMatrix, method: str = "direct",
+def solve_reservation_system(matrix: ReservationMatrix,
                              rhs: np.ndarray | None = None) -> dict[Pair, float]:
     """Utilization fraction of each pair's reservation; unique and in [0, 1].
 
     `rhs` defaults to the full demand vector; pass a per-destination or
     per-pair demand vector to apportion utilization.
     """
-    U = _solve_checked(matrix, matrix.demand if rhs is None else rhs, method)
+    U = _solve_checked(matrix, matrix.demand if rhs is None else rhs)
     return {pair: float(U[i]) for i, pair in enumerate(matrix.pairs)}
 
 
@@ -421,8 +420,6 @@ def widest_path_decompose(flow_plan: LogicalFlowPlan, tol: float = 1e-9) -> list
     Ties prefer fewer hops, then the lexicographically smallest node
     sequence.  A reserved flow with no path violates flow balance.
     """
-    import heapq
-
     out: list[LogicalSequence] = []
     for w in flow_plan.flows:
         b = flow_plan.reservation.get(w.id, 0.0)
@@ -452,8 +449,6 @@ def widest_path_decompose(flow_plan: LogicalFlowPlan, tol: float = 1e-9) -> list
                     continue
                 heapq.heappush(heap, (max(negb, -width), hops + 1, seq + (nxt,)))
         if best_path is None:
-            from .robust import InternalModelError
-
             raise InternalModelError(
                 f"flow {w.id} reserves {b} but has no segment path {s}->{t}")
         out.append(LogicalSequence(f"ls::{w.id}", s, t, best_path, condition=w.condition))

@@ -134,7 +134,7 @@ def test_select_tunnels_disconnected_pair_empty():
 
 def test_split_sublinks():
     inst = flow_example()
-    split = split_sublinks(inst.topology, inst)
+    split = split_sublinks(inst)
     assert len(split.topology.links) == 2 * len(inst.topology.links)
     for ln in split.topology.links:
         base = ln.id.rsplit("::", 1)[0]
@@ -220,6 +220,17 @@ def test_cli_flomore_and_analyze(capsys):
                  "--cutoff", "0"]) == 0
     out = capsys.readouterr().out
     assert "cvar,1.000000" in out
+
+
+def test_cli_flomore_solve_rejects_an_unreachable_target(capsys):
+    # flow-example connects f1 in less probability mass than 0.999999, so
+    # both percentile-loss solvers refuse the target
+    for method in ("solve", "benders"):
+        assert main(["--fixture", "flow-example", "flomore", method, "--beta", "0.999999",
+                     "--cutoff", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "InfeasibleTargetError" in captured.err
 
 
 def test_cli_report_csv_normalized(tmp_path):

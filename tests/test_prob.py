@@ -220,10 +220,11 @@ def test_flow_sets_use_worst_member():
     (unit,) = pinst.units
     assert unit.members == ((("A", "C"), 1.0), (("A", "D"), 1.0))
     # the set is only connected when every member is
-    down = next(sc for sc in scens if sc.failed_links == {"A-D"})
-    assert pinst.unit_connected(unit, down)  # f2 still reachable via the long path
-    cut_off = next(sc for sc in scens if sc.failed_links == {"A-B", "A-D"})
-    assert not pinst.unit_connected(unit, cut_off)
+    down = next(q for q, sc in enumerate(pinst.scenarios) if sc.failed_links == {"A-D"})
+    assert pinst.connected[(unit.id, down)]  # f2 still reachable via the long path
+    cut_off = next(q for q, sc in enumerate(pinst.scenarios)
+                   if sc.failed_links == {"A-B", "A-D"})
+    assert not pinst.connected[(unit.id, cut_off)]
     _, _, report = solve_direct_mip(pinst)
     # both flows must be served through one shared scenario set: the A-D
     # failure group forces sharing, so zero loss is no longer attainable
@@ -291,6 +292,8 @@ def test_master_infeasible_target():
         check_availability(pinst)
     with pytest.raises(InfeasibleTargetError):
         benders_run(pinst, 3)
+    with pytest.raises(InfeasibleTargetError):
+        solve_direct_mip(pinst)
 
 
 def test_benders_reaches_direct_optimum_on_flow_example():
