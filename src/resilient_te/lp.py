@@ -30,6 +30,14 @@ its bounds, phase 2 finishes the solve; it stops at once on an optimal
 basis.  If the dual loop reaches the iteration cap or a singular basis, the
 child is solved cold on the same form instead.
 
+An LP solve can be warm too: `solve_lp(lp, start=sol)` re-solves `lp` from
+the final basis of `sol`, an optimal solution of an LP with the same
+variables, rows and objective (`LinearProgram.with_bounds` makes one).  Only
+the bounds may differ, and not in which variables have lb = -inf nor, among
+those, which have a finite ub: these decide the column layout.  The re-solve
+reuses the compiled form of `sol`'s LP under the new bounds and runs the
+same dual simplex, phase 2 and cold fallback as a B&B child.
+
 `Solution.pivots` counts basis changes and bound flips per phase; dual
 pivots count as phase 2, and a MIP reports the sum over its tree.
 
@@ -39,6 +47,7 @@ tuned beyond that.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -140,8 +149,25 @@ class LinearProgram:
         return [v.name for v in self._vars if v.binary]
 
     def set_bounds(self, name: str, lb: float, ub: float) -> None:
-        v = self._vars[self._index[name]]
-        v.lb, v.ub = lb, ub
+        # A new `_Var`, since a `with_bounds` copy may share the old one.
+        j = self._index[name]
+        self._vars[j] = _Var(name, lb, ub, self._vars[j].binary)
+
+    def with_bounds(self, bounds: dict[str, tuple[float, float]]) -> LinearProgram:
+        """A copy of this LP with the named variables' (lb, ub) replaced.
+
+        It shares its row objects with this LP, so a solution of either is a
+        cheap `solve_lp` start for the other; neither LP is changed later by
+        edits to the other.
+        """
+        out = LinearProgram(self.name, list(self._vars), dict(self._index), list(self._rows),
+                            dict(self._obj), self.sense)
+        for name, (lb, ub) in bounds.items():
+            j = self._index[name]
+            if lb > ub:
+                raise ValueError(f"variable {name!r} has lb > ub")
+            out._vars[j] = _Var(name, lb, ub, self._vars[j].binary)
+        return out
 
     def to_lp_text(self) -> str:
         """CPLEX-LP-style dump for external cross-checking."""
@@ -192,6 +218,9 @@ class Solution:
     #: over every relaxation of its tree.  Dual simplex pivots count as
     #: phase 2.
     pivots: tuple[int, int] = (0, 0)
+    #: Opaque: what `solve_lp(..., start=)` re-solves from.  `solve_lp` sets
+    #: it on optimal solutions of LPs with at least one row; None otherwise.
+    basis: _Start | None = field(default=None, compare=False, repr=False)
 
     def __getitem__(self, var: str) -> float:
         return self.primal[var]
@@ -259,10 +288,17 @@ class _Standardized:
         split = self.free[oj]
         c[self.neg_col[oj[split]]] -= ov[split]
         self.c = c
+        #: Index of each row's artificial entry in `A`
+        self.diagonal = np.arange(m), self.n_real + np.arange(m)
         self.bound(self.lb, self.ub)
 
     def bound(self, lb: np.ndarray, ub: np.ndarray) -> None:
         """Set the shifts, `b`, `u` and artificial signs for these bounds."""
+        self._shift(lb, ub)
+        self.A[self.diagonal] = np.where(self.b >= 0, 1.0, -1.0)
+
+    def _shift(self, lb: np.ndarray, ub: np.ndarray) -> None:
+        """Set the shifts, `b` and `u` for these bounds."""
         self.infeasible_box = bool(np.any(lb > ub + 1e-12))
         self.shift = np.where(self.free, 0.0, np.where(self.reflected, ub, lb))
         self.u = np.full(self.ncols, INF)
@@ -272,11 +308,45 @@ class _Standardized:
         nz = np.flatnonzero(shifted)
         np.subtract.at(b, self.ri[nz], self.cv[nz] * shifted[nz])
         self.b = b
-        self.A[np.arange(self.m), self.n_real + np.arange(self.m)] = np.where(b >= 0, 1.0, -1.0)
+
+    def rebound(self, lb: np.ndarray, ub: np.ndarray) -> _Standardized:
+        """A copy of this form under other bounds; this form is left as it
+        was.  Raises ValueError when the bounds need another column layout
+        (see `free` and `reflected`)."""
+        no_lb = lb == -INF
+        if not (np.array_equal(no_lb & (ub == INF), self.free)
+                and np.array_equal(no_lb & (ub != INF), self.reflected)):
+            raise ValueError("start was compiled with other infinite bounds")
+        new = copy.copy(self)
+        new.lb, new.ub = lb, ub
+        new._shift(lb, ub)
+        signs = np.where(new.b >= 0, 1.0, -1.0)
+        if not np.array_equal(self.A[self.diagonal], signs):
+            # The copy shares `A` until its artificial signs differ.
+            new.A = self.A.copy()
+            new.A[self.diagonal] = signs
+        return new
 
 
 #: A basis state of one compiled form: (basis columns, nonbasic-at-upper mask).
 _Basis = tuple[np.ndarray, np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
+class _Start:
+    """An optimal LP solve, kept for warm re-solves: the LP's shape (see
+    `_shape`), its compiled form and the final basis state.  Nothing writes
+    to it; a re-solve copies what it changes."""
+
+    shape: tuple
+    std: _Standardized
+    state: _Basis
+
+
+def _shape(lp: LinearProgram) -> tuple:
+    """What a warm start requires to be equal: variable names, rows and
+    objective."""
+    return tuple(v.name for v in lp._vars), tuple(lp._rows), lp._obj, lp.sense
 
 
 class _Simplex:
@@ -303,6 +373,9 @@ class _Simplex:
             self.xB = np.abs(std.b)
         else:
             self.basis, self.at_upper = start[0].copy(), start[1].copy()
+            # A column whose upper bound is now infinite starts at its lower
+            # bound; phase 2 repairs the reduced cost this may leave wrong.
+            self.at_upper &= self.u < INF
             self.Binv, self.xB = np.empty((m, m)), np.empty(m)
             self.pin_artificials()
         self.in_basis = np.zeros(n, dtype=bool)
@@ -508,11 +581,31 @@ class _Simplex:
             self._update_inverse(r, col)
 
 
-def solve_lp(lp: LinearProgram) -> Solution:
-    """Solve an LP (no binaries) to optimality, returning primal and duals."""
+def solve_lp(lp: LinearProgram, start: Solution | None = None) -> Solution:
+    """Solve an LP (no binaries) to optimality, returning primal and duals.
+
+    With `start`, an optimal `solve_lp` solution of an LP with the same
+    variables, rows and objective, `lp` is re-solved warm from its basis
+    (see the module docstring); a `start` without a basis or of another
+    LP raises ValueError.
+    """
     if lp.binary_vars():
         raise ValueError("solve_lp requires a pure LP; use solve_mip")
-    return _solve_relaxation(lp, _Standardized(lp))[0]
+    shape = _shape(lp)
+    if start is None:
+        std = _Standardized(lp)
+        sol, state = _solve_relaxation(lp, std)
+    else:
+        warm = start.basis
+        if warm is None or warm.shape != shape:
+            raise ValueError("start is not an optimal solution of an LP with these rows and columns")
+        lb = np.array([v.lb for v in lp._vars], dtype=float)
+        ub = np.array([v.ub for v in lp._vars], dtype=float)
+        std = warm.std.rebound(lb, ub)
+        sol, state = _solve_relaxation(lp, std, warm.state)
+    if state is not None:
+        sol.basis = _Start(shape, std, state)
+    return sol
 
 
 def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Basis | None = None

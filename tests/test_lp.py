@@ -604,3 +604,62 @@ def test_degenerate_flow_lps_match_external_reference():
             assert sol.objective == pytest.approx(ref.fun, abs=1e-6)
             assert dual_objective(lp, sol) == pytest.approx(sol.objective, abs=1e-6)
     assert statuses.count("optimal") > 100 and "infeasible" in statuses
+
+
+def test_warm_lp_resolves_after_bound_edits_match_a_cold_solve():
+    # `solve_lp(edited, start=base)` re-solves from the base solution's
+    # basis on its compiled form; it must agree with a cold solve of the
+    # edited LP and leave the base solution's state as it found it.  Raised
+    # lower bounds turn some balance rows' shifted rhs negative, which flips
+    # their artificial columns' signs: the re-solve must then write them in
+    # its own copy of `A`, never in the base form's.
+    rng = np.random.default_rng(11)
+    statuses, flipped = [], 0
+    for _ in range(120):
+        lp, *_ = _flow_lp(rng)
+        base = solve_lp(lp)
+        if base.status != "optimal":
+            continue
+        kept = [a.copy() for a in base.basis.state] + [base.basis.std.A.copy()]
+        names = [v.name for v in lp._vars]
+        for raise_lb in (False, True, False, True):
+            edits = {}
+            for name in rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False):
+                ub = float(rng.choice([0.0, 0.5, 1.0, 2.5, INF]))
+                lb = min(ub, float(rng.choice([0.0, 0.5, 1.0]))) if raise_lb else 0.0
+                edits[str(name)] = (lb, ub)
+            edited = lp.with_bounds(edits)
+            warm, cold = solve_lp(edited, start=base), solve_lp(edited)
+            assert warm.status == cold.status
+            statuses.append(warm.status)
+            if warm.status == "optimal":
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+                flipped += warm.basis.std.A is not base.basis.std.A
+        for before, after in zip(kept, list(base.basis.state) + [base.basis.std.A]):
+            np.testing.assert_array_equal(before, after)
+    assert statuses.count("optimal") > 150 and statuses.count("infeasible") > 20
+    assert flipped > 20
+
+
+def test_warm_lp_start_must_come_from_an_lp_with_the_same_rows_and_columns():
+    rng = np.random.default_rng(12)
+    lp, *_ = _flow_lp(rng)
+    base = solve_lp(lp)
+    assert base.status == "optimal" and base.basis is not None
+    other, *_ = _flow_lp(rng)
+    with pytest.raises(ValueError):
+        solve_lp(other, start=base)
+    grown = lp.with_bounds({})
+    grown.add_var("extra")
+    with pytest.raises(ValueError):
+        solve_lp(grown, start=base)
+    # A free lower bound needs another column layout.
+    with pytest.raises(ValueError):
+        solve_lp(lp.with_bounds({"f0": (-INF, 1.0)}), start=base)
+    with pytest.raises(ValueError):
+        solve_lp(lp, start=solve_mip(_branching_mip()))
+    copy_lp = lp.with_bounds({})
+    copy_lp.set_bounds("f0", 0.0, 0.0)
+    assert lp._vars[0].ub > 0.0
+    assert solve_lp(copy_lp, start=base).status == "optimal"
+    assert solve_lp(lp.with_bounds({}), start=base).objective == base.objective

@@ -1,11 +1,13 @@
 import dataclasses
+import math
 
 import pytest
 
 from resilient_te import oracle
+from resilient_te.cli import FIXTURES, main
 from resilient_te.fixtures import flow_example, four_tunnel_example, hint_example, parallel_example
-from resilient_te.lp import solve_lp
-from resilient_te.net import Scenario, UnknownLinkError
+from resilient_te.lp import Solution, SolverStallError, solve_lp
+from resilient_te.net import Scenario, UnknownLinkError, enumerate_scenarios
 from resilient_te.oracle import generalized_family, solve_mcf, worst_case_optimal
 
 
@@ -19,20 +21,29 @@ def test_mcf_hand_flow_after_one_failure():
 
 
 def test_mcf_phase_one_stops_when_no_artificial_is_positive(monkeypatch):
-    # The balance rows have rhs 0, so their artificials start at 0 and phase
-    # 1 only has to price out the capacity rows.  Running phase 1 until no
-    # column prices out took 10 pivots on this LP.
+    # The intact MCF is solved cold once.  Its balance rows have rhs 0, so
+    # their artificials start at 0 and phase 1 only has to price out the
+    # capacity rows; running phase 1 until no column prices out took 10
+    # pivots on this LP.  The no-failure scenario reads that solution; a
+    # scenario with a failed link re-solves warm from its basis, through
+    # `oracle.solve_lp`, and runs no phase 1 at all.
     sols = []
 
-    def capture(lp):
-        sols.append(solve_lp(lp))
+    def capture(lp, start=None):
+        sols.append(solve_lp(lp, start=start))
         return sols[-1]
 
     monkeypatch.setattr(oracle, "solve_lp", capture)
-    res = solve_mcf(flow_example(), Scenario(frozenset()), "throughput")
-    (sol,) = sols
+    inst = flow_example()
+    res = solve_mcf(inst, Scenario(frozenset()), "throughput")
+    intact = oracle._intact_mcf(inst, "throughput").solution
     assert res.objective == pytest.approx(2.0)
-    assert sol.pivots[0] <= 10
+    assert intact.pivots[0] <= 10
+    assert sols == []
+    failed = solve_mcf(inst, Scenario(frozenset({inst.topology.links[0].id})), "throughput")
+    (sol,) = sols
+    assert sol.pivots[0] == 0
+    assert failed.objective <= res.objective + 1e-9
 
 
 def test_mcf_without_demand_builds_no_lp(monkeypatch):
@@ -122,3 +133,65 @@ def test_disconnected_pair_yields_zero():
     res2 = solve_mcf(inst, Scenario(frozenset({"e1", "e2", "e3"})), "demand_scale")
     assert res2.objective == pytest.approx(0.0)
 
+
+def _fixture_scenarios():
+    for name, make in sorted(FIXTURES.items()):
+        inst = make()
+        if inst.demands:
+            yield name, inst, enumerate_scenarios(inst.topology, 2)
+
+
+@pytest.mark.parametrize("objective", ["throughput", "demand_scale"])
+def test_warm_scenarios_match_a_cold_solve(monkeypatch, objective):
+    # Every scenario re-solves warm from the intact basis; a cold solve of
+    # the same bounds-edited LP must give the same objective, and no flow
+    # may be reported on a failed link.
+    for name, inst, scenarios in _fixture_scenarios():
+        warm = [solve_mcf(inst, sc, objective) for sc in scenarios]
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "solve_lp", lambda lp, start=None: solve_lp(lp))
+            cold = [solve_mcf(inst, sc, objective) for sc in scenarios]
+        for sc, w, c in zip(scenarios, warm, cold):
+            assert w.objective == pytest.approx(c.objective, abs=1e-9), (name, sc)
+            assert not {lid for (_, lid, _) in w.flow} & sc.failed_links, (name, sc)
+
+
+def test_flow_on_a_failed_link_is_never_reported(monkeypatch):
+    # A failed link's arcs can stay basic at a value within the feasibility
+    # tolerance (on one oracle-sweep instance, 42 of them at up to 1e-15);
+    # they carry no flow.
+    def noisy(lp, start=None):
+        sol = solve_lp(lp, start=start)
+        for v in lp._vars:
+            if v.ub == 0.0:
+                sol.primal[v.name] = 1e-8
+        return sol
+
+    monkeypatch.setattr(oracle, "solve_lp", noisy)
+    inst = four_tunnel_example()
+    for sc in enumerate_scenarios(inst.topology, 2):
+        res = solve_mcf(inst, sc, "throughput")
+        assert not {lid for (_, lid, _) in res.flow} & sc.failed_links
+
+
+def test_mcf_results_do_not_depend_on_call_order():
+    # Each scenario starts from the intact basis, never from the previous
+    # scenario's, so the order of calls and a rebuilt memo change no bit.
+    for name, inst, scenarios in _fixture_scenarios():
+        for objective in ("throughput", "demand_scale"):
+            forward = [repr(solve_mcf(inst, sc, objective)) for sc in scenarios]
+            backward = [repr(solve_mcf(inst, sc, objective)) for sc in reversed(scenarios)]
+            oracle._intact_mcf.cache_clear()
+            rebuilt = [repr(solve_mcf(inst, sc, objective)) for sc in scenarios]
+            assert forward == backward[::-1] == rebuilt, (name, objective)
+
+
+def test_mcf_solve_that_is_not_optimal_is_a_solver_error(monkeypatch, capsys):
+    # A scenario LP that comes back non-optimal is numerical trouble, which
+    # the CLI reports with exit code 2.
+    monkeypatch.setattr(oracle, "solve_lp", lambda lp, start=None: Solution("infeasible", math.nan, {}))
+    inst = flow_example()
+    with pytest.raises(SolverStallError):
+        solve_mcf(inst, Scenario(frozenset({inst.topology.links[0].id})), "throughput")
+    assert main(["--fixture", "four-tunnel", "oracle", "--k", "1"]) == 2
+    assert capsys.readouterr().out == ""
