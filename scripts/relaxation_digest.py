@@ -7,11 +7,11 @@ Runs one `perfbench/run.py --seconds 0 --trace 0` pass of the workload in
 this process, with `lp._solve_relaxation` wrapped, and prints the number of
 relaxations solved and a sha256 over their results.  Each result is
 serialized as its status, pivots, the `float.hex` of its objective, primal
-names and values and duals, and the bytes of its final basis state.  Two
-checkouts that print the same line solved every relaxation identically:
-same pivots, same vertex, same basis.  A relaxation solved from inside
-another (the cold fallback of a warm start) is part of the outer result and
-is not counted on its own.
+names and values and duals, and the bytes of its final basis state (basis
+columns and at-upper mask).  Two checkouts that print the same line solved
+every relaxation identically: same pivots, same vertex, same basis.  A
+relaxation solved from inside another (the cold fallback of a warm start)
+is part of the outer result and is not counted on its own.
 """
 
 from __future__ import annotations
@@ -38,8 +38,10 @@ def serialize(result) -> bytes:
     parts += [float.hex(y) for y in sol.duals or ()]
     out = "\n".join(parts).encode()
     if state is not None:
-        basis, at_upper = state
-        out += b"\nbasis" + basis.astype("<i8").tobytes() + b"\nat_upper" + at_upper.tobytes()
+        # The basis and its at-upper mask only: an inverse cached on the
+        # state depends on which later solves started from it.
+        out += (b"\nbasis" + state.basis.astype("<i8").tobytes()
+                + b"\nat_upper" + state.at_upper.tobytes())
     return out + b"\n--\n"
 
 

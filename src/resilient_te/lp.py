@@ -38,6 +38,11 @@ those, which have a finite ub: these decide the column layout.  The re-solve
 reuses the compiled form of `sol`'s LP under the new bounds and runs the
 same dual simplex, phase 2 and cold fallback as a B&B child.
 
+The first warm start from a basis state caches its exact entry inverse on
+the state, with the signs of its basic artificials; later ones copy it while
+those signs agree, so a B&B node's two children, or all re-solves from one
+`solve_lp` start, factor it once.  States no warm start used hold none.
+
 `Solution.pivots` counts basis changes and bound flips per phase; dual
 pivots count as phase 2, and a MIP reports the sum over its tree.
 
@@ -84,6 +89,12 @@ class _Var:
     ub: float
     binary: bool = False
 
+    def __post_init__(self):
+        if self.binary:
+            self.lb, self.ub = max(self.lb, 0.0), min(self.ub, 1.0)
+        if self.lb > self.ub:
+            raise ValueError(f"variable {self.name!r} has lb > ub")
+
 
 @dataclass
 class _Row:
@@ -98,7 +109,8 @@ class LinearProgram:
     """A mutable builder for LPs and MIPs.
 
     Variables are referenced by name in row/objective coefficient maps.
-    Binary variables must have bounds inside [0, 1].
+    A binary's bounds are clamped to [0, 1]; lb > ub raises ValueError,
+    whether the bounds are declared or edited.
     """
 
     name: str = "lp"
@@ -111,12 +123,8 @@ class LinearProgram:
     def add_var(self, name: str, lb: float = 0.0, ub: float = INF, binary: bool = False) -> str:
         if name in self._index:
             raise ValueError(f"variable {name!r} already declared")
-        if binary:
-            lb, ub = max(lb, 0.0), min(ub, 1.0)
-        if lb > ub:
-            raise ValueError(f"variable {name!r} has lb > ub")
-        self._index[name] = len(self._vars)
         self._vars.append(_Var(name, lb, ub, binary))
+        self._index[name] = len(self._vars) - 1
         return name
 
     def add_row(self, coeffs: dict[str, float], sense: str, rhs: float, name: str = "") -> int:
@@ -164,8 +172,6 @@ class LinearProgram:
                             dict(self._obj), self.sense)
         for name, (lb, ub) in bounds.items():
             j = self._index[name]
-            if lb > ub:
-                raise ValueError(f"variable {name!r} has lb > ub")
             out._vars[j] = _Var(name, lb, ub, self._vars[j].binary)
         return out
 
@@ -328,15 +334,23 @@ class _Standardized:
         return new
 
 
-#: A basis state of one compiled form: (basis columns, nonbasic-at-upper mask).
-_Basis = tuple[np.ndarray, np.ndarray]
+@dataclass(eq=False)
+class _Basis:
+    """A basis state of one compiled form.  `factor`, None until a warm
+    start from it inverts its basis, then holds (basic artificial signs,
+    exact inverse under those signs)."""
+
+    basis: np.ndarray
+    at_upper: np.ndarray
+    factor: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class _Start:
     """An optimal LP solve, kept for warm re-solves: the LP's shape (see
-    `_shape`), its compiled form and the final basis state.  Nothing writes
-    to it; a re-solve copies what it changes."""
+    `_shape`), its compiled form and the final basis state.  A re-solve
+    copies what it changes; the only write is the state's `factor`, set
+    once to an exact inverse."""
 
     shape: tuple
     std: _Standardized
@@ -351,10 +365,11 @@ def _shape(lp: LinearProgram) -> tuple:
 
 class _Simplex:
     def __init__(self, std: _Standardized, start: _Basis | None = None):
-        """Cold: the all-artificial basis.  Warm: `start` is a (basis,
-        at_upper) state of an earlier solve on this form, with the
-        artificials pinned as in phase 2; `dual` refactors it."""
+        """Cold: the all-artificial basis.  Warm: `start` is a basis state
+        of an earlier solve on this form, with the artificials pinned as in
+        phase 2; `dual` refactors it."""
         self.std = std
+        self.start = start
         m, n = std.m, std.ncols
         # Per-solve copy of the column upper bounds: phase 2 pins the
         # artificials here, not in the compiled form.
@@ -372,7 +387,7 @@ class _Simplex:
             self.Binv = np.diag(np.where(std.b >= 0, 1.0, -1.0))
             self.xB = np.abs(std.b)
         else:
-            self.basis, self.at_upper = start[0].copy(), start[1].copy()
+            self.basis, self.at_upper = start.basis.copy(), start.at_upper.copy()
             # A column whose upper bound is now infinite starts at its lower
             # bound; phase 2 repairs the reduced cost this may leave wrong.
             self.at_upper &= self.u < INF
@@ -391,14 +406,24 @@ class _Simplex:
 
     # -- linear algebra maintenance ---------------------------------------
 
-    def _refactor(self) -> None:
+    def _refactor(self, start: _Basis | None = None) -> None:
         """Invert the basis afresh and recompute the basic values, both in
-        place, so that local aliases of `Binv` and `xB` stay current."""
-        A = self.std.A
-        try:
-            self.Binv[...] = np.linalg.inv(A[:, self.basis])
-        except np.linalg.LinAlgError as exc:
-            raise SolverStallError("basis became singular") from exc
+        place, so that local aliases of `Binv` and `xB` stay current.  With
+        `start`, the state this basis was copied from, the inverse is cached
+        on it once and copied from it while the basic artificials' signs
+        agree."""
+        A, n_real = self.std.A, self.std.n_real
+        arts = self.basis[self.basis >= n_real]
+        signs = A[arts - n_real, arts]
+        factor = start.factor if start is not None else None
+        if factor is None or not np.array_equal(factor[0], signs):
+            try:
+                factor = signs, np.linalg.inv(A[:, self.basis])
+            except np.linalg.LinAlgError as exc:
+                raise SolverStallError("basis became singular") from exc
+            if start is not None and start.factor is None:
+                start.factor = factor
+        self.Binv[...] = factor[1]
         rhs = self.std.b
         upper_cols = np.flatnonzero(~self.in_basis & self.at_upper)
         if upper_cols.size:
@@ -532,7 +557,7 @@ class _Simplex:
         basis, in_basis, at_upper = self.basis, self.in_basis, self.at_upper
         movable = u[:n] > PIVOT_TOL
         Binv, xB = self.Binv, self.xB
-        self._refactor()
+        self._refactor(self.start)
         while True:
             if self.pivots_since_refactor >= REFACTOR_EVERY:
                 self._refactor()
@@ -656,7 +681,7 @@ def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Basis | Non
         sx._refactor()  # exact solve before reporting
         x[sx.basis] = sx.xB
         y = std.c[sx.basis] @ sx.Binv
-        state, pivots = (sx.basis, sx.at_upper), tuple(sx.pivots)
+        state, pivots = _Basis(sx.basis, sx.at_upper), tuple(sx.pivots)
 
     values = std.shift + std.col_sign * x[std.pos_col]
     values[std.free] = x[std.pos_col[std.free]] - x[std.neg_col[std.free]]

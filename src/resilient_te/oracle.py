@@ -11,7 +11,8 @@ reuse.  The no-failure scenario reads that solution as it is.  Any other
 scenario fails a link by setting its arcs' flow upper bounds to 0 in a copy
 of that LP, and `lp.solve_lp` re-solves the copy warm from the intact
 optimal basis with the bounded dual simplex (cold if the dual loop stalls).
-Nothing writes to the memo once it is built.
+The memo is written to once after it is built: the first re-solve caches
+the exact inverse of the intact optimal basis on it (see `lp`).
 """
 
 from __future__ import annotations

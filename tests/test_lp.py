@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from resilient_te import lp as lp_module
 from resilient_te.lp import (
     INF,
     BudgetExceededError,
@@ -11,6 +12,7 @@ from resilient_te.lp import (
     dual_objective,
     solve_lp,
     solve_mip,
+    _Basis,
     _Simplex,
     _solve_relaxation,
     _Standardized,
@@ -344,7 +346,7 @@ def test_dual_loop_from_an_optimal_parent_ends_optimal():
             sx.run(std.c, 2, 10_000)
             assert sx.pivots[1] == taken
             dual_pivots += taken
-            state = sx.basis, sx.at_upper
+            state = _Basis(sx.basis, sx.at_upper)
     assert dual_pivots > 40
 
 
@@ -609,10 +611,11 @@ def test_degenerate_flow_lps_match_external_reference():
 def test_warm_lp_resolves_after_bound_edits_match_a_cold_solve():
     # `solve_lp(edited, start=base)` re-solves from the base solution's
     # basis on its compiled form; it must agree with a cold solve of the
-    # edited LP and leave the base solution's state as it found it.  Raised
-    # lower bounds turn some balance rows' shifted rhs negative, which flips
-    # their artificial columns' signs: the re-solve must then write them in
-    # its own copy of `A`, never in the base form's.
+    # edited LP and leave the base solution's state as it found it, apart
+    # from the inverse the first re-solve caches on it.  Raised lower bounds
+    # turn some balance rows' shifted rhs negative, which flips their
+    # artificial columns' signs: the re-solve must then write them in its
+    # own copy of `A`, never in the base form's.
     rng = np.random.default_rng(11)
     statuses, flipped = [], 0
     for _ in range(120):
@@ -620,7 +623,8 @@ def test_warm_lp_resolves_after_bound_edits_match_a_cold_solve():
         base = solve_lp(lp)
         if base.status != "optimal":
             continue
-        kept = [a.copy() for a in base.basis.state] + [base.basis.std.A.copy()]
+        state, A = base.basis.state, base.basis.std.A
+        kept = state.basis.copy(), state.at_upper.copy(), A.copy()
         names = [v.name for v in lp._vars]
         for raise_lb in (False, True, False, True):
             edits = {}
@@ -635,8 +639,14 @@ def test_warm_lp_resolves_after_bound_edits_match_a_cold_solve():
             if warm.status == "optimal":
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
                 flipped += warm.basis.std.A is not base.basis.std.A
-        for before, after in zip(kept, list(base.basis.state) + [base.basis.std.A]):
+        for before, after in zip(kept, (state.basis, state.at_upper, A), strict=True):
             np.testing.assert_array_equal(before, after)
+        # The first edit keeps every lower bound, and with it every
+        # artificial sign, so the cache holds the base's own exact inverse.
+        arts = state.basis[state.basis >= base.basis.std.n_real]
+        signs, inverse = state.factor
+        np.testing.assert_array_equal(signs, A[arts - base.basis.std.n_real, arts])
+        np.testing.assert_array_equal(inverse, np.linalg.inv(A[:, state.basis]))
     assert statuses.count("optimal") > 150 and statuses.count("infeasible") > 20
     assert flipped > 20
 
@@ -663,3 +673,132 @@ def test_warm_lp_start_must_come_from_an_lp_with_the_same_rows_and_columns():
     assert lp._vars[0].ub > 0.0
     assert solve_lp(copy_lp, start=base).status == "optimal"
     assert solve_lp(lp.with_bounds({}), start=base).objective == base.objective
+
+
+def _recorded_inversions(monkeypatch):
+    """Record a copy of every matrix passed to `np.linalg.inv`."""
+    calls = []
+    inv = np.linalg.inv
+
+    def recorded(a):
+        calls.append(np.array(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded)
+    return calls
+
+
+def test_a_second_warm_lp_resolve_from_one_start_inverts_only_for_its_report(monkeypatch):
+    # Upper-bound edits leave every artificial sign as it was, so the second
+    # re-solve copies the start's inverse that the first one cached.
+    rng = np.random.default_rng(13)
+    calls = _recorded_inversions(monkeypatch)
+    resolved = 0
+    for _ in range(40):
+        lp, *_ = _flow_lp(rng)
+        base = solve_lp(lp)
+        if base.status != "optimal":
+            continue
+        names = [v.name for v in lp._vars]
+        picked = rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False)
+        edited = lp.with_bounds({str(n): (0.0, float(rng.choice([0.0, 0.5, 2.5]))) for n in picked})
+        calls.clear()
+        first = solve_lp(edited, start=base)
+        entry_and_report = len(calls)
+        calls.clear()
+        second = solve_lp(edited, start=base)
+        assert repr(second) == repr(first)
+        if first.status == "optimal":
+            assert (entry_and_report, len(calls)) == (2, 1)
+            resolved += 1
+    assert resolved > 10
+
+
+def test_the_two_children_of_a_node_factor_their_shared_start_once(monkeypatch):
+    lp = _branching_mip()
+    std = _Standardized(lp)
+    _, state = _solve_relaxation(lp, std)
+    start_cols = std.A[:, state.basis].copy()
+    calls = _recorded_inversions(monkeypatch)
+    saved = []
+    for branch_val in (0.0, 1.0):
+        lb, ub = std.lb.copy(), std.ub.copy()
+        lb[lp._index["z4"]] = ub[lp._index["z4"]] = branch_val
+        std.bound(lb, ub)
+        calls.clear()
+        child, _ = _solve_relaxation(lp, std, _Basis(state.basis, state.at_upper))
+        uncached = len(calls)
+        calls.clear()
+        shared, _ = _solve_relaxation(lp, std, state)
+        assert repr(shared) == repr(child)
+        saved.append(uncached - len(calls))
+        np.testing.assert_array_equal(state.factor[1], np.linalg.inv(start_cols))
+    # The first child factors the start, the second copies that inverse.
+    assert saved == [0, 1]
+
+    # solve_mip hands each popped node's state to both of its children.
+    starts, relax = [], _solve_relaxation
+
+    def spy(lp_, std_, start=None):
+        starts.append(start)
+        return relax(lp_, std_, start)
+
+    monkeypatch.setattr(lp_module, "_solve_relaxation", spy)
+    solve_mip(lp)
+    warm = [start for start in starts if start is not None]
+    assert warm and all(warm.count(start) == 2 and start.factor is not None for start in warm)
+
+
+def test_a_start_whose_basic_artificial_flips_sign_is_inverted_afresh(monkeypatch):
+    # Raised lower bounds can turn a redundant balance row's shifted rhs
+    # negative; the artificial basic in that row then changes sign, so the
+    # start's cached inverse is of another matrix and may not be copied.
+    rng = np.random.default_rng(14)
+    calls = _recorded_inversions(monkeypatch)
+    flipped = 0
+    for _ in range(200):
+        lp, *_ = _flow_lp(rng)
+        base = solve_lp(lp)
+        if base.status != "optimal":
+            continue
+        state, std = base.basis.state, base.basis.std
+        solve_lp(lp.with_bounds({}), start=base)  # caches under the base's signs
+        cached = state.factor
+        lb = np.array([float(rng.choice([0.0, 0.5, 1.0])) for _ in lp._vars])
+        ub = np.maximum(lb, [v.ub for v in lp._vars])
+        edited = lp.with_bounds({v.name: (lb[j], ub[j]) for j, v in enumerate(lp._vars)})
+        arts = state.basis[state.basis >= std.n_real]
+        signs = std.rebound(lb, ub).A[arts - std.n_real, arts]
+        if np.array_equal(signs, cached[0]):
+            continue
+        calls.clear()
+        warm, cold = solve_lp(edited, start=base), solve_lp(edited)
+        cols = std.A[:, state.basis].copy()
+        cols[arts - std.n_real, np.flatnonzero(state.basis >= std.n_real)] = signs
+        np.testing.assert_array_equal(calls[0], cols)
+        assert state.factor is cached
+        assert warm.status == cold.status
+        if warm.status == "optimal":
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        flipped += 1
+    assert flipped > 10
+
+
+def test_bound_edits_are_checked_as_declarations_are():
+    lp = LinearProgram()
+    lp.add_var("z", binary=True)
+    lp.add_var("x", 0.0, 4.0)
+    lp.add_row({"z": 1, "x": 1}, "<=", 10)
+    lp.set_objective({"z": 1, "x": 1}, "max")
+    for lb, ub in ((2.0, 1.0), (2.0, 2.0)):
+        with pytest.raises(ValueError):
+            lp.set_bounds("z", lb, ub)
+        with pytest.raises(ValueError):
+            lp.with_bounds({"z": (lb, ub)})
+    with pytest.raises(ValueError):
+        lp.set_bounds("x", 3.0, 1.0)
+    assert (lp._vars[0].lb, lp._vars[0].ub, lp._vars[1].lb) == (0.0, 1.0, 0.0)
+    assert lp.with_bounds({"z": (-1.0, 3.0)})._vars[0].ub == 1.0
+    lp.set_bounds("z", 0.0, 2.0)
+    sol = solve_mip(lp)
+    assert sol.status == "optimal" and sol["z"] == 1.0 and sol.objective == 5.0
