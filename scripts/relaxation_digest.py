@@ -4,14 +4,16 @@
     python scripts/relaxation_digest.py --workload flomore --seed 1
 
 Runs one `perfbench/run.py --seconds 0 --trace 0` pass of the workload in
-this process, with `lp._solve_relaxation` wrapped, and prints the number of
-relaxations solved and a sha256 over their results.  Each result is
-serialized as its status, pivots, the `float.hex` of its objective, primal
-names and values and duals, and the bytes of its final basis state (basis
-columns and at-upper mask).  Two checkouts that print the same line solved
-every relaxation identically: same pivots, same vertex, same basis.  A
-relaxation solved from inside another (the cold fallback of a warm start)
-is part of the outer result and is not counted on its own.
+this process, with `lp._solve_relaxation` and `np.linalg.inv` wrapped, and
+prints the number of relaxations solved, a sha256 over their results, their
+summed phase-1 and phase-2 pivots, and the `np.linalg.inv` calls made during
+the pass.  Each result is serialized as its status, pivots, the `float.hex`
+of its objective, primal names and values and duals, and the bytes of its
+final basis state (basis columns and at-upper mask).  Two checkouts that
+print the same sha256 solved every relaxation identically: same pivots, same
+vertex, same basis.  A relaxation solved from inside another (the cold
+fallback of a warm start) is part of the outer result and is not counted on
+its own.
 """
 
 from __future__ import annotations
@@ -52,11 +54,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     run.pin_threads()
+    import numpy as np
     from resilient_te import lp
 
-    solve = lp._solve_relaxation
+    solve, inv = lp._solve_relaxation, np.linalg.inv
     digest = hashlib.sha256()
-    count = depth = 0
+    count = depth = inversions = 0
+    pivots = [0, 0]
 
     def recorded(*a, **k):
         nonlocal count, depth
@@ -67,10 +71,17 @@ def main(argv=None) -> int:
             depth -= 1
         if depth == 0:
             count += 1
+            pivots[0] += result[0].pivots[0]
+            pivots[1] += result[0].pivots[1]
             digest.update(serialize(result))
         return result
 
-    lp._solve_relaxation = recorded
+    def inverted(a):
+        nonlocal inversions
+        inversions += 1
+        return inv(a)
+
+    lp._solve_relaxation, np.linalg.inv = recorded, inverted
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = run.main(["--workload", args.workload, "--seed", str(args.seed),
@@ -80,6 +91,7 @@ def main(argv=None) -> int:
         return code
     summary = json.loads(out.getvalue().splitlines()[-1])
     print(f"{args.workload} seed {args.seed}: {count} relaxations, sha256 {digest.hexdigest()}, "
+          f"pivots {pivots[0]} + {pivots[1]}, inversions {inversions}, "
           f"correct {summary['correct']}, failed {summary['failed']}")
     return 0
 

@@ -67,10 +67,11 @@ class SystemExit2(Exception):
 
 
 def _default_seed() -> int:
+    value = os.environ.get("RESILIENT_TE_SEED", "0")
     try:
-        return int(os.environ.get("RESILIENT_TE_SEED", "0"))
+        return int(value)
     except ValueError:
-        return 0
+        raise SystemExit2("USAGE", f"RESILIENT_TE_SEED={value!r} is not an integer") from None
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -43,6 +43,11 @@ the state, with the signs of its basic artificials; later ones copy it while
 those signs agree, so a B&B node's two children, or all re-solves from one
 `solve_lp` start, factor it once.  States no warm start used hold none.
 
+An optimal report is certified on the inverse the solve holds: after a
+pivot, |B x_B - rhs| <= 1e-10 (1 + |rhs|) and |c_B B^-1 B - c_B| <= 1e-10
+(1 + |c|) in max norms, or the basis is refactored; if even then the first
+exceeds FEAS_TOL (1 + |rhs|), SolverStallError is raised.
+
 `Solution.pivots` counts basis changes and bound flips per phase; dual
 pivots count as phase 2, and a MIP reports the sum over its tree.
 
@@ -424,12 +429,28 @@ class _Simplex:
             if start is not None and start.factor is None:
                 start.factor = factor
         self.Binv[...] = factor[1]
-        rhs = self.std.b
-        upper_cols = np.flatnonzero(~self.in_basis & self.at_upper)
-        if upper_cols.size:
-            rhs = rhs - A[:, upper_cols] @ self.u[upper_cols]
-        self.xB[...] = self.Binv @ rhs
+        self.xB[...] = self.Binv @ self._rhs()
         self.pivots_since_refactor = 0
+
+    def _rhs(self) -> np.ndarray:
+        """`b` less the nonbasic columns at their upper bounds."""
+        upper = np.flatnonzero(~self.in_basis & self.at_upper)
+        return self.std.b - self.std.A[:, upper] @ self.u[upper]
+
+    def certify(self) -> np.ndarray:
+        """Certify an optimal report (module docstring); returns c_B B^-1."""
+        cB = self.std.c[self.basis]
+        y = cB @ self.Binv
+        if self.pivots_since_refactor:  # else Binv and x_B are exact
+            B, rhs = self.std.A[:, self.basis], self._rhs()
+            scale = 1.0 + np.abs(rhs).max()
+            if (np.abs(B @ self.xB - rhs).max() > 1e-10 * scale
+                    or np.abs(y @ B - cB).max() > 1e-10 * (1.0 + np.abs(self.std.c).max())):
+                self._refactor()
+                if np.abs(B @ self.xB - rhs).max() > FEAS_TOL * scale:
+                    raise SolverStallError("the exact basis inverse fails its primal residual")
+                y = cB @ self.Binv
+        return y
 
     def _update_inverse(self, leave_pos: int, col: np.ndarray) -> None:
         """Rank-1 update of `Binv` after `col` (the entering column times
@@ -642,7 +663,10 @@ def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Basis | Non
     With `start`, an optimal basis state of this form under other bounds,
     the dual simplex re-solves from it and phase 2 finishes; if the dual
     loop stalls, the form is solved cold instead and its pivots count as
-    phase 2 of that cold solve.
+    phase 2 of that cold solve.  An optimum is certified before it is
+    reported (`_Simplex.certify`): the basis is refactored only when the
+    updated inverse fails its residuals, and SolverStallError is raised
+    when the exact one does.
     """
     if std.infeasible_box:
         return Solution("infeasible", math.nan, {}), None
@@ -675,12 +699,9 @@ def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Basis | Non
             return Solution("infeasible", math.nan, {}, pivots=tuple(sx.pivots)), None
         if not sx.run(std.c, 2, max_iter):
             return Solution("unbounded", math.nan, {}, pivots=tuple(sx.pivots)), None
-        x = np.zeros(std.ncols)
-        nonbasic_upper = np.flatnonzero(~sx.in_basis & sx.at_upper)
-        x[nonbasic_upper] = sx.u[nonbasic_upper]
-        sx._refactor()  # exact solve before reporting
+        y = sx.certify()
+        x = np.where(~sx.in_basis & sx.at_upper, sx.u, 0.0)
         x[sx.basis] = sx.xB
-        y = std.c[sx.basis] @ sx.Binv
         state, pivots = _Basis(sx.basis, sx.at_upper), tuple(sx.pivots)
 
     values = std.shift + std.col_sign * x[std.pos_col]

@@ -200,6 +200,19 @@ def test_cli_gen_demands_and_tunnels(tmp_path):
     assert gd.demands
 
 
+def test_cli_rejects_a_malformed_seed_variable(monkeypatch, capsys):
+    assert main(["--fixture", "four-tunnel", "gen", "demands", "--seed", "3"]) == 0
+    explicit = capsys.readouterr().out
+    monkeypatch.setenv("RESILIENT_TE_SEED", "3")
+    assert main(["--fixture", "four-tunnel", "gen", "demands"]) == 0
+    assert capsys.readouterr().out == explicit
+    monkeypatch.setenv("RESILIENT_TE_SEED", "abc")
+    assert main(["--fixture", "four-tunnel", "gen", "demands"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: USAGE") and "RESILIENT_TE_SEED" in captured.err
+
+
 def test_cli_realize_lists_flows(capsys):
     assert main(["--fixture", "parallel-ls", "realize", "--model", "ls", "--k", "1",
                  "--objective", "demand-scale", "--scenario", "e1"]) == 0

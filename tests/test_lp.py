@@ -7,8 +7,10 @@ import pytest
 from resilient_te import lp as lp_module
 from resilient_te.lp import (
     INF,
+    FEAS_TOL,
     BudgetExceededError,
     LinearProgram,
+    SolverStallError,
     dual_objective,
     solve_lp,
     solve_mip,
@@ -688,9 +690,10 @@ def _recorded_inversions(monkeypatch):
     return calls
 
 
-def test_a_second_warm_lp_resolve_from_one_start_inverts_only_for_its_report(monkeypatch):
+def test_a_second_warm_lp_resolve_from_one_start_inverts_nothing(monkeypatch):
     # Upper-bound edits leave every artificial sign as it was, so the second
-    # re-solve copies the start's inverse that the first one cached.
+    # re-solve copies the start's inverse that the first one cached.  Neither
+    # inverts for its report: the updated inverse passes its certificate.
     rng = np.random.default_rng(13)
     calls = _recorded_inversions(monkeypatch)
     resolved = 0
@@ -704,12 +707,12 @@ def test_a_second_warm_lp_resolve_from_one_start_inverts_only_for_its_report(mon
         edited = lp.with_bounds({str(n): (0.0, float(rng.choice([0.0, 0.5, 2.5]))) for n in picked})
         calls.clear()
         first = solve_lp(edited, start=base)
-        entry_and_report = len(calls)
+        entry = len(calls)
         calls.clear()
         second = solve_lp(edited, start=base)
         assert repr(second) == repr(first)
         if first.status == "optimal":
-            assert (entry_and_report, len(calls)) == (2, 1)
+            assert (entry, len(calls)) == (1, 0)
             resolved += 1
     assert resolved > 10
 
@@ -802,3 +805,98 @@ def test_bound_edits_are_checked_as_declarations_are():
     lp.set_bounds("z", 0.0, 2.0)
     sol = solve_mip(lp)
     assert sol.status == "optimal" and sol["z"] == 1.0 and sol.objective == 5.0
+
+
+def _spoiled_reports(monkeypatch, rng, inverse_factor=1.0):
+    """Before each report that follows a pivot, perturb `Binv` and `xB` by
+    about 1e-6, as drift in the updated inverse would; the report's own
+    inversions are scaled by `inverse_factor`.  Returns the list that
+    collects the number of `np.linalg.inv` calls each spoiled report made."""
+    calls = _recorded_inversions(monkeypatch)
+    certify, recorded, reports = _Simplex.certify, np.linalg.inv, []
+
+    def spoiled(sx):
+        if not sx.pivots_since_refactor:
+            return certify(sx)
+        sx.Binv += 1e-6 * rng.standard_normal(sx.Binv.shape)
+        sx.xB += 1e-6 * rng.standard_normal(sx.xB.shape)
+        calls.clear()
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverse_factor * recorded(a))
+        try:
+            return certify(sx)
+        finally:
+            monkeypatch.setattr(np.linalg, "inv", recorded)
+            reports.append(len(calls))
+
+    monkeypatch.setattr(_Simplex, "certify", spoiled)
+    return reports
+
+
+def test_a_report_whose_updated_inverse_fails_its_residuals_refactors_once(monkeypatch):
+    rng = np.random.default_rng(15)
+    checked = 0
+    for _ in range(60):
+        lp, *_ = _flow_lp(rng)
+        cold = solve_lp(lp)
+        with monkeypatch.context() as patch:
+            reports = _spoiled_reports(patch, rng)
+            spoiled = solve_lp(lp)
+        if cold.status != "optimal" or not reports:
+            continue
+        assert reports == [1]
+        assert spoiled.objective == pytest.approx(cold.objective, abs=1e-9)
+        np.testing.assert_allclose(list(spoiled.primal.values()), list(cold.primal.values()),
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(spoiled.duals, cold.duals, rtol=0, atol=1e-9)
+        checked += 1
+    assert checked > 20
+
+
+def test_a_report_that_even_the_exact_inverse_cannot_certify_raises(monkeypatch):
+    # An inverse off by a factor of 2 leaves a primal residual of |rhs|.
+    lp = LinearProgram()
+    lp.add_var("x", 0.0, 4.0)
+    lp.add_var("y")
+    lp.add_row({"x": 1, "y": 1}, "<=", 3)
+    lp.add_row({"x": 1, "y": -1}, ">=", 1)
+    lp.set_objective({"x": 1, "y": 2}, "max")
+    assert solve_lp(lp).status == "optimal"
+    reports = _spoiled_reports(monkeypatch, np.random.default_rng(16), inverse_factor=2.0)
+    with pytest.raises(SolverStallError):
+        solve_lp(lp)
+    assert reports == [1]
+
+
+def test_optimal_flow_lp_solutions_satisfy_their_rows_and_duality():
+    # Checked from `sol.primal` against the LP's own rows and bounds, not
+    # the compiled form, for cold solves and warm re-solves after bound
+    # edits.
+    rng = np.random.default_rng(17)
+    optimal = {False: 0, True: 0}
+    for _ in range(80):
+        lp, *_ = _flow_lp(rng)
+        base = solve_lp(lp)
+        solves = [(lp, base, False)]
+        names = [v.name for v in lp._vars]
+        for _ in range(3 if base.status == "optimal" else 0):
+            edits = {}
+            for name in rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False):
+                ub = float(rng.choice([0.0, 0.5, 1.0, 2.5, INF]))
+                edits[str(name)] = (min(ub, float(rng.choice([0.0, 0.5]))), ub)
+            edited = lp.with_bounds(edits)
+            solves.append((edited, solve_lp(edited, start=base), True))
+        for prog, sol, warm in solves:
+            if sol.status != "optimal":
+                continue
+            optimal[warm] += 1
+            for row in prog._rows:
+                lhs = sum(c * sol[prog._vars[j].name] for j, c in row.coeffs.items())
+                tol = 1e-9 * (1.0 + abs(row.rhs))
+                if row.sense != ">=":
+                    assert lhs <= row.rhs + tol
+                if row.sense != "<=":
+                    assert lhs >= row.rhs - tol
+            for v in prog._vars:
+                assert v.lb - FEAS_TOL <= sol[v.name] <= v.ub + FEAS_TOL
+            assert dual_objective(prog, sol) == pytest.approx(sol.objective, abs=1e-6)
+    assert optimal[False] > 40 and optimal[True] > 100
