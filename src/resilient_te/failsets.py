@@ -2,33 +2,19 @@
 enumerated integral counterparts.
 
 A polytope is a set of linear rows over indicator variables, each bounded in
-[0, 1].  Robust models quantify each protected constraint over its pair's
-projection of these sets, either by instantiating one row per distinct
-integral point (enumerate mode) or by dualizing the relaxation restricted to
-the pair's scope (dual mode, `restrict_polytope`).
+[0, 1].  Robust models build these sets on each protected pair's own
+sub-instance (its tunnels, the conditions it names and the links those use),
+then either instantiate one row per distinct integral point (enumerate mode)
+or dualize the relaxation (dual mode).
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .net import (
-    Condition,
-    NetworkInstance,
-    Scenario,
-    condition_active,
-    enumerate_scenarios,
-    tunnel_alive,
-)
-
-SCENARIO_GUARD = 1_000_000
-
-
-class ScenarioBlowupError(RuntimeError):
-    """The enumerated scenario set would exceed the tractability guard."""
-
+from .net import Condition, NetworkInstance, Scenario, Tunnel, condition_active, enumerate_scenarios, tunnel_alive
+from .net import SCENARIO_GUARD, ScenarioBlowupError, scenario_count  # noqa: F401  (re-exported)
 
 #: Indicator variables are identified by (kind, ref) where kind is "x" for a
 #: link, "y" for a tunnel, "h" for a condition.
@@ -41,9 +27,6 @@ class PolytopeRow:
     sense: str  # "<=" or "="
     rhs: float
     tag: str = ""
-
-    def coeff_map(self) -> dict[Indicator, float]:
-        return dict(self.coeffs)
 
 
 @dataclass
@@ -113,16 +96,25 @@ def build_ffc_polytope(instance: NetworkInstance, k: int) -> FailurePolytope:
     return poly
 
 
-def build_exact_polytope(instance: NetworkInstance, k: int) -> FailurePolytope:
-    """Exact link-to-tunnel coupling under a budget of k link failures."""
-    variables: list[Indicator] = [("x", ln.id) for ln in instance.topology.links]
-    variables += [("y", t.id) for t in instance.tunnels]
-    poly = FailurePolytope(variables=variables)
-    poly.add_row({("x", ln.id): 1.0 for ln in instance.topology.links}, "<=", float(k), tag="budget")
-    for t in instance.tunnels:
+def _add_tunnel_rows(poly: FailurePolytope, tunnels: Iterable[Tunnel]) -> None:
+    """A tunnel fails iff one of its links does: y >= each x_e, y <= sum x_e."""
+    for t in tunnels:
         for e in t.path:
             poly.add_row({("x", e): 1.0, ("y", t.id): -1.0}, "<=", 0.0, tag=f"up:{t.id}:{e}")
         poly.add_row({("y", t.id): 1.0, **{("x", e): -1.0 for e in t.path}}, "<=", 0.0, tag=f"down:{t.id}")
+
+
+def build_exact_polytope(instance: NetworkInstance, k: int) -> FailurePolytope:
+    """Exact link-to-tunnel coupling under a budget of k link failures.
+
+    A topology without links gets no budget row: it would bound nothing.
+    """
+    variables: list[Indicator] = [("x", ln.id) for ln in instance.topology.links]
+    variables += [("y", t.id) for t in instance.tunnels]
+    poly = FailurePolytope(variables=variables)
+    if instance.topology.links:
+        poly.add_row({("x", ln.id): 1.0 for ln in instance.topology.links}, "<=", float(k), tag="budget")
+    _add_tunnel_rows(poly, instance.tunnels)
     return poly
 
 
@@ -165,31 +157,6 @@ def build_hint_polytope(instance: NetworkInstance, k: int,
     return poly
 
 
-def restrict_polytope(poly: FailurePolytope, indicators: Iterable[Indicator]) -> FailurePolytope:
-    """The projection of an ffc, exact or hint polytope onto one pair's scope.
-
-    The scope is the given tunnel `y` and condition `h` indicators plus the
-    `x` of every link sharing a row with one of them: the links on those
-    tunnels and in those conditions.  Rows inside the scope are kept (for
-    ffc, the pair's own budget row), the link budget row is cut to the
-    scope's links, and every other row is dropped.
-    The projection is exact because whatever lies outside can always be
-    completed: another tunnel's `y` in [max x_e, min(1, sum x_e)] is never
-    empty, a link outside the scope can be 0 (which only loosens the
-    budget), and a condition's hint rows always admit an `h`.
-    """
-    scope = set(indicators)
-    for row in poly.rows:
-        if any(ind in scope and ind[0] != "x" for ind, _ in row.coeffs):
-            scope.update(ind for ind, _ in row.coeffs if ind[0] == "x")
-    out = FailurePolytope([v for v in poly.variables if v in scope])
-    for row in poly.rows:
-        coeffs = tuple((ind, c) for ind, c in row.coeffs if ind in scope)
-        if coeffs and (len(coeffs) == len(row.coeffs) or row.tag == "budget"):
-            out.rows.append(PolytopeRow(coeffs, row.sense, row.rhs, row.tag))
-    return out
-
-
 def build_srlg_polytope(instance: NetworkInstance, groups: list[Condition],
                         k_groups: int) -> FailurePolytope:
     """Group-failure polytope: the budget counts failed groups, not links.
@@ -214,16 +181,8 @@ def build_srlg_polytope(instance: NetworkInstance, groups: list[Condition],
     for ln in instance.topology.links:
         if ln.id not in grouped:
             poly.add_row({("x", ln.id): 1.0}, "<=", 0.0, tag=f"pinned:{ln.id}")
-    for t in instance.tunnels:
-        for e in t.path:
-            poly.add_row({("x", e): 1.0, ("y", t.id): -1.0}, "<=", 0.0, tag=f"up:{t.id}:{e}")
-        poly.add_row({("y", t.id): 1.0, **{("x", e): -1.0 for e in t.path}}, "<=", 0.0, tag=f"down:{t.id}")
+    _add_tunnel_rows(poly, instance.tunnels)
     return poly
-
-
-def scenario_count(num_links: int, k: int) -> int:
-    k = min(k, num_links)
-    return sum(math.comb(num_links, i) for i in range(k + 1))
 
 
 def enumerate_patterns(instance: NetworkInstance, k: int,
@@ -231,14 +190,10 @@ def enumerate_patterns(instance: NetworkInstance, k: int,
     """One integral (y, h) point per scenario of at most k link failures.
 
     Distinct scenarios may induce identical patterns; both are kept so the
-    originating scenario stays attached.  The robust models project each
-    pattern onto one pair's own indicators and drop the duplicates that
-    projection makes, per pair.
+    originating scenario stays attached.  The robust models call this on one
+    pair's sub-instance, so the scenario guard (see `enumerate_scenarios`)
+    counts that pair's own links, and drop the duplicate patterns per pair.
     """
-    n = len(instance.topology.links)
-    if scenario_count(n, k) > SCENARIO_GUARD:
-        raise ScenarioBlowupError(
-            f"{scenario_count(n, k)} scenarios for {n} links, k={k} exceeds guard {SCENARIO_GUARD}")
     conditions = conditions if conditions is not None else list(instance.conditions)
     topo = instance.topology
     out = []

@@ -7,12 +7,19 @@ Links are undirected; tunnels and logical sequences are directed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
+
+SCENARIO_GUARD = 1_000_000
 
 
 class UnknownLinkError(KeyError):
     """Raised when an operation references a link id absent from the topology."""
+
+
+class ScenarioBlowupError(RuntimeError):
+    """The enumerated scenario set would exceed the tractability guard."""
 
 
 @dataclass(frozen=True)
@@ -262,15 +269,25 @@ def sequence_active(instance: NetworkInstance, q: LogicalSequence, scenario: Sce
     return condition_active(instance.topology, instance.condition(q.condition), scenario)
 
 
+def scenario_count(num_links: int, k: int) -> int:
+    k = min(k, num_links)
+    return sum(math.comb(num_links, i) for i in range(k + 1))
+
+
 def enumerate_scenarios(topo: Topology, k: int) -> list[Scenario]:
     """All link subsets of size 0..k, ordered by size then link-id tuple.
 
-    k larger than the link count is clamped, not an error.
+    k larger than the link count is clamped, not an error.  More than
+    SCENARIO_GUARD subsets raise ScenarioBlowupError before any is built.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     ids = sorted(ln.id for ln in topo.links)
     k = min(k, len(ids))
+    count = scenario_count(len(ids), k)
+    if count > SCENARIO_GUARD:
+        raise ScenarioBlowupError(
+            f"{count} scenarios for {len(ids)} links, k={k} exceeds guard {SCENARIO_GUARD}")
     out = []
     for size in range(k + 1):
         for combo in itertools.combinations(ids, size):

@@ -21,7 +21,6 @@ import functools
 from dataclasses import dataclass
 
 from . import lp as lp_layer
-from .failsets import SCENARIO_GUARD, ScenarioBlowupError, scenario_count
 from .lp import LinearProgram, Solution, SolverStallError, solve_lp
 from .net import FlowDemand, Link, NetworkInstance, Scenario, Tunnel, enumerate_scenarios, make_topology
 
@@ -163,9 +162,6 @@ def worst_case_optimal(instance: NetworkInstance, k: int,
 
     Ties pick the lexicographically smallest scenario.
     """
-    n = len(instance.topology.links)
-    if scenario_count(n, k) > SCENARIO_GUARD:
-        raise ScenarioBlowupError(f"scenario count for k={k} exceeds guard")
     scenarios = enumerate_scenarios(instance.topology, k)
     best_val, best_sc = None, None
     for sc in scenarios:

@@ -6,9 +6,10 @@ pair's scaled demand plus any sequence load routed through it, for every
 admissible failure.  The quantifier is discharged either by enumerating
 integral failure patterns or by dualizing the polytope relaxation; the dual
 counterpart is conservative relative to enumeration, never optimistic.
-Either way each pair sees only its own tunnels, the links they use and the
-conditions its carriers name: the pair-local polytope is an exact projection
-of the instance-wide one.
+Either way each pair's failure set is built on its own sub-instance: its
+tunnels, the conditions its carriers name and only the links those use.
+That set is the exact projection of the instance-wide one onto the pair's
+indicators, and enumerate mode's scenario guard counts the pair's links.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from .failsets import (
     build_hint_polytope,
     enumerate_patterns,
     reject_contradictions,
-    restrict_polytope,
     scenario_count,
     shared_link_bound,
 )
 from .lp import INF, LinearProgram, Solution, solve_lp
-from .net import Condition, NetworkInstance
+from .net import Condition, NetworkInstance, Topology
 
 MODELS = ("ffc", "ffc_plus", "ls", "cls", "logical_flow")
 OBJECTIVES = ("demand_scale", "throughput")
@@ -197,6 +197,22 @@ def _ffc_worst_points(instance: NetworkInstance, pair: tuple[str, str],
     ]
 
 
+def _pair_scope(instance: NetworkInstance, pair: tuple[str, str],
+                conditions: list[Condition]) -> NetworkInstance:
+    """The pair's tunnels, the `conditions` its carriers name, and only the
+    links those name, in instance link order.  A failure set built on it is
+    the exact projection of the instance-wide one: outside tunnels' `y` and
+    conditions' `h` always complete, and outside links can stay up.
+    """
+    tunnels = instance.tunnels_for(*pair)
+    named = {e for t in tunnels for e in t.path}
+    for cond in conditions:
+        named |= cond.alive_links | cond.dead_links
+    links = tuple(ln for ln in instance.topology.links if ln.id in named)
+    return NetworkInstance(Topology(instance.topology.nodes, links),
+                           tunnels=tuple(tunnels), conditions=tuple(conditions))
+
+
 # --------------------------------------------------------------------------
 # Model assembly.
 
@@ -243,8 +259,8 @@ def _assemble(instance: NetworkInstance, model: str, k: int, objective: str, mod
     capacity, objective and carrier `rows`, then protects each pair of
     `carriers`, in order: live tunnel reservations plus the pair's carrier
     terms must cover its scaled demand under every admissible failure.  Each
-    pair is dualized over its own restriction of the polytope, or enumerated
-    over the distinct projections of the failure patterns.
+    pair's failure set is built on its `_pair_scope`, then dualized, or
+    enumerated with one row per distinct failure pattern.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -265,16 +281,6 @@ def _assemble(instance: NetworkInstance, model: str, k: int, objective: str, mod
     for coeffs, sense, rhs, name in rows:
         lp.add_row(coeffs, sense, rhs, name=name)
 
-    if mode == "dual":
-        if model == "ffc":
-            polytope = build_ffc_polytope(instance, k)
-        elif conditions or model == "logical_flow":
-            polytope = build_hint_polytope(instance, k, conditions)
-        else:
-            polytope = build_exact_polytope(instance, k)
-    elif model != "ffc":
-        points = [p.as_point() for p in enumerate_patterns(instance, k, conditions)]
-
     for pair, terms in carriers.items():
         s, t = pair
         protected = ProtectedConstraint(label=f"{s}>{t}")
@@ -289,12 +295,18 @@ def _assemble(instance: NetworkInstance, model: str, k: int, objective: str, mod
         if instance.demand_for(s, t) > 0:
             protected.add_base(f"z::{s}>{t}", -instance.demand_for(s, t))
 
+        own = [c for c in conditions if ("h", c.id) in protected.indicator_terms]
+        scope = _pair_scope(instance, pair, own)
         if mode == "dual":
-            dualize_constraint(lp, protected, restrict_polytope(polytope, protected.indicator_terms))
-        else:
             if model == "ffc":
-                points = _ffc_worst_points(instance, pair, k)
-            _enumerate_rows(lp, protected, points)
+                polytope = build_ffc_polytope(scope, k)
+            else:
+                polytope = build_hint_polytope(scope, k, own) if own else build_exact_polytope(scope, k)
+            dualize_constraint(lp, protected, polytope)
+        elif model == "ffc":
+            _enumerate_rows(lp, protected, _ffc_worst_points(instance, pair, k))
+        else:
+            _enumerate_rows(lp, protected, [p.as_point() for p in enumerate_patterns(scope, k, own)])
     return lp
 
 

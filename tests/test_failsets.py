@@ -14,7 +14,7 @@ from resilient_te.failsets import (
 )
 from resilient_te.fixtures import four_tunnel_example, hint_example
 from resilient_te.generators import random_instance
-from resilient_te.net import Condition
+from resilient_te.net import Condition, NetworkInstance, make_topology
 
 
 def integral_points(poly, free_vars=None):
@@ -37,7 +37,7 @@ def test_ffc_polytope_rows():
     poly = build_ffc_polytope(inst, 1)
     (row,) = poly.rows
     assert row.rhs == 2  # k * p_st
-    assert set(row.coeff_map()) == {("y", t.id) for t in inst.tunnels}
+    assert set(dict(row.coeffs)) == {("y", t.id) for t in inst.tunnels}
     poly3 = build_ffc_polytope(four_tunnel_example("three"), 1)
     assert poly3.rows[0].rhs == 1
     single = build_ffc_polytope(four_tunnel_example("three"), 0)
@@ -137,6 +137,13 @@ def test_enumerate_patterns_counts_and_consistency():
     poly = build_exact_polytope(inst, 1)
     for p in pats:
         assert poly.holds(p.as_point())
+
+
+def test_exact_polytope_without_links_has_no_budget_row():
+    # A pair with no tunnels and no conditions sees no links: an empty
+    # budget row would only add a multiplier to its robust counterpart.
+    assert build_exact_polytope(NetworkInstance(make_topology(["a", "b"], [])), 2).rows == []
+    assert build_exact_polytope(four_tunnel_example(), 2).rows[0].tag == "budget"
 
 
 def test_pattern_guard():

@@ -19,7 +19,15 @@ from resilient_te.generators import (
     split_sublinks,
 )
 from resilient_te.io import instance_from_dict, instance_to_dict, load_instance, dump_instance
-from resilient_te.net import EMPTY_SCENARIO, NetworkInstance, Scenario, make_topology, validate_instance
+from resilient_te.net import (
+    EMPTY_SCENARIO,
+    FlowDemand,
+    NetworkInstance,
+    Scenario,
+    Tunnel,
+    make_topology,
+    validate_instance,
+)
 from resilient_te.oracle import solve_mcf
 
 
@@ -260,13 +268,42 @@ def test_cli_report_csv_normalized(tmp_path):
 
 
 def test_cli_guard_errors_exit_2(tmp_path, capsys):
+    # One tunnel along a 21-link path: its pair alone sees 2^21 > 1e6
+    # scenarios at k=21.
+    nodes = [f"n{i}" for i in range(22)]
+    topo = make_topology(nodes, [(f"l{i:02d}", nodes[i], nodes[i + 1], 1.0) for i in range(21)])
+    inst = NetworkInstance(topo, demands=(FlowDemand("f", ("n0", "n21"), 1.0),),
+                           tunnels=(Tunnel("T", "n0", "n21", tuple(ln.id for ln in topo.links)),))
+    path = tmp_path / "path.json"
+    dump_instance(inst, str(path))
+    assert main(["--instance", str(path), "solve", "--model", "ffc-plus",
+                 "--k", "21", "--mode", "enumerate"]) == 2
+    assert "error: ScenarioBlowupError" in capsys.readouterr().err
+
+
+def test_cli_guard_counts_the_pairs_own_links(tmp_path, capsys):
+    # 30 links at k=30 is 2^30 instance-wide scenarios, but the one pair's
+    # tunnels use few of them, so enumerate mode solves, and dual mode is
+    # never optimistic against it.
     inst = random_instance(3, n_nodes=16, extra_links=15, n_pairs=1)
     path = tmp_path / "big.json"
     dump_instance(inst, str(path))
     links = len(inst.topology.links)
-    assert main(["--instance", str(path), "solve", "--model", "ffc-plus",
-                 "--k", str(links), "--mode", "enumerate"]) == 2
-    assert "error:" in capsys.readouterr().err
+    values = {}
+    for mode in ("enumerate", "dual"):
+        assert main(["--instance", str(path), "solve", "--model", "ffc-plus",
+                     "--k", str(links), "--mode", mode]) == 0
+        values[mode] = float(capsys.readouterr().out)
+    assert values["enumerate"] >= values["dual"] - 1e-9
+
+
+def test_cli_gen_scenarios_guard_exits_2(tmp_path, capsys):
+    inst = random_instance(3, n_nodes=16, extra_links=15, n_pairs=1)
+    path = tmp_path / "big.json"
+    dump_instance(inst, str(path))
+    links = len(inst.topology.links)
+    assert main(["--instance", str(path), "gen", "scenarios", "--k", str(links)]) == 2
+    assert "error: ScenarioBlowupError" in capsys.readouterr().err
 
 
 def test_all_cli_fixtures_build():

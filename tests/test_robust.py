@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from resilient_te.cli import main
+from resilient_te.cli import FIXTURES, main
 from resilient_te.failsets import (
     FailurePolytope,
     build_exact_polytope,
     build_ffc_polytope,
     build_hint_polytope,
-    restrict_polytope,
+    enumerate_patterns,
 )
 from resilient_te.fixtures import four_tunnel_example, hint_example, parallel_example
 from resilient_te.generators import random_instance, with_conditional_sequences
@@ -318,14 +318,18 @@ def test_pair_local_polytopes_are_exact_projections():
             full = {"ffc": build_ffc_polytope(inst, k), "exact": build_exact_polytope(inst, k),
                     "hint": build_hint_polytope(inst, k, conds)}
             for pair, (ys, hs) in _protected_indicators(inst).items():
+                own = [inst.condition(ref) for _, ref in hs]
+                bare = robust._pair_scope(inst, pair, [])
+                local = {"ffc": build_ffc_polytope(bare, k), "exact": build_exact_polytope(bare, k),
+                         "hint": build_hint_polytope(robust._pair_scope(inst, pair, own), k, own)}
                 for kind, poly in full.items():
                     scope = ys + hs if kind == "hint" else ys
                     if not scope:
                         continue
                     weights = dict(zip(scope, rng.uniform(0.0, 1.0, len(scope))))
-                    local = restrict_polytope(poly, scope)
-                    assert len(local.rows) < len(poly.rows)
-                    assert _max_weight(local, weights) == pytest.approx(
+                    assert set(scope) <= set(local[kind].variables)
+                    assert len(local[kind].rows) < len(poly.rows)
+                    assert _max_weight(local[kind], weights) == pytest.approx(
                         _max_weight(poly, weights), abs=1e-9), (seed, k, pair, kind)
 
 
@@ -335,10 +339,31 @@ def test_enumerate_block_per_pair_is_small_at_k1():
     for seed in (2, 5):
         base = random_instance(seed, n_nodes=5, extra_links=3, n_pairs=2, with_sequences=True)
         inst = with_conditional_sequences(base, seed + 100)
-        poly = build_hint_polytope(inst, 1, list(inst.conditions))
         lp = build_robust_lp(inst, "cls", 1, "throughput", "enumerate")
         for (s, t), (ys, hs) in _protected_indicators(inst).items():
-            links = [v for v in restrict_polytope(poly, ys + hs).variables if v[0] == "x"]
+            own = [inst.condition(ref) for _, ref in hs]
+            links = robust._pair_scope(inst, (s, t), own).topology.links
+            assert len(links) < len(inst.topology.links)
             block = [r for r in lp._rows if r.name.startswith(f"en:{s}>{t}:")]
             assert 1 <= len(block) <= len(links) + 1
 
+
+def _enumerate_rows_of(lp):
+    return [(r.name, list(r.coeffs.items()), r.sense, r.rhs)
+            for r in lp._rows if r.name.startswith("en:")]
+
+
+def test_pair_local_enumeration_matches_instance_wide_projection(monkeypatch):
+    # Reference: each pair projects the instance-wide patterns onto its own
+    # indicators and keeps the first occurrence of each, in order.
+    for name, builder in sorted(FIXTURES.items()):
+        inst = builder()
+        for model in ("ffc_plus", "ls", "cls"):
+            for k in (0, 1, 2):
+                local = build_robust_lp(inst, model, k, "throughput", "enumerate")
+                with monkeypatch.context() as m:
+                    m.setattr(robust, "enumerate_patterns", lambda *_args: enumerate_patterns(
+                        inst, k, list(inst.conditions)))
+                    wide = build_robust_lp(inst, model, k, "throughput", "enumerate")
+                assert _enumerate_rows_of(local), (name, model, k)
+                assert _enumerate_rows_of(local) == _enumerate_rows_of(wide), (name, model, k)
