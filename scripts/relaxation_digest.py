@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Fingerprint every LP relaxation of one benchmark pass.
 
-    python scripts/relaxation_digest.py --workload flomore --seed 1
+    python scripts/relaxation_digest.py --workload flomore --seed 1 [--instance-seed 4]
 
-Runs one `perfbench/run.py --seconds 0 --trace 0` pass of the workload in
-this process, with `lp._solve_relaxation` and `np.linalg.inv` wrapped, and
-prints the number of relaxations solved, a sha256 over their results, their
-summed phase-1 and phase-2 pivots, and the `np.linalg.inv` calls made during
-the pass.  Each result is serialized as its status, pivots, the `float.hex`
-of its objective, primal names and values and duals, and the bytes of its
-final basis state (basis columns and at-upper mask).  Two checkouts that
-print the same sha256 solved every relaxation identically: same pivots, same
+Runs one `perfbench/run.py --seconds 0 --trace 0` pass of the workload on
+the instances of `--instance-seed` (default 1) in this process, with
+`lp._solve_relaxation` and `np.linalg.inv` wrapped, and prints the number of
+relaxations solved, a sha256 over their results, their summed phase-1 and
+phase-2 pivots, and the `np.linalg.inv` calls made during the pass.  Each
+result is serialized as its status, pivots, the `float.hex` of its
+objective, primal names and values and duals, and the bytes of its final
+basis state (basis columns and at-upper mask).  Two checkouts that print
+the same sha256 solved every relaxation identically: same pivots, same
 vertex, same basis.  A relaxation solved from inside another (the cold
 fallback of a warm start) is part of the outer result and is not counted on
 its own.
@@ -51,6 +52,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=run.WORKLOAD_NAMES)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--instance-seed", type=int, default=1)
     args = parser.parse_args(argv)
 
     run.pin_threads()
@@ -84,13 +86,14 @@ def main(argv=None) -> int:
     lp._solve_relaxation, np.linalg.inv = recorded, inverted
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = run.main(["--workload", args.workload, "--seed", str(args.seed),
-                         "--seconds", "0", "--trace", "0"])
+        code = run.main(["--workload", args.workload, "--seed", str(args.seed), "--instance-seed",
+                         str(args.instance_seed), "--seconds", "0", "--trace", "0"])
     if code != 0:
         print(out.getvalue(), end="")
         return code
     summary = json.loads(out.getvalue().splitlines()[-1])
-    print(f"{args.workload} seed {args.seed}: {count} relaxations, sha256 {digest.hexdigest()}, "
+    print(f"{args.workload} seed {args.seed} instance seed {args.instance_seed}: "
+          f"{count} relaxations, sha256 {digest.hexdigest()}, "
           f"pivots {pivots[0]} + {pivots[1]}, inversions {inversions}, "
           f"correct {summary['correct']}, failed {summary['failed']}")
     return 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .net import Condition, NetworkInstance, Scenario, Tunnel, condition_active, enumerate_scenarios, tunnel_alive
+from .net import Condition, NetworkInstance, Scenario, Tunnel, UnknownLinkError, enumerate_scenarios
 from .net import SCENARIO_GUARD, ScenarioBlowupError, scenario_count  # noqa: F401  (re-exported)
 
 #: Indicator variables are identified by (kind, ref) where kind is "x" for a
@@ -196,11 +196,21 @@ def enumerate_patterns(instance: NetworkInstance, k: int,
     """
     conditions = conditions if conditions is not None else list(instance.conditions)
     topo = instance.topology
+    # Every scenario fails topology links only, so the tunnels and conditions
+    # are checked against the topology once, not per scenario.
+    used = [e for t in instance.tunnels for e in t.path]
+    used += [e for c in conditions for e in c.alive_links | c.dead_links]
+    unknown = [e for e in used if not topo.has_link(e)]
+    if unknown:
+        raise UnknownLinkError(unknown[0])
+    paths = [(t.id, frozenset(t.path)) for t in instance.tunnels]
     out = []
     for sc in enumerate_scenarios(topo, k):
+        failed = sc.failed_links
         out.append(TunnelFailurePattern(
             scenario=sc,
-            tunnel_failed=tuple((t.id, not tunnel_alive(topo, t, sc)) for t in instance.tunnels),
-            condition_state=tuple((c.id, condition_active(topo, c, sc)) for c in conditions),
+            tunnel_failed=tuple((tid, not path.isdisjoint(failed)) for tid, path in paths),
+            condition_state=tuple((c.id, c.alive_links.isdisjoint(failed) and c.dead_links <= failed)
+                                  for c in conditions),
         ))
     return out

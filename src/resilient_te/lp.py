@@ -18,7 +18,9 @@ basic at 0 stay in the basis for phase 2, pinned at 0, which prices only the
 real columns.  Row duals are returned for LP solves; they are the
 sensitivities d(objective)/d(rhs) in the caller's min/max orientation.
 
-Branch and bound solves its root cold and re-solves each child warm, from
+Branch and bound pops the best bound first and branches by reliability
+branching (Achterberg, Koch & Martin, "Branching rules revisited", 2005; see
+`solve_mip`).  It solves its root cold and re-solves each child warm, from
 its parent's final basis, with a bounded dual simplex.  The artificials stay
 pinned at 0.  The basic variable with the largest bound violation leaves at
 the bound it violated; the entering column minimizes |reduced cost| /
@@ -744,12 +746,25 @@ def solve_mip(lp: LinearProgram, node_budget: int = 100_000,
               cutoff: float | None = None) -> Solution:
     """Branch and bound over the binary variables of `lp`.
 
-    Best-bound node selection; branches on the most fractional binary with
-    ties broken by lowest variable index.  The root relaxation is solved
-    cold; each child is re-solved from its parent's final basis.  The
-    returned solution has no duals; its pivots are those of every
-    relaxation in the tree.  Raises BudgetExceededError (carrying the
-    incumbent) if the node budget is exhausted before the tree is.
+    Best-bound node selection with reliability branching.  Each binary keeps
+    a pseudocost per direction: the mean objective gain (clipped at 0) of
+    its down (up) children per unit of the fractionality f (1 - f) they
+    removed.  At a node, every fractional binary not yet observed in both
+    directions is strong-branched, most fractional first (ties to the
+    lowest index): both its children are solved.  If one of them is
+    infeasible or cannot beat the incumbent or cutoff, the node branches on
+    that binary at once; otherwise on the largest
+    `max(f * psi_down, 1e-6) * max((1 - f) * psi_up, 1e-6)` over its
+    fractional binaries, ties to the lowest index, reusing the children that
+    strong branching solved.  A solved relaxation that is integral and beats
+    the incumbent or cutoff becomes the incumbent at once.
+
+    The root relaxation is solved cold; each child is re-solved from its
+    parent's final basis.  The returned solution has no duals; its pivots
+    are those of every relaxation solved.  Every relaxation below the root,
+    strong-branching ones included, counts toward `node_budget`;
+    BudgetExceededError (carrying the incumbent, if any) is raised when it
+    is exhausted before the tree is.
 
     `cutoff` declares a known achievable objective: subtrees that cannot
     strictly beat it are pruned, and "infeasible" is returned when nothing
@@ -770,48 +785,86 @@ def solve_mip(lp: LinearProgram, node_budget: int = 100_000,
     pivots = list(root.pivots)
 
     incumbent: Solution | None = None
-    counter = 0
-    heap: list[tuple[float, int, tuple[np.ndarray, np.ndarray], Solution, _Basis | None]] = []
-    heapq.heappush(heap, (sign * root.objective, counter, (std.lb, std.ub), root, root_state))
-    nodes = 0
-    while heap:
-        key, _, (node_lb, node_ub), relax, state = heapq.heappop(heap)
-        # Best-bound queue: once the best bound cannot beat the incumbent,
-        # the search is complete.
-        if key >= best - 1e-9:
-            break
-        frac_var = -1
-        frac_dist = -1.0
+    # (direction, binary index) -> [summed gain per unit of fractionality,
+    # observations]; direction 0 is down, 1 up.
+    pseudo: dict[tuple[int, int], list] = {}
+    counter = nodes = 0
+
+    def beats(sol: Solution) -> bool:
+        return sol.status == "optimal" and sign * sol.objective < best - 1e-9
+
+    def fractional(sol: Solution) -> dict[int, float]:
+        """Binary index -> fractional part, for each binary `sol` leaves
+        fractional; an integral relaxation that beats `best` becomes the
+        incumbent."""
+        nonlocal best, incumbent
+        frac = {}
         for j in bin_idx:
-            xval = relax.primal[lp._vars[j].name]
-            dist = abs(xval - round(xval))
-            if dist > INT_TOL and dist > frac_dist + 1e-12:
-                frac_dist = dist
-                frac_var = j
-        if frac_var < 0:
-            # Integral and, having passed the stop above, a new incumbent.
-            rounded = dict(relax.primal)
+            xval = sol.primal[lp._vars[j].name]
+            if abs(xval - round(xval)) > INT_TOL:
+                frac[j] = xval - math.floor(xval)
+        if not frac and beats(sol):
+            rounded = dict(sol.primal)
             for j in bin_idx:
                 rounded[lp._vars[j].name] = float(round(rounded[lp._vars[j].name]))
-            best = key
-            incumbent = Solution("optimal", relax.objective, rounded)
-            continue
-        for branch_val in (0.0, 1.0):
+            best = sign * sol.objective
+            incumbent = Solution("optimal", sol.objective, rounded)
+        return frac
+
+    def branch(j: int, f: float) -> list[tuple]:
+        """Solve both children of the popped node on binary j, which is f
+        there, and record their pseudocost observations."""
+        nonlocal nodes
+        out = []
+        for up in (0, 1):
             nodes += 1
             if nodes > node_budget:
                 if incumbent is not None:
                     incumbent.pivots = tuple(pivots)
                 raise BudgetExceededError(f"node budget {node_budget} exceeded", incumbent)
             lb, ub = node_lb.copy(), node_ub.copy()
-            lb[frac_var] = ub[frac_var] = branch_val
+            lb[j] = ub[j] = float(up)
             std.bound(lb, ub)
             sol, sol_state = _solve_relaxation(lp, std, state)
             pivots[0] += sol.pivots[0]
             pivots[1] += sol.pivots[1]
-            if sol.status != "optimal" or not sign * sol.objective < best - 1e-9:
+            sol_frac = {}
+            if sol.status == "optimal":
+                total = pseudo.setdefault((up, j), [0.0, 0])
+                total[0] += max(sign * sol.objective - key, 0.0) / (1.0 - f if up else f)
+                total[1] += 1
+                sol_frac = fractional(sol)
+            out.append((sol, sol_state, lb, ub, sol_frac))
+        return out
+
+    def score(j: int, f: float) -> float:
+        (down, n_down), (up, n_up) = pseudo[0, j], pseudo[1, j]
+        return max(f * down / n_down, 1e-6) * max((1.0 - f) * up / n_up, 1e-6)
+
+    heap = []
+    root_frac = fractional(root)
+    if beats(root):
+        heap.append((sign * root.objective, counter, (std.lb, std.ub), root_frac, root_state))
+    while heap:
+        key, _, (node_lb, node_ub), frac, state = heapq.heappop(heap)
+        # Best-bound queue: once the best bound cannot beat the incumbent,
+        # the search is complete.
+        if key >= best - 1e-9:
+            break
+        solved, chosen = {}, None
+        for j in sorted(frac, key=lambda j: -min(frac[j], 1.0 - frac[j])):
+            if (0, j) in pseudo and (1, j) in pseudo:
                 continue
-            counter += 1
-            heapq.heappush(heap, (sign * sol.objective, counter, (lb, ub), sol, sol_state))
+            solved[j] = branch(j, frac[j])
+            if not all(beats(child[0]) for child in solved[j]):
+                chosen = j
+                break
+        if chosen is None:
+            chosen = max(frac, key=lambda j: score(j, frac[j]))
+        for sol, sol_state, lb, ub, sol_frac in solved.get(chosen) or branch(chosen, frac[chosen]):
+            if beats(sol):
+                counter += 1
+                heapq.heappush(heap, (sign * sol.objective, counter, (lb, ub), sol_frac, sol_state))
     if incumbent is None:
         return Solution(status="infeasible", objective=math.nan, primal={}, pivots=tuple(pivots))
     incumbent.pivots = tuple(pivots)

@@ -555,15 +555,24 @@ def benders_run(pinst: ProbabilisticInstance, max_iterations: int = 5, *,
     Q = range(len(pinst.scenarios))
     state = BendersState()
 
+    # Each (scenario, selection column) is solved once; a repeat reuses the
+    # result and appends its cut again, as a re-solve would.
+    solved: dict[tuple[int, tuple[float, ...]], SubproblemResult] = {}
+
+    def subproblem(q: int, iteration_z) -> SubproblemResult:
+        column = tuple(iteration_z[(u.id, q)] for u in units)
+        if (q, column) not in solved:
+            z_col = dict(zip((u.id for u in units), column))
+            solved[q, column] = benders_subproblem(pinst, q, z_col)
+        return solved[q, column]
+
     z = connectivity_selection(pinst)
     # Perfect scenarios: lossless at the connectivity selection; their cuts
     # are never binding, so they are solved once and pinned.
     perfect: dict[int, ScenarioAlloc] = {}
     fixed: dict[tuple[str, int], float] = {}
-    results: dict[int, SubproblemResult] = {}
     for q in Q:
-        res = benders_subproblem(pinst, q, {u.id: z[(u.id, q)] for u in units})
-        results[q] = res
+        res = subproblem(q, z)
         if prune_perfect and res.alpha <= 1e-9:
             perfect[q] = res.alloc
             for u in units:
@@ -578,11 +587,9 @@ def benders_run(pinst: ProbabilisticInstance, max_iterations: int = 5, *,
 
     def consume(iteration_z) -> None:
         nonlocal best_allocs, best_report
-        for q in nontrivial:
-            res = benders_subproblem(pinst, q, {u.id: iteration_z[(u.id, q)] for u in units})
-            results[q] = res
-            state.cuts.append(res.cut)
-        allocs = [perfect[q] if q in perfect else results[q].alloc for q in Q]
+        current = {q: subproblem(q, iteration_z) for q in nontrivial}
+        state.cuts.extend(res.cut for res in current.values())
+        allocs = [perfect[q] if q in perfect else current[q].alloc for q in Q]
         report = percentile_analysis(allocs, pinst)
         value = _objective_value(pinst, report)
         state.incumbent_history.append(value)

@@ -14,7 +14,16 @@ from resilient_te.failsets import (
 )
 from resilient_te.fixtures import four_tunnel_example, hint_example
 from resilient_te.generators import random_instance
-from resilient_te.net import Condition, NetworkInstance, make_topology
+from resilient_te.net import (
+    Condition,
+    NetworkInstance,
+    Tunnel,
+    UnknownLinkError,
+    condition_active,
+    enumerate_scenarios,
+    make_topology,
+    tunnel_alive,
+)
 
 
 def integral_points(poly, free_vars=None):
@@ -137,6 +146,32 @@ def test_enumerate_patterns_counts_and_consistency():
     poly = build_exact_polytope(inst, 1)
     for p in pats:
         assert poly.holds(p.as_point())
+
+
+def test_enumerate_patterns_matches_the_per_scenario_checks():
+    # Links are checked once per call, then liveness is a set test; every
+    # pattern must still read as `tunnel_alive` and `condition_active` do.
+    inst = hint_example("cls")
+    topo = inst.topology
+    conditions = list(inst.conditions) + [Condition("both", frozenset({"s-1"}), frozenset({"s-4"}))]
+    for k in range(3):
+        pats = enumerate_patterns(inst, k, conditions)
+        assert [p.scenario for p in pats] == enumerate_scenarios(topo, k)
+        for p in pats:
+            assert p.tunnel_failed == tuple(
+                (t.id, not tunnel_alive(topo, t, p.scenario)) for t in inst.tunnels)
+            assert p.condition_state == tuple(
+                (c.id, condition_active(topo, c, p.scenario)) for c in conditions)
+    assert any(dict(p.condition_state)["both"] for p in enumerate_patterns(inst, 2, conditions))
+
+
+def test_enumerate_patterns_rejects_unknown_links():
+    inst = four_tunnel_example()
+    stray = Tunnel("stray", "s", "t", ("no-such-link",))
+    with pytest.raises(UnknownLinkError):
+        enumerate_patterns(NetworkInstance(inst.topology, tunnels=inst.tunnels + (stray,)), 1)
+    with pytest.raises(UnknownLinkError):
+        enumerate_patterns(inst, 1, [Condition("c", dead_links=frozenset({"no-such-link"}))])
 
 
 def test_exact_polytope_without_links_has_no_budget_row():

@@ -474,6 +474,162 @@ def test_budget_exceeded_carries_incumbent():
     assert hasattr(exc.value, "incumbent")
 
 
+def _recorded_relaxations(monkeypatch):
+    """Record, for every relaxation `solve_mip` solves, its status and the
+    names of the binaries its node fixes (a fixed binary has u = 0)."""
+    solves, relax = [], _solve_relaxation
+
+    def spy(lp_, std, start=None):
+        result = relax(lp_, std, start)
+        fixed = {name for name in lp_.binary_vars() if std.u[std.pos_col[lp_._index[name]]] == 0.0}
+        solves.append((result[0].status, fixed))
+        return result
+
+    monkeypatch.setattr(lp_module, "_solve_relaxation", spy)
+    return solves
+
+
+def _mixed_mip(rng):
+    """A small MIP: 3-6 binaries, 0-2 bounded continuous variables and 2-4
+    rows of any sense over all of them."""
+    lp = LinearProgram()
+    names = [lp.add_var(f"z{j}", binary=True) for j in range(int(rng.integers(3, 7)))]
+    names += [lp.add_var(f"x{j}", 0.0, float(rng.choice([1.0, 3.0])))
+              for j in range(int(rng.integers(0, 3)))]
+    for _ in range(int(rng.integers(2, 5))):
+        coeffs = {v: float(np.round(rng.normal(), 1)) for v in names}
+        lp.add_row(coeffs, str(rng.choice(["<=", "<=", ">=", "="])),
+                   float(np.round(rng.normal() + 0.5, 1)))
+    lp.set_objective({v: float(np.round(rng.normal(), 1)) for v in names},
+                     str(rng.choice(["min", "max"])))
+    return lp
+
+
+def _enumerated_optimum(lp):
+    """Best LP objective over every 0/1 assignment of `lp`'s binaries: None
+    when none is feasible."""
+    objectives = []
+    binaries = lp.binary_vars()
+    for values in itertools.product([0.0, 1.0], repeat=len(binaries)):
+        fixed_lp = _fixed(lp, dict(zip(binaries, values)))
+        sol = _solve_relaxation(fixed_lp, _Standardized(fixed_lp))[0]
+        if sol.status == "optimal":
+            objectives.append(sol.objective)
+    if not objectives:
+        return None
+    return max(objectives) if lp.sense == "max" else min(objectives)
+
+
+def test_mip_equals_enumeration_of_its_binaries(monkeypatch):
+    # Reliability branching changes which nodes are solved, never the
+    # optimum: it must equal the best of all 0/1 fixings of the binaries, a
+    # cutoff at that optimum leaves nothing strictly better, and a worse one
+    # leaves the optimum.
+    rng = np.random.default_rng(15)
+    solves = _recorded_relaxations(monkeypatch)
+    compared = with_infeasible_children = infeasible = 0
+    while compared < 120:
+        lp = _mixed_mip(rng)
+        best = _enumerated_optimum(lp)
+        solves.clear()
+        mip = solve_mip(lp)
+        if mip.status == "unbounded":
+            continue
+        compared += 1
+        with_infeasible_children += any(status == "infeasible" for status, _ in solves[1:])
+        if best is None:
+            assert mip.status == "infeasible"
+            infeasible += 1
+            continue
+        assert mip.status == "optimal"
+        assert mip.objective == pytest.approx(best, abs=1e-7)
+        assert all(mip[v] in (0.0, 1.0) for v in lp.binary_vars())
+        for row in lp._rows:
+            lhs = sum(c * mip[lp._vars[j].name] for j, c in row.coeffs.items())
+            assert {"<=": lhs <= row.rhs + 1e-7, ">=": lhs >= row.rhs - 1e-7,
+                    "=": abs(lhs - row.rhs) <= 1e-7}[row.sense]
+        assert solve_mip(lp, cutoff=best).status == "infeasible"
+        to_max = 1.0 if lp.sense == "max" else -1.0
+        worse = solve_mip(lp, cutoff=best - to_max * 0.5)
+        assert worse.status == "optimal" and worse.objective == pytest.approx(best, abs=1e-7)
+    assert with_infeasible_children > 30 and compared - infeasible > 50 and infeasible > 5
+
+
+def _relaxed(lp):
+    """`lp` with its binaries relaxed to continuous variables in [0, 1]."""
+    relaxed = copy.deepcopy(lp)
+    for v in relaxed._vars:
+        v.binary = False
+    return relaxed
+
+
+def test_an_infeasible_strong_branching_child_decides_the_branch_at_once(monkeypatch):
+    # The root has za = 1, zb = 0.3, zc = 0.55 and zd = 0.86.  Strong
+    # branching tries the most fractional zc first, and both its children
+    # can improve.  Then zb: zb = 0 leaves zb + x >= 1.3 with x <= 1
+    # unsatisfiable, so the root branches on zb at once, never tries zd, and
+    # pushes the zb = 1 child it solved without solving it again.  That
+    # child has zd = 1 and zc = 0.55, and branches on zc, already observed in
+    # both directions, without strong branching; its zc = 1 child leaves
+    # za = 0.55 and branches once more.
+    lp = LinearProgram()
+    for name in ("za", "zb", "zc", "zd"):
+        lp.add_var(name, binary=True)
+    lp.add_var("x", 0.0, 1.0)
+    lp.add_row({"zb": 1, "x": 1}, ">=", 1.3)
+    lp.add_row({"za": 1, "zc": 1}, "<=", 1.55)
+    lp.add_row({"zd": 1, "zb": -0.2}, "<=", 0.8)
+    lp.set_objective({"zb": 1, "za": -1, "zc": -0.9, "zd": -0.5}, "min")
+    root = solve_lp(_relaxed(lp))
+    assert [root[v] for v in ("za", "zb", "zc", "zd")] == pytest.approx([1.0, 0.3, 0.55, 0.86])
+    solves = _recorded_relaxations(monkeypatch)
+    mip = solve_mip(lp)
+    assert solves == [("optimal", set()), ("optimal", {"zc"}), ("optimal", {"zc"}),
+                      ("infeasible", {"zb"}), ("optimal", {"zb"}),
+                      ("optimal", {"zb", "zc"}), ("optimal", {"zb", "zc"}),
+                      ("optimal", {"za", "zb", "zc"}), ("infeasible", {"za", "zb", "zc"})]
+    assert mip.objective == pytest.approx(_enumerated_optimum(lp), abs=1e-9)
+    assert [mip[v] for v in ("za", "zb", "zc", "zd")] == [1.0, 1.0, 0.0, 1.0]
+
+
+def test_node_budget_counts_strong_branching_relaxations(monkeypatch):
+    # Every relaxation below the root counts toward the budget, those of
+    # strong-branching candidates not branched on included: a budget of
+    # exactly that many completes the tree, one less raises.  Raised past
+    # an integral relaxation, the error carries that incumbent.
+    rng = np.random.default_rng(16)
+    solves = _recorded_relaxations(monkeypatch)
+    trees = root_tried_two = carried = 0
+    for _ in range(40):
+        n = int(rng.integers(5, 9))
+        lp = LinearProgram()
+        for j in range(n):
+            lp.add_var(f"z{j}", binary=True)
+        lp.add_row({f"z{j}": float(rng.integers(2, 9)) for j in range(n)}, "<=", float(2 * n) + 0.5)
+        lp.add_row({f"z{j}": float(rng.integers(1, 4)) for j in range(n)}, "<=", float(n) + 0.5)
+        lp.set_objective({f"z{j}": float(rng.integers(3, 12)) for j in range(n)}, "max")
+        solves.clear()
+        expected = solve_mip(lp)
+        children = len(solves) - 1
+        if children < 4:
+            continue
+        trees += 1
+        first = [fixed for _, fixed in solves[1:5]]
+        root_tried_two += all(len(f) == 1 for f in first) and len(set().union(*first)) == 2
+        assert repr(solve_mip(lp, node_budget=children)) == repr(expected)
+        solves.clear()
+        with pytest.raises(BudgetExceededError) as exc:
+            solve_mip(lp, node_budget=children - 1)
+        assert len(solves) == children
+        incumbent = exc.value.incumbent
+        if incumbent is not None:
+            carried += 1
+            assert incumbent.objective <= expected.objective + 1e-9
+            assert all(incumbent[v] in (0.0, 1.0) for v in lp.binary_vars())
+            assert incumbent.pivots[1] > 0
+    assert trees > 30 and root_tried_two > 5 and carried > 20
+
+
 def test_lp_text_dump_roundtrips_key_fields():
     lp = LinearProgram(name="demo")
     lp.add_var("x", 0, 2)

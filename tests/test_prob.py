@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from resilient_te import prob
 from resilient_te.fixtures import cvar_topo, flow_example
 from resilient_te.generators import random_instance
 from resilient_te.net import FlowDemand, NetworkInstance, Scenario, make_topology
@@ -332,6 +333,28 @@ def test_perfect_scenario_pruning_is_neutral():
         a = benders_run(pinst, 4, prune_perfect=True)[2]
         b = benders_run(pinst, 4, prune_perfect=False)[2]
         assert a.incumbent == pytest.approx(b.incumbent, abs=1e-6)
+
+
+def test_benders_solves_each_scenario_column_once(monkeypatch):
+    # A (scenario, selection column) seen before reuses its subproblem, and
+    # its cut is appended again, so the masters see what re-solves gave.
+    calls, solve = [], prob.benders_subproblem
+
+    def spy(pinst, q, z_col):
+        calls.append((q, tuple(sorted(z_col.items()))))
+        return solve(pinst, q, z_col)
+
+    monkeypatch.setattr(prob, "benders_subproblem", spy)
+    for pinst in (make_pinst(), make_pinst(cutoff=1e-4, beta=0.9)):
+        calls.clear()
+        state = benders_run(pinst, 5, prune_perfect=False)[2]
+        assert len(calls) == len(set(calls))
+        assert len(state.cuts) == len(pinst.scenarios) * len(state.incumbent_history)
+        assert len(calls) <= len(state.cuts)
+        # The first cuts are those of the connectivity selection, solved once.
+        first = len(pinst.scenarios)
+        for cut, (q, z_col) in zip(state.cuts[:first], calls[:first]):
+            assert cut == solve(pinst, q, dict(z_col)).cut
 
 
 # -- CVaR formulations ---------------------------------------------------------
