@@ -6,6 +6,9 @@ objective in those scenarios.  The joint selection-and-routing problem is a
 MIP; it also decomposes into a master over selections plus one small LP per
 scenario whose duals yield valid tangent cuts, since the inner optimum is
 convex in the selection.
+
+All of an instance's subproblems are bound edits of one LP, solved cold
+once per instance and re-solved warm per scenario (see `benders_subproblem`).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import lp as lp_layer
 from .failsets import SCENARIO_GUARD, ScenarioBlowupError
 from .lp import LinearProgram, Solution, solve_lp, solve_mip
 from .net import Link, NetworkInstance, Scenario, Topology, Tunnel, tunnel_alive
@@ -108,6 +112,12 @@ class ProbabilisticInstance:
         live tunnel."""
         return {(u.id, q): all(live[pair] for pair, d in u.members if d > 0)
                 for u in self.units for q, live in enumerate(self.live)}
+
+    @cached_property
+    def subproblem(self) -> _SubproblemLP:
+        """Every scenario's Benders subproblem as one LP, solved cold once;
+        see `benders_subproblem`."""
+        return _subproblem_lp(self)
 
 
 @dataclass
@@ -251,7 +261,10 @@ def percentile_of(losses: list[float], probs: list[float], beta: float) -> float
 
 
 def cvar_of(losses: list[float], probs: list[float], beta: float) -> float:
-    """Average loss in the worst 1-beta probability mass (at the VaR anchor)."""
+    """Average loss in the worst 1-beta probability mass (at the VaR anchor);
+    beta must be below 1."""
+    if not beta < 1:
+        raise ValueError(f"CVaR needs beta < 1, got {beta}")
     var = percentile_of(losses, probs, beta)
     excess = sum(p * max(0.0, l - var) for l, p in zip(losses, probs))
     return var + excess / (1 - beta)
@@ -283,15 +296,15 @@ def percentile_analysis(allocs: list[ScenarioAlloc], pinst: ProbabilisticInstanc
 # variables x::{tunnel}{x_sfx}, the suffixes telling scenarios apart.
 
 
-def _demand_rows(lp: LinearProgram, pinst: ProbabilisticInstance, q: int,
-                 sfx: str, x_sfx: str) -> None:
-    """One row per pair with demand: the pair's tunnels alive in scenario q
-    plus its demand-weighted unit losses cover the pair's demand."""
+def _demand_rows(lp: LinearProgram, pinst: ProbabilisticInstance,
+                 live: dict[Pair, list[Tunnel]], label: str, sfx: str, x_sfx: str) -> None:
+    """One row per pair with demand: the pair's `live` tunnels plus its
+    demand-weighted unit losses cover the pair's demand."""
     for pair, (total, shares) in sorted(pinst.pair_demand.items()):
         coeffs = {f"l::{uid}{sfx}": d for uid, d in shares.items()}
-        for t in pinst.live[q][pair]:
+        for t in live[pair]:
             coeffs[f"x::{t.id}{x_sfx}"] = coeffs.get(f"x::{t.id}{x_sfx}", 0.0) + 1.0
-        lp.add_row(coeffs, ">=", total, name=f"demand:{q}:{pair[0]}>{pair[1]}")
+        lp.add_row(coeffs, ">=", total, name=f"demand:{label}:{pair[0]}>{pair[1]}")
 
 
 def _capacity_rows(lp: LinearProgram, pinst: ProbabilisticInstance, tunnels: Sequence[Tunnel],
@@ -307,7 +320,7 @@ def _scenario_rows(lp: LinearProgram, pinst: ProbabilisticInstance, q: int, sfx:
     only for tunnels alive in that scenario."""
     for t in pinst.routed[q]:
         lp.add_var(f"x::{t.id}{sfx}")
-    _demand_rows(lp, pinst, q, sfx, sfx)
+    _demand_rows(lp, pinst, pinst.live[q], str(q), sfx, sfx)
     _capacity_rows(lp, pinst, pinst.routed[q], sfx, str(q))
 
 
@@ -429,27 +442,67 @@ class SubproblemResult:
     cut: Cut
 
 
+@dataclass(frozen=True)
+class _SubproblemLP:
+    """The subproblem LP of every scenario and its cold optimal solution."""
+
+    lp: LinearProgram
+    solution: Solution
+    tunnels: tuple[str, ...]  # x::{tunnel} of every tunnel of a pair with demand
+    loss_rows: dict[int, str]  # lossbound row index -> unit
+
+
+def _subproblem_lp(pinst: ProbabilisticInstance) -> _SubproblemLP:
+    """The subproblem with every tunnel alive and every zc at 1, solved cold
+    through the `lp` module: a wrapper of this module's `solve_lp` that
+    counts solves then sees one per subproblem, whichever call built it."""
+    lp = LinearProgram(name="sub")
+    lp.add_var("alpha")
+    for u in pinst.units:
+        lp.add_var(f"l::{u.id}")
+        lp.add_var(f"zc::{u.id}", 1.0, 1.0)
+    loss_rows = {}
+    for u in pinst.units:
+        row = lp.add_row({"alpha": 1.0, f"l::{u.id}": -1.0, f"zc::{u.id}": -1.0}, ">=",
+                         -1.0 - u.threshold, name=f"lossbound:{u.id}")
+        loss_rows[row] = u.id
+        lp.add_row({f"l::{u.id}": 1.0}, "<=", 1.0, name=f"losscap:{u.id}")
+    tunnels = {pair: pinst.instance.tunnels_for(*pair) for pair in pinst.pair_demand}
+    every = list({t.id: t for ts in tunnels.values() for t in ts}.values())
+    for t in every:
+        lp.add_var(f"x::{t.id}")
+    _demand_rows(lp, pinst, tunnels, "all", "", "")
+    _capacity_rows(lp, pinst, every, "", "all")
+    lp.set_objective({"alpha": 1.0}, "min")
+    sol = lp_layer.solve_lp(lp)
+    if sol.status != "optimal":
+        raise RuntimeError(f"subproblem reported {sol.status}")
+    return _SubproblemLP(lp, sol, tuple(f"x::{t.id}" for t in every), loss_rows)
+
+
 def benders_subproblem(pinst: ProbabilisticInstance, q: int,
                        z_col: dict[str, float]) -> SubproblemResult:
     """Route one scenario given which units it is critical for, and return
     the tangent cut assembled from the row duals.
 
-    The subproblem is always feasible (drop everything, take loss one), so
-    the cut exists and is tight at the proposed selection.
+    The LP is `pinst.subproblem` with scenario q's dead tunnels fixed at 0
+    and the column entered as fixed variables zc::{unit} in the rows
+    alpha - l - zc >= -1 - threshold, re-solved warm from its cold solution,
+    never from another call's, so no result depends on call order.  The cut
+    takes the lossbound duals as coefficients and sum(dual * rhs) over the
+    rows as its constant.  The subproblem is always feasible (drop
+    everything, take loss one), so the cut exists and is tight at the
+    proposed selection.
     """
-    lp = LinearProgram(name=f"sub:{q}")
-    lp.add_var("alpha")
+    sub = pinst.subproblem
+    alive = {f"x::{t.id}" for t in pinst.routed[q]}
+    bounds = {x: (0.0, 0.0) for x in sub.tunnels if x not in alive}
     for u in pinst.units:
-        lp.add_var(f"l::{u.id}")
-    loss_row_unit = {}
-    for u in pinst.units:
-        row = lp.add_row({"alpha": 1.0, f"l::{u.id}": -1.0}, ">=",
-                         z_col.get(u.id, 0.0) - 1.0 - u.threshold, name=f"lossbound:{u.id}")
-        loss_row_unit[row] = u.id
-        lp.add_row({f"l::{u.id}": 1.0}, "<=", 1.0, name=f"losscap:{u.id}")
-    _scenario_rows(lp, pinst, q, "")
-    lp.set_objective({"alpha": 1.0}, "min")
-    sol = solve_lp(lp)
+        z = z_col.get(u.id, 0.0)
+        bounds[f"zc::{u.id}"] = (z, z)
+    lp = sub.lp.with_bounds(bounds)
+    # With no units the LP has no rows, hence no basis to start from.
+    sol = solve_lp(lp, start=sub.solution if pinst.units else None)
     if sol.status != "optimal":
         raise RuntimeError(f"subproblem {q} reported {sol.status}")
 
@@ -458,13 +511,10 @@ def benders_subproblem(pinst: ProbabilisticInstance, q: int,
     for idx, dual in enumerate(sol.duals):
         if not dual:
             continue
-        row_rhs = lp._rows[idx].rhs
-        uid = loss_row_unit.get(idx)
+        const += dual * lp._rows[idx].rhs
+        uid = sub.loss_rows.get(idx)
         if uid is not None:
             coeff[uid] = coeff.get(uid, 0.0) + dual
-            const += dual * (row_rhs - z_col.get(uid, 0.0))
-        else:
-            const += dual * row_rhs
     return SubproblemResult(sol.objective, _read_alloc(sol, pinst, q, ""), Cut(q, const, coeff))
 
 
@@ -637,10 +687,13 @@ def solve_cvar(pinst: ProbabilisticInstance, variant: str = "flow_adaptive",
 
     flow_adaptive re-routes per scenario; flow_static shares one allocation
     across scenarios; scen_static applies CVaR to the per-scenario worst
-    loss with a static allocation (the scenario-centric baseline).
+    loss with a static allocation (the scenario-centric baseline).  The
+    instance's beta must be below 1.
     """
     if variant not in ("flow_adaptive", "flow_static", "scen_static"):
         raise ValueError(f"unknown CVaR variant {variant!r}")
+    if not pinst.beta < 1:
+        raise ValueError(f"CVaR needs beta < 1, got {pinst.beta}")
     units = pinst.units
     Q = range(len(pinst.scenarios))
     probs = pinst.probs
@@ -689,7 +742,7 @@ def solve_cvar(pinst: ProbabilisticInstance, variant: str = "flow_adaptive",
             lp.add_row(tail, ">=", 0.0, name=f"cvar:{u.id}")
         for q in Q:
             if static:
-                _demand_rows(lp, pinst, q, f"::{q}", "")
+                _demand_rows(lp, pinst, pinst.live[q], str(q), f"::{q}", "")
             else:
                 _scenario_rows(lp, pinst, q, f"::{q}")
     lp.set_objective({"theta": 1.0}, "min")

@@ -254,6 +254,15 @@ def test_cli_flomore_solve_rejects_an_unreachable_target(capsys):
         assert "InfeasibleTargetError" in captured.err
 
 
+def test_cli_flomore_cvar_rejects_beta_one(capsys):
+    # CVaR averages over the worst 1 - beta of the mass, so beta = 1 is a
+    # usage error, not a division by zero
+    assert main(["--fixture", "cvar-topo", "flomore", "cvar", "--beta", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: USAGE") and "beta" in captured.err
+
+
 def test_cli_report_csv_normalized(tmp_path):
     out = tmp_path / "report.csv"
     assert main(["--fixture", "four-tunnel", "report", "--k", "1",

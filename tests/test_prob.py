@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from resilient_te import prob
 from resilient_te.fixtures import cvar_topo, flow_example
 from resilient_te.generators import random_instance
+from resilient_te.lp import LinearProgram, solve_lp
 from resilient_te.net import FlowDemand, NetworkInstance, Scenario, make_topology
 from resilient_te.prob import (
     InfeasibleTargetError,
@@ -125,6 +128,16 @@ def test_cvar_tail_average():
     # worst 10% of mass holds 9% at 5% loss and 1% at 10% loss
     assert cvar_of([0.0, 0.05, 0.10], [0.9, 0.09, 0.01], 0.9) == pytest.approx(0.055)
     assert cvar_of([0.0], [1.0], 0.9) == pytest.approx(0.0)
+
+
+def test_cvar_rejects_beta_one():
+    with pytest.raises(ValueError, match="beta"):
+        cvar_of([0.0, 1.0], [0.5, 0.5], 1.0)
+    for variant in ("flow_adaptive", "flow_static", "scen_static"):
+        with pytest.raises(ValueError, match="beta"):
+            solve_cvar(make_pinst(beta=1.0), variant)
+    # beta = 0 averages over every scenario
+    assert cvar_of([0.0, 1.0], [0.5, 0.5], 0.0) == pytest.approx(0.5)
 
 
 def test_var_never_exceeds_cvar():
@@ -249,18 +262,119 @@ def test_subproblem_trivial_cases():
     assert shared.alpha == pytest.approx(0.5)
 
 
-def test_cut_tight_at_origin_and_valid_elsewhere():
-    pinst = make_pinst()
-    rng = np.random.default_rng(7)
+def subproblem_pinsts():
+    cv = cvar_topo()
+    fx = flow_example()
+    demands = (FlowDemand("f1", ("A", "C"), 1.0, loss_threshold=0.5, beta=0.99),
+               FlowDemand("f2", ("A", "D"), 1.0, beta=0.9))
+    thresholds = NetworkInstance(topology=fx.topology, demands=demands, tunnels=fx.tunnels)
+    scens = enumerate_prob_scenarios(fx.topology, cutoff=0.0)
+    return {
+        "cvar-topo": ProbabilisticInstance(
+            cv, enumerate_prob_scenarios(cv.topology, cutoff=0.0), beta=0.99),
+        "flow-example": ProbabilisticInstance(thresholds, scens, beta=0.99),
+        "flow-example sets": ProbabilisticInstance(fx, scens, beta=0.99,
+                                                   flow_sets={"svc": ["f1", "f2"]}),
+        "make_pinst": make_pinst(),
+    }
+
+
+def subproblem_columns(pinst, q, rng):
+    """All-0, all-1, connectivity and three random selection columns."""
     units = [u.id for u in pinst.units]
-    for q in range(len(pinst.scenarios)):
-        z0 = {u: float(rng.integers(0, 2)) for u in units}
-        res = benders_subproblem(pinst, q, z0)
-        assert res.cut.value(z0) == pytest.approx(res.alpha, abs=1e-7)
-        for _ in range(10):
-            z1 = {u: float(rng.integers(0, 2)) for u in units}
-            other = benders_subproblem(pinst, q, z1)
-            assert res.cut.value(z1) <= other.alpha + 1e-7
+    z0 = connectivity_selection(pinst)
+    columns = [{u: 0.0 for u in units}, {u: 1.0 for u in units},
+               {u: z0[(u, q)] for u in units}]
+    columns += [{u: float(rng.integers(0, 2)) for u in units} for _ in range(3)]
+    return columns
+
+
+def cold_subproblem_alpha(pinst, q, z_col):
+    """The per-scenario subproblem built on its own and solved cold: only
+    scenario q's live tunnels, the column in the lossbound rhs."""
+    lp = LinearProgram(name=f"sub:{q}")
+    lp.add_var("alpha")
+    for u in pinst.units:
+        lp.add_var(f"l::{u.id}")
+    for u in pinst.units:
+        lp.add_row({"alpha": 1.0, f"l::{u.id}": -1.0}, ">=",
+                   z_col.get(u.id, 0.0) - 1.0 - u.threshold)
+        lp.add_row({f"l::{u.id}": 1.0}, "<=", 1.0)
+    prob._scenario_rows(lp, pinst, q, "")
+    lp.set_objective({"alpha": 1.0}, "min")
+    sol = solve_lp(lp)
+    assert sol.status == "optimal"
+    return sol.objective
+
+
+def test_warm_subproblem_equals_the_cold_per_scenario_lp():
+    rng = np.random.default_rng(5)
+    for name, pinst in subproblem_pinsts().items():
+        for q in range(len(pinst.scenarios)):
+            for z_col in subproblem_columns(pinst, q, rng):
+                got = benders_subproblem(pinst, q, z_col).alpha
+                assert got == pytest.approx(cold_subproblem_alpha(pinst, q, z_col), abs=1e-9), \
+                    (name, q, z_col)
+
+
+def test_cut_tight_at_origin_and_valid_elsewhere():
+    for name, pinst in subproblem_pinsts().items():
+        units = [u.id for u in pinst.units]
+        columns = [dict(zip(units, map(float, bits)))
+                   for bits in itertools.product((0, 1), repeat=len(units))]
+        for q in range(len(pinst.scenarios)):
+            results = [benders_subproblem(pinst, q, z_col) for z_col in columns]
+            for res, z_col in zip(results, columns):
+                assert res.cut.value(z_col) == pytest.approx(res.alpha, abs=1e-9), (name, q)
+                for other, z_other in zip(results, columns):
+                    assert res.cut.value(z_other) <= other.alpha + 1e-9, (name, q)
+
+
+def test_subproblem_results_do_not_depend_on_call_order():
+    rng = np.random.default_rng(9)
+    for pinst in subproblem_pinsts().values():
+        calls = [(q, z_col) for q in range(len(pinst.scenarios))
+                 for z_col in subproblem_columns(pinst, q, rng)]
+        forward = [benders_subproblem(pinst, q, z_col) for q, z_col in calls]
+        backward = [benders_subproblem(pinst, q, z_col) for q, z_col in reversed(calls)]
+        fresh_pinst = ProbabilisticInstance(pinst.instance, pinst.scenarios, pinst.beta,
+                                            pinst.flow_sets)
+        fresh = [benders_subproblem(fresh_pinst, q, z_col) for q, z_col in calls]
+        assert repr(forward) == repr(backward[::-1]) == repr(fresh)
+
+
+def test_subproblems_re_solve_warm(monkeypatch):
+    # Every subproblem is one solve through this module's `solve_lp` (the
+    # shared cold solve is not), and none of them runs phase 1.
+    pivots, solve = [], prob.solve_lp
+
+    def spy(lp, start=None):
+        sol = solve(lp, start=start)
+        pivots.append(sol.pivots)
+        return sol
+
+    monkeypatch.setattr(prob, "solve_lp", spy)
+    rng = np.random.default_rng(13)
+    for pinst in subproblem_pinsts().values():
+        pivots.clear()
+        calls = 0
+        for q in range(len(pinst.scenarios)):
+            for z_col in subproblem_columns(pinst, q, rng):
+                benders_subproblem(pinst, q, z_col)
+                calls += 1
+        assert len(pivots) == calls
+        assert all(p1 == 0 for p1, _ in pivots)
+
+
+def test_subproblem_without_demand_is_lossless():
+    fx = flow_example()
+    inst = NetworkInstance(topology=fx.topology, demands=(), tunnels=fx.tunnels)
+    pinst = ProbabilisticInstance(inst, enumerate_prob_scenarios(fx.topology, cutoff=0.0),
+                                  beta=0.9)
+    res = benders_subproblem(pinst, 1, {})
+    assert (res.alpha, res.alloc, res.cut) == (0.0, ScenarioAlloc({}, {}), prob.Cut(1, 0.0, {}))
+    report = percentile_analysis(solve_scenario_minmax(pinst), pinst)
+    assert report.max_flow_pct_loss == 0.0
 
 
 def test_master_heuristic_start_and_bounds():
