@@ -1,15 +1,23 @@
-"""Dense two-phase simplex with bounded variables, plus branch and bound.
+"""Two-phase simplex with bounded variables, plus branch and bound.
 
 Every optimization model in this package compiles down to this layer.  Each
 solve call compiles its LP once into a standard form: a variable with a
 finite lb is shifted to x - lb, one with only a finite ub is reflected to
 ub - x, and only a variable free on both sides is split in two columns.
 Branch and bound keeps that one form and re-bounds it at every node.  The
-solver keeps an explicit basis inverse (dense, refactorized periodically),
+solver keeps an explicit dense basis inverse (refactorized periodically),
 prices with the Dantzig rule, and falls back to Bland's rule after a run of
 degenerate pivots.  The ratio test takes the minimum ratio; ratios within
 1e-12 of it tie, and ties go to the largest |pivot column entry|, then to the
 lowest basis index (under Bland's rule, to the lowest basis index alone).
+
+The constraint matrix itself is sparse.  A form of at least SPARSE_MIN_ROWS
+rows also keeps its real (structural and slack) columns by their nonzeros,
+and each pivot multiplies over those: pricing `y @ A`, the entering column
+`B^-1 a_j`, and the rank-1 update of `B^-1`, which touches only the rows
+where that column is nonzero.  Smaller forms multiply by the dense `A`,
+where numpy's per-call cost outweighs the saving; the crossover was
+measured on the LPs of this package's benchmark.
 
 Phase 1 starts from one artificial per row and stops as soon as no basic
 artificial is positive (no tolerance): its objective, the artificials' sum,
@@ -26,11 +34,13 @@ pinned at 0.  The basic variable with the largest bound violation leaves at
 the bound it violated; the entering column minimizes |reduced cost| /
 |alpha| over the nonbasic real columns that can move in the direction that
 repairs that row.  Ratios within 1e-12 of the minimum tie, and ties go to
-the largest |alpha|, then the lowest column index.  A row that no column can
-repair proves the child infeasible.  Once every basic variable is within
-its bounds, phase 2 finishes the solve; it stops at once on an optimal
-basis.  If the dual loop reaches the iteration cap or a singular basis, the
-child is solved cold on the same form instead.
+the largest |alpha|, then the lowest column index.  On a sparse form the
+reduced costs are updated on each pivot, d -= d_j / alpha_j * alpha, and
+recomputed at each refactor.  A row that no column can repair proves the
+child infeasible.  Once every basic variable is within its bounds, phase 2
+finishes the solve; it stops at once on an optimal basis.  If the dual loop
+reaches the iteration cap or a singular basis, the child is solved cold on
+the same form instead.
 
 An LP solve can be warm too: `solve_lp(lp, start=sol)` re-solves `lp` from
 the final basis of `sol`, an optimal solution of an LP with the same
@@ -75,6 +85,10 @@ COST_TOL = 1e-9
 INT_TOL = 1e-6
 DEGENERATE_RUN_LIMIT = 40
 REFACTOR_EVERY = 150
+# Forms with this many rows price and update over their nonzeros.  Replayed
+# on the benchmark's LPs, the sparse kernels took 1.2-1.4x the dense time
+# below 96 rows, broke even at 96-111, and won from 112 (0.6x at 271).
+SPARSE_MIN_ROWS = 112
 
 
 class SolverStallError(RuntimeError):
@@ -254,6 +268,11 @@ class _Standardized:
     and `c` are built once.  `bound` sets what the bounds of one solve
     change: the shifts, `b`, `u` and the artificial column signs.  It keeps
     the layout, so it may change only finite bounds.
+
+    A form with at least SPARSE_MIN_ROWS rows is `sparse`: it also keeps its
+    real block by columns (`nz_rows`, `nz_vals`, column starts `col_start`),
+    shared by its `rebound` copies, and `price` and `ftran` multiply over
+    those nonzeros.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -303,6 +322,11 @@ class _Standardized:
         self.c = c
         #: Index of each row's artificial entry in `A`
         self.diagonal = np.arange(m), self.n_real + np.arange(m)
+        self.sparse = m >= SPARSE_MIN_ROWS
+        if self.sparse:
+            cols, self.nz_rows = np.nonzero(A[:, :self.n_real].T)
+            self.nz_cols, self.nz_vals = cols, A[self.nz_rows, cols]
+            self.col_start = np.searchsorted(cols, np.arange(self.n_real + 1))
         self.bound(self.lb, self.ub)
 
     def bound(self, lb: np.ndarray, ub: np.ndarray) -> None:
@@ -321,6 +345,23 @@ class _Standardized:
         nz = np.flatnonzero(shifted)
         np.subtract.at(b, self.ri[nz], self.cv[nz] * shifted[nz])
         self.b = b
+
+    def price(self, y: np.ndarray, n: int) -> np.ndarray:
+        """`y @ A[:, :n]`, for n = n_real or ncols."""
+        if not self.sparse:
+            return y @ self.A[:, :n]
+        out = np.bincount(self.nz_cols, y[self.nz_rows] * self.nz_vals, self.n_real)
+        return out if n == self.n_real else np.concatenate((out, y * self.A[self.diagonal]))
+
+    def ftran(self, Binv: np.ndarray, j: int) -> np.ndarray:
+        """`Binv @ A[:, j]`."""
+        if not self.sparse:
+            return Binv @ self.A[:, j]
+        if j >= self.n_real:  # an artificial: its sign times a unit column
+            i = j - self.n_real
+            return Binv[:, i] * self.A[i, j]
+        span = slice(self.col_start[j], self.col_start[j + 1])
+        return Binv[:, self.nz_rows[span]] @ self.nz_vals[span]
 
     def rebound(self, lb: np.ndarray, ub: np.ndarray) -> _Standardized:
         """A copy of this form under other bounds; this form is left as it
@@ -386,7 +427,8 @@ class _Simplex:
         self.bland = False
         self.iterations = 0
         self.pivots = [0, 0]
-        self._rank1 = np.empty((m, m))
+        # Scratch for the dense rank-1 update; a sparse form updates by rows.
+        self._rank1 = None if std.sparse else np.empty((m, m))
         if start is None:
             self.basis = np.arange(std.n_real, n)
             self.at_upper = np.zeros(n, dtype=bool)  # nonbasic position
@@ -457,15 +499,20 @@ class _Simplex:
     def _update_inverse(self, leave_pos: int, col: np.ndarray) -> None:
         """Rank-1 update of `Binv` after `col` (the entering column times
         the old inverse) replaced basis position `leave_pos`; refactor
-        instead when the pivot is tiny."""
+        instead when the pivot is tiny.  A sparse form updates only the rows
+        where `col` is nonzero; the others would lose 0 * row, exactly."""
         piv = col[leave_pos]
         if abs(piv) < PIVOT_TOL:
             self._refactor()
             return
         Binv = self.Binv
         row = Binv[leave_pos] / piv
-        np.multiply(col[:, None], row, out=self._rank1)
-        Binv -= self._rank1
+        if self.std.sparse:
+            nz = np.flatnonzero(col)
+            Binv[nz] -= col[nz, None] * row
+        else:
+            np.multiply(col[:, None], row, out=self._rank1)
+            Binv -= self._rank1
         Binv[leave_pos] = row
         self.pivots_since_refactor += 1
 
@@ -482,9 +529,9 @@ class _Simplex:
         between two equal bounds.
         """
         std = self.std
-        A, ub = std.A, self.u
+        ub = self.u
         n_price = std.ncols if phase == 1 else std.n_real
-        c_price, A_price = c[:n_price], A[:, :n_price]
+        c_price = c[:n_price]
         basis, in_basis, at_upper = self.basis, self.in_basis, self.at_upper
         cB, ubB = c[basis], ub[basis]
         # Pricing direction of each column: -1 may enter from its lower bound,
@@ -506,12 +553,12 @@ class _Simplex:
                 raise SolverStallError(f"simplex exceeded {max_iter} iterations")
             if self.pivots_since_refactor >= REFACTOR_EVERY:
                 self._refactor()
-            score = (c_price - (cB @ Binv) @ A_price) * d_price
+            score = (c_price - std.price(cB @ Binv, n_price)) * d_price
             j = int((score > COST_TOL).argmax() if self.bland else score.argmax())
             if not score[j] > COST_TOL:
                 return True
             from_upper = bool(at_upper[j])
-            col = Binv @ A[:, j]
+            col = std.ftran(Binv, j)
             # Rate of change of the basic variables per unit step of x_j
             # away from its bound.
             a = -col if from_upper else col
@@ -575,8 +622,8 @@ class _Simplex:
         """
         std = self.std
         n = std.n_real
-        A, c, u = std.A, std.c, self.u
-        A_real, c_real = A[:, :n], c[:n]
+        c, u = std.c, self.u
+        c_real = c[:n]
         basis, in_basis, at_upper = self.basis, self.in_basis, self.at_upper
         movable = u[:n] > PIVOT_TOL
         Binv, xB = self.Binv, self.xB
@@ -596,7 +643,7 @@ class _Simplex:
             if self.iterations > max_iter:
                 raise SolverStallError(f"dual simplex exceeded {max_iter} iterations")
             to_upper = bool(above[r] > below[r])
-            alpha = Binv[r] @ A_real
+            alpha = std.price(Binv[r], n)
             # Rate at which each nonbasic column, stepping away from its
             # bound, moves x_B[r] toward the bound it violates.
             rate = np.where(at_upper[:n], alpha, -alpha)
@@ -605,7 +652,9 @@ class _Simplex:
             cand = np.flatnonzero((rate > PIVOT_TOL) & movable & ~in_basis[:n])
             if cand.size == 0:
                 return False
-            d = c_real - (c[basis] @ Binv) @ A_real
+            if self.pivots_since_refactor == 0 or not std.sparse:
+                # A sparse form updates `d` on each pivot instead.
+                d = c_real - std.price(c[basis] @ Binv, n)
             # |d_j| on a dual-feasible start; a wrong-signed d_j counts as 0,
             # and phase 2 repairs such a start afterwards.
             gain = np.where(at_upper[cand], -d[cand], d[cand])
@@ -615,7 +664,7 @@ class _Simplex:
                 size = np.abs(alpha[ties])
                 ties = ties[size == size.max()]
             j = int(ties[0])
-            col = Binv @ A[:, j]
+            col = std.ftran(Binv, j)
             leaving = basis[r]
             step = (xB[r] - (u[leaving] if to_upper else 0.0)) / col[r]
             entering = (u[j] if at_upper[j] else 0.0) + step
@@ -626,6 +675,8 @@ class _Simplex:
             basis[r] = j
             in_basis[j] = True
             self.pivots[1] += 1
+            if std.sparse:
+                d -= d[j] / alpha[j] * alpha
             self._update_inverse(r, col)
 
 
@@ -769,10 +820,10 @@ def solve_mip(lp: LinearProgram, node_budget: int = 100_000,
     `cutoff` declares a known achievable objective: subtrees that cannot
     strictly beat it are pruned, and "infeasible" is returned when nothing
     better exists (the caller already holds the cutoff solution).
+
+    An LP without binaries is its own root: its relaxation is integral.
     """
     bin_idx = [lp._index[name] for name in lp.binary_vars()]
-    if not bin_idx:
-        raise ValueError("solve_mip requires at least one binary variable")
     # Search in min orientation: key = sign * objective, and `best` is the
     # key to beat, first the cutoff's, then the incumbent's.
     sign = 1.0 if lp.sense == "min" else -1.0

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -241,6 +242,17 @@ def test_cli_flomore_and_analyze(capsys):
                  "--cutoff", "0"]) == 0
     out = capsys.readouterr().out
     assert "cvar,1.000000" in out
+
+
+def test_cli_flomore_without_demands_reports_no_loss(tmp_path, capsys):
+    path = tmp_path / "no-demands.json"
+    dump_instance(dataclasses.replace(flow_example(), demands=()), str(path))
+    for method in ("solve", "benders"):
+        assert main(["--instance", str(path), "flomore", method, "--cutoff", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "max-flow-pct-loss,0.000000" in captured.out
+        assert "scen-pct-loss,0.000000" in captured.out
 
 
 def test_cli_flomore_solve_rejects_an_unreachable_target(capsys):

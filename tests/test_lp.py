@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from resilient_te import lp as lp_module
+from resilient_te.generators import random_instance, with_conditional_sequences
 from resilient_te.lp import (
     INF,
     FEAS_TOL,
+    SPARSE_MIN_ROWS,
     BudgetExceededError,
     LinearProgram,
     SolverStallError,
@@ -19,6 +21,7 @@ from resilient_te.lp import (
     _solve_relaxation,
     _Standardized,
 )
+from resilient_te.robust import build_robust_lp
 
 
 def simple_lp(sense="max"):
@@ -149,10 +152,13 @@ def test_determinism():
             assert again.primal == first.primal
 
 
-def test_mip_requires_binary_and_lp_rejects_it():
+def test_mip_without_binaries_returns_its_root_and_lp_rejects_binaries():
     lp = simple_lp()
-    with pytest.raises(ValueError):
-        solve_mip(lp)
+    sol, root = solve_mip(lp), solve_lp(lp)
+    assert (sol.status, sol.objective, sol.primal, sol.pivots) == \
+        (root.status, root.objective, root.primal, root.pivots)
+    # a cutoff the root cannot beat leaves nothing better
+    assert solve_mip(lp, cutoff=1.0).status == "infeasible"
     lp2 = LinearProgram()
     lp2.add_var("z", binary=True)
     lp2.set_objective({"z": 1}, "max")
@@ -1056,3 +1062,119 @@ def test_optimal_flow_lp_solutions_satisfy_their_rows_and_duality():
                 assert v.lb - FEAS_TOL <= sol[v.name] <= v.ub + FEAS_TOL
             assert dual_objective(prog, sol) == pytest.approx(sol.objective, abs=1e-6)
     assert optimal[False] > 40 and optimal[True] > 100
+
+
+# -- sparse kernels --------------------------------------------------------
+
+
+def _sparse_lp(rng, m):
+    """A random feasible, bounded LP with m rows of mixed sense over 2.5 m
+    variables of mixed bound kinds, each in one to four rows."""
+    kinds = {"pos": (0.0, INF), "box": (-1.5, 2.0), "free": (-INF, INF), "upper": (-INF, 0.5)}
+    n = int(2.5 * m)
+    lp = LinearProgram()
+    rows, point, cost = [{} for _ in range(m)], {}, {}
+    for j in range(n):
+        kind, name = str(rng.choice(list(kinds))), f"x{j}"
+        lb, ub = kinds[kind]
+        lp.add_var(name, lb, ub)
+        # A cost that keeps the minimum finite, and a point within the bounds.
+        point[name] = float(np.clip(rng.normal(), lb, ub))
+        cost[name] = {"pos": 1.0, "box": float(rng.normal()), "free": 0.0, "upper": -1.0}[kind] \
+            * float(np.round(rng.uniform(0.1, 2.0), 2))
+        for i in rng.choice(m, size=int(rng.integers(1, 5)), replace=False):
+            rows[i][name] = float(rng.choice([-1.0, 1.0, np.round(rng.normal() * 2, 2) or 1.0]))
+    for i, sense in enumerate(rng.choice(["<=", ">=", "="], size=m, p=[0.5, 0.3, 0.2])):
+        lhs = sum(c * point[name] for name, c in rows[i].items())
+        slack = {"<=": 1.0, ">=": -1.0, "=": 0.0}[str(sense)] * float(rng.uniform(0.0, 1.0))
+        lp.add_row(rows[i], str(sense), lhs + slack)
+    lp.set_objective(cost, "min")
+    return lp
+
+
+def _both_forms(lp, monkeypatch):
+    """`lp` compiled with the sparse kernels and without them."""
+    forms = {}
+    for sparse, rule in ((True, 0), (False, lp.num_rows + 1)):
+        monkeypatch.setattr(lp_module, "SPARSE_MIN_ROWS", rule)
+        forms[sparse] = _Standardized(lp)
+        assert forms[sparse].sparse is sparse
+    return forms[True], forms[False]
+
+
+def test_sparse_products_equal_the_dense_ones(monkeypatch):
+    rng = np.random.default_rng(31)
+    for m in (SPARSE_MIN_ROWS // 4, SPARSE_MIN_ROWS + 20):
+        lp = _sparse_lp(rng, m)
+        assert _Standardized(lp).sparse is (m >= SPARSE_MIN_ROWS)
+        sparse, dense = _both_forms(lp, monkeypatch)
+        A = np.abs(dense.A)
+        for n in (dense.n_real, dense.ncols):
+            y = rng.normal(size=m) * (rng.random(m) < 0.5)
+            # Summed in another order: each entry within 1e-12 of the
+            # magnitude of its terms.
+            assert np.all(np.abs(sparse.price(y, n) - dense.price(y, n))
+                          <= 1e-12 * (np.abs(y) @ A[:, :n]))
+        Binv = rng.normal(size=(m, m)) * (rng.random((m, m)) < 0.3)
+        for j in list(rng.choice(dense.n_real, size=20, replace=False)) + [dense.n_real, dense.ncols - 1]:
+            assert np.all(np.abs(sparse.ftran(Binv, j) - dense.ftran(Binv, j))
+                          <= 1e-12 * (np.abs(Binv) @ A[:, j]))
+
+
+def test_the_row_restricted_rank_one_update_equals_the_dense_one(monkeypatch):
+    rng = np.random.default_rng(32)
+    sparse, dense = _both_forms(_sparse_lp(rng, 40), monkeypatch)
+    for _ in range(20):
+        Binv = rng.normal(size=(40, 40)) * (rng.random((40, 40)) < 0.3)
+        col = rng.normal(size=40) * (rng.random(40) < 0.4)
+        leave_pos = int(rng.integers(40))
+        col[leave_pos] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
+        updated = []
+        for std in (sparse, dense):
+            sx = _Simplex(std)
+            sx.Binv[...] = Binv
+            sx._update_inverse(leave_pos, col)
+            updated.append(sx.Binv)
+        assert np.array_equal(*updated)
+
+
+def test_solves_on_the_sparse_kernels_reach_the_dense_objectives(monkeypatch):
+    # Cold two-phase solves, and warm dual re-solves after bound edits.  On
+    # a sparse form the dual loop updates its reduced costs on each pivot;
+    # they must keep the optimal start's dual feasibility, so that phase 2
+    # has no pivot left to take.
+    rng = np.random.default_rng(33)
+    dual_pivots = 0
+    for _ in range(25):
+        lp = _sparse_lp(rng, int(rng.integers(4, 30)))
+        edited = lp.with_bounds({v.name: (v.lb, v.lb + float(rng.choice([0.0, 0.25, 1.0])))
+                                 for v in lp._vars if v.lb > -INF and rng.random() < 0.3})
+        lb = np.array([v.lb for v in edited._vars])
+        ub = np.array([v.ub for v in edited._vars])
+        solved = []
+        for std in _both_forms(lp, monkeypatch):
+            cold, state = _solve_relaxation(lp, std)
+            assert cold.status == "optimal"
+            sx = _Simplex(std.rebound(lb, ub), state)
+            if sx.dual(10_000):
+                taken = sx.pivots[1]
+                sx.run(sx.std.c, 2, 10_000)
+                assert sx.pivots[1] == taken
+                dual_pivots += taken
+            solved.append((cold, _solve_relaxation(edited, std.rebound(lb, ub), state)[0]))
+        for sparse, dense in zip(*solved):
+            assert sparse.status == dense.status
+            if dense.status == "optimal":
+                assert sparse.objective == pytest.approx(dense.objective, rel=1e-9, abs=1e-9)
+    assert dual_pivots > 40
+
+
+def test_twenty_node_robust_rungs_keep_their_objectives():
+    inst = with_conditional_sequences(
+        random_instance(1, 20, 17, 15, tunnels_per_pair=3, with_sequences=True), 501)
+    for model, mode, objective in (("ffc_plus", "dual", 5.442), ("cls", "enumerate", 5.574)):
+        lp = build_robust_lp(inst, model, 1, "throughput", mode)
+        assert _Standardized(lp).sparse
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert abs(sol.objective - objective) <= 1e-9

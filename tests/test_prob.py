@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -409,6 +410,20 @@ def test_master_infeasible_target():
         benders_run(pinst, 3)
     with pytest.raises(InfeasibleTargetError):
         solve_direct_mip(pinst)
+
+
+def test_an_instance_without_demands_has_no_loss():
+    # No units: both masters are LPs without binaries, which solve_mip
+    # returns as their own root.
+    fx = dataclasses.replace(flow_example(), demands=())
+    pinst = ProbabilisticInstance(fx, enumerate_prob_scenarios(fx.topology, cutoff=0.0), beta=0.99)
+    assert not pinst.units
+    _, selection, report = solve_direct_mip(pinst)
+    assert selection.values == {} and report.flow_loss == {}
+    assert report.max_flow_pct_loss == report.scen_pct_loss == 0.0
+    _, report, state = benders_run(pinst, 5)
+    assert report.max_flow_pct_loss == 0.0
+    assert state.incumbent == state.lower_bound == 0.0
 
 
 def test_benders_reaches_direct_optimum_on_flow_example():
