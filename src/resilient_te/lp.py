@@ -5,19 +5,30 @@ solve call compiles its LP once into a standard form: a variable with a
 finite lb is shifted to x - lb, one with only a finite ub is reflected to
 ub - x, and only a variable free on both sides is split in two columns.
 Branch and bound keeps that one form and re-bounds it at every node.  The
-solver keeps an explicit dense basis inverse (refactorized periodically),
-prices with the Dantzig rule, and falls back to Bland's rule after a run of
-degenerate pivots.  The ratio test takes the minimum ratio; ratios within
-1e-12 of it tie, and ties go to the largest |pivot column entry|, then to the
-lowest basis index (under Bland's rule, to the lowest basis index alone).
+solver holds the basis inverse as an eta file on top of its last refactor
+(below), prices with the Dantzig rule, and falls back to Bland's rule after
+a run of degenerate pivots.  The ratio test takes the minimum ratio; ratios
+within 1e-12 of it tie, and ties go to the largest |pivot column entry|,
+then to the lowest basis index (under Bland's rule, to the lowest basis
+index alone).
+
+The basis inverse is held as B^-1 = B0 - U V.  B0 is the dense inverse
+from the last refactor, and nothing writes to it.  Each pivot since then
+appends one eta, a column u = B^-1 a_j - e_r to U and a row v = (row r of
+B^-1) / pivot to V: the Sherman-Morrison rank-1 update left unevaluated.
+After k pivots, row r of B^-1, the entering column `B^-1 a_j` and
+`c_B B^-1` each cost a product with B0 plus O(m k), where an explicit update
+would rewrite all m^2 entries on every pivot.  The primal loop updates
+y = c_B B^-1 on each pivot, y += d_j v, and the dual loop its reduced costs,
+d -= d_j / alpha_j * alpha; both are recomputed at each refactor.  The basis
+is refactored every REFACTOR_EVERY pivots and on a pivot below PIVOT_TOL.
 
 The constraint matrix itself is sparse.  A form of at least SPARSE_MIN_ROWS
 rows also keeps its real (structural and slack) columns by their nonzeros,
-and each pivot multiplies over those: pricing `y @ A`, the entering column
-`B^-1 a_j`, and the rank-1 update of `B^-1`, which touches only the rows
-where that column is nonzero.  Smaller forms multiply by the dense `A`,
-where numpy's per-call cost outweighs the saving; the crossover was
-measured on the LPs of this package's benchmark.
+and each pivot multiplies over those: pricing `y @ A` and the entering
+column `B^-1 a_j`.  Smaller forms multiply by the dense `A`, where numpy's
+per-call cost outweighs the saving; the crossover was measured on the LPs
+of this package's benchmark.
 
 Phase 1 starts from one artificial per row and stops as soon as no basic
 artificial is positive (no tolerance): its objective, the artificials' sum,
@@ -34,13 +45,11 @@ pinned at 0.  The basic variable with the largest bound violation leaves at
 the bound it violated; the entering column minimizes |reduced cost| /
 |alpha| over the nonbasic real columns that can move in the direction that
 repairs that row.  Ratios within 1e-12 of the minimum tie, and ties go to
-the largest |alpha|, then the lowest column index.  On a sparse form the
-reduced costs are updated on each pivot, d -= d_j / alpha_j * alpha, and
-recomputed at each refactor.  A row that no column can repair proves the
-child infeasible.  Once every basic variable is within its bounds, phase 2
-finishes the solve; it stops at once on an optimal basis.  If the dual loop
-reaches the iteration cap or a singular basis, the child is solved cold on
-the same form instead.
+the largest |alpha|, then the lowest column index.  A row that no column
+can repair proves the child infeasible.  Once every basic variable is
+within its bounds, phase 2 finishes the solve; it stops at once on an
+optimal basis.  If the dual loop reaches the iteration cap or a singular
+basis, the child is solved cold on the same form instead.
 
 An LP solve can be warm too: `solve_lp(lp, start=sol)` re-solves `lp` from
 the final basis of `sol`, an optimal solution of an LP with the same
@@ -51,9 +60,10 @@ reuses the compiled form of `sol`'s LP under the new bounds and runs the
 same dual simplex, phase 2 and cold fallback as a B&B child.
 
 The first warm start from a basis state caches its exact entry inverse on
-the state, with the signs of its basic artificials; later ones copy it while
-those signs agree, so a B&B node's two children, or all re-solves from one
-`solve_lp` start, factor it once.  States no warm start used hold none.
+the state, read-only, with the signs of its basic artificials; later ones
+take it in place as their B0 while those signs agree, so a B&B node's two
+children, or all re-solves from one `solve_lp` start, factor it once and
+copy nothing.  States no warm start used hold none.
 
 An optimal report is certified on the inverse the solve holds: after a
 pivot, |B x_B - rhs| <= 1e-10 (1 + |rhs|) and |c_B B^-1 B - c_B| <= 1e-10
@@ -353,15 +363,15 @@ class _Standardized:
         out = np.bincount(self.nz_cols, y[self.nz_rows] * self.nz_vals, self.n_real)
         return out if n == self.n_real else np.concatenate((out, y * self.A[self.diagonal]))
 
-    def ftran(self, Binv: np.ndarray, j: int) -> np.ndarray:
-        """`Binv @ A[:, j]`."""
+    def ftran(self, M: np.ndarray, j: int) -> np.ndarray:
+        """`M @ A[:, j]`, for M with m columns."""
         if not self.sparse:
-            return Binv @ self.A[:, j]
+            return M @ self.A[:, j]
         if j >= self.n_real:  # an artificial: its sign times a unit column
             i = j - self.n_real
-            return Binv[:, i] * self.A[i, j]
+            return M[:, i] * self.A[i, j]
         span = slice(self.col_start[j], self.col_start[j + 1])
-        return Binv[:, self.nz_rows[span]] @ self.nz_vals[span]
+        return M[:, self.nz_rows[span]] @ self.nz_vals[span]
 
     def rebound(self, lb: np.ndarray, ub: np.ndarray) -> _Standardized:
         """A copy of this form under other bounds; this form is left as it
@@ -386,7 +396,8 @@ class _Standardized:
 class _Basis:
     """A basis state of one compiled form.  `factor`, None until a warm
     start from it inverts its basis, then holds (basic artificial signs,
-    exact inverse under those signs)."""
+    exact inverse under those signs); the inverse is read-only, and every
+    later warm start under those signs reads it in place."""
 
     basis: np.ndarray
     at_upper: np.ndarray
@@ -412,6 +423,13 @@ def _shape(lp: LinearProgram) -> tuple:
 
 
 class _Simplex:
+    """One solve's basis state on a compiled form: the basis columns, the
+    nonbasic columns at their upper bounds, the basic values `xB`, and the
+    basis inverse as `B0` (read-only, from the last refactor) less the eta
+    file `U[:, :k] @ V[:k]` of the k = `pivots_since_refactor` pivots since
+    (module docstring).  `U` and `V` belong to this solve alone; `B0` may be
+    a start state's cached factor."""
+
     def __init__(self, std: _Standardized, start: _Basis | None = None):
         """Cold: the all-artificial basis.  Warm: `start` is a basis state
         of an earlier solve on this form, with the artificials pinned as in
@@ -427,20 +445,21 @@ class _Simplex:
         self.bland = False
         self.iterations = 0
         self.pivots = [0, 0]
-        # Scratch for the dense rank-1 update; a sparse form updates by rows.
-        self._rank1 = None if std.sparse else np.empty((m, m))
+        # The eta file, room for the REFACTOR_EVERY pivots between refactors.
+        self.U = np.empty((m, REFACTOR_EVERY))
+        self.V = np.empty((REFACTOR_EVERY, m))
         if start is None:
             self.basis = np.arange(std.n_real, n)
             self.at_upper = np.zeros(n, dtype=bool)  # nonbasic position
             # The artificial start basis is diag(sign(b)), its own inverse.
-            self.Binv = np.diag(np.where(std.b >= 0, 1.0, -1.0))
+            self.B0 = np.diag(np.where(std.b >= 0, 1.0, -1.0))
             self.xB = np.abs(std.b)
         else:
             self.basis, self.at_upper = start.basis.copy(), start.at_upper.copy()
             # A column whose upper bound is now infinite starts at its lower
             # bound; phase 2 repairs the reduced cost this may leave wrong.
             self.at_upper &= self.u < INF
-            self.Binv, self.xB = np.empty((m, m)), np.empty(m)
+            self.B0, self.xB = None, np.empty(m)
             self.pin_artificials()
         self.in_basis = np.zeros(n, dtype=bool)
         self.in_basis[self.basis] = True
@@ -456,11 +475,11 @@ class _Simplex:
     # -- linear algebra maintenance ---------------------------------------
 
     def _refactor(self, start: _Basis | None = None) -> None:
-        """Invert the basis afresh and recompute the basic values, both in
-        place, so that local aliases of `Binv` and `xB` stay current.  With
-        `start`, the state this basis was copied from, the inverse is cached
-        on it once and copied from it while the basic artificials' signs
-        agree."""
+        """Invert the basis afresh into `B0`, empty the eta file and
+        recompute the basic values (in place, so that local aliases of `xB`
+        stay current).  With `start`, the state this basis was copied from,
+        the inverse is cached on it once, read-only, and read from it in
+        place while the basic artificials' signs agree."""
         A, n_real = self.std.A, self.std.n_real
         arts = self.basis[self.basis >= n_real]
         signs = A[arts - n_real, arts]
@@ -470,10 +489,11 @@ class _Simplex:
                 factor = signs, np.linalg.inv(A[:, self.basis])
             except np.linalg.LinAlgError as exc:
                 raise SolverStallError("basis became singular") from exc
+            factor[1].flags.writeable = False
             if start is not None and start.factor is None:
                 start.factor = factor
-        self.Binv[...] = factor[1]
-        self.xB[...] = self.Binv @ self._rhs()
+        self.B0 = factor[1]
+        self.xB[...] = self.B0 @ self._rhs()
         self.pivots_since_refactor = 0
 
     def _rhs(self) -> np.ndarray:
@@ -481,11 +501,32 @@ class _Simplex:
         upper = np.flatnonzero(~self.in_basis & self.at_upper)
         return self.std.b - self.std.A[:, upper] @ self.u[upper]
 
+    def _row(self, r: int) -> np.ndarray:
+        """Row r of B^-1."""
+        k = self.pivots_since_refactor
+        return self.B0[r] - self.U[r, :k] @ self.V[:k] if k else self.B0[r]
+
+    def _ftran(self, j: int) -> np.ndarray:
+        """`B^-1 a_j`."""
+        col = self.std.ftran(self.B0, j)
+        k = self.pivots_since_refactor
+        if k:
+            col -= self.U[:, :k] @ self.std.ftran(self.V[:k], j)
+        return col
+
+    def _btran(self, cB: np.ndarray) -> np.ndarray:
+        """`cB @ B^-1`."""
+        y = cB @ self.B0
+        k = self.pivots_since_refactor
+        if k:
+            y -= (cB @ self.U[:, :k]) @ self.V[:k]
+        return y
+
     def certify(self) -> np.ndarray:
         """Certify an optimal report (module docstring); returns c_B B^-1."""
         cB = self.std.c[self.basis]
-        y = cB @ self.Binv
-        if self.pivots_since_refactor:  # else Binv and x_B are exact
+        y = self._btran(cB)
+        if self.pivots_since_refactor:  # else B0 and x_B are exact
             B, rhs = self.std.A[:, self.basis], self._rhs()
             scale = 1.0 + np.abs(rhs).max()
             if (np.abs(B @ self.xB - rhs).max() > 1e-10 * scale
@@ -493,28 +534,28 @@ class _Simplex:
                 self._refactor()
                 if np.abs(B @ self.xB - rhs).max() > FEAS_TOL * scale:
                     raise SolverStallError("the exact basis inverse fails its primal residual")
-                y = cB @ self.Binv
+                y = self._btran(cB)
         return y
 
-    def _update_inverse(self, leave_pos: int, col: np.ndarray) -> None:
-        """Rank-1 update of `Binv` after `col` (the entering column times
-        the old inverse) replaced basis position `leave_pos`; refactor
-        instead when the pivot is tiny.  A sparse form updates only the rows
-        where `col` is nonzero; the others would lose 0 * row, exactly."""
+    def _update_inverse(self, leave_pos: int, col: np.ndarray, row: np.ndarray | None = None
+                        ) -> np.ndarray | None:
+        """Append the eta of a pivot to the file after `col` (the entering
+        column times the old inverse) replaced basis position `leave_pos`:
+        u = col - e_r and v = (row r of the old inverse, `row` if given) /
+        pivot, the Sherman-Morrison rank-1 update left unevaluated.  Returns
+        v, or None when the pivot is tiny and the basis is refactored
+        instead."""
         piv = col[leave_pos]
         if abs(piv) < PIVOT_TOL:
             self._refactor()
-            return
-        Binv = self.Binv
-        row = Binv[leave_pos] / piv
-        if self.std.sparse:
-            nz = np.flatnonzero(col)
-            Binv[nz] -= col[nz, None] * row
-        else:
-            np.multiply(col[:, None], row, out=self._rank1)
-            Binv -= self._rank1
-        Binv[leave_pos] = row
+            return None
+        k = self.pivots_since_refactor
+        u, v = self.U[:, k], self.V[k]
+        u[:] = col
+        u[leave_pos] -= 1.0
+        np.divide(self._row(leave_pos) if row is None else row, piv, out=v)
         self.pivots_since_refactor += 1
+        return v
 
     # -- main loop ---------------------------------------------------------
 
@@ -541,7 +582,10 @@ class _Simplex:
         dirn[in_basis] = 0.0
         d_price = dirn[:n_price]
         ratio = np.empty(std.m)
-        Binv, xB = self.Binv, self.xB
+        xB = self.xB
+        # c_B B^-1: updated on each pivot by y += d_j v, recomputed at each
+        # refactor.
+        y = None
         while True:
             # Phase 1 is optimal once no basic artificial is positive: its
             # objective, their sum, is bounded below by 0.  cB is 1 exactly
@@ -553,12 +597,16 @@ class _Simplex:
                 raise SolverStallError(f"simplex exceeded {max_iter} iterations")
             if self.pivots_since_refactor >= REFACTOR_EVERY:
                 self._refactor()
-            score = (c_price - std.price(cB @ Binv, n_price)) * d_price
+                y = None
+            if y is None:
+                y = self._btran(cB)
+            d = c_price - std.price(y, n_price)
+            score = d * d_price
             j = int((score > COST_TOL).argmax() if self.bland else score.argmax())
             if not score[j] > COST_TOL:
                 return True
             from_upper = bool(at_upper[j])
-            col = std.ftran(Binv, j)
+            col = self._ftran(j)
             # Rate of change of the basic variables per unit step of x_j
             # away from its bound.
             a = -col if from_upper else col
@@ -605,7 +653,11 @@ class _Simplex:
             cB[leave_pos] = c[j]
             ubB[leave_pos] = ub[j]
             xB[leave_pos] = (ub[j] - t) if from_upper else t
-            self._update_inverse(leave_pos, col)
+            v = self._update_inverse(leave_pos, col)
+            if v is None:
+                y = None
+            else:
+                y += d[j] * v
 
     def dual(self, max_iter: int) -> bool:
         """Bounded dual simplex from a warm start: pivot until every basic
@@ -626,7 +678,7 @@ class _Simplex:
         c_real = c[:n]
         basis, in_basis, at_upper = self.basis, self.in_basis, self.at_upper
         movable = u[:n] > PIVOT_TOL
-        Binv, xB = self.Binv, self.xB
+        xB = self.xB
         self._refactor(self.start)
         while True:
             if self.pivots_since_refactor >= REFACTOR_EVERY:
@@ -643,7 +695,8 @@ class _Simplex:
             if self.iterations > max_iter:
                 raise SolverStallError(f"dual simplex exceeded {max_iter} iterations")
             to_upper = bool(above[r] > below[r])
-            alpha = std.price(Binv[r], n)
+            rho = self._row(r)
+            alpha = std.price(rho, n)
             # Rate at which each nonbasic column, stepping away from its
             # bound, moves x_B[r] toward the bound it violates.
             rate = np.where(at_upper[:n], alpha, -alpha)
@@ -652,9 +705,10 @@ class _Simplex:
             cand = np.flatnonzero((rate > PIVOT_TOL) & movable & ~in_basis[:n])
             if cand.size == 0:
                 return False
-            if self.pivots_since_refactor == 0 or not std.sparse:
-                # A sparse form updates `d` on each pivot instead.
-                d = c_real - std.price(c[basis] @ Binv, n)
+            if self.pivots_since_refactor == 0:
+                # Reduced costs: recomputed at each refactor, updated on
+                # each pivot in between.
+                d = c_real - std.price(self._btran(c[basis]), n)
             # |d_j| on a dual-feasible start; a wrong-signed d_j counts as 0,
             # and phase 2 repairs such a start afterwards.
             gain = np.where(at_upper[cand], -d[cand], d[cand])
@@ -664,7 +718,7 @@ class _Simplex:
                 size = np.abs(alpha[ties])
                 ties = ties[size == size.max()]
             j = int(ties[0])
-            col = std.ftran(Binv, j)
+            col = self._ftran(j)
             leaving = basis[r]
             step = (xB[r] - (u[leaving] if to_upper else 0.0)) / col[r]
             entering = (u[j] if at_upper[j] else 0.0) + step
@@ -675,9 +729,8 @@ class _Simplex:
             basis[r] = j
             in_basis[j] = True
             self.pivots[1] += 1
-            if std.sparse:
-                d -= d[j] / alpha[j] * alpha
-            self._update_inverse(r, col)
+            d -= d[j] / alpha[j] * alpha
+            self._update_inverse(r, col, rho)
 
 
 def solve_lp(lp: LinearProgram, start: Solution | None = None) -> Solution:

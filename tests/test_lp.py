@@ -879,6 +879,35 @@ def test_a_second_warm_lp_resolve_from_one_start_inverts_nothing(monkeypatch):
     assert resolved > 10
 
 
+def test_warm_resolves_leave_the_cached_start_inverse_bit_identical():
+    # Every re-solve from one start reads the inverse cached on its state in
+    # place and pivots on top of it.  The cache is read-only, so a stray
+    # write raises instead of corrupting the re-solves that read it later.
+    rng = np.random.default_rng(18)
+    pivoted = 0
+    for _ in range(40):
+        lp, *_ = _flow_lp(rng)
+        base = solve_lp(lp)
+        if base.status != "optimal":
+            continue
+        state = base.basis.state
+        solve_lp(lp.with_bounds({}), start=base)
+        inverse = state.factor[1]
+        kept = inverse.copy()
+        assert not inverse.flags.writeable
+        with pytest.raises(ValueError):
+            inverse[0, 0] += 1.0
+        names = [v.name for v in lp._vars]
+        for _ in range(3):
+            picked = rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False)
+            edited = lp.with_bounds({str(n): (0.0, float(rng.choice([0.0, 0.5, 2.5]))) for n in picked})
+            warm = solve_lp(edited, start=base)
+            assert state.factor[1] is inverse
+            np.testing.assert_array_equal(inverse, kept)
+            pivoted += warm.status == "optimal" and warm.pivots[1] > 0
+    assert pivoted > 10
+
+
 def test_the_two_children_of_a_node_factor_their_shared_start_once(monkeypatch):
     lp = _branching_mip()
     std = _Standardized(lp)
@@ -970,8 +999,9 @@ def test_bound_edits_are_checked_as_declarations_are():
 
 
 def _spoiled_reports(monkeypatch, rng, inverse_factor=1.0):
-    """Before each report that follows a pivot, perturb `Binv` and `xB` by
-    about 1e-6, as drift in the updated inverse would; the report's own
+    """Before each report that follows a pivot, perturb the held inverse
+    (through the eta file's `V`) and `xB` by about 1e-6, as drift in the
+    updated inverse would; the report's own
     inversions are scaled by `inverse_factor`.  Returns the list that
     collects the number of `np.linalg.inv` calls each spoiled report made."""
     calls = _recorded_inversions(monkeypatch)
@@ -980,7 +1010,8 @@ def _spoiled_reports(monkeypatch, rng, inverse_factor=1.0):
     def spoiled(sx):
         if not sx.pivots_since_refactor:
             return certify(sx)
-        sx.Binv += 1e-6 * rng.standard_normal(sx.Binv.shape)
+        etas = sx.V[:sx.pivots_since_refactor]
+        etas += 1e-6 * rng.standard_normal(etas.shape)
         sx.xB += 1e-6 * rng.standard_normal(sx.xB.shape)
         calls.clear()
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverse_factor * recorded(a))
@@ -1121,21 +1152,35 @@ def test_sparse_products_equal_the_dense_ones(monkeypatch):
                           <= 1e-12 * (np.abs(Binv) @ A[:, j]))
 
 
-def test_the_row_restricted_rank_one_update_equals_the_dense_one(monkeypatch):
+def test_the_eta_file_holds_the_exact_inverse_after_every_pivot(monkeypatch):
+    # B0 - U V against a fresh inverse of the basis after each pivot: in
+    # both phases of cold solves and in warm dual re-solves, on dense and
+    # sparse forms.
     rng = np.random.default_rng(32)
-    sparse, dense = _both_forms(_sparse_lp(rng, 40), monkeypatch)
-    for _ in range(20):
-        Binv = rng.normal(size=(40, 40)) * (rng.random((40, 40)) < 0.3)
-        col = rng.normal(size=40) * (rng.random(40) < 0.4)
-        leave_pos = int(rng.integers(40))
-        col[leave_pos] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
-        updated = []
-        for std in (sparse, dense):
-            sx = _Simplex(std)
-            sx.Binv[...] = Binv
-            sx._update_inverse(leave_pos, col)
-            updated.append(sx.Binv)
-        assert np.array_equal(*updated)
+    update, checked = _Simplex._update_inverse, {"run": 0, "dual": 0}
+
+    def checked_update(sx, leave_pos, col, row=None):
+        v = update(sx, leave_pos, col, row)
+        k = sx.pivots_since_refactor
+        held = sx.B0 - sx.U[:, :k] @ sx.V[:k]
+        exact = np.linalg.inv(sx.std.A[:, sx.basis])
+        assert np.abs(held - exact).max() <= 1e-9 * np.abs(exact).max()
+        checked["dual" if row is not None else "run"] += 1
+        return v
+
+    for _ in range(8):
+        lp = _sparse_lp(rng, int(rng.integers(10, 40)))
+        edited = lp.with_bounds({v.name: (v.lb, v.lb + float(rng.choice([0.0, 0.25, 1.0])))
+                                 for v in lp._vars if v.lb > -INF and rng.random() < 0.3})
+        lb = np.array([v.lb for v in edited._vars])
+        ub = np.array([v.ub for v in edited._vars])
+        for std in _both_forms(lp, monkeypatch):
+            with monkeypatch.context() as patch:
+                patch.setattr(_Simplex, "_update_inverse", checked_update)
+                cold, state = _solve_relaxation(lp, std)
+                assert cold.status == "optimal"
+                _solve_relaxation(edited, std.rebound(lb, ub), state)
+    assert checked["run"] > 200 and checked["dual"] > 20
 
 
 def test_solves_on_the_sparse_kernels_reach_the_dense_objectives(monkeypatch):
