@@ -157,34 +157,6 @@ def build_hint_polytope(instance: NetworkInstance, k: int,
     return poly
 
 
-def build_srlg_polytope(instance: NetworkInstance, groups: list[Condition],
-                        k_groups: int) -> FailurePolytope:
-    """Group-failure polytope: the budget counts failed groups, not links.
-
-    Groups must be dead-link-only conditions.  Links inside a group fail
-    exactly when the group does; links outside every group never fail.
-    Overlapping groups are therefore forced to fail together.
-    """
-    variables: list[Indicator] = [("x", ln.id) for ln in instance.topology.links]
-    variables += [("y", t.id) for t in instance.tunnels]
-    variables += [("h", g.id) for g in groups]
-    poly = FailurePolytope(variables=variables)
-    grouped: set[str] = set()
-    for g in groups:
-        if g.alive_links or not g.dead_links:
-            raise ValueError(f"SRLG {g.id} must be a non-empty dead-link condition")
-        grouped |= set(g.dead_links)
-    poly.add_row({("h", g.id): 1.0 for g in groups}, "<=", float(k_groups), tag="group-budget")
-    for g in groups:
-        for e in sorted(g.dead_links):
-            poly.add_row({("x", e): 1.0, ("h", g.id): -1.0}, "=", 0.0, tag=f"tie:{g.id}:{e}")
-    for ln in instance.topology.links:
-        if ln.id not in grouped:
-            poly.add_row({("x", ln.id): 1.0}, "<=", 0.0, tag=f"pinned:{ln.id}")
-    _add_tunnel_rows(poly, instance.tunnels)
-    return poly
-
-
 def enumerate_patterns(instance: NetworkInstance, k: int,
                        conditions: list[Condition] | None = None) -> list[TunnelFailurePattern]:
     """One integral (y, h) point per scenario of at most k link failures.

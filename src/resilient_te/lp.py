@@ -23,33 +23,41 @@ y = c_B B^-1 on each pivot, y += d_j v, and the dual loop its reduced costs,
 d -= d_j / alpha_j * alpha; both are recomputed at each refactor.  The basis
 is refactored every REFACTOR_EVERY pivots and on a pivot below PIVOT_TOL.
 
-The constraint matrix itself is sparse.  A form of at least SPARSE_MIN_ROWS
-rows also keeps its real (structural and slack) columns by their nonzeros,
-and each pivot multiplies over those: pricing `y @ A` and the entering
-column `B^-1 a_j`.  Smaller forms multiply by the dense `A`, where numpy's
-per-call cost outweighs the saving; the crossover was measured on the LPs
-of this package's benchmark.
+The compiled matrix `A` holds the real (structural and slack) columns only,
+is written once and is read-only: re-bounded forms share it.  It is sparse.
+A form of at least SPARSE_MIN_ROWS rows also keeps `A` by its nonzeros, and
+each pivot multiplies over those: pricing `y @ A` and the entering column
+`B^-1 a_j`.  Smaller forms multiply by the dense `A`, where numpy's per-call
+cost outweighs the saving; the crossover was measured on the LPs of this
+package's benchmark.
 
-Phase 1 starts from one artificial per row and stops as soon as no basic
-artificial is positive (no tolerance): its objective, the artificials' sum,
-is bounded below by 0, so that basis is phase-1 optimal.  Artificials still
-basic at 0 stay in the basis for phase 2, pinned at 0, which prices only the
-real columns.  Row duals are returned for LP solves; they are the
-sensitivities d(objective)/d(rhs) in the caller's min/max orientation.
+Phase 1 starts from one artificial per row, its row's unit column signed as
+`b`.  Artificials are placeholders of the basis state, not columns of `A`:
+the basis matrix takes the basic real columns of `A` and a signed unit
+column per basic artificial.  Both phases price the real columns only, so
+an artificial that leaves the basis never re-enters (Koberstein 2005;
+Bixby 2002); a nonbasic artificial sits at 0, so phase 1 still reaches 0
+exactly when the LP is feasible.  It stops as soon as no basic artificial is
+positive (no tolerance): its objective, the artificials' sum, is bounded
+below by 0, so that basis is phase-1 optimal.  Artificials still basic at 0
+stay in the basis for phase 2, pinned at 0.  Row duals are returned for LP solves; they
+are the sensitivities d(objective)/d(rhs) in the caller's min/max
+orientation.
 
 Branch and bound pops the best bound first and branches by reliability
 branching (Achterberg, Koch & Martin, "Branching rules revisited", 2005; see
 `solve_mip`).  It solves its root cold and re-solves each child warm, from
-its parent's final basis, with a bounded dual simplex.  The artificials stay
-pinned at 0.  The basic variable with the largest bound violation leaves at
-the bound it violated; the entering column minimizes |reduced cost| /
-|alpha| over the nonbasic real columns that can move in the direction that
-repairs that row.  Ratios within 1e-12 of the minimum tie, and ties go to
-the largest |alpha|, then the lowest column index.  A row that no column
-can repair proves the child infeasible.  Once every basic variable is
-within its bounds, phase 2 finishes the solve; it stops at once on an
-optimal basis.  If the dual loop reaches the iteration cap or a singular
-basis, the child is solved cold on the same form instead.
+its parent's final basis and artificial signs, with a bounded dual simplex.
+The artificials stay pinned at 0, where their signs are immaterial.  The
+basic variable with the largest bound violation leaves at the bound it
+violated; the entering column minimizes |reduced cost| / |alpha| over the
+nonbasic real columns that can move in the direction that repairs that row.
+Ratios within 1e-12 of the minimum tie, and ties go to the largest |alpha|,
+then the lowest column index.  A row that no column can repair proves the
+child infeasible.  Once every basic variable is within its bounds, phase 2
+finishes the solve; it stops at once on an optimal basis.  If the dual loop
+reaches the iteration cap or a singular basis, the child is solved cold on
+the same form instead.
 
 An LP solve can be warm too: `solve_lp(lp, start=sol)` re-solves `lp` from
 the final basis of `sol`, an optimal solution of an LP with the same
@@ -60,10 +68,11 @@ reuses the compiled form of `sol`'s LP under the new bounds and runs the
 same dual simplex, phase 2 and cold fallback as a B&B child.
 
 The first warm start from a basis state caches its exact entry inverse on
-the state, read-only, with the signs of its basic artificials; later ones
-take it in place as their B0 while those signs agree, so a B&B node's two
-children, or all re-solves from one `solve_lp` start, factor it once and
-copy nothing.  States no warm start used hold none.
+the state, read-only.  Every warm start inherits its start's artificial
+signs, and with them its basis matrix, so later ones take that inverse in
+place as their B0: a B&B node's two children, or all re-solves from one
+`solve_lp` start, factor it once and copy nothing.  States no warm start
+used hold none.
 
 An optimal report is certified on the inverse the solve holds: after a
 pivot, |B x_B - rhs| <= 1e-10 (1 + |rhs|) and |c_B B^-1 B - c_B| <= 1e-10
@@ -268,21 +277,23 @@ class Solution:
 
 # --------------------------------------------------------------------------
 # Simplex core.  Internal form: minimize c'x  s.t.  A x = b,  0 <= x <= u,
-# with slack and artificial columns.  Nonbasic variables sit at 0 or at
+# over structural and slack columns, plus one artificial per row that is a
+# placeholder of the basis state only.  Nonbasic variables sit at 0 or at
 # their upper bound.
 
 class _Standardized:
     """One LP compiled into the internal form.
 
-    The column layout, the structural and slack blocks of `A`, the row rhs
-    and `c` are built once.  `bound` sets what the bounds of one solve
-    change: the shifts, `b`, `u` and the artificial column signs.  It keeps
-    the layout, so it may change only finite bounds.
+    The column layout, `A`, the row rhs and `c` are built once.  `A` holds
+    the `n_real` real columns, structural then slack, and is read-only: every
+    `rebound` copy shares it.  Column n_real + i is row i's artificial, in
+    `c` and `u` but not in `A`: its sign is basis state (`_Simplex.art`).
+    `bound` sets what the bounds of one solve change: the shifts, `b` and
+    `u`.  It keeps the layout, so it may change only finite bounds.
 
-    A form with at least SPARSE_MIN_ROWS rows is `sparse`: it also keeps its
-    real block by columns (`nz_rows`, `nz_vals`, column starts `col_start`),
-    shared by its `rebound` copies, and `price` and `ftran` multiply over
-    those nonzeros.
+    A form with at least SPARSE_MIN_ROWS rows is `sparse`: it also keeps `A`
+    by columns (`nz_rows`, `nz_vals`, column starts `col_start`), and `price`
+    and `ftran` multiply over those nonzeros.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -311,14 +322,14 @@ class _Standardized:
         self.n_real = self.n_struct + slack_rows.size
         self.ncols = self.n_real + m
 
-        # Structural block, then one slack column per inequality row, then
-        # one artificial per row, which gives a trivially feasible start.
-        A = np.zeros((m, self.ncols))
+        # Structural block, then one slack column per inequality row.
+        A = np.zeros((m, self.n_real))
         A[ri, self.pos_col[vj]] = cv * self.col_sign[vj]
         split = self.free[vj]
         A[ri[split], self.neg_col[vj[split]]] = -cv[split]
         A[slack_rows, self.n_struct + np.arange(slack_rows.size)] = \
             np.where(senses[slack_rows] == "<=", 1.0, -1.0)
+        A.flags.writeable = False
         self.A = A
         self.rhs = np.array([row.rhs for row in rows], dtype=float)
 
@@ -330,21 +341,14 @@ class _Standardized:
         split = self.free[oj]
         c[self.neg_col[oj[split]]] -= ov[split]
         self.c = c
-        #: Index of each row's artificial entry in `A`
-        self.diagonal = np.arange(m), self.n_real + np.arange(m)
         self.sparse = m >= SPARSE_MIN_ROWS
         if self.sparse:
-            cols, self.nz_rows = np.nonzero(A[:, :self.n_real].T)
+            cols, self.nz_rows = np.nonzero(A.T)
             self.nz_cols, self.nz_vals = cols, A[self.nz_rows, cols]
             self.col_start = np.searchsorted(cols, np.arange(self.n_real + 1))
         self.bound(self.lb, self.ub)
 
     def bound(self, lb: np.ndarray, ub: np.ndarray) -> None:
-        """Set the shifts, `b`, `u` and artificial signs for these bounds."""
-        self._shift(lb, ub)
-        self.A[self.diagonal] = np.where(self.b >= 0, 1.0, -1.0)
-
-    def _shift(self, lb: np.ndarray, ub: np.ndarray) -> None:
         """Set the shifts, `b` and `u` for these bounds."""
         self.infeasible_box = bool(np.any(lb > ub + 1e-12))
         self.shift = np.where(self.free, 0.0, np.where(self.reflected, ub, lb))
@@ -356,20 +360,16 @@ class _Standardized:
         np.subtract.at(b, self.ri[nz], self.cv[nz] * shifted[nz])
         self.b = b
 
-    def price(self, y: np.ndarray, n: int) -> np.ndarray:
-        """`y @ A[:, :n]`, for n = n_real or ncols."""
+    def price(self, y: np.ndarray) -> np.ndarray:
+        """`y @ A`."""
         if not self.sparse:
-            return y @ self.A[:, :n]
-        out = np.bincount(self.nz_cols, y[self.nz_rows] * self.nz_vals, self.n_real)
-        return out if n == self.n_real else np.concatenate((out, y * self.A[self.diagonal]))
+            return y @ self.A
+        return np.bincount(self.nz_cols, y[self.nz_rows] * self.nz_vals, self.n_real)
 
     def ftran(self, M: np.ndarray, j: int) -> np.ndarray:
         """`M @ A[:, j]`, for M with m columns."""
         if not self.sparse:
             return M @ self.A[:, j]
-        if j >= self.n_real:  # an artificial: its sign times a unit column
-            i = j - self.n_real
-            return M[:, i] * self.A[i, j]
         span = slice(self.col_start[j], self.col_start[j + 1])
         return M[:, self.nz_rows[span]] @ self.nz_vals[span]
 
@@ -383,25 +383,22 @@ class _Standardized:
             raise ValueError("start was compiled with other infinite bounds")
         new = copy.copy(self)
         new.lb, new.ub = lb, ub
-        new._shift(lb, ub)
-        signs = np.where(new.b >= 0, 1.0, -1.0)
-        if not np.array_equal(self.A[self.diagonal], signs):
-            # The copy shares `A` until its artificial signs differ.
-            new.A = self.A.copy()
-            new.A[self.diagonal] = signs
+        new.bound(lb, ub)
         return new
 
 
 @dataclass(eq=False)
 class _Basis:
-    """A basis state of one compiled form.  `factor`, None until a warm
-    start from it inverts its basis, then holds (basic artificial signs,
-    exact inverse under those signs); the inverse is read-only, and every
-    later warm start under those signs reads it in place."""
+    """A basis state of one compiled form: the basis columns, the nonbasic
+    columns at their upper bounds and the artificial signs `art`.  `factor`,
+    None until a warm start from it inverts its basis, then holds that exact
+    inverse, read-only; every later warm start from the state inherits its
+    signs, hence its basis matrix, and reads the inverse in place."""
 
     basis: np.ndarray
     at_upper: np.ndarray
-    factor: tuple[np.ndarray, np.ndarray] | None = None
+    art: np.ndarray
+    factor: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,16 +421,17 @@ def _shape(lp: LinearProgram) -> tuple:
 
 class _Simplex:
     """One solve's basis state on a compiled form: the basis columns, the
-    nonbasic columns at their upper bounds, the basic values `xB`, and the
-    basis inverse as `B0` (read-only, from the last refactor) less the eta
-    file `U[:, :k] @ V[:k]` of the k = `pivots_since_refactor` pivots since
+    nonbasic columns at their upper bounds, the signs `art` (row i's
+    artificial column is `art[i]` e_i), the basic values `xB`, and the basis
+    inverse as `B0` (read-only, from the last refactor) less the eta file
+    `U[:, :k] @ V[:k]` of the k = `pivots_since_refactor` pivots since
     (module docstring).  `U` and `V` belong to this solve alone; `B0` may be
     a start state's cached factor."""
 
     def __init__(self, std: _Standardized, start: _Basis | None = None):
-        """Cold: the all-artificial basis.  Warm: `start` is a basis state
-        of an earlier solve on this form, with the artificials pinned as in
-        phase 2; `dual` refactors it."""
+        """Cold: the all-artificial basis, signed as `b`.  Warm: `start` is a
+        basis state of an earlier solve on this form, signs included, with
+        the artificials pinned as in phase 2; `dual` refactors it."""
         self.std = std
         self.start = start
         m, n = std.m, std.ncols
@@ -451,11 +449,13 @@ class _Simplex:
         if start is None:
             self.basis = np.arange(std.n_real, n)
             self.at_upper = np.zeros(n, dtype=bool)  # nonbasic position
-            # The artificial start basis is diag(sign(b)), its own inverse.
-            self.B0 = np.diag(np.where(std.b >= 0, 1.0, -1.0))
+            # The artificial start basis is diag(art), its own inverse.
+            self.art = np.where(std.b >= 0, 1.0, -1.0)
+            self.B0 = np.diag(self.art)
             self.xB = np.abs(std.b)
         else:
             self.basis, self.at_upper = start.basis.copy(), start.at_upper.copy()
+            self.art = start.art
             # A column whose upper bound is now infinite starts at its lower
             # bound; phase 2 repairs the reduced cost this may leave wrong.
             self.at_upper &= self.u < INF
@@ -474,31 +474,41 @@ class _Simplex:
 
     # -- linear algebra maintenance ---------------------------------------
 
+    def _basis_matrix(self) -> np.ndarray:
+        """B: the basic real columns of `A`, and `art[i]` e_i for row i's
+        basic artificial."""
+        std, basis = self.std, self.basis
+        # One gather, clipped: the artificials' positions are overwritten.
+        B = std.A.take(basis, axis=1, mode="clip") if std.n_real else np.empty((std.m,) * 2)
+        pos = np.flatnonzero(basis >= std.n_real)
+        rows = basis[pos] - std.n_real
+        B[:, pos] = 0.0
+        B[rows, pos] = self.art[rows]
+        return B
+
     def _refactor(self, start: _Basis | None = None) -> None:
         """Invert the basis afresh into `B0`, empty the eta file and
         recompute the basic values (in place, so that local aliases of `xB`
-        stay current).  With `start`, the state this basis was copied from,
-        the inverse is cached on it once, read-only, and read from it in
-        place while the basic artificials' signs agree."""
-        A, n_real = self.std.A, self.std.n_real
-        arts = self.basis[self.basis >= n_real]
-        signs = A[arts - n_real, arts]
+        stay current).  With `start`, the state this basis and its signs were
+        copied from, the inverse is cached on it once, read-only, and read
+        from it in place."""
         factor = start.factor if start is not None else None
-        if factor is None or not np.array_equal(factor[0], signs):
+        if factor is None:
             try:
-                factor = signs, np.linalg.inv(A[:, self.basis])
+                factor = np.linalg.inv(self._basis_matrix())
             except np.linalg.LinAlgError as exc:
                 raise SolverStallError("basis became singular") from exc
-            factor[1].flags.writeable = False
-            if start is not None and start.factor is None:
+            factor.flags.writeable = False
+            if start is not None:
                 start.factor = factor
-        self.B0 = factor[1]
+        self.B0 = factor
         self.xB[...] = self.B0 @ self._rhs()
         self.pivots_since_refactor = 0
 
     def _rhs(self) -> np.ndarray:
-        """`b` less the nonbasic columns at their upper bounds."""
-        upper = np.flatnonzero(~self.in_basis & self.at_upper)
+        """`b` less the nonbasic real columns at their upper bounds."""
+        n = self.std.n_real
+        upper = np.flatnonzero(~self.in_basis[:n] & self.at_upper[:n])
         return self.std.b - self.std.A[:, upper] @ self.u[upper]
 
     def _row(self, r: int) -> np.ndarray:
@@ -527,7 +537,7 @@ class _Simplex:
         cB = self.std.c[self.basis]
         y = self._btran(cB)
         if self.pivots_since_refactor:  # else B0 and x_B are exact
-            B, rhs = self.std.A[:, self.basis], self._rhs()
+            B, rhs = self._basis_matrix(), self._rhs()
             scale = 1.0 + np.abs(rhs).max()
             if (np.abs(B @ self.xB - rhs).max() > 1e-10 * scale
                     or np.abs(y @ B - cB).max() > 1e-10 * (1.0 + np.abs(self.std.c).max())):
@@ -564,15 +574,15 @@ class _Simplex:
         True at an optimum and False when a column can improve c without
         bound (an unbounded ray).
 
-        Phase 1 prices every column and stops as soon as no basic
-        artificial is positive.  Phase 2 prices the real columns only: the
-        artificials are pinned at 0, so entering one could only flip it
-        between two equal bounds.
+        Both phases price the real columns only, so an artificial never
+        enters.  Phase 1 stops as soon as no basic artificial is positive;
+        in phase 2 the artificials are pinned at 0.
         """
         std = self.std
+        if not std.n_real:  # no column can enter
+            return True
         ub = self.u
-        n_price = std.ncols if phase == 1 else std.n_real
-        c_price = c[:n_price]
+        c_price = c[:std.n_real]
         basis, in_basis, at_upper = self.basis, self.in_basis, self.at_upper
         cB, ubB = c[basis], ub[basis]
         # Pricing direction of each column: -1 may enter from its lower bound,
@@ -580,7 +590,7 @@ class _Simplex:
         # within PIVOT_TOL of its upper one).
         dirn = np.where(at_upper, 1.0, np.where(ub > PIVOT_TOL, -1.0, 0.0))
         dirn[in_basis] = 0.0
-        d_price = dirn[:n_price]
+        d_price = dirn[:std.n_real]
         ratio = np.empty(std.m)
         xB = self.xB
         # c_B B^-1: updated on each pivot by y += d_j v, recomputed at each
@@ -600,7 +610,7 @@ class _Simplex:
                 y = None
             if y is None:
                 y = self._btran(cB)
-            d = c_price - std.price(y, n_price)
+            d = c_price - std.price(y)
             score = d * d_price
             j = int((score > COST_TOL).argmax() if self.bland else score.argmax())
             if not score[j] > COST_TOL:
@@ -696,7 +706,7 @@ class _Simplex:
                 raise SolverStallError(f"dual simplex exceeded {max_iter} iterations")
             to_upper = bool(above[r] > below[r])
             rho = self._row(r)
-            alpha = std.price(rho, n)
+            alpha = std.price(rho)
             # Rate at which each nonbasic column, stepping away from its
             # bound, moves x_B[r] toward the bound it violates.
             rate = np.where(at_upper[:n], alpha, -alpha)
@@ -708,7 +718,7 @@ class _Simplex:
             if self.pivots_since_refactor == 0:
                 # Reduced costs: recomputed at each refactor, updated on
                 # each pivot in between.
-                d = c_real - std.price(self._btran(c[basis]), n)
+                d = c_real - std.price(self._btran(c[basis]))
             # |d_j| on a dual-feasible start; a wrong-signed d_j counts as 0,
             # and phase 2 repairs such a start afterwards.
             gain = np.where(at_upper[cand], -d[cand], d[cand])
@@ -808,42 +818,13 @@ def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Basis | Non
         y = sx.certify()
         x = np.where(~sx.in_basis & sx.at_upper, sx.u, 0.0)
         x[sx.basis] = sx.xB
-        state, pivots = _Basis(sx.basis, sx.at_upper), tuple(sx.pivots)
+        state, pivots = _Basis(sx.basis, sx.at_upper, sx.art), tuple(sx.pivots)
 
     values = std.shift + std.col_sign * x[std.pos_col]
     values[std.free] = x[std.pos_col[std.free]] - x[std.neg_col[std.free]]
     primal = dict(zip((v.name for v in lp._vars), values.tolist()))
     obj = sum(coef * primal[lp._vars[j].name] for j, coef in lp._obj.items())
     return Solution("optimal", float(obj), primal, (std.obj_sign * y).tolist(), pivots), state
-
-
-def dual_objective(lp: LinearProgram, sol: Solution) -> float:
-    """Dual objective implied by a solution's row duals and bound activity.
-
-    For an optimal solution this equals the primal objective (weak duality
-    made tight); used by tests as an internal consistency oracle.
-    """
-    if sol.duals is None:
-        raise ValueError("solution carries no duals")
-    total = 0.0
-    for dual, row in zip(sol.duals, lp._rows):
-        total += dual * row.rhs
-    # Bound contributions come from reduced costs of variables pinned at a
-    # finite nonzero bound.
-    red = dict(lp._obj)
-    for dual, row in zip(sol.duals, lp._rows):
-        for j, c in row.coeffs.items():
-            red[j] = red.get(j, 0.0) - dual * c
-    for j, v in enumerate(lp._vars):
-        r = red.get(j, 0.0)
-        if abs(r) < 1e-9:
-            continue
-        x = sol.primal[v.name]
-        if v.lb != -INF and abs(x - v.lb) <= 1e-6 and v.lb != 0.0:
-            total += r * v.lb
-        elif v.ub != INF and abs(x - v.ub) <= 1e-6:
-            total += r * v.ub
-    return total
 
 
 def solve_mip(lp: LinearProgram, node_budget: int = 100_000,

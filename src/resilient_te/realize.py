@@ -164,24 +164,6 @@ def gaussian_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise MatrixNotWcddError("singular reservation matrix") from exc
 
 
-def jacobi_solve(M: np.ndarray, rhs: np.ndarray, max_iter: int = 100_000,
-                 tol: float = 1e-12) -> np.ndarray:
-    """Jacobi iteration; converges because the matrix is WCDD."""
-    d = np.diag(M)
-    if np.any(np.abs(d) < 1e-14):
-        raise MatrixNotWcddError("zero diagonal entry")
-    R = M - np.diag(d)
-    if rhs.ndim == 2:
-        d = d[:, None]
-    x = np.zeros_like(rhs, dtype=float)
-    for _ in range(max_iter):
-        nxt = (rhs - R @ x) / d
-        if np.max(np.abs(nxt - x)) < tol:
-            return nxt
-        x = nxt
-    return x
-
-
 def _solve_checked(matrix: ReservationMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve the checked WCDD system for a demand vector, or for a matrix
     with one demand vector per column; every solution lies in [0, 1]."""

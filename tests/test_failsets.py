@@ -7,7 +7,6 @@ from resilient_te.failsets import (
     build_exact_polytope,
     build_ffc_polytope,
     build_hint_polytope,
-    build_srlg_polytope,
     enumerate_patterns,
     scenario_count,
     shared_link_bound,
@@ -108,32 +107,6 @@ def test_hint_single_dead_is_equality():
     poly = build_hint_polytope(inst, 2, [cond])
     eq = [r for r in poly.rows if r.tag.startswith("hint-eq")]
     assert len(eq) == 1 and eq[0].sense == "="
-
-
-def test_srlg_polytope_group_semantics():
-    inst = four_tunnel_example()
-    group = Condition("node4", dead_links=frozenset({"3-4", "4-t", "s-4"}))
-    poly = build_srlg_polytope(inst, [group], 1)
-    points = list(integral_points(poly))
-    assert points
-    for point in points:
-        vals = {point[("x", e)] for e in group.dead_links}
-        assert len(vals) == 1  # all incident links fail together
-    zero = build_srlg_polytope(inst, [group], 0)
-    pts = list(integral_points(zero))
-    assert len(pts) == 1 and all(v == 0 for v in pts[0].values())
-
-
-def test_srlg_disjoint_groups_budget():
-    inst = four_tunnel_example()
-    g1 = Condition("g1", dead_links=frozenset({"s-1", "1-t"}))
-    g2 = Condition("g2", dead_links=frozenset({"s-2", "2-t"}))
-    poly = build_srlg_polytope(inst, [g1, g2], 1)
-    for point in integral_points(poly):
-        both = point[("h", "g1")] and point[("h", "g2")]
-        assert not both
-    with pytest.raises(ValueError):
-        build_srlg_polytope(inst, [Condition("empty")], 1)
 
 
 def test_enumerate_patterns_counts_and_consistency():

@@ -12,8 +12,8 @@ from resilient_te.lp import (
     SPARSE_MIN_ROWS,
     BudgetExceededError,
     LinearProgram,
+    Solution,
     SolverStallError,
-    dual_objective,
     solve_lp,
     solve_mip,
     _Basis,
@@ -22,6 +22,35 @@ from resilient_te.lp import (
     _Standardized,
 )
 from resilient_te.robust import build_robust_lp
+
+
+def dual_objective(lp: LinearProgram, sol: Solution) -> float:
+    """Dual objective implied by a solution's row duals and bound activity.
+
+    For an optimal solution this equals the primal objective (weak duality
+    made tight): the tests' internal consistency oracle.
+    """
+    if sol.duals is None:
+        raise ValueError("solution carries no duals")
+    total = 0.0
+    for dual, row in zip(sol.duals, lp._rows):
+        total += dual * row.rhs
+    # Bound contributions come from reduced costs of variables pinned at a
+    # finite nonzero bound.
+    red = dict(lp._obj)
+    for dual, row in zip(sol.duals, lp._rows):
+        for j, c in row.coeffs.items():
+            red[j] = red.get(j, 0.0) - dual * c
+    for j, v in enumerate(lp._vars):
+        r = red.get(j, 0.0)
+        if abs(r) < 1e-9:
+            continue
+        x = sol.primal[v.name]
+        if v.lb != -INF and abs(x - v.lb) <= 1e-6 and v.lb != 0.0:
+            total += r * v.lb
+        elif v.ub != INF and abs(x - v.ub) <= 1e-6:
+            total += r * v.ub
+    return total
 
 
 def simple_lp(sense="max"):
@@ -277,12 +306,14 @@ def _fixed(lp, fixes):
 
 def test_rebounded_form_equals_a_fresh_compile():
     # Branch and bound compiles once and re-bounds per node; each node's form
-    # must be exactly the one a fresh compile of the fixed LP gives, and a
-    # solve must leave the form as it found it.
+    # must be exactly the one a fresh compile of the fixed LP gives, on the
+    # very `A` it was compiled with, and a solve must leave the form as it
+    # found it.
     rng = np.random.default_rng(8)
     for _ in range(30):
         lp = _random_mip(rng)
         std = _Standardized(lp)
+        A = std.A
         binaries = lp.binary_vars()
         for _ in range(4):
             fixed = [v for v in binaries if rng.random() < 0.6]
@@ -291,6 +322,7 @@ def test_rebounded_form_equals_a_fresh_compile():
             idx = [lp._index[v] for v in fixed]
             lb[idx] = ub[idx] = values
             std.bound(lb, ub)
+            assert std.A is A
             fixed_lp = _fixed(lp, dict(zip(fixed, values)))
             fresh = _Standardized(fixed_lp)
             for attr in ("A", "b", "u", "c"):
@@ -303,12 +335,14 @@ def test_rebounded_form_equals_a_fresh_compile():
 def test_warm_children_match_a_cold_solve_of_a_fresh_compile():
     # Each child re-solves from its parent's final basis with the dual
     # simplex; it must agree with a cold solve of the fixed LP compiled
-    # afresh, and leave the compiled form as it found it.
+    # afresh, and leave the compiled form as it found it: `b`, `u` and `c`
+    # equal, `A` the compiled one.
     rng = np.random.default_rng(9)
     statuses = []
     for _ in range(40):
         lp = _random_mip(rng)
         std = _Standardized(lp)
+        A = std.A
         root, root_state = _solve_relaxation(lp, std)
         if root.status != "optimal":
             continue
@@ -318,10 +352,11 @@ def test_warm_children_match_a_cold_solve_of_a_fresh_compile():
             for v in rng.permutation(lp.binary_vars()).tolist():
                 fixes[v] = lb[lp._index[v]] = ub[lp._index[v]] = float(rng.integers(0, 2))
                 std.bound(lb, ub)
-                form = {attr: getattr(std, attr).copy() for attr in ("A", "b", "u", "c")}
+                form = {attr: getattr(std, attr).copy() for attr in ("b", "u", "c")}
                 warm, state = _solve_relaxation(lp, std, state)
                 for attr, before in form.items():
                     np.testing.assert_array_equal(getattr(std, attr), before)
+                assert std.A is A
                 fixed_lp = _fixed(lp, fixes)
                 cold = _solve_relaxation(fixed_lp, _Standardized(fixed_lp))[0]
                 assert warm.status == cold.status
@@ -354,7 +389,7 @@ def test_dual_loop_from_an_optimal_parent_ends_optimal():
             sx.run(std.c, 2, 10_000)
             assert sx.pivots[1] == taken
             dual_pivots += taken
-            state = _Basis(sx.basis, sx.at_upper)
+            state = _Basis(sx.basis, sx.at_upper, sx.art)
     assert dual_pivots > 40
 
 
@@ -777,9 +812,9 @@ def test_warm_lp_resolves_after_bound_edits_match_a_cold_solve():
     # basis on its compiled form; it must agree with a cold solve of the
     # edited LP and leave the base solution's state as it found it, apart
     # from the inverse the first re-solve caches on it.  Raised lower bounds
-    # turn some balance rows' shifted rhs negative, which flips their
-    # artificial columns' signs: the re-solve must then write them in its
-    # own copy of `A`, never in the base form's.
+    # turn some balance rows' shifted rhs negative, against the sign of
+    # their artificials in the base state: the re-solve still inherits the
+    # base's signs and shares the base form's `A`.
     rng = np.random.default_rng(11)
     statuses, flipped = [], 0
     for _ in range(120):
@@ -788,7 +823,7 @@ def test_warm_lp_resolves_after_bound_edits_match_a_cold_solve():
         if base.status != "optimal":
             continue
         state, A = base.basis.state, base.basis.std.A
-        kept = state.basis.copy(), state.at_upper.copy(), A.copy()
+        kept = state.basis.copy(), state.at_upper.copy(), state.art.copy()
         names = [v.name for v in lp._vars]
         for raise_lb in (False, True, False, True):
             edits = {}
@@ -802,15 +837,13 @@ def test_warm_lp_resolves_after_bound_edits_match_a_cold_solve():
             statuses.append(warm.status)
             if warm.status == "optimal":
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-                flipped += warm.basis.std.A is not base.basis.std.A
-        for before, after in zip(kept, (state.basis, state.at_upper, A), strict=True):
+                assert warm.basis.std.A is A and warm.basis.state.art is state.art
+                flipped += bool(np.any((warm.basis.std.b < 0) != (state.art < 0)))
+        for before, after in zip(kept, (state.basis, state.at_upper, state.art), strict=True):
             np.testing.assert_array_equal(before, after)
-        # The first edit keeps every lower bound, and with it every
-        # artificial sign, so the cache holds the base's own exact inverse.
-        arts = state.basis[state.basis >= base.basis.std.n_real]
-        signs, inverse = state.factor
-        np.testing.assert_array_equal(signs, A[arts - base.basis.std.n_real, arts])
-        np.testing.assert_array_equal(inverse, np.linalg.inv(A[:, state.basis]))
+        # Every re-solve inherits the base's signs, so the cache holds the
+        # base's own exact inverse.
+        np.testing.assert_array_equal(state.factor, np.linalg.inv(_basis_matrix(base.basis.std, state)))
     assert statuses.count("optimal") > 150 and statuses.count("infeasible") > 20
     assert flipped > 20
 
@@ -852,10 +885,23 @@ def _recorded_inversions(monkeypatch):
     return calls
 
 
+def _basis_matrix(std, state):
+    """The basis matrix of a basis state (`_Basis` or `_Simplex`) on `std`:
+    column j of `A` for a basic real column, and `art[i]` times the unit
+    column e_i for row i's basic artificial."""
+    B = np.zeros((std.m, state.basis.size))
+    for pos, j in enumerate(state.basis):
+        if j < std.n_real:
+            B[:, pos] = std.A[:, j]
+        else:
+            B[j - std.n_real, pos] = state.art[j - std.n_real]
+    return B
+
+
 def test_a_second_warm_lp_resolve_from_one_start_inverts_nothing(monkeypatch):
-    # Upper-bound edits leave every artificial sign as it was, so the second
-    # re-solve copies the start's inverse that the first one cached.  Neither
-    # inverts for its report: the updated inverse passes its certificate.
+    # The second re-solve reads the start's inverse that the first one
+    # cached.  Neither inverts for its report: the updated inverse passes its
+    # certificate.
     rng = np.random.default_rng(13)
     calls = _recorded_inversions(monkeypatch)
     resolved = 0
@@ -892,7 +938,7 @@ def test_warm_resolves_leave_the_cached_start_inverse_bit_identical():
             continue
         state = base.basis.state
         solve_lp(lp.with_bounds({}), start=base)
-        inverse = state.factor[1]
+        inverse = state.factor
         kept = inverse.copy()
         assert not inverse.flags.writeable
         with pytest.raises(ValueError):
@@ -902,7 +948,7 @@ def test_warm_resolves_leave_the_cached_start_inverse_bit_identical():
             picked = rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False)
             edited = lp.with_bounds({str(n): (0.0, float(rng.choice([0.0, 0.5, 2.5]))) for n in picked})
             warm = solve_lp(edited, start=base)
-            assert state.factor[1] is inverse
+            assert state.factor is inverse
             np.testing.assert_array_equal(inverse, kept)
             pivoted += warm.status == "optimal" and warm.pivots[1] > 0
     assert pivoted > 10
@@ -912,7 +958,7 @@ def test_the_two_children_of_a_node_factor_their_shared_start_once(monkeypatch):
     lp = _branching_mip()
     std = _Standardized(lp)
     _, state = _solve_relaxation(lp, std)
-    start_cols = std.A[:, state.basis].copy()
+    start_cols = _basis_matrix(std, state)
     calls = _recorded_inversions(monkeypatch)
     saved = []
     for branch_val in (0.0, 1.0):
@@ -920,13 +966,13 @@ def test_the_two_children_of_a_node_factor_their_shared_start_once(monkeypatch):
         lb[lp._index["z4"]] = ub[lp._index["z4"]] = branch_val
         std.bound(lb, ub)
         calls.clear()
-        child, _ = _solve_relaxation(lp, std, _Basis(state.basis, state.at_upper))
+        child, _ = _solve_relaxation(lp, std, _Basis(state.basis, state.at_upper, state.art))
         uncached = len(calls)
         calls.clear()
         shared, _ = _solve_relaxation(lp, std, state)
         assert repr(shared) == repr(child)
         saved.append(uncached - len(calls))
-        np.testing.assert_array_equal(state.factor[1], np.linalg.inv(start_cols))
+        np.testing.assert_array_equal(state.factor, np.linalg.inv(start_cols))
     # The first child factors the start, the second copies that inverse.
     assert saved == [0, 1]
 
@@ -943,10 +989,12 @@ def test_the_two_children_of_a_node_factor_their_shared_start_once(monkeypatch):
     assert warm and all(warm.count(start) == 2 and start.factor is not None for start in warm)
 
 
-def test_a_start_whose_basic_artificial_flips_sign_is_inverted_afresh(monkeypatch):
+def test_a_start_whose_basic_artificial_row_flips_sign_reuses_its_inverse(monkeypatch):
     # Raised lower bounds can turn a redundant balance row's shifted rhs
-    # negative; the artificial basic in that row then changes sign, so the
-    # start's cached inverse is of another matrix and may not be copied.
+    # negative, against the sign of the artificial basic in that row.  That
+    # artificial is pinned at 0, so its sign is immaterial: the re-solve
+    # inherits the start's signs, reads the start's cached inverse in place
+    # and still reaches the cold optimum.
     rng = np.random.default_rng(14)
     calls = _recorded_inversions(monkeypatch)
     flipped = 0
@@ -956,26 +1004,90 @@ def test_a_start_whose_basic_artificial_flips_sign_is_inverted_afresh(monkeypatc
         if base.status != "optimal":
             continue
         state, std = base.basis.state, base.basis.std
-        solve_lp(lp.with_bounds({}), start=base)  # caches under the base's signs
+        solve_lp(lp.with_bounds({}), start=base)  # caches the start's inverse
         cached = state.factor
         lb = np.array([float(rng.choice([0.0, 0.5, 1.0])) for _ in lp._vars])
         ub = np.maximum(lb, [v.ub for v in lp._vars])
         edited = lp.with_bounds({v.name: (lb[j], ub[j]) for j, v in enumerate(lp._vars)})
-        arts = state.basis[state.basis >= std.n_real]
-        signs = std.rebound(lb, ub).A[arts - std.n_real, arts]
-        if np.array_equal(signs, cached[0]):
+        rows = state.basis[state.basis >= std.n_real] - std.n_real
+        if not np.any((std.rebound(lb, ub).b[rows] < 0) != (state.art[rows] < 0)):
             continue
+        start_cols = _basis_matrix(std, state)
         calls.clear()
-        warm, cold = solve_lp(edited, start=base), solve_lp(edited)
-        cols = std.A[:, state.basis].copy()
-        cols[arts - std.n_real, np.flatnonzero(state.basis >= std.n_real)] = signs
-        np.testing.assert_array_equal(calls[0], cols)
+        warm = solve_lp(edited, start=base)
+        assert not any(np.array_equal(call, start_cols) for call in calls)
         assert state.factor is cached
+        cold = solve_lp(edited)
         assert warm.status == cold.status
         if warm.status == "optimal":
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
         flipped += 1
     assert flipped > 10
+
+
+def test_the_compiled_matrix_is_read_only_and_shared_by_every_form_of_its_lp(monkeypatch):
+    # `A` holds the real columns only and is written once, when the LP is
+    # compiled: every `rebound` copy and every branch-and-bound node solves
+    # on that very array.
+    lp = _branching_mip()
+    std = _Standardized(lp)
+    assert std.A.shape == (std.m, std.n_real)
+    assert not std.A.flags.writeable
+    with pytest.raises(ValueError):
+        std.A[0, 0] = 1.0
+    lb, ub = std.lb.copy(), std.ub.copy()
+    lb[0] = ub[0] = 1.0
+    assert std.rebound(lb, ub).A is std.A
+
+    forms, relax = [], _solve_relaxation
+
+    def spy(lp_, std_, start=None):
+        forms.append(std_.A)
+        return relax(lp_, std_, start)
+
+    monkeypatch.setattr(lp_module, "_solve_relaxation", spy)
+    solve_mip(lp)
+    assert len(forms) > 3 and all(A is forms[0] for A in forms)
+
+
+def test_rows_without_variables_are_satisfied_exactly_when_their_rhs_is_zero():
+    # Equality rows over no variables compile to a form with no real column:
+    # nothing can enter, so both phases stop at once.
+    for rhs, status in ((0.0, "optimal"), (1.0, "infeasible")):
+        lp = LinearProgram()
+        lp.add_row({}, "=", rhs)
+        lp.add_row({}, "=", 0.0)
+        sol = solve_lp(lp)
+        assert sol.status == status
+        if status == "optimal":
+            assert (sol.objective, sol.duals) == (0.0, [0.0, 0.0])
+            assert solve_lp(lp.with_bounds({}), start=sol).status == "optimal"
+
+
+def test_phase_one_never_enters_an_artificial(monkeypatch):
+    # Phase 1 prices the real columns only, so an artificial that leaves the
+    # basis is never entered again: over feasible and infeasible LPs, no
+    # phase-1 pivot computes B^-1 a_j for an artificial j.
+    rng = np.random.default_rng(35)
+    run, ftran, entering = _Simplex.run, _Simplex._ftran, []
+
+    def phased(sx, c, phase, max_iter):
+        sx.phase = phase
+        return run(sx, c, phase, max_iter)
+
+    def recorded(sx, j):
+        if getattr(sx, "phase", 0) == 1:
+            entering.append(j - sx.std.n_real)
+        return ftran(sx, j)
+
+    monkeypatch.setattr(_Simplex, "run", phased)
+    monkeypatch.setattr(_Simplex, "_ftran", recorded)
+    statuses = []
+    for _ in range(150):
+        lp = _random_lp(rng) if rng.random() < 0.5 else _flow_lp(rng)[0]
+        statuses.append(solve_lp(lp).status)
+    assert len(entering) > 200 and max(entering) < 0
+    assert statuses.count("optimal") > 40 and statuses.count("infeasible") > 20
 
 
 def test_bound_edits_are_checked_as_declarations_are():
@@ -1140,14 +1252,12 @@ def test_sparse_products_equal_the_dense_ones(monkeypatch):
         assert _Standardized(lp).sparse is (m >= SPARSE_MIN_ROWS)
         sparse, dense = _both_forms(lp, monkeypatch)
         A = np.abs(dense.A)
-        for n in (dense.n_real, dense.ncols):
-            y = rng.normal(size=m) * (rng.random(m) < 0.5)
-            # Summed in another order: each entry within 1e-12 of the
-            # magnitude of its terms.
-            assert np.all(np.abs(sparse.price(y, n) - dense.price(y, n))
-                          <= 1e-12 * (np.abs(y) @ A[:, :n]))
+        y = rng.normal(size=m) * (rng.random(m) < 0.5)
+        # Summed in another order: each entry within 1e-12 of the magnitude
+        # of its terms.
+        assert np.all(np.abs(sparse.price(y) - dense.price(y)) <= 1e-12 * (np.abs(y) @ A))
         Binv = rng.normal(size=(m, m)) * (rng.random((m, m)) < 0.3)
-        for j in list(rng.choice(dense.n_real, size=20, replace=False)) + [dense.n_real, dense.ncols - 1]:
+        for j in list(rng.choice(dense.n_real, size=20, replace=False)) + [0, dense.n_real - 1]:
             assert np.all(np.abs(sparse.ftran(Binv, j) - dense.ftran(Binv, j))
                           <= 1e-12 * (np.abs(Binv) @ A[:, j]))
 
@@ -1163,7 +1273,7 @@ def test_the_eta_file_holds_the_exact_inverse_after_every_pivot(monkeypatch):
         v = update(sx, leave_pos, col, row)
         k = sx.pivots_since_refactor
         held = sx.B0 - sx.U[:, :k] @ sx.V[:k]
-        exact = np.linalg.inv(sx.std.A[:, sx.basis])
+        exact = np.linalg.inv(_basis_matrix(sx.std, sx))
         assert np.abs(held - exact).max() <= 1e-9 * np.abs(exact).max()
         checked["dual" if row is not None else "run"] += 1
         return v

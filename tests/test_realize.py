@@ -22,7 +22,6 @@ from resilient_te.realize import (
     check_topological_sort,
     extract_routing,
     gaussian_solve,
-    jacobi_solve,
     proportional_routing,
     prune_ls,
     routing_node_balance,
@@ -31,6 +30,24 @@ from resilient_te.realize import (
 )
 from resilient_te import robust
 from resilient_te.robust import ReservationPlan, solve_logical_flow, solve_robust
+
+
+def jacobi_solve(M: np.ndarray, rhs: np.ndarray, max_iter: int = 100_000,
+                 tol: float = 1e-12) -> np.ndarray:
+    """Jacobi iteration; converges because the matrix is WCDD."""
+    d = np.diag(M)
+    if np.any(np.abs(d) < 1e-14):
+        raise MatrixNotWcddError("zero diagonal entry")
+    R = M - np.diag(d)
+    if rhs.ndim == 2:
+        d = d[:, None]
+    x = np.zeros_like(rhs, dtype=float)
+    for _ in range(max_iter):
+        nxt = (rhs - R @ x) / d
+        if np.max(np.abs(nxt - x)) < tol:
+            return nxt
+        x = nxt
+    return x
 
 
 def nested_plan(with_third: bool) -> tuple[NetworkInstance, ReservationPlan]:
