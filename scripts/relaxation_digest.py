@@ -9,8 +9,9 @@ the instances of `--instance-seed` (default 1) in this process, with
 relaxations solved, a sha256 over their results, their summed phase-1 and
 phase-2 pivots, and the `np.linalg.inv` calls made during the pass.  Each
 result is serialized as its status, pivots, the `float.hex` of its
-objective, primal names and values and duals, and the bytes of its final
-basis state (basis columns and at-upper mask).  Two checkouts that print
+objective, primal names and values and duals, and, when its LP has rows,
+the bytes of the final basis state on its `Solution.basis` (basis columns
+and at-upper mask).  Two checkouts that print
 the same sha256 solved every relaxation identically: same pivots, same
 vertex, same basis.  A relaxation solved from inside another (the cold
 fallback of a warm start) is part of the outer result and is not counted on
@@ -33,18 +34,18 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from perfbench import run  # noqa: E402  (stdlib only; numpy is not yet imported)
 
 
-def serialize(result) -> bytes:
-    sol, state = result
+def serialize(sol) -> bytes:
     parts = [sol.status, repr(tuple(sol.pivots)), float.hex(sol.objective)]
     parts += [f"{name}={float.hex(v)}" for name, v in sol.primal.items()]
     parts.append("duals" if sol.duals is not None else "no duals")
     parts += [float.hex(y) for y in sol.duals or ()]
     out = "\n".join(parts).encode()
-    if state is not None:
+    start = sol.basis
+    if start is not None and start.basis is not None:
         # The basis and its at-upper mask only: an inverse cached on the
-        # state depends on which later solves started from it.
-        out += (b"\nbasis" + state.basis.astype("<i8").tobytes()
-                + b"\nat_upper" + state.at_upper.tobytes())
+        # start depends on which later solves started from it.
+        out += (b"\nbasis" + start.basis.astype("<i8").tobytes()
+                + b"\nat_upper" + start.at_upper.tobytes())
     return out + b"\n--\n"
 
 
@@ -73,8 +74,8 @@ def main(argv=None) -> int:
             depth -= 1
         if depth == 0:
             count += 1
-            pivots[0] += result[0].pivots[0]
-            pivots[1] += result[0].pivots[1]
+            pivots[0] += result.pivots[0]
+            pivots[1] += result.pivots[1]
             digest.update(serialize(result))
         return result
 

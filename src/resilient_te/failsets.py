@@ -20,6 +20,9 @@ from .net import SCENARIO_GUARD, ScenarioBlowupError, scenario_count  # noqa: F4
 #: link, "y" for a tunnel, "h" for a condition.
 Indicator = tuple[str, str]
 
+#: How far a point may lie outside a row or the [0, 1] box and still hold.
+HOLDS_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class PolytopeRow:
@@ -37,16 +40,16 @@ class FailurePolytope:
     def add_row(self, coeffs: dict[Indicator, float], sense: str, rhs: float, tag: str = "") -> None:
         self.rows.append(PolytopeRow(tuple(sorted(coeffs.items())), sense, rhs, tag))
 
-    def holds(self, point: dict[Indicator, float], tol: float = 1e-9) -> bool:
+    def holds(self, point: dict[Indicator, float]) -> bool:
         for var in self.variables:
             v = point.get(var, 0.0)
-            if v < -tol or v > 1 + tol:
+            if v < -HOLDS_TOL or v > 1 + HOLDS_TOL:
                 return False
         for row in self.rows:
             lhs = sum(c * point.get(var, 0.0) for var, c in row.coeffs)
-            if row.sense == "<=" and lhs > row.rhs + tol:
+            if row.sense == "<=" and lhs > row.rhs + HOLDS_TOL:
                 return False
-            if row.sense == "=" and abs(lhs - row.rhs) > tol:
+            if row.sense == "=" and abs(lhs - row.rhs) > HOLDS_TOL:
                 return False
         return True
 

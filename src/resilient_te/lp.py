@@ -4,7 +4,8 @@ Every optimization model in this package compiles down to this layer.  Each
 solve call compiles its LP once into a standard form: a variable with a
 finite lb is shifted to x - lb, one with only a finite ub is reflected to
 ub - x, and only a variable free on both sides is split in two columns.
-Branch and bound keeps that one form and re-bounds it at every node.  The
+Every warm re-solve, a branch-and-bound child or `solve_lp(start=)`, solves
+a copy of that form under its own bounds (`_Standardized.rebound`).  The
 solver holds the basis inverse as an eta file on top of its last refactor
 (below), prices with the Dantzig rule, and falls back to Bland's rule after
 a run of degenerate pivots.  The ratio test takes the minimum ratio; ratios
@@ -44,35 +45,36 @@ stay in the basis for phase 2, pinned at 0.  Row duals are returned for LP solve
 are the sensitivities d(objective)/d(rhs) in the caller's min/max
 orientation.
 
-Branch and bound pops the best bound first and branches by reliability
-branching (Achterberg, Koch & Martin, "Branching rules revisited", 2005; see
-`solve_mip`).  It solves its root cold and re-solves each child warm, from
-its parent's final basis and artificial signs, with a bounded dual simplex.
-The artificials stay pinned at 0, where their signs are immaterial.  The
-basic variable with the largest bound violation leaves at the bound it
-violated; the entering column minimizes |reduced cost| / |alpha| over the
-nonbasic real columns that can move in the direction that repairs that row.
+A warm re-solve starts from an optimal relaxation of the same compiled
+form under other bounds, its `Solution.basis`: the final basis and
+artificial signs, with the artificials pinned at 0, where their signs are
+immaterial.  It runs a bounded dual simplex.  The basic variable with the
+largest bound violation leaves at the bound it violated; the entering
+column minimizes |reduced cost| / |alpha| over the nonbasic real columns
+that can move in the direction that repairs that row.
 Ratios within 1e-12 of the minimum tie, and ties go to the largest |alpha|,
 then the lowest column index.  A row that no column can repair proves the
-child infeasible.  Once every basic variable is within its bounds, phase 2
-finishes the solve; it stops at once on an optimal basis.  If the dual loop
-reaches the iteration cap or a singular basis, the child is solved cold on
-the same form instead.
+re-solve infeasible.  Once every basic variable is within its bounds, phase
+2 finishes the solve; it stops at once on an optimal basis.  If the dual
+loop reaches the iteration cap or a singular basis, the form is solved cold
+instead.
 
-An LP solve can be warm too: `solve_lp(lp, start=sol)` re-solves `lp` from
-the final basis of `sol`, an optimal solution of an LP with the same
-variables, rows and objective (`LinearProgram.with_bounds` makes one).  Only
-the bounds may differ, and not in which variables have lb = -inf nor, among
-those, which have a finite ub: these decide the column layout.  The re-solve
-reuses the compiled form of `sol`'s LP under the new bounds and runs the
-same dual simplex, phase 2 and cold fallback as a B&B child.
+`solve_lp(lp, start=sol)` re-solves `lp` this way from `sol`, an optimal
+solution of an LP with the same variables, rows and objective
+(`LinearProgram.with_bounds` makes one).  Only the bounds may differ, and
+not in which variables have lb = -inf nor, among those, which have a finite
+ub: these decide the column layout.  Branch and bound pops the best bound
+first and branches by reliability branching (Achterberg, Koch & Martin,
+"Branching rules revisited", 2005; see `solve_mip`).  It solves its root
+cold and each child the same way, from its parent's `Solution.basis` under
+the parent's bounds with one binary fixed.
 
-The first warm start from a basis state caches its exact entry inverse on
-the state, read-only.  Every warm start inherits its start's artificial
-signs, and with them its basis matrix, so later ones take that inverse in
-place as their B0: a B&B node's two children, or all re-solves from one
-`solve_lp` start, factor it once and copy nothing.  States no warm start
-used hold none.
+The first warm start from an optimal relaxation caches its exact entry
+inverse on that `_Start`, read-only.  Every warm start inherits its start's
+artificial signs, and with them its basis matrix, so later ones take that
+inverse in place as their B0: a B&B node's two children, or all re-solves
+from one `solve_lp` start, factor it once and copy nothing.  Starts no warm
+start used hold none.
 
 An optimal report is certified on the inverse the solve holds: after a
 pivot, |B x_B - rhs| <= 1e-10 (1 + |rhs|) and |c_B B^-1 B - c_B| <= 1e-10
@@ -98,7 +100,6 @@ import numpy as np
 INF = math.inf
 
 FEAS_TOL = 1e-7
-OBJ_TOL = 1e-6
 PIVOT_TOL = 1e-9
 COST_TOL = 1e-9
 INT_TOL = 1e-6
@@ -196,11 +197,6 @@ class LinearProgram:
     def binary_vars(self) -> list[str]:
         return [v.name for v in self._vars if v.binary]
 
-    def set_bounds(self, name: str, lb: float, ub: float) -> None:
-        # A new `_Var`, since a `with_bounds` copy may share the old one.
-        j = self._index[name]
-        self._vars[j] = _Var(name, lb, ub, self._vars[j].binary)
-
     def with_bounds(self, bounds: dict[str, tuple[float, float]]) -> LinearProgram:
         """A copy of this LP with the named variables' (lb, ub) replaced.
 
@@ -264,8 +260,9 @@ class Solution:
     #: over every relaxation of its tree.  Dual simplex pivots count as
     #: phase 2.
     pivots: tuple[int, int] = (0, 0)
-    #: Opaque: what `solve_lp(..., start=)` re-solves from.  `solve_lp` sets
-    #: it on optimal solutions of LPs with at least one row; None otherwise.
+    #: Opaque: what `solve_lp(..., start=)` re-solves from, the compiled form
+    #: and final basis state (`_Start`).  Set on every optimal LP solution;
+    #: None otherwise, and on every `solve_mip` result.
     basis: _Start | None = field(default=None, compare=False, repr=False)
 
     def __getitem__(self, var: str) -> float:
@@ -284,12 +281,15 @@ class Solution:
 class _Standardized:
     """One LP compiled into the internal form.
 
-    The column layout, `A`, the row rhs and `c` are built once.  `A` holds
-    the `n_real` real columns, structural then slack, and is read-only: every
-    `rebound` copy shares it.  Column n_real + i is row i's artificial, in
-    `c` and `u` but not in `A`: its sign is basis state (`_Simplex.art`).
-    `bound` sets what the bounds of one solve change: the shifts, `b` and
-    `u`.  It keeps the layout, so it may change only finite bounds.
+    The column layout, `A`, the row rhs, `c` and the LP's `shape` (see
+    `_shape`) are built once.  `A` holds the `n_real` real columns,
+    structural then slack, and every `rebound` copy shares it.  Column
+    n_real + i is row i's artificial, in `c` and `u` but not in `A`: its
+    sign is basis state (`_Simplex.art`).  The bounds `lb` and `ub` decide
+    the shifts, `b` and `u`; `rebound` copies the form under other bounds,
+    in the same layout, so only finite bounds may change.  `A` and these
+    five arrays are read-only, so a form shared by several solves cannot be
+    changed by one of them.
 
     A form with at least SPARSE_MIN_ROWS rows is `sparse`: it also keeps `A`
     by columns (`nz_rows`, `nz_vals`, column starts `col_start`), and `price`
@@ -297,9 +297,10 @@ class _Standardized:
     """
 
     def __init__(self, lp: LinearProgram):
-        self.lb = np.array([v.lb for v in lp._vars], dtype=float)
-        self.ub = np.array([v.ub for v in lp._vars], dtype=float)
-        no_lb, no_ub = self.lb == -INF, self.ub == INF
+        self.shape = _shape(lp)
+        lb = np.array([v.lb for v in lp._vars], dtype=float)
+        ub = np.array([v.ub for v in lp._vars], dtype=float)
+        no_lb, no_ub = lb == -INF, ub == INF
 
         # Column layout: one column per variable (shifted, or reflected when
         # only ub is finite), two per free variable (plus minus split).
@@ -346,19 +347,22 @@ class _Standardized:
             cols, self.nz_rows = np.nonzero(A.T)
             self.nz_cols, self.nz_vals = cols, A[self.nz_rows, cols]
             self.col_start = np.searchsorted(cols, np.arange(self.n_real + 1))
-        self.bound(self.lb, self.ub)
+        self._freeze_bounds(lb, ub)
 
-    def bound(self, lb: np.ndarray, ub: np.ndarray) -> None:
-        """Set the shifts, `b` and `u` for these bounds."""
+    def _freeze_bounds(self, lb: np.ndarray, ub: np.ndarray) -> None:
+        """Take these bounds and set what they decide, the shifts, `b` and
+        `u`; all five arrays are made read-only."""
         self.infeasible_box = bool(np.any(lb > ub + 1e-12))
-        self.shift = np.where(self.free, 0.0, np.where(self.reflected, ub, lb))
-        self.u = np.full(self.ncols, INF)
-        self.u[self.pos_col] = ub - lb
+        shift = np.where(self.free, 0.0, np.where(self.reflected, ub, lb))
+        u = np.full(self.ncols, INF)
+        u[self.pos_col] = ub - lb
         b = self.rhs.copy()
-        shifted = self.shift[self.vj]
+        shifted = shift[self.vj]
         nz = np.flatnonzero(shifted)
         np.subtract.at(b, self.ri[nz], self.cv[nz] * shifted[nz])
-        self.b = b
+        for array in (lb, ub, shift, u, b):
+            array.flags.writeable = False
+        self.lb, self.ub, self.shift, self.u, self.b = lb, ub, shift, u, b
 
     def price(self, y: np.ndarray) -> np.ndarray:
         """`y @ A`."""
@@ -374,43 +378,35 @@ class _Standardized:
         return M[:, self.nz_rows[span]] @ self.nz_vals[span]
 
     def rebound(self, lb: np.ndarray, ub: np.ndarray) -> _Standardized:
-        """A copy of this form under other bounds; this form is left as it
-        was.  Raises ValueError when the bounds need another column layout
-        (see `free` and `reflected`)."""
+        """A copy of this form under the bounds `lb` and `ub`, which it takes
+        and makes read-only; this form is left as it was.  Raises ValueError
+        when the bounds need another column layout (see `free` and
+        `reflected`)."""
         no_lb = lb == -INF
         if not (np.array_equal(no_lb & (ub == INF), self.free)
                 and np.array_equal(no_lb & (ub != INF), self.reflected)):
             raise ValueError("start was compiled with other infinite bounds")
         new = copy.copy(self)
-        new.lb, new.ub = lb, ub
-        new.bound(lb, ub)
+        new._freeze_bounds(lb, ub)
         return new
 
 
 @dataclass(eq=False)
-class _Basis:
-    """A basis state of one compiled form: the basis columns, the nonbasic
-    columns at their upper bounds and the artificial signs `art`.  `factor`,
-    None until a warm start from it inverts its basis, then holds that exact
-    inverse, read-only; every later warm start from the state inherits its
-    signs, hence its basis matrix, and reads the inverse in place."""
-
-    basis: np.ndarray
-    at_upper: np.ndarray
-    art: np.ndarray
-    factor: np.ndarray | None = None
-
-
-@dataclass(frozen=True, eq=False)
 class _Start:
-    """An optimal LP solve, kept for warm re-solves: the LP's shape (see
-    `_shape`), its compiled form and the final basis state.  A re-solve
-    copies what it changes; the only write is the state's `factor`, set
-    once to an exact inverse."""
+    """An optimal relaxation, kept for warm re-solves: its compiled form and
+    final basis state, that is the basis columns, the nonbasic columns at
+    their upper bounds and the artificial signs `art` (all None for a form
+    without rows, which has no basis).  A re-solve copies what it changes.
+    The only write is `factor`: None until a warm start from this state
+    inverts its basis, then that exact inverse, read-only; every later warm
+    start from the state inherits its signs, hence its basis matrix, and
+    reads the inverse in place."""
 
-    shape: tuple
     std: _Standardized
-    state: _Basis
+    basis: np.ndarray | None = None
+    at_upper: np.ndarray | None = None
+    art: np.ndarray | None = None
+    factor: np.ndarray | None = None
 
 
 def _shape(lp: LinearProgram) -> tuple:
@@ -428,10 +424,11 @@ class _Simplex:
     (module docstring).  `U` and `V` belong to this solve alone; `B0` may be
     a start state's cached factor."""
 
-    def __init__(self, std: _Standardized, start: _Basis | None = None):
-        """Cold: the all-artificial basis, signed as `b`.  Warm: `start` is a
-        basis state of an earlier solve on this form, signs included, with
-        the artificials pinned as in phase 2; `dual` refactors it."""
+    def __init__(self, std: _Standardized, start: _Start | None = None):
+        """Cold: the all-artificial basis, signed as `b`.  Warm: the basis
+        state of `start`, an optimal relaxation of this form under other
+        bounds, signs included, with the artificials pinned as in phase 2;
+        `dual` refactors it."""
         self.std = std
         self.start = start
         m, n = std.m, std.ncols
@@ -486,7 +483,7 @@ class _Simplex:
         B[rows, pos] = self.art[rows]
         return B
 
-    def _refactor(self, start: _Basis | None = None) -> None:
+    def _refactor(self, start: _Start | None = None) -> None:
         """Invert the basis afresh into `B0`, empty the eta file and
         recompute the basic values (in place, so that local aliases of `xB`
         stay current).  With `start`, the state this basis and its signs were
@@ -747,50 +744,43 @@ def solve_lp(lp: LinearProgram, start: Solution | None = None) -> Solution:
     """Solve an LP (no binaries) to optimality, returning primal and duals.
 
     With `start`, an optimal `solve_lp` solution of an LP with the same
-    variables, rows and objective, `lp` is re-solved warm from its basis
-    (see the module docstring); a `start` without a basis or of another
-    LP raises ValueError.
+    variables, rows and objective as `lp` (when that LP was solved), `lp`
+    is re-solved warm from its basis (see the module docstring); a `start`
+    without a basis or of another LP raises ValueError.
     """
     if lp.binary_vars():
         raise ValueError("solve_lp requires a pure LP; use solve_mip")
-    shape = _shape(lp)
     if start is None:
-        std = _Standardized(lp)
-        sol, state = _solve_relaxation(lp, std)
-    else:
-        warm = start.basis
-        if warm is None or warm.shape != shape:
-            raise ValueError("start is not an optimal solution of an LP with these rows and columns")
-        lb = np.array([v.lb for v in lp._vars], dtype=float)
-        ub = np.array([v.ub for v in lp._vars], dtype=float)
-        std = warm.std.rebound(lb, ub)
-        sol, state = _solve_relaxation(lp, std, warm.state)
-    if state is not None:
-        sol.basis = _Start(shape, std, state)
-    return sol
+        return _solve_relaxation(lp, _Standardized(lp))
+    warm = start.basis
+    if warm is None or warm.std.shape != _shape(lp):
+        raise ValueError("start is not an optimal solution of an LP with these rows and columns")
+    lb = np.array([v.lb for v in lp._vars], dtype=float)
+    ub = np.array([v.ub for v in lp._vars], dtype=float)
+    return _solve_relaxation(lp, warm.std.rebound(lb, ub), warm)
 
 
-def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Basis | None = None
-                      ) -> tuple[Solution, _Basis | None]:
-    """Solve `lp` under the bounds `std` was last given; returns the solution
-    and, when it is optimal and has rows, its final basis state.
+def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Start | None = None
+                      ) -> Solution:
+    """Solve `lp` under the bounds of its compiled form `std`; an optimal
+    solution's `basis` is its `_Start` on `std`.
 
     Cold, phase 1 runs from the all-artificial basis and phase 2 finishes.
-    With `start`, an optimal basis state of this form under other bounds,
-    the dual simplex re-solves from it and phase 2 finishes; if the dual
-    loop stalls, the form is solved cold instead and its pivots count as
-    phase 2 of that cold solve.  An optimum is certified before it is
+    With `start`, an optimal relaxation of this form under other bounds, the
+    dual simplex re-solves from its basis state and phase 2 finishes; if the
+    dual loop stalls, the form is solved cold instead and its pivots count
+    as phase 2 of that cold solve.  An optimum is certified before it is
     reported (`_Simplex.certify`): the basis is refactored only when the
     updated inverse fails its residuals, and SolverStallError is raised
     when the exact one does.
     """
     if std.infeasible_box:
-        return Solution("infeasible", math.nan, {}), None
+        return Solution("infeasible", math.nan, {})
     if std.m == 0:
         # Only bounds: minimize each cost coordinate independently.
         if np.any((std.c < 0) & (std.u == INF)):
-            return Solution("unbounded", math.nan, {}), None
-        x, y, state, pivots = np.where(std.c < 0, std.u, 0.0), np.zeros(0), None, (0, 0)
+            return Solution("unbounded", math.nan, {})
+        x, y, basis, pivots = np.where(std.c < 0, std.u, 0.0), np.zeros(0), _Start(std), (0, 0)
     else:
         max_iter = 2000 + 60 * (std.m + std.ncols)
         sx = _Simplex(std, start)
@@ -799,9 +789,9 @@ def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Basis | Non
                 feasible = sx.dual(max_iter)
             except SolverStallError:
                 # The one fallback: solve cold on the same form.
-                sol, state = _solve_relaxation(lp, std)
+                sol = _solve_relaxation(lp, std)
                 sol.pivots = (sol.pivots[0], sol.pivots[1] + sx.pivots[1])
-                return sol, state
+                return sol
         else:
             # Phase 1: drive artificials to zero.
             c1 = np.zeros(std.ncols)
@@ -812,19 +802,19 @@ def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Basis | Non
             feasible = not art_value > FEAS_TOL * (1.0 + float(np.max(np.abs(std.b))))
             sx.pin_artificials()
         if not feasible:
-            return Solution("infeasible", math.nan, {}, pivots=tuple(sx.pivots)), None
+            return Solution("infeasible", math.nan, {}, pivots=tuple(sx.pivots))
         if not sx.run(std.c, 2, max_iter):
-            return Solution("unbounded", math.nan, {}, pivots=tuple(sx.pivots)), None
+            return Solution("unbounded", math.nan, {}, pivots=tuple(sx.pivots))
         y = sx.certify()
         x = np.where(~sx.in_basis & sx.at_upper, sx.u, 0.0)
         x[sx.basis] = sx.xB
-        state, pivots = _Basis(sx.basis, sx.at_upper, sx.art), tuple(sx.pivots)
+        basis, pivots = _Start(std, sx.basis, sx.at_upper, sx.art), tuple(sx.pivots)
 
     values = std.shift + std.col_sign * x[std.pos_col]
     values[std.free] = x[std.pos_col[std.free]] - x[std.neg_col[std.free]]
     primal = dict(zip((v.name for v in lp._vars), values.tolist()))
     obj = sum(coef * primal[lp._vars[j].name] for j, coef in lp._obj.items())
-    return Solution("optimal", float(obj), primal, (std.obj_sign * y).tolist(), pivots), state
+    return Solution("optimal", float(obj), primal, (std.obj_sign * y).tolist(), pivots, basis)
 
 
 def solve_mip(lp: LinearProgram, node_budget: int = 100_000,
@@ -844,12 +834,13 @@ def solve_mip(lp: LinearProgram, node_budget: int = 100_000,
     strong branching solved.  A solved relaxation that is integral and beats
     the incumbent or cutoff becomes the incumbent at once.
 
-    The root relaxation is solved cold; each child is re-solved from its
-    parent's final basis.  The returned solution has no duals; its pivots
-    are those of every relaxation solved.  Every relaxation below the root,
-    strong-branching ones included, counts toward `node_budget`;
-    BudgetExceededError (carrying the incumbent, if any) is raised when it
-    is exhausted before the tree is.
+    The root relaxation is solved cold; each child is re-solved warm from
+    its parent's `Solution.basis`, as by `solve_lp(start=)`.  The returned
+    solution has no duals and no basis; its pivots are those of every
+    relaxation solved.  Every relaxation below the root, strong-branching
+    ones included, counts toward `node_budget`; BudgetExceededError
+    (carrying the incumbent, if any) is raised when it is exhausted before
+    the tree is.
 
     `cutoff` declares a known achievable objective: subtrees that cannot
     strictly beat it are pruned, and "infeasible" is returned when nothing
@@ -863,8 +854,7 @@ def solve_mip(lp: LinearProgram, node_budget: int = 100_000,
     sign = 1.0 if lp.sense == "min" else -1.0
     best = INF if cutoff is None else sign * cutoff
 
-    std = _Standardized(lp)
-    root, root_state = _solve_relaxation(lp, std)
+    root = _solve_relaxation(lp, _Standardized(lp))
     if root.status != "optimal":
         return root
     pivots = list(root.pivots)
@@ -896,9 +886,10 @@ def solve_mip(lp: LinearProgram, node_budget: int = 100_000,
             incumbent = Solution("optimal", sol.objective, rounded)
         return frac
 
-    def branch(j: int, f: float) -> list[tuple]:
+    def branch(j: int, f: float) -> list[tuple[Solution, dict[int, float]]]:
         """Solve both children of the popped node on binary j, which is f
-        there, and record their pseudocost observations."""
+        there, warm from the node, and record their pseudocost
+        observations."""
         nonlocal nodes
         out = []
         for up in (0, 1):
@@ -907,10 +898,9 @@ def solve_mip(lp: LinearProgram, node_budget: int = 100_000,
                 if incumbent is not None:
                     incumbent.pivots = tuple(pivots)
                 raise BudgetExceededError(f"node budget {node_budget} exceeded", incumbent)
-            lb, ub = node_lb.copy(), node_ub.copy()
+            lb, ub = node.std.lb.copy(), node.std.ub.copy()
             lb[j] = ub[j] = float(up)
-            std.bound(lb, ub)
-            sol, sol_state = _solve_relaxation(lp, std, state)
+            sol = _solve_relaxation(lp, node.std.rebound(lb, ub), node)
             pivots[0] += sol.pivots[0]
             pivots[1] += sol.pivots[1]
             sol_frac = {}
@@ -919,7 +909,7 @@ def solve_mip(lp: LinearProgram, node_budget: int = 100_000,
                 total[0] += max(sign * sol.objective - key, 0.0) / (1.0 - f if up else f)
                 total[1] += 1
                 sol_frac = fractional(sol)
-            out.append((sol, sol_state, lb, ub, sol_frac))
+            out.append((sol, sol_frac))
         return out
 
     def score(j: int, f: float) -> float:
@@ -929,9 +919,9 @@ def solve_mip(lp: LinearProgram, node_budget: int = 100_000,
     heap = []
     root_frac = fractional(root)
     if beats(root):
-        heap.append((sign * root.objective, counter, (std.lb, std.ub), root_frac, root_state))
+        heap.append((sign * root.objective, counter, root_frac, root.basis))
     while heap:
-        key, _, (node_lb, node_ub), frac, state = heapq.heappop(heap)
+        key, _, frac, node = heapq.heappop(heap)
         # Best-bound queue: once the best bound cannot beat the incumbent,
         # the search is complete.
         if key >= best - 1e-9:
@@ -946,10 +936,10 @@ def solve_mip(lp: LinearProgram, node_budget: int = 100_000,
                 break
         if chosen is None:
             chosen = max(frac, key=lambda j: score(j, frac[j]))
-        for sol, sol_state, lb, ub, sol_frac in solved.get(chosen) or branch(chosen, frac[chosen]):
+        for sol, sol_frac in solved.get(chosen) or branch(chosen, frac[chosen]):
             if beats(sol):
                 counter += 1
-                heapq.heappush(heap, (sign * sol.objective, counter, (lb, ub), sol_frac, sol_state))
+                heapq.heappush(heap, (sign * sol.objective, counter, sol_frac, sol.basis))
     if incumbent is None:
         return Solution(status="infeasible", objective=math.nan, primal={}, pivots=tuple(pivots))
     incumbent.pivots = tuple(pivots)

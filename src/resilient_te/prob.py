@@ -501,8 +501,7 @@ def benders_subproblem(pinst: ProbabilisticInstance, q: int,
         z = z_col.get(u.id, 0.0)
         bounds[f"zc::{u.id}"] = (z, z)
     lp = sub.lp.with_bounds(bounds)
-    # With no units the LP has no rows, hence no basis to start from.
-    sol = solve_lp(lp, start=sub.solution if pinst.units else None)
+    sol = solve_lp(lp, start=sub.solution)
     if sol.status != "optimal":
         raise RuntimeError(f"subproblem {q} reported {sol.status}")
 
@@ -553,9 +552,8 @@ def benders_master(pinst: ProbabilisticInstance, cuts: list[Cut], *,
     lp.add_var("alpha")
     for u in units:
         for q in Q:
-            v = lp.add_var(f"z::{u.id}::{q}", binary=True)
-            if (u.id, q) in fixed:
-                lp.set_bounds(v, fixed[(u.id, q)], fixed[(u.id, q)])
+            lb, ub = (fixed[u.id, q],) * 2 if (u.id, q) in fixed else (0.0, 1.0)
+            lp.add_var(f"z::{u.id}::{q}", lb, ub, binary=True)
     for u in units:
         lp.add_row({f"z::{u.id}::{q}": pinst.probs[q] for q in Q}, ">=", u.beta,
                    name=f"avail:{u.id}")

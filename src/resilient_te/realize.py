@@ -24,6 +24,12 @@ Pair = tuple[str, str]
 Node = TypeVar("Node")
 
 RESIDUAL_TOL = 1e-9
+#: Entries and row surpluses within this of 0 count as 0 in the WCDD check.
+WCDD_TOL = 1e-9
+#: Arc flows at or below this are dropped when cycles are cancelled.
+CYCLE_TOL = 1e-12
+#: Reservations and segment loads at or below this carry no logical flow.
+FLOW_TOL = 1e-9
 
 
 class MatrixNotWcddError(RuntimeError):
@@ -125,21 +131,21 @@ def build_reservation_matrix(plan: ReservationPlan, instance: NetworkInstance,
     return ReservationMatrix(pairs, M, D, dests, live, active, plan)
 
 
-def _check_wcdd(M: np.ndarray, tol: float = 1e-9) -> None:
+def _check_wcdd(M: np.ndarray) -> None:
     n = M.shape[0]
     if n == 0:
         return
-    if np.any(np.diag(M) < -tol):
+    if np.any(np.diag(M) < -WCDD_TOL):
         raise MatrixNotWcddError("negative diagonal entry")
     off = M - np.diag(np.diag(M))
-    if np.any(off > tol):
+    if np.any(off > WCDD_TOL):
         raise MatrixNotWcddError("positive off-diagonal entry")
     surplus = M.sum(axis=1)
-    if np.any(surplus < -tol):
+    if np.any(surplus < -WCDD_TOL):
         raise MatrixNotWcddError("row with deficit reservation")
     # Every weakly dominant row must chain, via nonzero couplings, to a
     # strictly dominant one.
-    strict = set(np.flatnonzero(surplus > tol))
+    strict = set(np.flatnonzero(surplus > WCDD_TOL))
     reach = set(strict)
     changed = True
     while changed:
@@ -148,7 +154,7 @@ def _check_wcdd(M: np.ndarray, tol: float = 1e-9) -> None:
             if i in reach:
                 continue
             for j in range(n):
-                if j != i and abs(M[i, j]) > tol and j in reach:
+                if j != i and abs(M[i, j]) > WCDD_TOL and j in reach:
                     reach.add(i)
                     changed = True
                     break
@@ -190,9 +196,9 @@ def solve_reservation_system(matrix: ReservationMatrix,
     return {pair: float(U[i]) for i, pair in enumerate(matrix.pairs)}
 
 
-def _cancel_cycles(arc_flow: dict[Pair, float], tol: float = 1e-12) -> dict[Pair, float]:
+def _cancel_cycles(arc_flow: dict[Pair, float]) -> dict[Pair, float]:
     """Remove directed cycles by subtracting the cycle's bottleneck flow."""
-    flows = {a: f for a, f in arc_flow.items() if f > tol}
+    flows = {a: f for a, f in arc_flow.items() if f > CYCLE_TOL}
     while True:
         out: dict[str, set[str]] = {}
         for (u, v) in flows:
@@ -204,7 +210,7 @@ def _cancel_cycles(arc_flow: dict[Pair, float], tol: float = 1e-12) -> dict[Pair
         c = min(flows[a] for a in arcs)
         for a in arcs:
             flows[a] -= c
-            if flows[a] <= tol:
+            if flows[a] <= CYCLE_TOL:
                 del flows[a]
 
 
@@ -395,7 +401,7 @@ def prune_ls(instance: NetworkInstance, sequences: list[LogicalSequence],
     return kept
 
 
-def widest_path_decompose(flow_plan: LogicalFlowPlan, tol: float = 1e-9) -> list[LogicalSequence]:
+def widest_path_decompose(flow_plan: LogicalFlowPlan) -> list[LogicalSequence]:
     """One sequence per reserved logical flow: the hops of the widest
     (maximum bottleneck) path through the flow's segment loads.
 
@@ -405,11 +411,11 @@ def widest_path_decompose(flow_plan: LogicalFlowPlan, tol: float = 1e-9) -> list
     out: list[LogicalSequence] = []
     for w in flow_plan.flows:
         b = flow_plan.reservation.get(w.id, 0.0)
-        if b <= tol:
+        if b <= FLOW_TOL:
             continue
         arcs: dict[str, list[tuple[str, float]]] = {}
         for (i, j), p in flow_plan.loads_for(w.id).items():
-            if p > tol:
+            if p > FLOW_TOL:
                 arcs.setdefault(i, []).append((j, p))
         s, t = w.pair
         # Lexicographic Dijkstra on (-bottleneck, hops, node sequence).

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 
 import numpy as np
@@ -16,8 +17,8 @@ from resilient_te.lp import (
     SolverStallError,
     solve_lp,
     solve_mip,
-    _Basis,
     _Simplex,
+    _Start,
     _solve_relaxation,
     _Standardized,
 )
@@ -298,22 +299,28 @@ def _random_mip(rng):
 
 def _fixed(lp, fixes):
     """A copy of `lp` with the binaries in `fixes` fixed to their values."""
-    fixed_lp = copy.deepcopy(lp)
+    return lp.with_bounds({v: (val, val) for v, val in fixes.items()})
+
+
+def _child(start, lp, fixes):
+    """The form of `start`'s relaxation re-bounded with the binaries in
+    `fixes` of `lp` fixed to their values, as branch and bound makes it."""
+    lb, ub = start.std.lb.copy(), start.std.ub.copy()
     for v, val in fixes.items():
-        fixed_lp.set_bounds(v, val, val)
-    return fixed_lp
+        lb[lp._index[v]] = ub[lp._index[v]] = val
+    return start.std.rebound(lb, ub)
 
 
 def test_rebounded_form_equals_a_fresh_compile():
-    # Branch and bound compiles once and re-bounds per node; each node's form
-    # must be exactly the one a fresh compile of the fixed LP gives, on the
-    # very `A` it was compiled with, and a solve must leave the form as it
-    # found it.
+    # Branch and bound compiles once and re-bounds a copy per node; each
+    # node's form must be exactly the one a fresh compile of the fixed LP
+    # gives, on the very `A` it was compiled with, and must leave the form it
+    # was copied from as it was.  Solving a form twice gives one result.
     rng = np.random.default_rng(8)
     for _ in range(30):
         lp = _random_mip(rng)
         std = _Standardized(lp)
-        A = std.A
+        compiled = {attr: getattr(std, attr).copy() for attr in ("lb", "ub", "b", "u", "c")}
         binaries = lp.binary_vars()
         for _ in range(4):
             fixed = [v for v in binaries if rng.random() < 0.6]
@@ -321,49 +328,52 @@ def test_rebounded_form_equals_a_fresh_compile():
             lb, ub = std.lb.copy(), std.ub.copy()
             idx = [lp._index[v] for v in fixed]
             lb[idx] = ub[idx] = values
-            std.bound(lb, ub)
-            assert std.A is A
+            form = std.rebound(lb, ub)
+            assert form.A is std.A
+            for attr, before in compiled.items():
+                np.testing.assert_array_equal(getattr(std, attr), before)
             fixed_lp = _fixed(lp, dict(zip(fixed, values)))
             fresh = _Standardized(fixed_lp)
             for attr in ("A", "b", "u", "c"):
-                np.testing.assert_array_equal(getattr(std, attr), getattr(fresh, attr))
-            first = _solve_relaxation(lp, std)
-            assert repr(_solve_relaxation(lp, std)) == repr(first)
+                np.testing.assert_array_equal(getattr(form, attr), getattr(fresh, attr))
+            first = _solve_relaxation(lp, form)
+            assert repr(_solve_relaxation(lp, form)) == repr(first)
             assert repr(_solve_relaxation(fixed_lp, fresh)) == repr(first)
 
 
 def test_warm_children_match_a_cold_solve_of_a_fresh_compile():
-    # Each child re-solves from its parent's final basis with the dual
-    # simplex; it must agree with a cold solve of the fixed LP compiled
-    # afresh, and leave the compiled form as it found it: `b`, `u` and `c`
-    # equal, `A` the compiled one.
+    # Each child re-solves from its parent's `Solution.basis` with the dual
+    # simplex, on the parent's form re-bounded; it must agree with a cold
+    # solve of the fixed LP compiled afresh, leave its form as it found it
+    # (`b`, `u` and `c` equal, `A` the compiled one), and its own basis must
+    # start its children in turn.
     rng = np.random.default_rng(9)
     statuses = []
     for _ in range(40):
         lp = _random_mip(rng)
-        std = _Standardized(lp)
-        A = std.A
-        root, root_state = _solve_relaxation(lp, std)
+        root = _solve_relaxation(lp, _Standardized(lp))
         if root.status != "optimal":
             continue
         for _ in range(4):
-            lb, ub = std.lb.copy(), std.ub.copy()
-            fixes, state = {}, root_state
+            fixes, node = {}, root.basis
             for v in rng.permutation(lp.binary_vars()).tolist():
-                fixes[v] = lb[lp._index[v]] = ub[lp._index[v]] = float(rng.integers(0, 2))
-                std.bound(lb, ub)
-                form = {attr: getattr(std, attr).copy() for attr in ("b", "u", "c")}
-                warm, state = _solve_relaxation(lp, std, state)
-                for attr, before in form.items():
-                    np.testing.assert_array_equal(getattr(std, attr), before)
-                assert std.A is A
+                val = float(rng.integers(0, 2))
+                fixes[v] = val
+                form = _child(node, lp, {v: val})
+                kept = {attr: getattr(form, attr).copy() for attr in ("b", "u", "c")}
+                warm = _solve_relaxation(lp, form, node)
+                for attr, before in kept.items():
+                    np.testing.assert_array_equal(getattr(form, attr), before)
+                assert form.A is root.basis.std.A
                 fixed_lp = _fixed(lp, fixes)
-                cold = _solve_relaxation(fixed_lp, _Standardized(fixed_lp))[0]
+                cold = _solve_relaxation(fixed_lp, _Standardized(fixed_lp))
                 assert warm.status == cold.status
                 statuses.append(warm.status)
                 if warm.status != "optimal":
                     break
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+                assert warm.basis.std is form
+                node = warm.basis
     assert statuses.count("optimal") > 100 and statuses.count("infeasible") > 20
 
 
@@ -374,22 +384,18 @@ def test_dual_loop_from_an_optimal_parent_ends_optimal():
     dual_pivots = 0
     for _ in range(300):
         lp = _random_mip(rng)
-        std = _Standardized(lp)
-        state = _solve_relaxation(lp, std)[1]
-        lb, ub = std.lb.copy(), std.ub.copy()
+        start = _solve_relaxation(lp, _Standardized(lp)).basis
         for v in rng.permutation(lp.binary_vars()).tolist():
-            if state is None:
+            if start is None:
                 break
-            lb[lp._index[v]] = ub[lp._index[v]] = float(rng.integers(0, 2))
-            std.bound(lb, ub)
-            sx = _Simplex(std, state)
+            sx = _Simplex(_child(start, lp, {v: float(rng.integers(0, 2))}), start)
             if not sx.dual(10_000):
                 break
             taken = sx.pivots[1]
-            sx.run(std.c, 2, 10_000)
+            sx.run(sx.std.c, 2, 10_000)
             assert sx.pivots[1] == taken
             dual_pivots += taken
-            state = _Basis(sx.basis, sx.at_upper, sx.art)
+            start = _Start(sx.std, sx.basis, sx.at_upper, sx.art)
     assert dual_pivots > 40
 
 
@@ -401,8 +407,7 @@ def test_child_cut_off_by_its_fixing_is_proved_infeasible_by_the_dual(monkeypatc
     lp.add_var("x", 0.0, 1.0)
     lp.add_row({"z": 1, "x": 1}, ">=", 1.5)
     lp.set_objective({"z": 1}, "min")
-    std = _Standardized(lp)
-    root, state = _solve_relaxation(lp, std)
+    root = _solve_relaxation(lp, _Standardized(lp))
     assert root["z"] == pytest.approx(0.5)
     outcomes = []
     dual = _Simplex.dual
@@ -412,11 +417,10 @@ def test_child_cut_off_by_its_fixing_is_proved_infeasible_by_the_dual(monkeypatc
         return outcomes[-1]
 
     monkeypatch.setattr(_Simplex, "dual", spy)
-    std.bound(np.array([0.0, 0.0]), np.array([0.0, 1.0]))
-    assert _solve_relaxation(lp, std, state)[0].status == "infeasible"
+    assert _solve_relaxation(lp, _child(root.basis, lp, {"z": 0.0}), root.basis).status == "infeasible"
     assert outcomes == [False]
     fixed_lp = _fixed(lp, {"z": 0.0})
-    assert _solve_relaxation(fixed_lp, _Standardized(fixed_lp))[0].status == "infeasible"
+    assert _solve_relaxation(fixed_lp, _Standardized(fixed_lp)).status == "infeasible"
 
 
 def test_a_start_that_is_not_dual_feasible_still_reaches_the_cold_optimum():
@@ -429,16 +433,16 @@ def test_a_start_that_is_not_dual_feasible_still_reaches_the_cold_optimum():
         lp = _random_mip(rng)
         flipped = copy.deepcopy(lp)
         flipped.sense = "max" if lp.sense == "min" else "min"
-        opposite, state = _solve_relaxation(flipped, _Standardized(flipped))
-        if state is None:
+        opposite = _solve_relaxation(flipped, _Standardized(flipped))
+        if opposite.basis is None:
             continue
         fixed_lp = _fixed(lp, {str(rng.choice(lp.binary_vars())): float(rng.integers(0, 2))})
-        warm = _solve_relaxation(fixed_lp, _Standardized(fixed_lp), state)[0]
-        cold = _solve_relaxation(fixed_lp, _Standardized(fixed_lp))[0]
+        warm = _solve_relaxation(fixed_lp, _Standardized(fixed_lp), opposite.basis)
+        cold = _solve_relaxation(fixed_lp, _Standardized(fixed_lp))
         assert warm.status == cold.status
         if warm.status == "optimal":
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-        own = _solve_relaxation(lp, _Standardized(lp))[0]
+        own = _solve_relaxation(lp, _Standardized(lp))
         not_dual_feasible += own.status == "optimal" and abs(own.objective - opposite.objective) > 1e-6
     assert not_dual_feasible > 10
 
@@ -457,7 +461,7 @@ def _branching_mip():
 
 def test_mip_tree_takes_phase_one_pivots_only_at_its_root():
     lp = _branching_mip()
-    root = _solve_relaxation(lp, _Standardized(lp))[0]
+    root = _solve_relaxation(lp, _Standardized(lp))
     mip = solve_mip(lp)
     assert root.pivots[0] > 0
     assert mip.pivots[0] == root.pivots[0]
@@ -474,17 +478,14 @@ def test_mip_repeats_exactly_in_one_process():
 def test_warm_start_past_the_iteration_cap_falls_back_to_cold(monkeypatch):
     lp = _branching_mip()
     expected = solve_mip(lp)
-    std = _Standardized(lp)
-    _, state = _solve_relaxation(lp, std)
+    root = _solve_relaxation(lp, _Standardized(lp))
     # z4 is the root's fractional binary, so fixing it leaves the dual loop
     # a row to repair.
-    lb, ub = std.lb.copy(), std.ub.copy()
-    lb[lp._index["z4"]] = ub[lp._index["z4"]] = 1.0
-    std.bound(lb, ub)
-    cold = _solve_relaxation(lp, std)
+    form = _child(root.basis, lp, {"z4": 1.0})
+    cold = _solve_relaxation(lp, form)
     dual = _Simplex.dual
     monkeypatch.setattr(_Simplex, "dual", lambda self, max_iter: dual(self, 0))
-    assert repr(_solve_relaxation(lp, std, state)) == repr(cold)
+    assert repr(_solve_relaxation(lp, form, root.basis)) == repr(cold)
     capped = solve_mip(lp)
     assert capped.objective == expected.objective
     assert capped.pivots[0] > expected.pivots[0]
@@ -523,7 +524,7 @@ def _recorded_relaxations(monkeypatch):
     def spy(lp_, std, start=None):
         result = relax(lp_, std, start)
         fixed = {name for name in lp_.binary_vars() if std.u[std.pos_col[lp_._index[name]]] == 0.0}
-        solves.append((result[0].status, fixed))
+        solves.append((result.status, fixed))
         return result
 
     monkeypatch.setattr(lp_module, "_solve_relaxation", spy)
@@ -553,7 +554,7 @@ def _enumerated_optimum(lp):
     binaries = lp.binary_vars()
     for values in itertools.product([0.0, 1.0], repeat=len(binaries)):
         fixed_lp = _fixed(lp, dict(zip(binaries, values)))
-        sol = _solve_relaxation(fixed_lp, _Standardized(fixed_lp))[0]
+        sol = _solve_relaxation(fixed_lp, _Standardized(fixed_lp))
         if sol.status == "optimal":
             objectives.append(sol.objective)
     if not objectives:
@@ -822,8 +823,8 @@ def test_warm_lp_resolves_after_bound_edits_match_a_cold_solve():
         base = solve_lp(lp)
         if base.status != "optimal":
             continue
-        state, A = base.basis.state, base.basis.std.A
-        kept = state.basis.copy(), state.at_upper.copy(), state.art.copy()
+        start, A = base.basis, base.basis.std.A
+        kept = start.basis.copy(), start.at_upper.copy(), start.art.copy()
         names = [v.name for v in lp._vars]
         for raise_lb in (False, True, False, True):
             edits = {}
@@ -837,13 +838,13 @@ def test_warm_lp_resolves_after_bound_edits_match_a_cold_solve():
             statuses.append(warm.status)
             if warm.status == "optimal":
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-                assert warm.basis.std.A is A and warm.basis.state.art is state.art
-                flipped += bool(np.any((warm.basis.std.b < 0) != (state.art < 0)))
-        for before, after in zip(kept, (state.basis, state.at_upper, state.art), strict=True):
+                assert warm.basis.std.A is A and warm.basis.art is start.art
+                flipped += bool(np.any((warm.basis.std.b < 0) != (start.art < 0)))
+        for before, after in zip(kept, (start.basis, start.at_upper, start.art), strict=True):
             np.testing.assert_array_equal(before, after)
         # Every re-solve inherits the base's signs, so the cache holds the
         # base's own exact inverse.
-        np.testing.assert_array_equal(state.factor, np.linalg.inv(_basis_matrix(base.basis.std, state)))
+        np.testing.assert_array_equal(start.factor, np.linalg.inv(_basis_matrix(start)))
     assert statuses.count("optimal") > 150 and statuses.count("infeasible") > 20
     assert flipped > 20
 
@@ -865,8 +866,13 @@ def test_warm_lp_start_must_come_from_an_lp_with_the_same_rows_and_columns():
         solve_lp(lp.with_bounds({"f0": (-INF, 1.0)}), start=base)
     with pytest.raises(ValueError):
         solve_lp(lp, start=solve_mip(_branching_mip()))
-    copy_lp = lp.with_bounds({})
-    copy_lp.set_bounds("f0", 0.0, 0.0)
+    # A start keeps the shape of the LP it solved, not of later edits to it.
+    edited_later = lp.with_bounds({})
+    later = solve_lp(edited_later)
+    edited_later.add_row({"f0": 1.0}, "<=", 1.0)
+    with pytest.raises(ValueError):
+        solve_lp(edited_later, start=later)
+    copy_lp = lp.with_bounds({"f0": (0.0, 0.0)})
     assert lp._vars[0].ub > 0.0
     assert solve_lp(copy_lp, start=base).status == "optimal"
     assert solve_lp(lp.with_bounds({}), start=base).objective == base.objective
@@ -885,10 +891,11 @@ def _recorded_inversions(monkeypatch):
     return calls
 
 
-def _basis_matrix(std, state):
-    """The basis matrix of a basis state (`_Basis` or `_Simplex`) on `std`:
-    column j of `A` for a basic real column, and `art[i]` times the unit
-    column e_i for row i's basic artificial."""
+def _basis_matrix(state):
+    """The basis matrix of a basis state (`_Start` or `_Simplex`) on its form
+    `std`: column j of `A` for a basic real column, and `art[i]` times the
+    unit column e_i for row i's basic artificial."""
+    std = state.std
     B = np.zeros((std.m, state.basis.size))
     for pos, j in enumerate(state.basis):
         if j < std.n_real:
@@ -926,7 +933,7 @@ def test_a_second_warm_lp_resolve_from_one_start_inverts_nothing(monkeypatch):
 
 
 def test_warm_resolves_leave_the_cached_start_inverse_bit_identical():
-    # Every re-solve from one start reads the inverse cached on its state in
+    # Every re-solve from one start reads the inverse cached on the start in
     # place and pivots on top of it.  The cache is read-only, so a stray
     # write raises instead of corrupting the re-solves that read it later.
     rng = np.random.default_rng(18)
@@ -936,9 +943,9 @@ def test_warm_resolves_leave_the_cached_start_inverse_bit_identical():
         base = solve_lp(lp)
         if base.status != "optimal":
             continue
-        state = base.basis.state
+        start = base.basis
         solve_lp(lp.with_bounds({}), start=base)
-        inverse = state.factor
+        inverse = start.factor
         kept = inverse.copy()
         assert not inverse.flags.writeable
         with pytest.raises(ValueError):
@@ -948,7 +955,7 @@ def test_warm_resolves_leave_the_cached_start_inverse_bit_identical():
             picked = rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False)
             edited = lp.with_bounds({str(n): (0.0, float(rng.choice([0.0, 0.5, 2.5]))) for n in picked})
             warm = solve_lp(edited, start=base)
-            assert state.factor is inverse
+            assert start.factor is inverse
             np.testing.assert_array_equal(inverse, kept)
             pivoted += warm.status == "optimal" and warm.pivots[1] > 0
     assert pivoted > 10
@@ -956,27 +963,24 @@ def test_warm_resolves_leave_the_cached_start_inverse_bit_identical():
 
 def test_the_two_children_of_a_node_factor_their_shared_start_once(monkeypatch):
     lp = _branching_mip()
-    std = _Standardized(lp)
-    _, state = _solve_relaxation(lp, std)
-    start_cols = _basis_matrix(std, state)
+    node = _solve_relaxation(lp, _Standardized(lp)).basis
+    start_cols = _basis_matrix(node)
     calls = _recorded_inversions(monkeypatch)
     saved = []
     for branch_val in (0.0, 1.0):
-        lb, ub = std.lb.copy(), std.ub.copy()
-        lb[lp._index["z4"]] = ub[lp._index["z4"]] = branch_val
-        std.bound(lb, ub)
+        form = _child(node, lp, {"z4": branch_val})
         calls.clear()
-        child, _ = _solve_relaxation(lp, std, _Basis(state.basis, state.at_upper, state.art))
+        child = _solve_relaxation(lp, form, dataclasses.replace(node, factor=None))
         uncached = len(calls)
         calls.clear()
-        shared, _ = _solve_relaxation(lp, std, state)
+        shared = _solve_relaxation(lp, form, node)
         assert repr(shared) == repr(child)
         saved.append(uncached - len(calls))
-        np.testing.assert_array_equal(state.factor, np.linalg.inv(start_cols))
+        np.testing.assert_array_equal(node.factor, np.linalg.inv(start_cols))
     # The first child factors the start, the second copies that inverse.
     assert saved == [0, 1]
 
-    # solve_mip hands each popped node's state to both of its children.
+    # solve_mip hands each popped node's `_Start` to both of its children.
     starts, relax = [], _solve_relaxation
 
     def spy(lp_, std_, start=None):
@@ -1003,20 +1007,20 @@ def test_a_start_whose_basic_artificial_row_flips_sign_reuses_its_inverse(monkey
         base = solve_lp(lp)
         if base.status != "optimal":
             continue
-        state, std = base.basis.state, base.basis.std
+        start, std = base.basis, base.basis.std
         solve_lp(lp.with_bounds({}), start=base)  # caches the start's inverse
-        cached = state.factor
+        cached = start.factor
         lb = np.array([float(rng.choice([0.0, 0.5, 1.0])) for _ in lp._vars])
         ub = np.maximum(lb, [v.ub for v in lp._vars])
         edited = lp.with_bounds({v.name: (lb[j], ub[j]) for j, v in enumerate(lp._vars)})
-        rows = state.basis[state.basis >= std.n_real] - std.n_real
-        if not np.any((std.rebound(lb, ub).b[rows] < 0) != (state.art[rows] < 0)):
+        rows = start.basis[start.basis >= std.n_real] - std.n_real
+        if not np.any((std.rebound(lb, ub).b[rows] < 0) != (start.art[rows] < 0)):
             continue
-        start_cols = _basis_matrix(std, state)
+        start_cols = _basis_matrix(start)
         calls.clear()
         warm = solve_lp(edited, start=base)
         assert not any(np.array_equal(call, start_cols) for call in calls)
-        assert state.factor is cached
+        assert start.factor is cached
         cold = solve_lp(edited)
         assert warm.status == cold.status
         if warm.status == "optimal":
@@ -1028,13 +1032,12 @@ def test_a_start_whose_basic_artificial_row_flips_sign_reuses_its_inverse(monkey
 def test_the_compiled_matrix_is_read_only_and_shared_by_every_form_of_its_lp(monkeypatch):
     # `A` holds the real columns only and is written once, when the LP is
     # compiled: every `rebound` copy and every branch-and-bound node solves
-    # on that very array.
+    # on that very array.  A form's bounds and what they decide (`shift`,
+    # `b`, `u`) are read-only too, so no solve can change a form that a
+    # start shares with later re-solves.
     lp = _branching_mip()
     std = _Standardized(lp)
     assert std.A.shape == (std.m, std.n_real)
-    assert not std.A.flags.writeable
-    with pytest.raises(ValueError):
-        std.A[0, 0] = 1.0
     lb, ub = std.lb.copy(), std.ub.copy()
     lb[0] = ub[0] = 1.0
     assert std.rebound(lb, ub).A is std.A
@@ -1042,12 +1045,18 @@ def test_the_compiled_matrix_is_read_only_and_shared_by_every_form_of_its_lp(mon
     forms, relax = [], _solve_relaxation
 
     def spy(lp_, std_, start=None):
-        forms.append(std_.A)
+        forms.append(std_)
         return relax(lp_, std_, start)
 
     monkeypatch.setattr(lp_module, "_solve_relaxation", spy)
     solve_mip(lp)
-    assert len(forms) > 3 and all(A is forms[0] for A in forms)
+    assert len(forms) > 3 and forms[0].A is forms[-1].A and all(f.A is forms[0].A for f in forms)
+    for form in (std, forms[-1]):  # a compiled form and a B&B child's form
+        for attr in ("A", "lb", "ub", "shift", "b", "u"):
+            array = getattr(form, attr)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1.0
 
 
 def test_rows_without_variables_are_satisfied_exactly_when_their_rhs_is_zero():
@@ -1062,6 +1071,24 @@ def test_rows_without_variables_are_satisfied_exactly_when_their_rhs_is_zero():
         if status == "optimal":
             assert (sol.objective, sol.duals) == (0.0, [0.0, 0.0])
             assert solve_lp(lp.with_bounds({}), start=sol).status == "optimal"
+
+
+def test_an_lp_without_rows_warm_starts_under_bound_edits():
+    # Its optimum has no basis arrays, only its compiled form, and still
+    # re-solves every bound edit as a cold solve of the edited LP does.
+    lp = LinearProgram()
+    lp.add_var("x", 0.0, 2.0)
+    lp.add_var("y", -1.0, 4.0)
+    lp.add_var("w", -INF, 3.0)
+    lp.set_objective({"x": 1.0, "y": -1.0, "w": -2.0}, "min")
+    base = solve_lp(lp)
+    assert base.status == "optimal" and base.basis is not None
+    for bounds, status in (({"y": (-1.0, 1.5), "x": (0.5, 2.0)}, "optimal"),
+                           ({"y": (0.0, 0.0), "w": (-INF, -2.0)}, "optimal"),
+                           ({"y": (-1.0, INF)}, "unbounded")):
+        edited = lp.with_bounds(bounds)
+        warm, cold = solve_lp(edited, start=base), solve_lp(edited)
+        assert repr(warm) == repr(cold) and warm.status == status
 
 
 def test_phase_one_never_enters_an_artificial(monkeypatch):
@@ -1098,15 +1125,15 @@ def test_bound_edits_are_checked_as_declarations_are():
     lp.set_objective({"z": 1, "x": 1}, "max")
     for lb, ub in ((2.0, 1.0), (2.0, 2.0)):
         with pytest.raises(ValueError):
-            lp.set_bounds("z", lb, ub)
+            lp.add_var("w", lb, ub, binary=True)
         with pytest.raises(ValueError):
             lp.with_bounds({"z": (lb, ub)})
     with pytest.raises(ValueError):
-        lp.set_bounds("x", 3.0, 1.0)
+        lp.with_bounds({"x": (3.0, 1.0)})
+    assert lp.num_vars == 2
     assert (lp._vars[0].lb, lp._vars[0].ub, lp._vars[1].lb) == (0.0, 1.0, 0.0)
     assert lp.with_bounds({"z": (-1.0, 3.0)})._vars[0].ub == 1.0
-    lp.set_bounds("z", 0.0, 2.0)
-    sol = solve_mip(lp)
+    sol = solve_mip(lp.with_bounds({"z": (0.0, 2.0)}))
     assert sol.status == "optimal" and sol["z"] == 1.0 and sol.objective == 5.0
 
 
@@ -1273,7 +1300,7 @@ def test_the_eta_file_holds_the_exact_inverse_after_every_pivot(monkeypatch):
         v = update(sx, leave_pos, col, row)
         k = sx.pivots_since_refactor
         held = sx.B0 - sx.U[:, :k] @ sx.V[:k]
-        exact = np.linalg.inv(_basis_matrix(sx.std, sx))
+        exact = np.linalg.inv(_basis_matrix(sx))
         assert np.abs(held - exact).max() <= 1e-9 * np.abs(exact).max()
         checked["dual" if row is not None else "run"] += 1
         return v
@@ -1287,9 +1314,9 @@ def test_the_eta_file_holds_the_exact_inverse_after_every_pivot(monkeypatch):
         for std in _both_forms(lp, monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(_Simplex, "_update_inverse", checked_update)
-                cold, state = _solve_relaxation(lp, std)
+                cold = _solve_relaxation(lp, std)
                 assert cold.status == "optimal"
-                _solve_relaxation(edited, std.rebound(lb, ub), state)
+                _solve_relaxation(edited, std.rebound(lb, ub), cold.basis)
     assert checked["run"] > 200 and checked["dual"] > 20
 
 
@@ -1308,15 +1335,15 @@ def test_solves_on_the_sparse_kernels_reach_the_dense_objectives(monkeypatch):
         ub = np.array([v.ub for v in edited._vars])
         solved = []
         for std in _both_forms(lp, monkeypatch):
-            cold, state = _solve_relaxation(lp, std)
+            cold = _solve_relaxation(lp, std)
             assert cold.status == "optimal"
-            sx = _Simplex(std.rebound(lb, ub), state)
+            sx = _Simplex(std.rebound(lb, ub), cold.basis)
             if sx.dual(10_000):
                 taken = sx.pivots[1]
                 sx.run(sx.std.c, 2, 10_000)
                 assert sx.pivots[1] == taken
                 dual_pivots += taken
-            solved.append((cold, _solve_relaxation(edited, std.rebound(lb, ub), state)[0]))
+            solved.append((cold, _solve_relaxation(edited, std.rebound(lb, ub), cold.basis)))
         for sparse, dense in zip(*solved):
             assert sparse.status == dense.status
             if dense.status == "optimal":
