@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 usage error, 2 solver or guard error.  Errors print
-one machine-readable line to stderr: "error: CODE detail".
+Exit codes: 0 success, 1 usage error, 2 solver or guard error, or an
+instance that fails validation (every command but `gen` validates first).
+Errors print one machine-readable line to stderr: "error: CODE detail".
 """
 
 from __future__ import annotations
@@ -147,13 +148,17 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args) -> int:
     instance, scenarios = _load(args)
 
+    diags = validate_instance(instance)
     if args.command == "validate":
-        diags = validate_instance(instance)
         for d in diags:
             print(f"{d.code}: {d.detail}")
         if not diags:
             print("ok")
         return 0 if not diags else 2
+    if diags and args.command != "gen":
+        # A solving command answers only an instance that validates.
+        print(f"error: {diags[0].code} {diags[0].detail}", file=sys.stderr)
+        return 2
 
     if args.command == "gen":
         seed = args.seed if args.seed is not None else _default_seed()

@@ -32,32 +32,31 @@ each pivot multiplies over those: pricing `y @ A` and the entering column
 cost outweighs the saving; the crossover was measured on the LPs of this
 package's benchmark.
 
-Phase 1 starts from one artificial per row, its row's unit column signed as
-`b`.  Artificials are placeholders of the basis state, not columns of `A`:
-the basis matrix takes the basic real columns of `A` and a signed unit
-column per basic artificial.  Both phases price the real columns only, so
-an artificial that leaves the basis never re-enters (Koberstein 2005;
-Bixby 2002); a nonbasic artificial sits at 0, so phase 1 still reaches 0
-exactly when the LP is feasible.  It stops as soon as no basic artificial is
-positive (no tolerance): its objective, the artificials' sum, is bounded
-below by 0, so that basis is phase-1 optimal.  Artificials still basic at 0
-stay in the basis for phase 2, pinned at 0.  Row duals are returned for LP solves; they
-are the sensitivities d(objective)/d(rhs) in the caller's min/max
-orientation.
+Every relaxation starts from a `_Start`, a cold one from `_Start.cold`: one
+artificial per row, its row's unit column signed as `b`.  Artificials are
+placeholders of the basis state, not columns of `A`: the basis matrix takes
+the basic real columns of `A` and a signed unit column per basic artificial.
+Both phases price the real columns only, so an artificial that leaves the
+basis never re-enters (Koberstein 2005; Bixby 2002); a nonbasic artificial
+sits at 0, so phase 1 still reaches 0 exactly when the LP is feasible.  It
+stops as soon as no basic artificial is positive (no tolerance): its
+objective, the artificials' sum, is bounded below by 0, so that basis is
+phase-1 optimal.  Artificials still basic at 0 stay in the basis for phase
+2, pinned at 0.  Row duals are returned for LP solves; they are the
+sensitivities d(objective)/d(rhs) in the caller's min/max orientation.
 
-A warm re-solve starts from an optimal relaxation of the same compiled
-form under other bounds, its `Solution.basis`: the final basis and
-artificial signs, with the artificials pinned at 0, where their signs are
-immaterial.  It runs a bounded dual simplex.  The basic variable with the
-largest bound violation leaves at the bound it violated; the entering
-column minimizes |reduced cost| / |alpha| over the nonbasic real columns
-that can move in the direction that repairs that row.
-Ratios within 1e-12 of the minimum tie, and ties go to the largest |alpha|,
-then the lowest column index.  A row that no column can repair proves the
-re-solve infeasible.  Once every basic variable is within its bounds, phase
-2 finishes the solve; it stops at once on an optimal basis.  If the dual
-loop reaches the iteration cap or a singular basis, the form is solved cold
-instead.
+A warm re-solve starts from an optimal relaxation of the same compiled form
+under other bounds, its `Solution.basis`: the final basis and artificial
+signs, with the artificials pinned at 0, where their signs are immaterial.
+It runs a bounded dual simplex.  The basic variable with the largest bound
+violation leaves at the bound it violated; the entering column minimizes
+|reduced cost| / |alpha| over the nonbasic real columns that can move in the
+direction that repairs that row.  Ratios within 1e-12 of the minimum tie,
+and ties go to the largest |alpha|, then the lowest column index.  A row
+that no column can repair proves the re-solve infeasible.  Once every basic
+variable is within its bounds, phase 2 finishes the solve; it stops at once
+on an optimal basis.  If the dual loop reaches the iteration cap or a
+singular basis, the form is solved cold instead.
 
 `solve_lp(lp, start=sol)` re-solves `lp` this way from `sol`, an optimal
 solution of an LP with the same variables, rows and objective
@@ -352,7 +351,6 @@ class _Standardized:
     def _freeze_bounds(self, lb: np.ndarray, ub: np.ndarray) -> None:
         """Take these bounds and set what they decide, the shifts, `b` and
         `u`; all five arrays are made read-only."""
-        self.infeasible_box = bool(np.any(lb > ub + 1e-12))
         shift = np.where(self.free, 0.0, np.where(self.reflected, ub, lb))
         u = np.full(self.ncols, INF)
         u[self.pos_col] = ub - lb
@@ -393,20 +391,30 @@ class _Standardized:
 
 @dataclass(eq=False)
 class _Start:
-    """An optimal relaxation, kept for warm re-solves: its compiled form and
-    final basis state, that is the basis columns, the nonbasic columns at
-    their upper bounds and the artificial signs `art` (all None for a form
-    without rows, which has no basis).  A re-solve copies what it changes.
-    The only write is `factor`: None until a warm start from this state
-    inverts its basis, then that exact inverse, read-only; every later warm
-    start from the state inherits its signs, hence its basis matrix, and
-    reads the inverse in place."""
+    """A basis state on a compiled form that a solve starts from: the basis
+    columns, the nonbasic columns at their upper bounds and the artificial
+    signs `art` (all None for a form without rows, which has no basis).  An
+    optimal relaxation's state is kept for warm re-solves; `cold` builds
+    phase 1's.  A solve copies what it changes.  The only write is `factor`:
+    None until a solve from this state inverts its basis, then that exact
+    inverse, read-only; every later solve from the state inherits its
+    signs, hence its basis matrix, and reads the inverse in place."""
 
     std: _Standardized
     basis: np.ndarray | None = None
     at_upper: np.ndarray | None = None
     art: np.ndarray | None = None
     factor: np.ndarray | None = None
+
+    @classmethod
+    def cold(cls, std: _Standardized) -> _Start:
+        """The all-artificial basis, signed as `b`: diag(art), its own
+        inverse."""
+        art = np.where(std.b >= 0, 1.0, -1.0)
+        factor = np.diag(art)
+        factor.flags.writeable = False
+        return cls(std, np.arange(std.n_real, std.ncols), np.zeros(std.ncols, dtype=bool), art,
+                   factor)
 
 
 def _shape(lp: LinearProgram) -> tuple:
@@ -424,42 +432,29 @@ class _Simplex:
     (module docstring).  `U` and `V` belong to this solve alone; `B0` may be
     a start state's cached factor."""
 
-    def __init__(self, std: _Standardized, start: _Start | None = None):
-        """Cold: the all-artificial basis, signed as `b`.  Warm: the basis
-        state of `start`, an optimal relaxation of this form under other
-        bounds, signs included, with the artificials pinned as in phase 2;
-        `dual` refactors it."""
+    def __init__(self, std: _Standardized, start: _Start):
+        """The basis state of `start`, signs included: `_Start.cold`, or an
+        optimal relaxation of this form under other bounds, which `dual`
+        re-solves."""
         self.std = std
-        self.start = start
-        m, n = std.m, std.ncols
         # Per-solve copy of the column upper bounds: phase 2 pins the
         # artificials here, not in the compiled form.
         self.u = std.u.copy()
-        self.pivots_since_refactor = 0
         self.degenerate_run = 0
         self.bland = False
         self.iterations = 0
         self.pivots = [0, 0]
         # The eta file, room for the REFACTOR_EVERY pivots between refactors.
-        self.U = np.empty((m, REFACTOR_EVERY))
-        self.V = np.empty((REFACTOR_EVERY, m))
-        if start is None:
-            self.basis = np.arange(std.n_real, n)
-            self.at_upper = np.zeros(n, dtype=bool)  # nonbasic position
-            # The artificial start basis is diag(art), its own inverse.
-            self.art = np.where(std.b >= 0, 1.0, -1.0)
-            self.B0 = np.diag(self.art)
-            self.xB = np.abs(std.b)
-        else:
-            self.basis, self.at_upper = start.basis.copy(), start.at_upper.copy()
-            self.art = start.art
-            # A column whose upper bound is now infinite starts at its lower
-            # bound; phase 2 repairs the reduced cost this may leave wrong.
-            self.at_upper &= self.u < INF
-            self.B0, self.xB = None, np.empty(m)
-            self.pin_artificials()
-        self.in_basis = np.zeros(n, dtype=bool)
+        self.U = np.empty((std.m, REFACTOR_EVERY))
+        self.V = np.empty((REFACTOR_EVERY, std.m))
+        self.basis, self.at_upper, self.art = start.basis.copy(), start.at_upper.copy(), start.art
+        # A column whose upper bound is now infinite starts at its lower
+        # bound; phase 2 repairs the reduced cost this may leave wrong.
+        self.at_upper &= self.u < INF
+        self.in_basis = np.zeros(std.ncols, dtype=bool)
         self.in_basis[self.basis] = True
+        self.xB = np.empty(std.m)
+        self._refactor(start)
 
     def pin_artificials(self) -> None:
         """Enter phase 2: artificials are pinned at 0.  Basic ones that
@@ -564,6 +559,20 @@ class _Simplex:
         self.pivots_since_refactor += 1
         return v
 
+    def _exchange(self, r: int, j: int, col: np.ndarray, step: float, value: float,
+                  to_upper: bool, row: np.ndarray | None = None) -> np.ndarray | None:
+        """Pivot column j (`col` = B^-1 a_j) into basis position r: x_B moves
+        by -step * col, j takes `value`, and the leaving variable goes to its
+        upper bound if `to_upper`, else to 0; returns `_update_inverse`'s v."""
+        self.xB -= step * col
+        self.xB[r] = value
+        leaving = self.basis[r]
+        self.in_basis[leaving] = False
+        self.at_upper[leaving] = to_upper
+        self.basis[r] = j
+        self.in_basis[j] = True
+        return self._update_inverse(r, col, row)
+
     # -- main loop ---------------------------------------------------------
 
     def run(self, c: np.ndarray, phase: int, max_iter: int) -> bool:
@@ -642,34 +651,30 @@ class _Simplex:
                     self.bland = True
             else:
                 self.degenerate_run = 0
-            xB -= (-t if from_upper else t) * col
+            step = -t if from_upper else t
             self.pivots[phase - 1] += 1
             if leave_pos < 0:
                 # Bound flip: the entering variable crosses to its other bound.
+                xB -= step * col
                 at_upper[j] = not from_upper
                 dirn[j] = 1.0 if not from_upper else (-1.0 if ub[j] > PIVOT_TOL else 0.0)
                 continue
             leaving = basis[leave_pos]
             to_upper = bool(a[leave_pos] < 0)
-            in_basis[leaving] = False
-            at_upper[leaving] = to_upper
+            v = self._exchange(leave_pos, j, col, step, (ub[j] - t) if from_upper else t, to_upper)
             dirn[leaving] = 1.0 if to_upper else (-1.0 if ub[leaving] > PIVOT_TOL else 0.0)
-            basis[leave_pos] = j
-            in_basis[j] = True
             dirn[j] = 0.0
             cB[leave_pos] = c[j]
             ubB[leave_pos] = ub[j]
-            xB[leave_pos] = (ub[j] - t) if from_upper else t
-            v = self._update_inverse(leave_pos, col)
             if v is None:
                 y = None
             else:
                 y += d[j] * v
 
     def dual(self, max_iter: int) -> bool:
-        """Bounded dual simplex from a warm start: pivot until every basic
-        variable is within its bounds.  Returns False when a row proves the
-        LP infeasible.
+        """Bounded dual simplex from a warm start: pin the artificials, then
+        pivot until every basic variable is within its bounds.  Returns
+        False when a row proves the LP infeasible.
 
         The leaving row has the largest bound violation above FEAS_TOL, and
         its variable leaves at the bound it violated.  Entering candidates
@@ -686,7 +691,7 @@ class _Simplex:
         basis, in_basis, at_upper = self.basis, self.in_basis, self.at_upper
         movable = u[:n] > PIVOT_TOL
         xB = self.xB
-        self._refactor(self.start)
+        self.pin_artificials()
         while True:
             if self.pivots_since_refactor >= REFACTOR_EVERY:
                 self._refactor()
@@ -726,18 +731,10 @@ class _Simplex:
                 ties = ties[size == size.max()]
             j = int(ties[0])
             col = self._ftran(j)
-            leaving = basis[r]
-            step = (xB[r] - (u[leaving] if to_upper else 0.0)) / col[r]
-            entering = (u[j] if at_upper[j] else 0.0) + step
-            xB -= step * col
-            xB[r] = entering
-            in_basis[leaving] = False
-            at_upper[leaving] = to_upper
-            basis[r] = j
-            in_basis[j] = True
+            step = (xB[r] - (u[basis[r]] if to_upper else 0.0)) / col[r]
             self.pivots[1] += 1
             d -= d[j] / alpha[j] * alpha
-            self._update_inverse(r, col, rho)
+            self._exchange(r, j, col, step, (u[j] if at_upper[j] else 0.0) + step, to_upper, rho)
 
 
 def solve_lp(lp: LinearProgram, start: Solution | None = None) -> Solution:
@@ -765,7 +762,7 @@ def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Start | Non
     """Solve `lp` under the bounds of its compiled form `std`; an optimal
     solution's `basis` is its `_Start` on `std`.
 
-    Cold, phase 1 runs from the all-artificial basis and phase 2 finishes.
+    Cold, phase 1 runs from `_Start.cold` and phase 2 finishes.
     With `start`, an optimal relaxation of this form under other bounds, the
     dual simplex re-solves from its basis state and phase 2 finishes; if the
     dual loop stalls, the form is solved cold instead and its pivots count
@@ -774,8 +771,6 @@ def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Start | Non
     updated inverse fails its residuals, and SolverStallError is raised
     when the exact one does.
     """
-    if std.infeasible_box:
-        return Solution("infeasible", math.nan, {})
     if std.m == 0:
         # Only bounds: minimize each cost coordinate independently.
         if np.any((std.c < 0) & (std.u == INF)):
@@ -783,7 +778,10 @@ def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Start | Non
         x, y, basis, pivots = np.where(std.c < 0, std.u, 0.0), np.zeros(0), _Start(std), (0, 0)
     else:
         max_iter = 2000 + 60 * (std.m + std.ncols)
-        sx = _Simplex(std, start)
+        try:
+            sx = _Simplex(std, start or _Start.cold(std))
+        except SolverStallError:  # a singular warm entry basis; a cold one is diag(art)
+            return _solve_relaxation(lp, std)
         if start is not None:
             try:
                 feasible = sx.dual(max_iter)

@@ -214,7 +214,9 @@ def validate_instance(instance: NetworkInstance) -> list[Diagnostic]:
             out.append(Diagnostic("UNKNOWN_CONDITION", f"sequence {q.id} references {q.condition}", q.id))
 
     for d in instance.demands:
-        if d.demand < 0:
+        if not math.isfinite(d.demand):
+            out.append(Diagnostic("NONFINITE_DEMAND", f"flow {d.flow_id} demand {d.demand}", d.flow_id))
+        elif d.demand < 0:
             out.append(Diagnostic("NEGATIVE_DEMAND", f"flow {d.flow_id} demand {d.demand}", d.flow_id))
         if d.loss_threshold is not None and not (0 <= d.loss_threshold <= 1):
             out.append(Diagnostic("BAD_THRESHOLD", f"flow {d.flow_id} threshold {d.loss_threshold}", d.flow_id))

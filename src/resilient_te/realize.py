@@ -145,21 +145,12 @@ def _check_wcdd(M: np.ndarray) -> None:
         raise MatrixNotWcddError("row with deficit reservation")
     # Every weakly dominant row must chain, via nonzero couplings, to a
     # strictly dominant one.
-    strict = set(np.flatnonzero(surplus > WCDD_TOL))
-    reach = set(strict)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            if i in reach:
-                continue
-            for j in range(n):
-                if j != i and abs(M[i, j]) > WCDD_TOL and j in reach:
-                    reach.add(i)
-                    changed = True
-                    break
-    if len(reach) != n:
-        raise MatrixNotWcddError("weakly dominant rows do not chain to a strict one")
+    coupled, reach = np.abs(off) > WCDD_TOL, surplus > WCDD_TOL
+    while not reach.all():
+        grown = reach | coupled[:, reach].any(axis=1)
+        if grown.sum() == reach.sum():
+            raise MatrixNotWcddError("weakly dominant rows do not chain to a strict one")
+        reach = grown
 
 
 def gaussian_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -183,6 +183,28 @@ def test_cli_validate(tmp_path, capsys):
     assert "NONPOSITIVE_CAPACITY" in capsys.readouterr().out
 
 
+def test_cli_solving_commands_refuse_an_instance_that_fails_validation(tmp_path, capsys):
+    # Each command validates first: a dropped or NaN demand would otherwise
+    # solve to 0.000000, and an infinite capacity stall the simplex.
+    doc = instance_to_dict(four_tunnel_example())
+    commands = (["solve", "--model", "ffc", "--k", "1"], ["oracle", "--k", "2"],
+                ["realize", "--k", "1"], ["flomore", "solve"], ["analyze"],
+                ["report", "--k", "1"])
+    for section, key, value, error in (
+            ("demands", "demand", float("nan"), "NONFINITE_DEMAND flow d0 demand nan"),
+            ("demands", "demand", -2.0, "NEGATIVE_DEMAND flow d0 demand -2.0"),
+            ("topology", "capacity", float("inf"), "NONPOSITIVE_CAPACITY link s-1 capacity inf")):
+        bad = json.loads(json.dumps(doc))
+        (bad["topology"]["links"] if section == "topology" else bad["demands"])[0][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert main(["--instance", str(path), "validate"]) == 2
+        capsys.readouterr()
+        for command in commands:
+            assert main(["--instance", str(path), *command]) == 2
+            assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 def test_cli_gen_roundtrip(tmp_path, capsys):
     out = tmp_path / "gen.json"
     assert main(["--fixture", "four-tunnel", "gen", "scenarios", "--k", "1",

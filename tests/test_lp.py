@@ -491,6 +491,22 @@ def test_warm_start_past_the_iteration_cap_falls_back_to_cold(monkeypatch):
     assert capped.pivots[0] > expected.pivots[0]
 
 
+def test_a_singular_warm_entry_basis_falls_back_to_cold(monkeypatch):
+    lp = _branching_mip()
+    root = _solve_relaxation(lp, _Standardized(lp))
+    form = _child(root.basis, lp, {"z4": 1.0})
+    cold = _solve_relaxation(lp, form)
+    calls = []
+
+    def singular(a):
+        calls.append(a)
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    warm = _solve_relaxation(lp, form, dataclasses.replace(root.basis, factor=None))
+    assert len(calls) == 1 and repr(warm) == repr(cold)
+
+
 def _best_assignment(lp):
     """Best objective over all 0/1 assignments of the (all-binary) `lp`'s
     variables, or None when no assignment satisfies its <= rows."""

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -43,6 +44,16 @@ def test_nonpositive_capacity_flagged():
     inst = four_tunnel_example()
     inst2 = type(inst)(topology=topo)
     assert "NONPOSITIVE_CAPACITY" in codes(validate_instance(inst2))
+
+
+def test_nonfinite_and_negative_demands_flagged():
+    # NaN compares False with 0, so a NaN demand needs its own check.
+    inst = four_tunnel_example()
+    for value, code in ((math.nan, "NONFINITE_DEMAND"), (math.inf, "NONFINITE_DEMAND"),
+                        (-2.0, "NEGATIVE_DEMAND")):
+        demand = dataclasses.replace(inst.demands[0], demand=value)
+        bad = dataclasses.replace(inst, demands=(demand,) + inst.demands[1:])
+        assert codes(validate_instance(bad)) == [code]
 
 
 def test_misc_violations_each_get_a_code():

@@ -308,6 +308,19 @@ def test_wcdd_violation_detected():
     _check_wcdd(ok)  # strictly dominant everywhere
 
 
+def test_wcdd_weak_rows_must_chain_to_a_strict_one():
+    from resilient_te.realize import _check_wcdd
+
+    # Row 0 is weak and couples only to row 1, also weak, which couples to
+    # the strict row 2.
+    _check_wcdd(np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [0.0, 0.0, 1.0]]))
+    # Two weak rows coupled only to each other reach no strict row.
+    with pytest.raises(MatrixNotWcddError, match="do not chain"):
+        _check_wcdd(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    with pytest.raises(MatrixNotWcddError, match="do not chain"):
+        _check_wcdd(np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+
+
 def test_gaussian_and_jacobi_on_random_wcdd_systems():
     rng = np.random.default_rng(17)
     for _ in range(20):
