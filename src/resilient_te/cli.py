@@ -15,10 +15,9 @@ import os
 import sys
 
 from . import fixtures
-from .failsets import ScenarioBlowupError
 from .io import dump_instance, instance_to_dict, load_instance
 from .lp import BudgetExceededError, SolverStallError
-from .net import Scenario, enumerate_scenarios, validate_instance
+from .net import Scenario, ScenarioBlowupError, enumerate_scenarios, validate_instance
 from .generators import generate_gravity_demands, select_tunnels, split_sublinks
 from .oracle import worst_case_optimal
 from .prob import (

@@ -14,7 +14,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .net import Condition, NetworkInstance, Scenario, Tunnel, UnknownLinkError, enumerate_scenarios
-from .net import SCENARIO_GUARD, ScenarioBlowupError, scenario_count  # noqa: F401  (re-exported)
 
 #: Indicator variables are identified by (kind, ref) where kind is "x" for a
 #: link, "y" for a tunnel, "h" for a condition.

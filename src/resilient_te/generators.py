@@ -156,9 +156,8 @@ def split_sublinks(instance: NetworkInstance) -> NetworkInstance:
         logical_sequences=instance.logical_sequences, conditions=instance.conditions)
 
 
-def random_topology(rng: np.random.Generator, n_nodes: int, extra_links: int,
-                    cap_range=(0.5, 2.0)) -> Topology:
-    """Connected topology: a random spanning tree plus extra edges."""
+def random_topology(rng: np.random.Generator, n_nodes: int, extra_links: int) -> Topology:
+    """Connected topology: a random spanning tree plus extra edges, capacities U(0.5, 2)."""
     nodes = [f"v{i}" for i in range(n_nodes)]
     links = []
     existing = set()
@@ -167,7 +166,7 @@ def random_topology(rng: np.random.Generator, n_nodes: int, extra_links: int,
         key = (min(u, v), max(u, v))
         lid = f"{key[0]}-{key[1]}#{sum(1 for e in existing if e[:2] == key)}"
         existing.add(key + (lid,))
-        cap = float(np.round(rng.uniform(*cap_range), 3))
+        cap = float(np.round(rng.uniform(0.5, 2.0), 3))
         links.append(Link(lid, (u, v), cap))
 
     order = list(rng.permutation(nodes))

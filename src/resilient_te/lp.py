@@ -8,10 +8,10 @@ Every warm re-solve, a branch-and-bound child or `solve_lp(start=)`, solves
 a copy of that form under its own bounds (`_Standardized.rebound`).  The
 solver holds the basis inverse as an eta file on top of its last refactor
 (below), prices with the Dantzig rule, and falls back to Bland's rule after
-a run of degenerate pivots.  The ratio test takes the minimum ratio; ratios
-within 1e-12 of it tie, and ties go to the largest |pivot column entry|,
-then to the lowest basis index (under Bland's rule, to the lowest basis
-index alone).
+a run of degenerate pivots.  The primal ratio test takes the minimum
+ratio; ratios within 1e-12 of it tie, and ties go to the largest |pivot
+column entry|, then to the lowest basis index (under Bland's rule, to the
+lowest basis index alone).
 
 The basis inverse is held as B^-1 = B0 - U V.  B0 is the dense inverse
 from the last refactor, and nothing writes to it.  Each pivot since then
@@ -49,14 +49,18 @@ A warm re-solve starts from an optimal relaxation of the same compiled form
 under other bounds, its `Solution.basis`: the final basis and artificial
 signs, with the artificials pinned at 0, where their signs are immaterial.
 It runs a bounded dual simplex.  The basic variable with the largest bound
-violation leaves at the bound it violated; the entering column minimizes
-|reduced cost| / |alpha| over the nonbasic real columns that can move in the
-direction that repairs that row.  Ratios within 1e-12 of the minimum tie,
-and ties go to the largest |alpha|, then the lowest column index.  A row
-that no column can repair proves the re-solve infeasible.  Once every basic
-variable is within its bounds, phase 2 finishes the solve; it stops at once
-on an optimal basis.  If the dual loop reaches the iteration cap or a
-singular basis, the form is solved cold instead.
+violation leaves at the bound it violated.  The entering column comes from
+a Harris two-pass ratio test (Harris 1973; Koberstein 2005, ch. 3 and 6)
+over the nonbasic real columns that can move in the direction that repairs
+that row: the first pass bounds the step by the least (|reduced cost| +
+COST_TOL) / |alpha|, and the second takes, among the columns whose exact
+ratio is within that bound, the largest |alpha|, then the lowest column
+index.  So a tiny |alpha| enters only when no larger one has a ratio near
+the minimum.  A row that no column can repair proves the re-solve
+infeasible.  Once every basic variable is within its bounds, phase 2
+finishes the solve; it stops at once on an optimal basis.  If the warm path
+fails anywhere (a singular entry basis, the iteration cap, a singular
+basis, or the certificate below), the form is solved cold instead, once.
 
 `solve_lp(lp, start=sol)` re-solves `lp` this way from `sol`, an optimal
 solution of an LP with the same variables, rows and objective
@@ -77,8 +81,11 @@ start used hold none.
 
 An optimal report is certified on the inverse the solve holds: after a
 pivot, |B x_B - rhs| <= 1e-10 (1 + |rhs|) and |c_B B^-1 B - c_B| <= 1e-10
-(1 + |c|) in max norms, or the basis is refactored; if even then the first
-exceeds FEAS_TOL (1 + |rhs|), SolverStallError is raised.
+(1 + |c|) in max norms.  Otherwise the basis is refactored, and its exact
+point must have a primal residual and bound violations within FEAS_TOL
+(1 + |rhs|) and nonbasic reduced costs of the optimal sign to COST_TOL: on a
+basic solution, that is optimality.  A warm solve that fails solves cold
+instead; a cold one raises SolverStallError.
 
 `Solution.pivots` counts basis changes and bound flips per phase; dual
 pivots count as phase 2, and a MIP reports the sum over its tree.
@@ -209,43 +216,6 @@ class LinearProgram:
             j = self._index[name]
             out._vars[j] = _Var(name, lb, ub, self._vars[j].binary)
         return out
-
-    def to_lp_text(self) -> str:
-        """CPLEX-LP-style dump for external cross-checking."""
-        def term(c, name, first):
-            sign = "-" if c < 0 else ("" if first else "+")
-            mag = abs(c)
-            return f"{sign} {mag:.12g} {name} "
-
-        lines = ["\\ " + self.name, "Maximize" if self.sense == "max" else "Minimize", " obj: "]
-        first = True
-        for j, c in sorted(self._obj.items()):
-            lines[-1] += term(c, self._vars[j].name, first)
-            first = False
-        if first:
-            lines[-1] += "0 zero_dummy"
-        lines.append("Subject To")
-        for i, row in enumerate(self._rows):
-            label = row.name or f"c{i}"
-            body = ""
-            first = True
-            for j, c in sorted(row.coeffs.items()):
-                body += term(c, self._vars[j].name, first)
-                first = False
-            if first:
-                body = "0 zero_dummy "
-            lines.append(f" {label}: {body}{row.sense} {row.rhs:.12g}")
-        lines.append("Bounds")
-        for v in self._vars:
-            lo = "-inf" if v.lb == -INF else f"{v.lb:.12g}"
-            hi = "+inf" if v.ub == INF else f"{v.ub:.12g}"
-            lines.append(f" {lo} <= {v.name} <= {hi}")
-        bins = [v.name for v in self._vars if v.binary]
-        if bins:
-            lines.append("Binaries")
-            lines.append(" " + " ".join(bins))
-        lines.append("End")
-        return "\n".join(lines)
 
 
 @dataclass
@@ -526,17 +496,22 @@ class _Simplex:
 
     def certify(self) -> np.ndarray:
         """Certify an optimal report (module docstring); returns c_B B^-1."""
-        cB = self.std.c[self.basis]
+        std = self.std
+        cB = std.c[self.basis]
         y = self._btran(cB)
         if self.pivots_since_refactor:  # else B0 and x_B are exact
             B, rhs = self._basis_matrix(), self._rhs()
             scale = 1.0 + np.abs(rhs).max()
             if (np.abs(B @ self.xB - rhs).max() > 1e-10 * scale
-                    or np.abs(y @ B - cB).max() > 1e-10 * (1.0 + np.abs(self.std.c).max())):
+                    or np.abs(y @ B - cB).max() > 1e-10 * (1.0 + np.abs(std.c).max())):
                 self._refactor()
-                if np.abs(B @ self.xB - rhs).max() > FEAS_TOL * scale:
-                    raise SolverStallError("the exact basis inverse fails its primal residual")
                 y = self._btran(cB)
+                xB, n = self.xB, std.n_real
+                primal = max(np.abs(B @ xB - rhs).max(), (-xB).max(),
+                             (xB - self.u[self.basis]).max())
+                dual = np.max((std.c[:n] - std.price(y)) * self._directions()[:n], initial=0.0)
+                if primal > FEAS_TOL * scale or dual > COST_TOL:
+                    raise SolverStallError("the exact basis inverse fails the certificate")
         return y
 
     def _update_inverse(self, leave_pos: int, col: np.ndarray, row: np.ndarray | None = None
@@ -573,6 +548,15 @@ class _Simplex:
         self.in_basis[j] = True
         return self._update_inverse(r, col, row)
 
+    def _directions(self) -> np.ndarray:
+        """Pricing direction of each column: -1 may enter from its lower
+        bound, +1 from its upper bound, 0 may not enter (basic, or a lower
+        bound within PIVOT_TOL of its upper one); d_j is optimal when
+        d_j * direction_j <= COST_TOL."""
+        dirn = np.where(self.at_upper, 1.0, np.where(self.u > PIVOT_TOL, -1.0, 0.0))
+        dirn[self.in_basis] = 0.0
+        return dirn
+
     # -- main loop ---------------------------------------------------------
 
     def run(self, c: np.ndarray, phase: int, max_iter: int) -> bool:
@@ -589,13 +573,9 @@ class _Simplex:
             return True
         ub = self.u
         c_price = c[:std.n_real]
-        basis, in_basis, at_upper = self.basis, self.in_basis, self.at_upper
+        basis, at_upper = self.basis, self.at_upper
         cB, ubB = c[basis], ub[basis]
-        # Pricing direction of each column: -1 may enter from its lower bound,
-        # +1 from its upper bound, 0 may not enter (basic, or a lower bound
-        # within PIVOT_TOL of its upper one).
-        dirn = np.where(at_upper, 1.0, np.where(ub > PIVOT_TOL, -1.0, 0.0))
-        dirn[in_basis] = 0.0
+        dirn = self._directions()
         d_price = dirn[:std.n_real]
         ratio = np.empty(std.m)
         xB = self.xB
@@ -679,10 +659,12 @@ class _Simplex:
         The leaving row has the largest bound violation above FEAS_TOL, and
         its variable leaves at the bound it violated.  Entering candidates
         are the nonbasic real columns that can move (u > PIVOT_TOL) in the
-        direction that repairs that row; the least |reduced cost| / |alpha|
-        enters, ratios within 1e-12 of the minimum tie, and ties go to the
-        largest |alpha|, then the lowest column index.  When no column
-        qualifies, no point within the bounds satisfies the row.
+        direction that repairs that row.  A Harris two-pass ratio test picks
+        among them: the first pass bounds the step by the least
+        (|reduced cost| + COST_TOL) / |alpha|, and the second takes the
+        largest |alpha| among the candidates whose exact ratio is within that
+        bound, then the lowest column index.  When no column qualifies, no
+        point within the bounds satisfies the row.
         """
         std = self.std
         n = std.n_real
@@ -723,13 +705,9 @@ class _Simplex:
                 d = c_real - std.price(self._btran(c[basis]))
             # |d_j| on a dual-feasible start; a wrong-signed d_j counts as 0,
             # and phase 2 repairs such a start afterwards.
-            gain = np.where(at_upper[cand], -d[cand], d[cand])
-            ratio = np.maximum(gain, 0.0) / rate[cand]
-            ties = cand[ratio <= ratio.min() + 1e-12]
-            if ties.size > 1:
-                size = np.abs(alpha[ties])
-                ties = ties[size == size.max()]
-            j = int(ties[0])
+            gain = np.maximum(np.where(at_upper[cand], -d[cand], d[cand]), 0.0)
+            near = cand[gain / rate[cand] <= ((gain + COST_TOL) / rate[cand]).min()]
+            j = int(near[np.abs(alpha[near]).argmax()])
             col = self._ftran(j)
             step = (xB[r] - (u[basis[r]] if to_upper else 0.0)) / col[r]
             self.pivots[1] += 1
@@ -764,12 +742,13 @@ def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Start | Non
 
     Cold, phase 1 runs from `_Start.cold` and phase 2 finishes.
     With `start`, an optimal relaxation of this form under other bounds, the
-    dual simplex re-solves from its basis state and phase 2 finishes; if the
-    dual loop stalls, the form is solved cold instead and its pivots count
-    as phase 2 of that cold solve.  An optimum is certified before it is
-    reported (`_Simplex.certify`): the basis is refactored only when the
-    updated inverse fails its residuals, and SolverStallError is raised
-    when the exact one does.
+    dual simplex re-solves from its basis state and phase 2 finishes.  An
+    optimum is certified before it is reported (`_Simplex.certify`): the
+    basis is refactored only when the updated inverse fails its residuals,
+    and the exact point must then pass the full certificate.  When any step
+    of a warm solve raises SolverStallError, the form is solved cold instead
+    and the warm pivots count as phase 2 of that cold solve; a cold solve
+    raises it.
     """
     if std.m == 0:
         # Only bounds: minimize each cost coordinate independently.
@@ -778,32 +757,32 @@ def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Start | Non
         x, y, basis, pivots = np.where(std.c < 0, std.u, 0.0), np.zeros(0), _Start(std), (0, 0)
     else:
         max_iter = 2000 + 60 * (std.m + std.ncols)
+        sx = None
         try:
             sx = _Simplex(std, start or _Start.cold(std))
-        except SolverStallError:  # a singular warm entry basis; a cold one is diag(art)
-            return _solve_relaxation(lp, std)
-        if start is not None:
-            try:
+            if start is not None:
                 feasible = sx.dual(max_iter)
-            except SolverStallError:
-                # The one fallback: solve cold on the same form.
-                sol = _solve_relaxation(lp, std)
-                sol.pivots = (sol.pivots[0], sol.pivots[1] + sx.pivots[1])
-                return sol
-        else:
-            # Phase 1: drive artificials to zero.
-            c1 = np.zeros(std.ncols)
-            c1[std.n_real:] = 1.0
-            if not sx.run(c1, 1, max_iter):  # pragma: no cover - bounded below by 0
-                raise SolverStallError("phase 1 reported unbounded")
-            art_value = float(np.sum(sx.xB[np.flatnonzero(sx.basis >= std.n_real)]))
-            feasible = not art_value > FEAS_TOL * (1.0 + float(np.max(np.abs(std.b))))
-            sx.pin_artificials()
-        if not feasible:
-            return Solution("infeasible", math.nan, {}, pivots=tuple(sx.pivots))
-        if not sx.run(std.c, 2, max_iter):
-            return Solution("unbounded", math.nan, {}, pivots=tuple(sx.pivots))
-        y = sx.certify()
+            else:
+                # Phase 1: drive artificials to zero.
+                c1 = np.zeros(std.ncols)
+                c1[std.n_real:] = 1.0
+                if not sx.run(c1, 1, max_iter):  # pragma: no cover - bounded below by 0
+                    raise SolverStallError("phase 1 reported unbounded")
+                art_value = float(np.sum(sx.xB[np.flatnonzero(sx.basis >= std.n_real)]))
+                feasible = not art_value > FEAS_TOL * (1.0 + float(np.max(np.abs(std.b))))
+                sx.pin_artificials()
+            if not feasible:
+                return Solution("infeasible", math.nan, {}, pivots=tuple(sx.pivots))
+            if not sx.run(std.c, 2, max_iter):
+                return Solution("unbounded", math.nan, {}, pivots=tuple(sx.pivots))
+            y = sx.certify()
+        except SolverStallError:
+            if start is None:
+                raise
+            # The one fallback of a warm start: solve cold on the same form.
+            sol = _solve_relaxation(lp, std)
+            sol.pivots = (sol.pivots[0], sol.pivots[1] + (sx.pivots[1] if sx else 0))
+            return sol
         x = np.where(~sx.in_basis & sx.at_upper, sx.u, 0.0)
         x[sx.basis] = sx.xB
         basis, pivots = _Start(std, sx.basis, sx.at_upper, sx.art), tuple(sx.pivots)

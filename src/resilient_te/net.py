@@ -179,7 +179,9 @@ def validate_instance(instance: NetworkInstance) -> list[Diagnostic]:
         for end in ln.ends:
             if end not in topo.nodes:
                 out.append(Diagnostic("UNDECLARED_NODE", f"link {ln.id} endpoint {end} not a node", ln.id))
-        if not (ln.capacity > 0 and ln.capacity != float("inf")):
+        if not math.isfinite(ln.capacity):
+            out.append(Diagnostic("NONFINITE_CAPACITY", f"link {ln.id} capacity {ln.capacity}", ln.id))
+        elif ln.capacity <= 0:
             out.append(Diagnostic("NONPOSITIVE_CAPACITY", f"link {ln.id} capacity {ln.capacity}", ln.id))
         if ln.fail_prob is not None and not (0 <= ln.fail_prob < 1):
             out.append(Diagnostic("BAD_FAIL_PROB", f"link {ln.id} fail_prob {ln.fail_prob}", ln.id))

@@ -21,9 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from . import lp as lp_layer
-from .failsets import SCENARIO_GUARD, ScenarioBlowupError
 from .lp import LinearProgram, Solution, solve_lp, solve_mip
-from .net import Link, NetworkInstance, Scenario, Topology, Tunnel, tunnel_alive
+from .net import (SCENARIO_GUARD, Link, NetworkInstance, Scenario, ScenarioBlowupError, Topology,
+                  Tunnel, tunnel_alive)
 
 Pair = tuple[str, str]
 

@@ -153,22 +153,17 @@ def _check_wcdd(M: np.ndarray) -> None:
         reach = grown
 
 
-def gaussian_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """LU elimination with partial pivoting (numpy/LAPACK); rhs may be a matrix."""
+def _solve_checked(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the checked WCDD system M U = rhs by LU with partial pivoting,
+    for one demand vector or one per column; every solution lies in [0, 1]."""
+    _check_wcdd(M)
+    if M.shape[0] == 0:
+        return np.zeros_like(rhs, dtype=float)
     try:
-        return np.linalg.solve(M, rhs)
+        U = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
         raise MatrixNotWcddError("singular reservation matrix") from exc
-
-
-def _solve_checked(matrix: ReservationMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve the checked WCDD system for a demand vector, or for a matrix
-    with one demand vector per column; every solution lies in [0, 1]."""
-    _check_wcdd(matrix.matrix)
-    if matrix.matrix.shape[0] == 0:
-        return np.zeros_like(rhs, dtype=float)
-    U = gaussian_solve(matrix.matrix, rhs)
-    residual = np.abs(matrix.matrix @ U - rhs).max(axis=0)
+    residual = np.abs(M @ U - rhs).max(axis=0)
     if np.any(residual > RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs, axis=0))):
         raise MatrixNotWcddError(f"linear system residual {np.max(residual):.3e}")
     if np.any(U < -1e-7) or np.any(U > 1 + 1e-7):
@@ -183,7 +178,7 @@ def solve_reservation_system(matrix: ReservationMatrix,
     `rhs` defaults to the full demand vector; pass a per-destination or
     per-pair demand vector to apportion utilization.
     """
-    U = _solve_checked(matrix, matrix.demand if rhs is None else rhs)
+    U = _solve_checked(matrix.matrix, matrix.demand if rhs is None else rhs)
     return {pair: float(U[i]) for i, pair in enumerate(matrix.pairs)}
 
 
@@ -212,7 +207,7 @@ def extract_routing(plan: ReservationPlan, instance: NetworkInstance,
     dests = sorted(matrix.demand_by_dest)
     # Column 0 is the full demand, column 1 + d the demand toward dests[d].
     rhs = np.column_stack([matrix.demand] + [matrix.demand_by_dest[d] for d in dests])
-    U = _solve_checked(matrix, rhs)
+    U = _solve_checked(matrix.matrix, rhs)
     util = {pair: float(U[i, 0]) for i, pair in enumerate(matrix.pairs)}
     flow: dict[tuple[str, str], float] = {}
     for col, dest in enumerate(dests, start=1):
@@ -372,24 +367,6 @@ def proportional_routing(plan: ReservationPlan, instance: NetworkInstance,
                     offered[(seg, dest)] = offered.get((seg, dest), 0.0) + share
     delivered = {pair: plan.scaled_demand(instance, pair) for pair in plan.pair_scale}
     return ScenarioRouting(scenario, flow, delivered, util)
-
-
-def prune_ls(instance: NetworkInstance, sequences: list[LogicalSequence],
-             scenario_family: list[Scenario]) -> list[LogicalSequence]:
-    """Greedy pass in input order keeping only sequences that leave every
-    scenario's active set topologically sortable."""
-    kept: list[LogicalSequence] = []
-    for q in sequences:
-        trial = kept + [q]
-        ok = True
-        for sc in scenario_family:
-            _, cycle = check_topological_sort(instance, trial, sc)
-            if cycle is not None:
-                ok = False
-                break
-        if ok:
-            kept.append(q)
-    return kept
 
 
 def widest_path_decompose(flow_plan: LogicalFlowPlan) -> list[LogicalSequence]:

@@ -20,18 +20,16 @@ from dataclasses import dataclass, field
 from .failsets import (
     FailurePolytope,
     Indicator,
-    SCENARIO_GUARD,
-    ScenarioBlowupError,
     build_exact_polytope,
     build_ffc_polytope,
     build_hint_polytope,
     enumerate_patterns,
     reject_contradictions,
-    scenario_count,
     shared_link_bound,
 )
 from .lp import INF, LinearProgram, Solution, solve_lp
-from .net import Condition, NetworkInstance, Topology
+from .net import (SCENARIO_GUARD, Condition, NetworkInstance, ScenarioBlowupError, Topology,
+                  scenario_count)
 
 MODELS = ("ffc", "ffc_plus", "ls", "cls", "logical_flow")
 OBJECTIVES = ("demand_scale", "throughput")

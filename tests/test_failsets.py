@@ -3,12 +3,10 @@ import itertools
 import pytest
 
 from resilient_te.failsets import (
-    ScenarioBlowupError,
     build_exact_polytope,
     build_ffc_polytope,
     build_hint_polytope,
     enumerate_patterns,
-    scenario_count,
     shared_link_bound,
 )
 from resilient_te.fixtures import four_tunnel_example, hint_example
@@ -16,11 +14,13 @@ from resilient_te.generators import random_instance
 from resilient_te.net import (
     Condition,
     NetworkInstance,
+    ScenarioBlowupError,
     Tunnel,
     UnknownLinkError,
     condition_active,
     enumerate_scenarios,
     make_topology,
+    scenario_count,
     tunnel_alive,
 )
 

@@ -193,7 +193,7 @@ def test_cli_solving_commands_refuse_an_instance_that_fails_validation(tmp_path,
     for section, key, value, error in (
             ("demands", "demand", float("nan"), "NONFINITE_DEMAND flow d0 demand nan"),
             ("demands", "demand", -2.0, "NEGATIVE_DEMAND flow d0 demand -2.0"),
-            ("topology", "capacity", float("inf"), "NONPOSITIVE_CAPACITY link s-1 capacity inf")):
+            ("topology", "capacity", float("inf"), "NONFINITE_CAPACITY link s-1 capacity inf")):
         bad = json.loads(json.dumps(doc))
         (bad["topology"]["links"] if section == "topology" else bad["demands"])[0][key] = value
         path = tmp_path / "bad.json"

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from resilient_te import lp as lp_module
+from resilient_te import prob
+from resilient_te.fixtures import flow_example
 from resilient_te.generators import random_instance, with_conditional_sequences
 from resilient_te.lp import (
     INF,
@@ -22,6 +24,7 @@ from resilient_te.lp import (
     _solve_relaxation,
     _Standardized,
 )
+from resilient_te.prob import ProbabilisticInstance, enumerate_prob_scenarios
 from resilient_te.robust import build_robust_lp
 
 
@@ -507,6 +510,56 @@ def test_a_singular_warm_entry_basis_falls_back_to_cold(monkeypatch):
     assert len(calls) == 1 and repr(warm) == repr(cold)
 
 
+def test_a_warm_report_that_fails_its_certificate_falls_back_to_cold(monkeypatch):
+    lp = _branching_mip()
+    root = _solve_relaxation(lp, _Standardized(lp))
+    form = _child(root.basis, lp, {"z4": 1.0})
+    cold = _solve_relaxation(lp, form)
+    certify, warm_pivots = _Simplex.certify, []
+
+    def fail_once(sx):
+        if not warm_pivots:
+            warm_pivots.append(sx.pivots[1])
+            raise SolverStallError("the exact basis inverse fails the certificate")
+        return certify(sx)
+
+    monkeypatch.setattr(_Simplex, "certify", fail_once)
+    warm = _solve_relaxation(lp, form, root.basis)
+    assert warm_pivots[0] > 0
+    assert warm.pivots == (cold.pivots[0], cold.pivots[1] + warm_pivots[0])
+    assert repr(dataclasses.replace(warm, pivots=cold.pivots)) == repr(cold)
+
+
+def test_a_slack_start_of_the_static_cvar_lp_reaches_the_cold_optimum(monkeypatch):
+    # From this start, a ratio test that takes the least ratio whatever its
+    # |alpha| pivots on |alpha| = 1.0000009e-9, just above PIVOT_TOL, leaves
+    # a near-singular basis and reports 0.002997 as optimal.  The Harris
+    # pass takes the largest |alpha| among the near-minimal ratios instead,
+    # and needs no cold fallback: no phase-1 pivot.
+    topo = flow_example().topology
+    pinst = ProbabilisticInstance(flow_example(), enumerate_prob_scenarios(topo, cutoff=0.0),
+                                  beta=0.99)
+    built = []
+    monkeypatch.setattr(prob, "solve_lp", lambda lp: built.append(lp) or solve_lp(lp))
+    prob.solve_cvar(pinst, "flow_static")
+    (lp,) = built
+    std = _Standardized(lp)
+    # Each inequality row basic on its slack, each equality row on its
+    # artificial, and every boxed column with a negative cost at its upper
+    # bound.
+    slack_rows = np.flatnonzero([row.sense != "=" for row in lp._rows])
+    basis = std.n_real + np.arange(std.m)
+    basis[slack_rows] = std.n_struct + np.arange(slack_rows.size)
+    at_upper = np.zeros(std.ncols, dtype=bool)
+    at_upper[:std.n_real] = (std.c[:std.n_real] < 0) & (std.u[:std.n_real] < INF)
+    start = _Start(std, basis, at_upper, np.ones(std.m))
+    warm, cold = _solve_relaxation(lp, std, start), _solve_relaxation(lp, std)
+    assert warm.status == cold.status == "optimal"
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert cold.objective == pytest.approx(0.556118, abs=1e-6)
+    assert warm.pivots[0] == 0
+
+
 def _best_assignment(lp):
     """Best objective over all 0/1 assignments of the (all-binary) `lp`'s
     variables, or None when no assignment satisfies its <= rows."""
@@ -686,18 +739,6 @@ def test_node_budget_counts_strong_branching_relaxations(monkeypatch):
             assert all(incumbent[v] in (0.0, 1.0) for v in lp.binary_vars())
             assert incumbent.pivots[1] > 0
     assert trees > 30 and root_tried_two > 5 and carried > 20
-
-
-def test_lp_text_dump_roundtrips_key_fields():
-    lp = LinearProgram(name="demo")
-    lp.add_var("x", 0, 2)
-    lp.add_var("z", binary=True)
-    lp.add_row({"x": 1, "z": -3}, "<=", 1.5, name="r0")
-    lp.set_objective({"x": 2}, "max")
-    text = lp.to_lp_text()
-    assert "Maximize" in text
-    assert "r0:" in text and "<= 1.5" in text
-    assert "Binaries" in text and "z" in text.split("Binaries")[1]
 
 
 def _match_external_reference(rng, cases, kind_names):
@@ -1153,11 +1194,13 @@ def test_bound_edits_are_checked_as_declarations_are():
     assert sol.status == "optimal" and sol["z"] == 1.0 and sol.objective == 5.0
 
 
-def _spoiled_reports(monkeypatch, rng, inverse_factor=1.0):
+def _spoiled_reports(monkeypatch, rng, inverse_factor=1.0, drop_upper=False):
     """Before each report that follows a pivot, perturb the held inverse
     (through the eta file's `V`) and `xB` by about 1e-6, as drift in the
     updated inverse would; the report's own
-    inversions are scaled by `inverse_factor`.  Returns the list that
+    inversions are scaled by `inverse_factor`.  With `drop_upper`, every
+    nonbasic column at its upper bound also moves to its lower one, so the
+    refactor lands on another basic point.  Returns the list that
     collects the number of `np.linalg.inv` calls each spoiled report made."""
     calls = _recorded_inversions(monkeypatch)
     certify, recorded, reports = _Simplex.certify, np.linalg.inv, []
@@ -1168,6 +1211,8 @@ def _spoiled_reports(monkeypatch, rng, inverse_factor=1.0):
         etas = sx.V[:sx.pivots_since_refactor]
         etas += 1e-6 * rng.standard_normal(etas.shape)
         sx.xB += 1e-6 * rng.standard_normal(sx.xB.shape)
+        if drop_upper:
+            sx.at_upper &= sx.in_basis
         calls.clear()
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverse_factor * recorded(a))
         try:
@@ -1213,6 +1258,27 @@ def test_a_report_that_even_the_exact_inverse_cannot_certify_raises(monkeypatch)
     with pytest.raises(SolverStallError):
         solve_lp(lp)
     assert reports == [1]
+
+
+def test_a_report_whose_exact_basic_point_is_not_optimal_raises(monkeypatch):
+    # x is optimal at its upper bound 2, with y = 1 basic.  Moved to 0, x
+    # leaves the refactored basic point at y = 3: above y's upper bound of
+    # 2, or within an upper bound of 4 but with x's reduced cost of the
+    # wrong sign at its lower bound.  The residuals hold either way.
+    rng = np.random.default_rng(18)
+    for y_ub, x_cost in ((2.0, 1.0), (4.0, 2.0)):
+        lp = LinearProgram()
+        lp.add_var("x", 0.0, 2.0)
+        lp.add_var("y", 0.0, y_ub)
+        lp.add_row({"x": 1, "y": 1}, "<=", 3)
+        lp.set_objective({"x": x_cost, "y": 1}, "max")
+        sol = solve_lp(lp)
+        assert (sol.status, sol["x"], sol["y"]) == ("optimal", 2.0, 1.0)
+        with monkeypatch.context() as patch:
+            reports = _spoiled_reports(patch, rng, drop_upper=True)
+            with pytest.raises(SolverStallError):
+                solve_lp(lp)
+        assert reports == [1]
 
 
 def test_optimal_flow_lp_solutions_satisfy_their_rows_and_duality():

@@ -44,6 +44,12 @@ def test_nonpositive_capacity_flagged():
     inst = four_tunnel_example()
     inst2 = type(inst)(topology=topo)
     assert "NONPOSITIVE_CAPACITY" in codes(validate_instance(inst2))
+    # A NaN or infinite capacity is not finite rather than nonpositive.
+    for value, code in ((math.nan, "NONFINITE_CAPACITY"), (math.inf, "NONFINITE_CAPACITY"),
+                        (-math.inf, "NONFINITE_CAPACITY"), (-1.0, "NONPOSITIVE_CAPACITY")):
+        link = dataclasses.replace(inst.topology.links[0], capacity=value)
+        topo = dataclasses.replace(inst.topology, links=(link,) + inst.topology.links[1:])
+        assert codes(validate_instance(dataclasses.replace(inst, topology=topo))) == [code]
 
 
 def test_nonfinite_and_negative_demands_flagged():

@@ -211,17 +211,18 @@ def test_exact_polytope_reused_for_ls_without_conditions():
     assert plan.objective >= 0
 
 
-def test_lp_text_does_not_depend_on_call_history(monkeypatch):
+def test_built_lp_does_not_depend_on_call_history(monkeypatch):
     # Dual multiplier names must come from the LP being built, not from a
-    # process-wide counter, so building a model twice gives the same text.
+    # process-wide counter, so building a model twice gives the same LP:
+    # the same variables, bounds, rows, objective and name.
     inst = hint_example("cls")
-    first = build_robust_lp(inst, "cls", 2, "throughput", "dual").to_lp_text()
-    assert build_robust_lp(inst, "cls", 2, "throughput", "dual").to_lp_text() == first
+    first = build_robust_lp(inst, "cls", 2, "throughput", "dual")
+    assert build_robust_lp(inst, "cls", 2, "throughput", "dual") == first
 
     seen = []
 
     def capture(lp):
-        seen.append(lp.to_lp_text())
+        seen.append(lp)
         return solve_lp(lp)
 
     monkeypatch.setattr(robust, "solve_lp", capture)
