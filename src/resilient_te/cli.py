@@ -56,14 +56,8 @@ def _load(args) -> tuple:
     if args.fixture:
         return FIXTURES[args.fixture](), []
     if not args.instance:
-        raise SystemExit2("USAGE", "supply --instance FILE or --fixture NAME")
+        raise ValueError("supply --instance FILE or --fixture NAME")
     return load_instance(args.instance)
-
-
-class SystemExit2(Exception):
-    def __init__(self, code: str, detail: str):
-        super().__init__(detail)
-        self.code = code
 
 
 def _default_seed() -> int:
@@ -71,7 +65,7 @@ def _default_seed() -> int:
     try:
         return int(value)
     except ValueError:
-        raise SystemExit2("USAGE", f"RESILIENT_TE_SEED={value!r} is not an integer") from None
+        raise ValueError(f"RESILIENT_TE_SEED={value!r} is not an integer") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -131,9 +125,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _dispatch(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc.code} {exc}", file=sys.stderr)
-        return 1
     except (ScenarioBlowupError, SolverStallError, BudgetExceededError,
             InternalModelError, MatrixNotWcddError, NotTopologicallySortedError,
             InfeasibleTargetError) as exc:
@@ -231,28 +222,26 @@ def _dispatch(args) -> int:
             print(f"flow-loss,{fid},{report.flow_loss[fid]:.6f}")
         return 0
 
-    if args.command == "report":
-        objective = _OBJ_FLAG[args.objective]
-        optimum, _ = worst_case_optimal(instance, args.k, objective)
-        rows = []
-        for model in ("ffc", "ffc_plus", "ls", "cls"):
-            if model in ("ls", "cls") and not instance.logical_sequences:
-                continue
-            plan = solve_robust(instance, model, args.k, objective, args.mode)
-            normalized = plan.objective / optimum if optimum > 0 else 0.0
-            rows.append([model, args.k, objective, f"{plan.objective:.6f}",
-                         f"{normalized:.6f}"])
-        out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
-        try:
-            writer = csv.writer(out)
-            writer.writerow(["model", "k", "objective", "value", "normalized_to_optimal"])
-            writer.writerows(rows)
-        finally:
-            if out is not sys.stdout:
-                out.close()
-        return 0
-
-    raise SystemExit2("USAGE", f"unknown command {args.command}")
+    # report: argparse admits no other command.
+    objective = _OBJ_FLAG[args.objective]
+    optimum, _ = worst_case_optimal(instance, args.k, objective)
+    rows = []
+    for model in ("ffc", "ffc_plus", "ls", "cls"):
+        if model in ("ls", "cls") and not instance.logical_sequences:
+            continue
+        plan = solve_robust(instance, model, args.k, objective, args.mode)
+        normalized = plan.objective / optimum if optimum > 0 else 0.0
+        rows.append([model, args.k, objective, f"{plan.objective:.6f}",
+                     f"{normalized:.6f}"])
+    out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
+    try:
+        writer = csv.writer(out)
+        writer.writerow(["model", "k", "objective", "value", "normalized_to_optimal"])
+        writer.writerows(rows)
+    finally:
+        if out is not sys.stdout:
+            out.close()
+    return 0
 
 
 if __name__ == "__main__":

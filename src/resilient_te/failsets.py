@@ -1,7 +1,7 @@
 """Failure polytopes over link/tunnel/condition indicators, and their
 enumerated integral counterparts.
 
-A polytope is a set of linear rows over indicator variables, each bounded in
+A polytope is a set of `<=` rows over indicator variables, each bounded in
 [0, 1].  Robust models build these sets on each protected pair's own
 sub-instance (its tunnels, the conditions it names and the links those use),
 then either instantiate one row per distinct integral point (enumerate mode)
@@ -25,8 +25,9 @@ HOLDS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PolytopeRow:
+    """sum(coeff * indicator) <= rhs."""
+
     coeffs: tuple[tuple[Indicator, float], ...]
-    sense: str  # "<=" or "="
     rhs: float
     tag: str = ""
 
@@ -36,8 +37,8 @@ class FailurePolytope:
     variables: list[Indicator]
     rows: list[PolytopeRow] = field(default_factory=list)
 
-    def add_row(self, coeffs: dict[Indicator, float], sense: str, rhs: float, tag: str = "") -> None:
-        self.rows.append(PolytopeRow(tuple(sorted(coeffs.items())), sense, rhs, tag))
+    def add_row(self, coeffs: dict[Indicator, float], rhs: float, tag: str = "") -> None:
+        self.rows.append(PolytopeRow(tuple(sorted(coeffs.items())), rhs, tag))
 
     def holds(self, point: dict[Indicator, float]) -> bool:
         for var in self.variables:
@@ -46,9 +47,7 @@ class FailurePolytope:
                 return False
         for row in self.rows:
             lhs = sum(c * point.get(var, 0.0) for var, c in row.coeffs)
-            if row.sense == "<=" and lhs > row.rhs + HOLDS_TOL:
-                return False
-            if row.sense == "=" and abs(lhs - row.rhs) > HOLDS_TOL:
+            if lhs > row.rhs + HOLDS_TOL:
                 return False
         return True
 
@@ -94,7 +93,7 @@ def build_ffc_polytope(instance: NetworkInstance, k: int) -> FailurePolytope:
         pairs.setdefault((t.src, t.dst), []).append(t)
     for (s, d), tunnels in sorted(pairs.items()):
         p_st = shared_link_bound(instance, s, d)
-        poly.add_row({("y", t.id): 1.0 for t in tunnels}, "<=", k * p_st, tag=f"ffc:{s}>{d}")
+        poly.add_row({("y", t.id): 1.0 for t in tunnels}, k * p_st, tag=f"ffc:{s}>{d}")
     return poly
 
 
@@ -102,8 +101,8 @@ def _add_tunnel_rows(poly: FailurePolytope, tunnels: Iterable[Tunnel]) -> None:
     """A tunnel fails iff one of its links does: y >= each x_e, y <= sum x_e."""
     for t in tunnels:
         for e in t.path:
-            poly.add_row({("x", e): 1.0, ("y", t.id): -1.0}, "<=", 0.0, tag=f"up:{t.id}:{e}")
-        poly.add_row({("y", t.id): 1.0, **{("x", e): -1.0 for e in t.path}}, "<=", 0.0, tag=f"down:{t.id}")
+            poly.add_row({("x", e): 1.0, ("y", t.id): -1.0}, 0.0, tag=f"up:{t.id}:{e}")
+        poly.add_row({("y", t.id): 1.0, **{("x", e): -1.0 for e in t.path}}, 0.0, tag=f"down:{t.id}")
 
 
 def build_exact_polytope(instance: NetworkInstance, k: int) -> FailurePolytope:
@@ -115,7 +114,7 @@ def build_exact_polytope(instance: NetworkInstance, k: int) -> FailurePolytope:
     variables += [("y", t.id) for t in instance.tunnels]
     poly = FailurePolytope(variables=variables)
     if instance.topology.links:
-        poly.add_row({("x", ln.id): 1.0 for ln in instance.topology.links}, "<=", float(k), tag="budget")
+        poly.add_row({("x", ln.id): 1.0 for ln in instance.topology.links}, float(k), tag="budget")
     _add_tunnel_rows(poly, instance.tunnels)
     return poly
 
@@ -132,22 +131,19 @@ def build_hint_polytope(instance: NetworkInstance, k: int,
     """Exact polytope extended with condition indicators.
 
     A condition holds when its alive set survived and its dead set failed.
-    The single-dead-link case is emitted as the equality h = x_e; the general
-    case uses three inequality rows that pin h at integral points.
+    Three kinds of row pin h at integral points: h <= 1 - x_e per alive link,
+    h <= x_e per dead link, and a floor h >= 1 - (alive failed) - (dead
+    survived).  For one dead link alone, that is h = x_e.
     """
     reject_contradictions(conditions)
     poly = build_exact_polytope(instance, k)
     for cond in conditions:
         h = ("h", cond.id)
         poly.variables.append(h)
-        if not cond.alive_links and len(cond.dead_links) == 1:
-            (e,) = cond.dead_links
-            poly.add_row({h: 1.0, ("x", e): -1.0}, "=", 0.0, tag=f"hint-eq:{cond.id}")
-            continue
         for e in sorted(cond.alive_links):
-            poly.add_row({h: 1.0, ("x", e): 1.0}, "<=", 1.0, tag=f"hint-alive:{cond.id}:{e}")
+            poly.add_row({h: 1.0, ("x", e): 1.0}, 1.0, tag=f"hint-alive:{cond.id}:{e}")
         for e in sorted(cond.dead_links):
-            poly.add_row({h: 1.0, ("x", e): -1.0}, "<=", 0.0, tag=f"hint-dead:{cond.id}:{e}")
+            poly.add_row({h: 1.0, ("x", e): -1.0}, 0.0, tag=f"hint-dead:{cond.id}:{e}")
         lower = {h: -1.0}
         rhs = -1.0
         for e in sorted(cond.alive_links):
@@ -155,7 +151,7 @@ def build_hint_polytope(instance: NetworkInstance, k: int,
         for e in sorted(cond.dead_links):
             lower[("x", e)] = 1.0
             rhs += 1.0
-        poly.add_row(lower, "<=", rhs, tag=f"hint-floor:{cond.id}")
+        poly.add_row(lower, rhs, tag=f"hint-floor:{cond.id}")
     return poly
 
 

@@ -72,6 +72,8 @@ def generate_gravity_demands(topo: Topology, seed: int = 0) -> tuple[FlowDemand,
         for t in nodes:
             if s != t:
                 raw.append(FlowDemand(f"g::{s}>{t}", (s, t), weights[s] * weights[t]))
+    if not raw:  # fewer than two nodes: no pair to give a demand
+        return ()
     probe = NetworkInstance(topology=topo, demands=tuple(raw))
     base = solve_mcf(probe, EMPTY_SCENARIO, "demand_scale")
     scale = next(iter(base.satisfied.values()))

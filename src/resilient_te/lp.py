@@ -1,9 +1,9 @@
 """Two-phase simplex with bounded variables, plus branch and bound.
 
 Every optimization model in this package compiles down to this layer.  Each
-solve call compiles its LP once into a standard form: a variable with a
-finite lb is shifted to x - lb, one with only a finite ub is reflected to
-ub - x, and only a variable free on both sides is split in two columns.
+solve call compiles its LP once into a standard form with one column per
+variable, holding x - lb: every lower bound is finite (`add_var` and
+`with_bounds` refuse any other), so no variable is split or reflected.
 Every warm re-solve, a branch-and-bound child or `solve_lp(start=)`, solves
 a copy of that form under its own bounds (`_Standardized.rebound`).  The
 solver holds the basis inverse as an eta file on top of its last refactor
@@ -64,13 +64,11 @@ basis, or the certificate below), the form is solved cold instead, once.
 
 `solve_lp(lp, start=sol)` re-solves `lp` this way from `sol`, an optimal
 solution of an LP with the same variables, rows and objective
-(`LinearProgram.with_bounds` makes one).  Only the bounds may differ, and
-not in which variables have lb = -inf nor, among those, which have a finite
-ub: these decide the column layout.  Branch and bound pops the best bound
-first and branches by reliability branching (Achterberg, Koch & Martin,
-"Branching rules revisited", 2005; see `solve_mip`).  It solves its root
-cold and each child the same way, from its parent's `Solution.basis` under
-the parent's bounds with one binary fixed.
+(`LinearProgram.with_bounds` makes one): only the bounds may differ.
+Branch and bound pops the best bound first and branches by reliability
+branching (Achterberg, Koch & Martin, "Branching rules revisited", 2005; see
+`solve_mip`).  It solves its root cold and each child the same way, from its
+parent's `Solution.basis` under the parent's bounds with one binary fixed.
 
 The first warm start from an optimal relaxation caches its exact entry
 inverse on that `_Start`, read-only.  Every warm start inherits its start's
@@ -139,6 +137,8 @@ class _Var:
     def __post_init__(self):
         if self.binary:
             self.lb, self.ub = max(self.lb, 0.0), min(self.ub, 1.0)
+        if not math.isfinite(self.lb) or math.isnan(self.ub):
+            raise ValueError(f"variable {self.name!r} needs a finite lb and an ub that is not NaN")
         if self.lb > self.ub:
             raise ValueError(f"variable {self.name!r} has lb > ub")
 
@@ -156,7 +156,8 @@ class LinearProgram:
     """A mutable builder for LPs and MIPs.
 
     Variables are referenced by name in row/objective coefficient maps.
-    A binary's bounds are clamped to [0, 1]; lb > ub raises ValueError,
+    A binary's bounds are clamped to [0, 1].  A lower bound that is not
+    finite, an upper bound that is NaN, and lb > ub raise ValueError,
     whether the bounds are declared or edited.
     """
 
@@ -250,15 +251,14 @@ class Solution:
 class _Standardized:
     """One LP compiled into the internal form.
 
-    The column layout, `A`, the row rhs, `c` and the LP's `shape` (see
-    `_shape`) are built once.  `A` holds the `n_real` real columns,
-    structural then slack, and every `rebound` copy shares it.  Column
-    n_real + i is row i's artificial, in `c` and `u` but not in `A`: its
-    sign is basis state (`_Simplex.art`).  The bounds `lb` and `ub` decide
-    the shifts, `b` and `u`; `rebound` copies the form under other bounds,
-    in the same layout, so only finite bounds may change.  `A` and these
-    five arrays are read-only, so a form shared by several solves cannot be
-    changed by one of them.
+    `A`, the row rhs, `c` and the LP's `shape` (see `_shape`) are built
+    once.  `A` holds the `n_real` real columns: variable j's, x_j - lb_j,
+    at j, then one slack per inequality row; every `rebound` copy shares it.
+    Column n_real + i is row i's artificial, in `c` and `u` but not in `A`:
+    its sign is basis state (`_Simplex.art`).  The bounds `lb` and `ub`
+    decide `b` and `u`; `rebound` copies the form under other bounds.  `A`
+    and these four arrays are read-only, so a form shared by several solves
+    cannot be changed by one of them.
 
     A form with at least SPARSE_MIN_ROWS rows is `sparse`: it also keeps `A`
     by columns (`nz_rows`, `nz_vals`, column starts `col_start`), and `price`
@@ -269,17 +269,7 @@ class _Standardized:
         self.shape = _shape(lp)
         lb = np.array([v.lb for v in lp._vars], dtype=float)
         ub = np.array([v.ub for v in lp._vars], dtype=float)
-        no_lb, no_ub = lb == -INF, ub == INF
-
-        # Column layout: one column per variable (shifted, or reflected when
-        # only ub is finite), two per free variable (plus minus split).
-        self.free = no_lb & no_ub
-        self.reflected = no_lb & ~no_ub
-        self.col_sign = np.where(self.reflected, -1.0, 1.0)
-        width = np.where(self.free, 2, 1)
-        self.pos_col = np.cumsum(width) - width
-        self.neg_col = self.pos_col + 1
-        self.n_struct = int(width.sum())
+        self.n_struct = len(lp._vars)
 
         rows = lp._rows
         m = len(rows)
@@ -294,9 +284,7 @@ class _Standardized:
 
         # Structural block, then one slack column per inequality row.
         A = np.zeros((m, self.n_real))
-        A[ri, self.pos_col[vj]] = cv * self.col_sign[vj]
-        split = self.free[vj]
-        A[ri[split], self.neg_col[vj[split]]] = -cv[split]
+        A[ri, vj] = cv
         A[slack_rows, self.n_struct + np.arange(slack_rows.size)] = \
             np.where(senses[slack_rows] == "<=", 1.0, -1.0)
         A.flags.writeable = False
@@ -306,10 +294,7 @@ class _Standardized:
         self.obj_sign = 1.0 if lp.sense == "min" else -1.0
         c = np.zeros(self.ncols)
         oj = np.fromiter(lp._obj.keys(), dtype=np.intp, count=len(lp._obj))
-        ov = self.obj_sign * np.fromiter(lp._obj.values(), dtype=float, count=len(lp._obj))
-        c[self.pos_col[oj]] += ov * self.col_sign[oj]
-        split = self.free[oj]
-        c[self.neg_col[oj[split]]] -= ov[split]
+        c[oj] += self.obj_sign * np.fromiter(lp._obj.values(), dtype=float, count=len(lp._obj))
         self.c = c
         self.sparse = m >= SPARSE_MIN_ROWS
         if self.sparse:
@@ -319,18 +304,17 @@ class _Standardized:
         self._freeze_bounds(lb, ub)
 
     def _freeze_bounds(self, lb: np.ndarray, ub: np.ndarray) -> None:
-        """Take these bounds and set what they decide, the shifts, `b` and
-        `u`; all five arrays are made read-only."""
-        shift = np.where(self.free, 0.0, np.where(self.reflected, ub, lb))
+        """Take these bounds and set what they decide, `b` = rhs - A lb and
+        `u`; all four arrays are made read-only."""
         u = np.full(self.ncols, INF)
-        u[self.pos_col] = ub - lb
+        u[:self.n_struct] = ub - lb
         b = self.rhs.copy()
-        shifted = shift[self.vj]
-        nz = np.flatnonzero(shifted)
-        np.subtract.at(b, self.ri[nz], self.cv[nz] * shifted[nz])
-        for array in (lb, ub, shift, u, b):
+        lower = lb[self.vj]
+        nz = np.flatnonzero(lower)
+        np.subtract.at(b, self.ri[nz], self.cv[nz] * lower[nz])
+        for array in (lb, ub, u, b):
             array.flags.writeable = False
-        self.lb, self.ub, self.shift, self.u, self.b = lb, ub, shift, u, b
+        self.lb, self.ub, self.u, self.b = lb, ub, u, b
 
     def price(self, y: np.ndarray) -> np.ndarray:
         """`y @ A`."""
@@ -347,13 +331,7 @@ class _Standardized:
 
     def rebound(self, lb: np.ndarray, ub: np.ndarray) -> _Standardized:
         """A copy of this form under the bounds `lb` and `ub`, which it takes
-        and makes read-only; this form is left as it was.  Raises ValueError
-        when the bounds need another column layout (see `free` and
-        `reflected`)."""
-        no_lb = lb == -INF
-        if not (np.array_equal(no_lb & (ub == INF), self.free)
-                and np.array_equal(no_lb & (ub != INF), self.reflected)):
-            raise ValueError("start was compiled with other infinite bounds")
+        and makes read-only; this form is left as it was."""
         new = copy.copy(self)
         new._freeze_bounds(lb, ub)
         return new
@@ -720,8 +698,9 @@ def solve_lp(lp: LinearProgram, start: Solution | None = None) -> Solution:
 
     With `start`, an optimal `solve_lp` solution of an LP with the same
     variables, rows and objective as `lp` (when that LP was solved), `lp`
-    is re-solved warm from its basis (see the module docstring); a `start`
-    without a basis or of another LP raises ValueError.
+    is re-solved warm from its basis (see the module docstring); only the
+    bounds may differ.  A `start` without a basis or of another LP raises
+    ValueError.
     """
     if lp.binary_vars():
         raise ValueError("solve_lp requires a pure LP; use solve_mip")
@@ -787,8 +766,7 @@ def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Start | Non
         x[sx.basis] = sx.xB
         basis, pivots = _Start(std, sx.basis, sx.at_upper, sx.art), tuple(sx.pivots)
 
-    values = std.shift + std.col_sign * x[std.pos_col]
-    values[std.free] = x[std.pos_col[std.free]] - x[std.neg_col[std.free]]
+    values = std.lb + x[:std.n_struct]
     primal = dict(zip((v.name for v in lp._vars), values.tolist()))
     obj = sum(coef * primal[lp._vars[j].name] for j, coef in lp._obj.items())
     return Solution("optimal", float(obj), primal, (std.obj_sign * y).tolist(), pivots, basis)

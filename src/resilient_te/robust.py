@@ -27,7 +27,7 @@ from .failsets import (
     reject_contradictions,
     shared_link_bound,
 )
-from .lp import INF, LinearProgram, Solution, solve_lp
+from .lp import LinearProgram, Solution, solve_lp
 from .net import (SCENARIO_GUARD, Condition, NetworkInstance, ScenarioBlowupError, Topology,
                   scenario_count)
 
@@ -105,11 +105,11 @@ def dualize_constraint(lp: LinearProgram, protected: ProtectedConstraint,
                        polytope: FailurePolytope) -> list[str]:
     """Emit the robust counterpart of one protected constraint into `lp`.
 
-    Adds one multiplier per polytope row (nonnegative for inequality rows,
-    free for equality rows), one nonnegative multiplier per indicator upper
-    bound, a dual-feasibility row per indicator, and the single row bounding
-    the worst case by the protected base.  Returns the new variable names,
-    tagged by the row count of `lp` so names do not depend on call history.
+    Adds one nonnegative multiplier per polytope row (every row is `<=`)
+    and per indicator upper bound, a dual-feasibility row per indicator, and
+    the single row bounding the worst case by the protected base.  Returns
+    the new variable names, tagged by the row count of `lp` so names do not
+    depend on call history.
     An indicator term outside the polytope raises ValueError: dropping it
     would read that indicator as never failing, an optimistic counterpart.
     """
@@ -118,19 +118,8 @@ def dualize_constraint(lp: LinearProgram, protected: ProtectedConstraint,
         names = ", ".join(f"{kind}:{ref}" for kind, ref in sorted(missing))
         raise ValueError(f"{protected.label!r}: indicator(s) {names} not in the failure polytope")
     tag = f"rc{lp.num_rows}"
-    lam: list[str] = []
-    for r_idx, row in enumerate(polytope.rows):
-        name = f"{tag}:lam{r_idx}"
-        if row.sense == "=":
-            lp.add_var(name, -INF, INF)
-        else:
-            lp.add_var(name, 0.0, INF)
-        lam.append(name)
-    mu: dict[Indicator, str] = {}
-    for ind in polytope.variables:
-        name = f"{tag}:mu:{ind[0]}:{ind[1]}"
-        lp.add_var(name, 0.0, INF)
-        mu[ind] = name
+    lam = [lp.add_var(f"{tag}:lam{r_idx}") for r_idx in range(len(polytope.rows))]
+    mu = {ind: lp.add_var(f"{tag}:mu:{ind[0]}:{ind[1]}") for ind in polytope.variables}
 
     columns: dict[Indicator, list[tuple[int, float]]] = {v: [] for v in polytope.variables}
     for r_idx, row in enumerate(polytope.rows):

@@ -102,11 +102,16 @@ def test_hint_polytope_rejects_contradiction():
 
 
 def test_hint_single_dead_is_equality():
+    # The general rows pin h = x_e for one dead link e: over the four
+    # integral (x_e, h), with the tunnels through e failed exactly when e is
+    # and every other indicator at 0, a point holds exactly when h = x_e.
     inst = hint_example("cls")
     cond = Condition("d", dead_links=frozenset({"s-4"}))
     poly = build_hint_polytope(inst, 2, [cond])
-    eq = [r for r in poly.rows if r.tag.startswith("hint-eq")]
-    assert len(eq) == 1 and eq[0].sense == "="
+    through = [t.id for t in inst.tunnels if "s-4" in t.path]
+    for x, h in itertools.product((0.0, 1.0), repeat=2):
+        point = {("x", "s-4"): x, ("h", "d"): h, **{("y", tid): x for tid in through}}
+        assert poly.holds(point) == (h == x), (x, h)
 
 
 def test_enumerate_patterns_counts_and_consistency():

@@ -108,6 +108,11 @@ def test_gravity_rejects_disconnected():
         generate_gravity_demands(topo)
 
 
+def test_gravity_without_a_node_pair_has_no_demand():
+    assert generate_gravity_demands(make_topology(["a"], [])) == ()
+    assert generate_gravity_demands(make_topology([], [])) == ()
+
+
 def test_select_tunnels_disjoint_first():
     topo = make_topology(
         ["s", "x", "y", "z", "t"],
@@ -168,6 +173,11 @@ def test_cli_fixture_solve_values(capsys):
 
 def test_cli_unknown_flag_is_usage_error(capsys):
     assert main(["--fixture", "four-tunnel", "solve", "--model", "ffc", "--wat", "1"]) == 1
+
+
+def test_cli_without_an_instance_is_a_usage_error(capsys):
+    assert main(["solve", "--model", "ffc", "--k", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: USAGE supply --instance FILE or --fixture NAME\n")
 
 
 def test_cli_validate(tmp_path, capsys):

@@ -28,6 +28,12 @@ from resilient_te.prob import ProbabilisticInstance, enumerate_prob_scenarios
 from resilient_te.robust import build_robust_lp
 
 
+#: The bound kinds of the random LPs' variables.  Every lower bound is
+#: finite, as `add_var` requires; some are negative, and some columns are
+#: unbounded above.
+BOUND_KINDS = {"pos": (0.0, INF), "box": (-1.5, 2.0), "neg": (-2.0, INF), "low": (-3.0, 0.5)}
+
+
 def dual_objective(lp: LinearProgram, sol: Solution) -> float:
     """Dual objective implied by a solution's row duals and bound activity.
 
@@ -50,7 +56,7 @@ def dual_objective(lp: LinearProgram, sol: Solution) -> float:
         if abs(r) < 1e-9:
             continue
         x = sol.primal[v.name]
-        if v.lb != -INF and abs(x - v.lb) <= 1e-6 and v.lb != 0.0:
+        if abs(x - v.lb) <= 1e-6 and v.lb != 0.0:
             total += r * v.lb
         elif v.ub != INF and abs(x - v.ub) <= 1e-6:
             total += r * v.ub
@@ -100,16 +106,31 @@ def test_unbounded_detected():
     assert solve_lp(lp).status == "unbounded"
 
 
-def test_equality_rows_and_free_variables():
+def test_equality_rows_over_negative_lower_bounds():
     lp = LinearProgram()
-    lp.add_var("x", -INF, INF)
-    lp.add_var("y", -INF, INF)
-    lp.add_row({"x": 1, "y": 1}, "=", 3)
+    lp.add_var("x", -5.0, INF)
+    lp.add_var("y", -5.0, INF)
+    lp.add_row({"x": 1, "y": 1}, "=", -3)
     lp.add_row({"x": 1, "y": -1}, "=", 1)
     lp.set_objective({"x": 1, "y": 2}, "min")
     sol = solve_lp(lp)
-    assert sol["x"] == pytest.approx(2.0)
-    assert sol["y"] == pytest.approx(1.0)
+    assert sol["x"] == pytest.approx(-1.0)
+    assert sol["y"] == pytest.approx(-2.0)
+
+
+@pytest.mark.parametrize("lb, ub", [(-INF, INF), (INF, INF), (float("nan"), INF),
+                                    (0.0, float("nan"))])
+def test_a_lower_bound_that_is_not_finite_or_a_nan_upper_bound_is_refused(lb, ub):
+    # Each variable compiles to one column, x - lb.
+    with pytest.raises(ValueError):
+        LinearProgram().add_var("x", lb, ub)
+
+
+def test_an_edit_to_an_infinite_lower_bound_is_refused():
+    lp = simple_lp()
+    with pytest.raises(ValueError):
+        lp.with_bounds({"x": (-INF, 1.0)})
+    assert lp._vars[0].lb == 0.0
 
 
 def _random_lp(rng):
@@ -117,13 +138,13 @@ def _random_lp(rng):
     m = int(rng.integers(1, 7))
     lp = LinearProgram()
     for j in range(n):
-        kind = rng.choice(["pos", "box", "free"])
+        kind = rng.choice(["pos", "box", "neg"])
         if kind == "pos":
             lp.add_var(f"x{j}")
         elif kind == "box":
             lp.add_var(f"x{j}", -1.0, 2.0)
         else:
-            lp.add_var(f"x{j}", -INF, INF)
+            lp.add_var(f"x{j}", -2.0, INF)
     A = np.round(rng.normal(size=(m, n)) * 2, 2)
     b = np.round(rng.normal(size=m) * 2, 2)
     senses = rng.choice(["<=", ">=", "="], size=m, p=[0.5, 0.3, 0.2])
@@ -286,12 +307,10 @@ def test_mip_bounded_by_relaxation():
 def _random_mip(rng):
     """A small MIP: 1-4 binaries, 0-3 continuous variables of every bound
     kind, 1-4 dense rows of any sense."""
-    var_bounds = {"pos": (0.0, INF), "box": (-1.5, 2.0), "free": (-INF, INF),
-                  "upper": (-INF, 0.5)}
     lp = LinearProgram()
     names = [lp.add_var(f"z{j}", binary=True) for j in range(int(rng.integers(1, 5)))]
-    for j, kind in enumerate(rng.choice(list(var_bounds), size=int(rng.integers(0, 4)))):
-        names.append(lp.add_var(f"x{j}", *var_bounds[str(kind)]))
+    for j, kind in enumerate(rng.choice(list(BOUND_KINDS), size=int(rng.integers(0, 4)))):
+        names.append(lp.add_var(f"x{j}", *BOUND_KINDS[str(kind)]))
     for _ in range(int(rng.integers(1, 5))):
         coeffs = {v: float(np.round(rng.normal(), 1)) for v in names}
         lp.add_row(coeffs, str(rng.choice(["<=", ">=", "="])), float(np.round(rng.normal(), 1)))
@@ -592,7 +611,7 @@ def _recorded_relaxations(monkeypatch):
 
     def spy(lp_, std, start=None):
         result = relax(lp_, std, start)
-        fixed = {name for name in lp_.binary_vars() if std.u[std.pos_col[lp_._index[name]]] == 0.0}
+        fixed = {name for name in lp_.binary_vars() if std.u[lp_._index[name]] == 0.0}
         solves.append((result.status, fixed))
         return result
 
@@ -741,14 +760,12 @@ def test_node_budget_counts_strong_branching_relaxations(monkeypatch):
     assert trees > 30 and root_tried_two > 5 and carried > 20
 
 
-def _match_external_reference(rng, cases, kind_names):
-    """Random LPs whose variables take the bound kinds `kind_names`; status and
+def _match_external_reference(rng, cases):
+    """Random LPs whose variables take the `BOUND_KINDS`; status and
     objective must match `linprog(method="highs")`.  Returns the LPs and
     solutions found optimal."""
     linprog = pytest.importorskip("scipy.optimize").linprog
     status_map = {0: "optimal", 2: "infeasible", 3: "unbounded"}
-    var_bounds = {"pos": (0.0, INF), "box": (-1.5, 2.0), "free": (-INF, INF),
-                  "upper": (-INF, 0.5)}
     optimal = []
     for _ in range(cases):
         n = int(rng.integers(1, 6))
@@ -757,13 +774,13 @@ def _match_external_reference(rng, cases, kind_names):
         b = np.round(rng.normal(size=m) * 2, 2)
         c = np.round(rng.normal(size=n) * 2, 2)
         senses = rng.choice(["<=", ">=", "="], size=m, p=[0.5, 0.3, 0.2])
-        kinds = rng.choice(kind_names, size=n)
+        kinds = rng.choice(list(BOUND_KINDS), size=n)
         lp = LinearProgram()
         bounds = []
         for j in range(n):
-            lb, ub = var_bounds[str(kinds[j])]
+            lb, ub = BOUND_KINDS[str(kinds[j])]
             lp.add_var(f"x{j}", lb, ub)
-            bounds.append((None if lb == -INF else lb, None if ub == INF else ub))
+            bounds.append((lb, None if ub == INF else ub))
         for i in range(m):
             lp.add_row({f"x{j}": A[i, j] for j in range(n)}, str(senses[i]), b[i])
         lp.set_objective({f"x{j}": c[j] for j in range(n)}, "min")
@@ -789,32 +806,8 @@ def _match_external_reference(rng, cases, kind_names):
 def test_random_lps_match_external_reference():
     # scipy is an independent reference implementation here; the dual-route
     # is this cross-check plus the in-house strong-duality identity.
-    optimal = _match_external_reference(np.random.default_rng(2024), 120, ["pos", "box", "free"])
+    optimal = _match_external_reference(np.random.default_rng(2024), 120)
     assert len(optimal) > 20
-
-
-def test_upper_bounded_only_variables_match_external_reference():
-    # Variables with lb = -inf and a finite ub are reflected, not split; a
-    # split would drop the ub.
-    optimal = _match_external_reference(np.random.default_rng(2025), 150,
-                                        ["pos", "box", "free", "upper"])
-    with_upper = [(lp, sol) for lp, sol in optimal
-                  if any(v.lb == -INF and v.ub < INF for v in lp._vars)]
-    assert len(with_upper) > 20
-    for lp, sol in with_upper:
-        assert dual_objective(lp, sol) == pytest.approx(sol.objective, abs=1e-6, rel=1e-6)
-
-
-def test_upper_bounded_only_variable_keeps_its_bound():
-    lp = LinearProgram()
-    lp.add_var("x", -INF, 5.0)
-    lp.add_var("y")
-    lp.add_row({"x": 1, "y": 1}, ">=", -100)
-    lp.set_objective({"x": 1}, "max")
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.objective == 5.0 and sol["x"] == 5.0
-    assert dual_objective(lp, sol) == pytest.approx(5.0)
 
 
 def _flow_lp(rng):
@@ -918,9 +911,6 @@ def test_warm_lp_start_must_come_from_an_lp_with_the_same_rows_and_columns():
     grown.add_var("extra")
     with pytest.raises(ValueError):
         solve_lp(grown, start=base)
-    # A free lower bound needs another column layout.
-    with pytest.raises(ValueError):
-        solve_lp(lp.with_bounds({"f0": (-INF, 1.0)}), start=base)
     with pytest.raises(ValueError):
         solve_lp(lp, start=solve_mip(_branching_mip()))
     # A start keeps the shape of the LP it solved, not of later edits to it.
@@ -1089,8 +1079,8 @@ def test_a_start_whose_basic_artificial_row_flips_sign_reuses_its_inverse(monkey
 def test_the_compiled_matrix_is_read_only_and_shared_by_every_form_of_its_lp(monkeypatch):
     # `A` holds the real columns only and is written once, when the LP is
     # compiled: every `rebound` copy and every branch-and-bound node solves
-    # on that very array.  A form's bounds and what they decide (`shift`,
-    # `b`, `u`) are read-only too, so no solve can change a form that a
+    # on that very array.  A form's bounds and what they decide (`b`, `u`)
+    # are read-only too, so no solve can change a form that a
     # start shares with later re-solves.
     lp = _branching_mip()
     std = _Standardized(lp)
@@ -1109,7 +1099,7 @@ def test_the_compiled_matrix_is_read_only_and_shared_by_every_form_of_its_lp(mon
     solve_mip(lp)
     assert len(forms) > 3 and forms[0].A is forms[-1].A and all(f.A is forms[0].A for f in forms)
     for form in (std, forms[-1]):  # a compiled form and a B&B child's form
-        for attr in ("A", "lb", "ub", "shift", "b", "u"):
+        for attr in ("A", "lb", "ub", "b", "u"):
             array = getattr(form, attr)
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -1136,12 +1126,12 @@ def test_an_lp_without_rows_warm_starts_under_bound_edits():
     lp = LinearProgram()
     lp.add_var("x", 0.0, 2.0)
     lp.add_var("y", -1.0, 4.0)
-    lp.add_var("w", -INF, 3.0)
+    lp.add_var("w", -3.0, 3.0)
     lp.set_objective({"x": 1.0, "y": -1.0, "w": -2.0}, "min")
     base = solve_lp(lp)
     assert base.status == "optimal" and base.basis is not None
     for bounds, status in (({"y": (-1.0, 1.5), "x": (0.5, 2.0)}, "optimal"),
-                           ({"y": (0.0, 0.0), "w": (-INF, -2.0)}, "optimal"),
+                           ({"y": (0.0, 0.0), "w": (-3.0, -2.0)}, "optimal"),
                            ({"y": (-1.0, INF)}, "unbounded")):
         edited = lp.with_bounds(bounds)
         warm, cold = solve_lp(edited, start=base), solve_lp(edited)
@@ -1322,17 +1312,16 @@ def test_optimal_flow_lp_solutions_satisfy_their_rows_and_duality():
 def _sparse_lp(rng, m):
     """A random feasible, bounded LP with m rows of mixed sense over 2.5 m
     variables of mixed bound kinds, each in one to four rows."""
-    kinds = {"pos": (0.0, INF), "box": (-1.5, 2.0), "free": (-INF, INF), "upper": (-INF, 0.5)}
     n = int(2.5 * m)
     lp = LinearProgram()
     rows, point, cost = [{} for _ in range(m)], {}, {}
     for j in range(n):
-        kind, name = str(rng.choice(list(kinds))), f"x{j}"
-        lb, ub = kinds[kind]
+        kind, name = str(rng.choice(list(BOUND_KINDS))), f"x{j}"
+        lb, ub = BOUND_KINDS[kind]
         lp.add_var(name, lb, ub)
         # A cost that keeps the minimum finite, and a point within the bounds.
         point[name] = float(np.clip(rng.normal(), lb, ub))
-        cost[name] = {"pos": 1.0, "box": float(rng.normal()), "free": 0.0, "upper": -1.0}[kind] \
+        cost[name] = {"pos": 1.0, "box": float(rng.normal()), "neg": 0.0, "low": -1.0}[kind] \
             * float(np.round(rng.uniform(0.1, 2.0), 2))
         for i in rng.choice(m, size=int(rng.integers(1, 5)), replace=False):
             rows[i][name] = float(rng.choice([-1.0, 1.0, np.round(rng.normal() * 2, 2) or 1.0]))
@@ -1390,7 +1379,7 @@ def test_the_eta_file_holds_the_exact_inverse_after_every_pivot(monkeypatch):
     for _ in range(8):
         lp = _sparse_lp(rng, int(rng.integers(10, 40)))
         edited = lp.with_bounds({v.name: (v.lb, v.lb + float(rng.choice([0.0, 0.25, 1.0])))
-                                 for v in lp._vars if v.lb > -INF and rng.random() < 0.3})
+                                 for v in lp._vars if rng.random() < 0.3})
         lb = np.array([v.lb for v in edited._vars])
         ub = np.array([v.ub for v in edited._vars])
         for std in _both_forms(lp, monkeypatch):
@@ -1412,7 +1401,7 @@ def test_solves_on_the_sparse_kernels_reach_the_dense_objectives(monkeypatch):
     for _ in range(25):
         lp = _sparse_lp(rng, int(rng.integers(4, 30)))
         edited = lp.with_bounds({v.name: (v.lb, v.lb + float(rng.choice([0.0, 0.25, 1.0])))
-                                 for v in lp._vars if v.lb > -INF and rng.random() < 0.3})
+                                 for v in lp._vars if rng.random() < 0.3})
         lb = np.array([v.lb for v in edited._vars])
         ub = np.array([v.ub for v in edited._vars])
         solved = []

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -33,7 +36,7 @@ def test_dualized_budget_matches_sort_and_sum():
     m = 2
     expected = sum(sorted(reservations, reverse=True)[:m])  # sort-and-sum oracle
     poly = FailurePolytope(variables=[("y", f"t{i}") for i in range(4)])
-    poly.add_row({("y", f"t{i}"): 1.0 for i in range(4)}, "<=", float(m))
+    poly.add_row({("y", f"t{i}"): 1.0 for i in range(4)}, float(m))
     lp = LinearProgram()
     for i, a in enumerate(reservations):
         lp.add_var(f"a::t{i}", a, a)
@@ -51,7 +54,7 @@ def test_dualized_budget_matches_sort_and_sum():
 
 def test_dualized_empty_budget_reduces_to_sum():
     poly = FailurePolytope(variables=[("y", "t0")])
-    poly.add_row({("y", "t0"): 1.0}, "<=", 0.0)
+    poly.add_row({("y", "t0"): 1.0}, 0.0)
     lp = LinearProgram()
     lp.add_var("a::t0", 2.0, 2.0)
     lp.add_var("guarantee")
@@ -196,6 +199,28 @@ def test_dominance_chain_small_sample():
         assert flow <= oracle + eps
 
 
+def test_dual_mode_is_never_optimistic_on_conditional_instances():
+    # Every condition is carried by the hint rows: the random ones have one
+    # dead link each, and the added one an alive link and two dead ones.
+    for seed in range(3):
+        inst = with_conditional_sequences(random_instance(seed, with_sequences=True), seed + 500)
+        links = sorted(ln.id for ln in inst.topology.links)
+        mix = Condition("mix", alive_links=frozenset(links[:1]), dead_links=frozenset(links[1:3]))
+        q = next(q for q in inst.logical_sequences if q.condition is not None)
+        mixed = dataclasses.replace(
+            inst, conditions=inst.conditions + (mix,),
+            logical_sequences=inst.logical_sequences + (dataclasses.replace(q, id="mixq",
+                                                                            condition="mix"),))
+        for case, k in itertools.product((inst, mixed), (1, 2)):
+            modes = {mode: solve_robust(case, "cls", k, "throughput", mode).objective
+                     for mode in MODES}
+            assert modes["dual"] <= modes["enumerate"] + 1e-6
+            conds = [None, *case.conditions]
+            flows = {mode: solve_logical_flow(case, conds, k, "throughput", mode)[0].objective
+                     for mode in MODES}
+            assert flows["dual"] <= flows["enumerate"] + 1e-6
+
+
 def test_zero_demand_instance_trivial():
     inst = random_instance(1)
     empty = NetworkInstance(topology=inst.topology, tunnels=inst.tunnels)
@@ -205,8 +230,6 @@ def test_zero_demand_instance_trivial():
 
 def test_exact_polytope_reused_for_ls_without_conditions():
     inst = random_instance(6, with_sequences=True)
-    poly = build_exact_polytope(inst, 1)
-    assert all(r.sense in ("<=", "=") for r in poly.rows)
     plan = solve_robust(inst, "ls", 1, "throughput", "dual")
     assert plan.objective >= 0
 
@@ -289,7 +312,7 @@ def _max_weight(poly, weights):
     for kind, ref in poly.variables:
         lp.add_var(f"{kind}:{ref}", 0.0, 1.0)
     for row in poly.rows:
-        lp.add_row({f"{kind}:{ref}": c for (kind, ref), c in row.coeffs}, row.sense, row.rhs)
+        lp.add_row({f"{kind}:{ref}": c for (kind, ref), c in row.coeffs}, "<=", row.rhs)
     lp.set_objective({f"{kind}:{ref}": w for (kind, ref), w in weights.items()}, "max")
     sol = solve_lp(lp)
     assert sol.status == "optimal"
