@@ -61,6 +61,9 @@ infeasible.  Once every basic variable is within its bounds, phase 2
 finishes the solve; it stops at once on an optimal basis.  If the warm path
 fails anywhere (a singular entry basis, the iteration cap, a singular
 basis, or the certificate below), the form is solved cold instead, once.
+Neither loop rebuilds the basis state per pivot: `_exchange` carries the
+basic upper bounds and each real column's pricing direction, which both
+loops read, and the dual ratio test gathers each candidate array once.
 
 `solve_lp(lp, start=sol)` re-solves `lp` this way from `sol`, an optimal
 solution of an LP with the same variables, rows and objective
@@ -98,6 +101,7 @@ import copy
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,20 +131,24 @@ class BudgetExceededError(RuntimeError):
         self.incumbent = incumbent
 
 
-@dataclass
-class _Var:
+class _Var(NamedTuple):
+    """Immutable, so a warm `solve_lp` tells edits by identity; made by
+    `checked`."""
+
     name: str
     lb: float
     ub: float
     binary: bool = False
 
-    def __post_init__(self):
-        if self.binary:
-            self.lb, self.ub = max(self.lb, 0.0), min(self.ub, 1.0)
-        if not math.isfinite(self.lb) or math.isnan(self.ub):
-            raise ValueError(f"variable {self.name!r} needs a finite lb and an ub that is not NaN")
-        if self.lb > self.ub:
-            raise ValueError(f"variable {self.name!r} has lb > ub")
+    @classmethod
+    def checked(cls, name: str, lb: float, ub: float, binary: bool) -> _Var:
+        if binary:
+            lb, ub = max(lb, 0.0), min(ub, 1.0)
+        if not math.isfinite(lb) or math.isnan(ub):
+            raise ValueError(f"variable {name!r} needs a finite lb and an ub that is not NaN")
+        if lb > ub:
+            raise ValueError(f"variable {name!r} has lb > ub")
+        return cls(name, lb, ub, binary)
 
 
 @dataclass
@@ -171,7 +179,7 @@ class LinearProgram:
     def add_var(self, name: str, lb: float = 0.0, ub: float = INF, binary: bool = False) -> str:
         if name in self._index:
             raise ValueError(f"variable {name!r} already declared")
-        self._vars.append(_Var(name, lb, ub, binary))
+        self._vars.append(_Var.checked(name, lb, ub, binary))
         self._index[name] = len(self._vars) - 1
         return name
 
@@ -215,7 +223,7 @@ class LinearProgram:
                             dict(self._obj), self.sense)
         for name, (lb, ub) in bounds.items():
             j = self._index[name]
-            out._vars[j] = _Var(name, lb, ub, self._vars[j].binary)
+            out._vars[j] = _Var.checked(name, lb, ub, self._vars[j].binary)
         return out
 
 
@@ -251,14 +259,15 @@ class Solution:
 class _Standardized:
     """One LP compiled into the internal form.
 
-    `A`, the row rhs, `c` and the LP's `shape` (see `_shape`) are built
-    once.  `A` holds the `n_real` real columns: variable j's, x_j - lb_j,
-    at j, then one slack per inequality row; every `rebound` copy shares it.
-    Column n_real + i is row i's artificial, in `c` and `u` but not in `A`:
-    its sign is basis state (`_Simplex.art`).  The bounds `lb` and `ub`
-    decide `b` and `u`; `rebound` copies the form under other bounds.  `A`
-    and these four arrays are read-only, so a form shared by several solves
-    cannot be changed by one of them.
+    `A`, the row rhs, `c`, the LP's `vars` with their bounds `var_lb` and
+    `var_ub`, their `names` and its `shape` (rows, objective, sense) are
+    built once and kept by every `rebound` copy.  `A` holds the `n_real`
+    real columns: variable j's, x_j - lb_j, at j, then one slack per
+    inequality row.  Column n_real + i is row i's artificial, in `c` and
+    `u` but not in `A`: its sign is basis state (`_Simplex.art`).  The
+    bounds `lb` and `ub` decide `b` and `u`; `rebound` copies the form
+    under other bounds.  `A` and these four arrays are read-only, so a
+    form shared by several solves cannot be changed by one of them.
 
     A form with at least SPARSE_MIN_ROWS rows is `sparse`: it also keeps `A`
     by columns (`nz_rows`, `nz_vals`, column starts `col_start`), and `price`
@@ -266,10 +275,12 @@ class _Standardized:
     """
 
     def __init__(self, lp: LinearProgram):
-        self.shape = _shape(lp)
-        lb = np.array([v.lb for v in lp._vars], dtype=float)
-        ub = np.array([v.ub for v in lp._vars], dtype=float)
-        self.n_struct = len(lp._vars)
+        self.vars = tuple(lp._vars)
+        self.names = tuple(v.name for v in self.vars)
+        self.shape = (tuple(lp._rows), lp._obj, lp.sense)
+        lb = np.array([v.lb for v in self.vars], dtype=float)
+        ub = np.array([v.ub for v in self.vars], dtype=float)
+        self.n_struct = len(self.vars)
 
         rows = lp._rows
         m = len(rows)
@@ -302,6 +313,7 @@ class _Standardized:
             self.nz_cols, self.nz_vals = cols, A[self.nz_rows, cols]
             self.col_start = np.searchsorted(cols, np.arange(self.n_real + 1))
         self._freeze_bounds(lb, ub)
+        self.var_lb, self.var_ub = self.lb, self.ub
 
     def _freeze_bounds(self, lb: np.ndarray, ub: np.ndarray) -> None:
         """Take these bounds and set what they decide, `b` = rhs - A lb and
@@ -365,12 +377,6 @@ class _Start:
                    factor)
 
 
-def _shape(lp: LinearProgram) -> tuple:
-    """What a warm start requires to be equal: variable names, rows and
-    objective."""
-    return tuple(v.name for v in lp._vars), tuple(lp._rows), lp._obj, lp.sense
-
-
 class _Simplex:
     """One solve's basis state on a compiled form: the basis columns, the
     nonbasic columns at their upper bounds, the signs `art` (row i's
@@ -401,6 +407,13 @@ class _Simplex:
         self.at_upper &= self.u < INF
         self.in_basis = np.zeros(std.ncols, dtype=bool)
         self.in_basis[self.basis] = True
+        # Carried by `_exchange` and `_at_bound`: u[basis], and each real
+        # column's pricing direction `dirn`: -1 may enter from its lower
+        # bound, +1 from its upper bound, 0 may not enter (basic, or at a
+        # lower bound within PIVOT_TOL of its upper one); d_j is optimal
+        # when d_j * dirn_j <= COST_TOL.
+        self.uB, n = self.u[self.basis], std.n_real
+        self.dirn = self._directions()[:n]
         self.xB = np.empty(std.m)
         self._refactor(start)
 
@@ -408,6 +421,7 @@ class _Simplex:
         """Enter phase 2: artificials are pinned at 0.  Basic ones that
         cannot be driven out sit in redundant rows at value 0."""
         self.u[self.std.n_real:] = 0.0
+        self.uB[...] = self.u[self.basis]
         self.at_upper[self.std.n_real:] = False
         self.bland = False
         self.degenerate_run = 0
@@ -521,19 +535,24 @@ class _Simplex:
         self.xB[r] = value
         leaving = self.basis[r]
         self.in_basis[leaving] = False
-        self.at_upper[leaving] = to_upper
+        self._at_bound(leaving, to_upper)
         self.basis[r] = j
         self.in_basis[j] = True
+        self.uB[r] = self.u[j]
+        self.dirn[j] = 0.0
         return self._update_inverse(r, col, row)
 
     def _directions(self) -> np.ndarray:
-        """Pricing direction of each column: -1 may enter from its lower
-        bound, +1 from its upper bound, 0 may not enter (basic, or a lower
-        bound within PIVOT_TOL of its upper one); d_j is optimal when
-        d_j * direction_j <= COST_TOL."""
+        """Each column's pricing direction, recomputed (see `dirn`)."""
         dirn = np.where(self.at_upper, 1.0, np.where(self.u > PIVOT_TOL, -1.0, 0.0))
         dirn[self.in_basis] = 0.0
         return dirn
+
+    def _at_bound(self, k: int, upper: bool) -> None:
+        """Put nonbasic column k at its upper bound if `upper`, else at 0."""
+        self.at_upper[k] = upper
+        if k < self.std.n_real:
+            self.dirn[k] = 1.0 if upper else (-1.0 if self.u[k] > PIVOT_TOL else 0.0)
 
     # -- main loop ---------------------------------------------------------
 
@@ -552,9 +571,7 @@ class _Simplex:
         ub = self.u
         c_price = c[:std.n_real]
         basis, at_upper = self.basis, self.at_upper
-        cB, ubB = c[basis], ub[basis]
-        dirn = self._directions()
-        d_price = dirn[:std.n_real]
+        cB, ubB, dirn = c[basis], self.uB, self.dirn
         ratio = np.empty(std.m)
         xB = self.xB
         # c_B B^-1: updated on each pivot by y += d_j v, recomputed at each
@@ -575,7 +592,7 @@ class _Simplex:
             if y is None:
                 y = self._btran(cB)
             d = c_price - std.price(y)
-            score = d * d_price
+            score = d * dirn
             j = int((score > COST_TOL).argmax() if self.bland else score.argmax())
             if not score[j] > COST_TOL:
                 return True
@@ -614,16 +631,11 @@ class _Simplex:
             if leave_pos < 0:
                 # Bound flip: the entering variable crosses to its other bound.
                 xB -= step * col
-                at_upper[j] = not from_upper
-                dirn[j] = 1.0 if not from_upper else (-1.0 if ub[j] > PIVOT_TOL else 0.0)
+                self._at_bound(j, not from_upper)
                 continue
-            leaving = basis[leave_pos]
             to_upper = bool(a[leave_pos] < 0)
             v = self._exchange(leave_pos, j, col, step, (ub[j] - t) if from_upper else t, to_upper)
-            dirn[leaving] = 1.0 if to_upper else (-1.0 if ub[leaving] > PIVOT_TOL else 0.0)
-            dirn[j] = 0.0
             cB[leave_pos] = c[j]
-            ubB[leave_pos] = ub[j]
             if v is None:
                 y = None
             else:
@@ -642,52 +654,55 @@ class _Simplex:
         (|reduced cost| + COST_TOL) / |alpha|, and the second takes the
         largest |alpha| among the candidates whose exact ratio is within that
         bound, then the lowest column index.  When no column qualifies, no
-        point within the bounds satisfies the row.
+        point within the bounds satisfies the row.  A pivot reads `uB` and
+        `dirn` as `_exchange` carries them and gathers each candidate array
+        once; reduced costs are updated, and recomputed at each refactor.
         """
         std = self.std
         n = std.n_real
         c, u = std.c, self.u
         c_real = c[:n]
-        basis, in_basis, at_upper = self.basis, self.in_basis, self.at_upper
+        basis, at_upper, dirn, uB = self.basis, self.at_upper, self.dirn, self.uB
+        # Real bounds do not change here.  A column at an upper bound within
+        # PIVOT_TOL of 0 has direction +1 (it may move down) but cannot enter.
         movable = u[:n] > PIVOT_TOL
         xB = self.xB
         self.pin_artificials()
         while True:
             if self.pivots_since_refactor >= REFACTOR_EVERY:
                 self._refactor()
-            below, above = -xB, xB - u[basis]
-            viol = np.maximum(below, above)
+            above = xB - uB
+            viol = np.maximum(-xB, above)
             r = int(viol.argmax())
             if not viol[r] > FEAS_TOL:
                 # Fixed columns sit at lower: at upper, phase 2 would price
                 # them as able to move down.
                 at_upper &= u > 0.0
+                dirn[u[:n] == 0.0] = 0.0
                 return True
             self.iterations += 1
             if self.iterations > max_iter:
                 raise SolverStallError(f"dual simplex exceeded {max_iter} iterations")
-            to_upper = bool(above[r] > below[r])
+            to_upper = bool(above[r] > -xB[r])
             rho = self._row(r)
             alpha = std.price(rho)
             # Rate at which each nonbasic column, stepping away from its
-            # bound, moves x_B[r] toward the bound it violates.
-            rate = np.where(at_upper[:n], alpha, -alpha)
-            if to_upper:
-                rate = -rate
-            cand = np.flatnonzero((rate > PIVOT_TOL) & movable & ~in_basis[:n])
+            # bound (by the sign of -dirn), moves x_B[r] toward the bound it
+            # violates; 0 for a basic column.
+            rate = -(alpha * dirn) if to_upper else alpha * dirn
+            cand = np.flatnonzero((rate > PIVOT_TOL) & movable)
             if cand.size == 0:
                 return False
             if self.pivots_since_refactor == 0:
-                # Reduced costs: recomputed at each refactor, updated on
-                # each pivot in between.
                 d = c_real - std.price(self._btran(c[basis]))
             # |d_j| on a dual-feasible start; a wrong-signed d_j counts as 0,
-            # and phase 2 repairs such a start afterwards.
-            gain = np.maximum(np.where(at_upper[cand], -d[cand], d[cand]), 0.0)
-            near = cand[gain / rate[cand] <= ((gain + COST_TOL) / rate[cand]).min()]
-            j = int(near[np.abs(alpha[near]).argmax()])
+            # and phase 2 repairs such a start afterwards.  rate is |alpha|.
+            rate = rate[cand]
+            gain = np.maximum(-(d[cand] * dirn[cand]), 0.0)
+            near = gain / rate <= ((gain + COST_TOL) / rate).min()
+            j = int(cand[np.where(near, rate, 0.0).argmax()])
             col = self._ftran(j)
-            step = (xB[r] - (u[basis[r]] if to_upper else 0.0)) / col[r]
+            step = (xB[r] - (uB[r] if to_upper else 0.0)) / col[r]
             self.pivots[1] += 1
             d -= d[j] / alpha[j] * alpha
             self._exchange(r, j, col, step, (u[j] if at_upper[j] else 0.0) + step, to_upper, rho)
@@ -702,15 +717,21 @@ def solve_lp(lp: LinearProgram, start: Solution | None = None) -> Solution:
     bounds may differ.  A `start` without a basis or of another LP raises
     ValueError.
     """
-    if lp.binary_vars():
-        raise ValueError("solve_lp requires a pure LP; use solve_mip")
     if start is None:
+        if lp.binary_vars():
+            raise ValueError("solve_lp requires a pure LP; use solve_mip")
         return _solve_relaxation(lp, _Standardized(lp))
     warm = start.basis
-    if warm is None or warm.std.shape != _shape(lp):
-        raise ValueError("start is not an optimal solution of an LP with these rows and columns")
-    lb = np.array([v.lb for v in lp._vars], dtype=float)
-    ub = np.array([v.ub for v in lp._vars], dtype=float)
+    mismatch = "start is not an optimal solution of an LP with these rows and columns"
+    if warm is None or len(lp._vars) != warm.std.n_struct \
+            or (tuple(lp._rows), lp._obj, lp.sense) != warm.std.shape:
+        raise ValueError(mismatch)
+    held, lb, ub = warm.std.vars, warm.std.var_lb.copy(), warm.std.var_ub.copy()
+    for j in [j for j, v in enumerate(lp._vars) if v is not held[j]]:  # edited
+        v = lp._vars[j]
+        if v.binary or v.name != held[j].name:
+            raise ValueError("solve_lp requires a pure LP; use solve_mip" if v.binary else mismatch)
+        lb[j], ub[j] = v.lb, v.ub
     return _solve_relaxation(lp, warm.std.rebound(lb, ub), warm)
 
 
@@ -766,9 +787,9 @@ def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Start | Non
         x[sx.basis] = sx.xB
         basis, pivots = _Start(std, sx.basis, sx.at_upper, sx.art), tuple(sx.pivots)
 
-    values = std.lb + x[:std.n_struct]
-    primal = dict(zip((v.name for v in lp._vars), values.tolist()))
-    obj = sum(coef * primal[lp._vars[j].name] for j, coef in lp._obj.items())
+    values = (std.lb + x[:std.n_struct]).tolist()
+    obj = sum(coef * values[j] for j, coef in lp._obj.items())
+    primal = dict(zip(std.names, values))
     return Solution("optimal", float(obj), primal, (std.obj_sign * y).tolist(), pivots, basis)
 
 

@@ -12,7 +12,9 @@ scenario fails a link by setting its arcs' flow upper bounds to 0 in a copy
 of that LP, and `lp.solve_lp` re-solves the copy warm from the intact
 optimal basis with the bounded dual simplex (cold if the dual loop stalls).
 The memo is written to once after it is built: the first re-solve caches
-the exact inverse of the intact optimal basis on it (see `lp`).
+the exact inverse of the intact optimal basis on it (see `lp`).  It also
+holds each link's flow variables and the (result key, variable) pairs, so a
+scenario edits and reads the LP without formatting a variable name.
 """
 
 from __future__ import annotations
@@ -36,14 +38,17 @@ class McfResult:
 
 @dataclass(frozen=True)
 class _IntactMcf:
-    """The MCF over every link of an instance, with its cold optimal solution."""
+    """The MCF over every link of an instance, with its cold optimal solution
+    and the tables a scenario edits and reads it through."""
 
     lp: LinearProgram
     solution: Solution
-    demands: dict[tuple[str, str], float]
-    dests: tuple[str, ...]
-    #: (link id, tail, head) of both directions of every link
-    arcs: tuple[tuple[str, str, str], ...]
+    #: link id -> the flow variables of both its directions, every destination
+    link_flows: dict[str, tuple[str, ...]]
+    #: ((dst, link id, head), flow variable), destinations outer
+    flows: tuple[tuple[tuple[str, str, str], str], ...]
+    #: (pair, variable of its satisfied fraction)
+    satisfied: tuple[tuple[tuple[str, str], str], ...]
 
 
 @functools.lru_cache(maxsize=1)
@@ -66,9 +71,11 @@ def _intact_mcf(instance: NetworkInstance, objective: str) -> _IntactMcf | None:
         u, v = ln.ends
         arcs.append((ln.id, u, v))
         arcs.append((ln.id, v, u))
-    for t in dests:
-        for lid, u, v in arcs:
-            lp.add_var(f"f::{t}::{lid}::{v}")
+    flows = tuple(((t, lid, v), f"f::{t}::{lid}::{v}") for t in dests for lid, _, v in arcs)
+    link_flows: dict[str, tuple[str, ...]] = {ln.id: () for ln in topo.links}
+    for (_, lid, _), var in flows:
+        lp.add_var(var)
+        link_flows[lid] += (var,)
     if objective == "demand_scale":
         lp.add_var("Z")
         lp.set_objective({"Z": 1.0}, "max")
@@ -112,7 +119,9 @@ def _intact_mcf(instance: NetworkInstance, objective: str) -> _IntactMcf | None:
     sol = lp_layer.solve_lp(lp)
     if sol.status != "optimal":
         raise SolverStallError(f"MCF solve unexpectedly {sol.status}")
-    return _IntactMcf(lp, sol, demands, tuple(dests), tuple(arcs))
+    satisfied = tuple(((s, t), "Z" if objective == "demand_scale" else f"zz::{s}>{t}")
+                      for (s, t) in demands)
+    return _IntactMcf(lp, sol, link_flows, flows, satisfied)
 
 
 def solve_mcf(instance: NetworkInstance, scenario: Scenario, objective: str = "throughput") -> McfResult:
@@ -134,25 +143,18 @@ def solve_mcf(instance: NetworkInstance, scenario: Scenario, objective: str = "t
     intact = _intact_mcf(instance, objective)
     if intact is None:
         return McfResult(scenario, 0.0, {}, {})
-    alive = [arc for arc in intact.arcs if arc[0] not in scenario.failed_links]
-    if scenario.failed_links:
-        cut = {f"f::{t}::{lid}::{v}": (0.0, 0.0) for t in intact.dests
-               for lid, _, v in intact.arcs if lid in scenario.failed_links}
+    failed = scenario.failed_links
+    if failed:
+        cut = {var: (0.0, 0.0) for lid in failed for var in intact.link_flows[lid]}
         sol = solve_lp(intact.lp.with_bounds(cut), start=intact.solution)
         if sol.status != "optimal":
             raise SolverStallError(f"MCF solve unexpectedly {sol.status}")
     else:
         sol = intact.solution
-    flow = {}
-    for t in intact.dests:
-        for lid, u, v in alive:
-            val = sol.value(f"f::{t}::{lid}::{v}")
-            if val > 1e-12:
-                flow[(t, lid, v)] = val
-    if objective == "demand_scale":
-        satisfied = {pair: sol.value("Z") for pair in intact.demands}
-    else:
-        satisfied = {(s, t): sol.value(f"zz::{s}>{t}") for (s, t) in intact.demands}
+    primal = sol.primal
+    flow = {key: val for key, var in intact.flows
+            if key[1] not in failed and (val := primal.get(var, 0.0)) > 1e-12}
+    satisfied = {pair: primal.get(var, 0.0) for pair, var in intact.satisfied}
     return McfResult(scenario, sol.objective, flow, satisfied)
 
 

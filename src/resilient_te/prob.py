@@ -57,6 +57,9 @@ class ProbabilisticInstance:
     flow_sets: dict[str, list[str]] | None = None
 
     def __post_init__(self) -> None:
+        # The rule `net.validate_instance` applies to a flow's own beta.
+        if not 0.0 <= self.beta <= 1.0:
+            raise ValueError(f"beta {self.beta} is not within [0, 1]")
         total = sum(sc.prob or 0.0 for sc in self.scenarios)
         if total > 1 + 1e-9:
             raise ValueError(f"scenario probabilities sum to {total} > 1")
@@ -198,7 +201,10 @@ def sample_link_probs(topology: Topology, shape: float = 0.8,
 
 def enumerate_prob_scenarios(topology: Topology, cutoff: float = 1e-6) -> list[Scenario]:
     """Every failure subset whose product probability clears the cutoff,
-    assuming independent link failures.  Includes the empty scenario."""
+    assuming independent link failures.  Includes the empty scenario.  A NaN
+    cutoff raises ValueError: no subset would clear it or be pruned by it."""
+    if math.isnan(cutoff):
+        raise ValueError("cutoff is NaN")
     links = sorted(topology.links, key=lambda ln: ln.id)
     for ln in links:
         if ln.fail_prob is None:

@@ -307,6 +307,21 @@ def test_cli_flomore_cvar_rejects_beta_one(capsys):
     assert captured.err.startswith("error: USAGE") and "beta" in captured.err
 
 
+@pytest.mark.parametrize("args", [
+    ["flomore", "solve", "--beta", "-0.5"],
+    ["flomore", "solve", "--beta", "nan"],
+    ["analyze", "--beta", "-1"],
+    ["flomore", "solve", "--cutoff", "nan"],
+    ["analyze", "--cutoff", "nan"],
+])
+def test_cli_flomore_and_analyze_refuse_a_bad_beta_or_cutoff(capsys, args):
+    # These printed max-flow-pct-loss,0.000000 and exited 0.
+    assert main(["--fixture", "flow-example", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: USAGE") and args[-2].strip("-") in captured.err
+
+
 def test_cli_report_csv_normalized(tmp_path):
     out = tmp_path / "report.csv"
     assert main(["--fixture", "four-tunnel", "report", "--k", "1",

@@ -12,6 +12,7 @@ from resilient_te.generators import random_instance, with_conditional_sequences
 from resilient_te.lp import (
     INF,
     FEAS_TOL,
+    PIVOT_TOL,
     SPARSE_MIN_ROWS,
     BudgetExceededError,
     LinearProgram,
@@ -688,8 +689,7 @@ def test_mip_equals_enumeration_of_its_binaries(monkeypatch):
 def _relaxed(lp):
     """`lp` with its binaries relaxed to continuous variables in [0, 1]."""
     relaxed = copy.deepcopy(lp)
-    for v in relaxed._vars:
-        v.binary = False
+    relaxed._vars = [v._replace(binary=False) for v in relaxed._vars]
     return relaxed
 
 
@@ -897,6 +897,45 @@ def test_warm_lp_resolves_after_bound_edits_match_a_cold_solve():
         np.testing.assert_array_equal(start.factor, np.linalg.inv(_basis_matrix(start)))
     assert statuses.count("optimal") > 150 and statuses.count("infeasible") > 20
     assert flipped > 20
+
+
+def test_warm_lp_resolves_from_a_warm_solution_reach_the_cold_optimum():
+    # A warm solution's form carries the bounds of the LP it solved, not of
+    # the LP its start compiled.  Re-solving the unedited LP, or the LP
+    # under another edit, warm from it must still read every bound of its
+    # own LP.
+    lp = LinearProgram()
+    lp.add_var("x", ub=2.0)
+    lp.add_var("y", ub=2.0)
+    lp.add_row({"x": 1.0, "y": 1.0}, "<=", 3.0)
+    lp.set_objective({"x": 1.0, "y": 1.0}, "max")
+    base = solve_lp(lp)
+    cut = solve_lp(lp.with_bounds({"x": (0.0, 0.0)}), start=base)
+    assert (base.objective, cut.objective) == (3.0, 2.0)
+    assert solve_lp(lp, start=cut).objective == pytest.approx(3.0)
+    assert solve_lp(lp.with_bounds({"y": (0.0, 1.0)}), start=cut).objective == pytest.approx(3.0)
+    with pytest.raises(AttributeError):  # so a start's variables keep their bounds
+        lp._vars[0].ub = 1.0
+    # Chains of warm solves, each started from the last.
+    rng = np.random.default_rng(16)
+    checked = 0
+    for _ in range(40):
+        lp, *_ = _flow_lp(rng)
+        names = [v.name for v in lp._vars]
+        start = solve_lp(lp)
+        for _ in range(4):
+            if start.status != "optimal":
+                break
+            edited = lp.with_bounds({str(name): (0.0, float(rng.choice([0.0, 0.5, 2.5, INF])))
+                                     for name in rng.choice(names, size=2, replace=False)})
+            for target in (lp, edited):
+                warm, cold = solve_lp(target, start=start), solve_lp(target)
+                assert warm.status == cold.status
+                if cold.status == "optimal":
+                    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+                    checked += 1
+            start = solve_lp(edited, start=start)
+    assert checked > 150
 
 
 def test_warm_lp_start_must_come_from_an_lp_with_the_same_rows_and_columns():
@@ -1389,6 +1428,58 @@ def test_the_eta_file_holds_the_exact_inverse_after_every_pivot(monkeypatch):
                 assert cold.status == "optimal"
                 _solve_relaxation(edited, std.rebound(lb, ub), cold.basis)
     assert checked["run"] > 200 and checked["dual"] > 20
+
+
+def test_the_carried_bounds_and_directions_match_a_recompute_after_every_pivot(monkeypatch):
+    # `_exchange` (and a primal bound flip) carries the basic upper bounds
+    # and each real column's pricing direction, which both loops read in
+    # place of recomputing them; after each pivot, and when either loop
+    # returns, both must equal a fresh recompute from the basis state.  Cold
+    # solves, then warm dual re-solves after bound edits, on dense and
+    # sparse forms.
+    rng = np.random.default_rng(34)
+    exchange, dual, run = _Simplex._exchange, _Simplex.dual, _Simplex.run
+    checked = {"dual": 0, "other": 0}
+
+    def check(sx):
+        n = sx.std.n_real
+        assert np.array_equal(sx.uB, sx.u[sx.basis])
+        dirn = np.where(sx.at_upper[:n], 1.0, np.where(sx.u[:n] > PIVOT_TOL, -1.0, 0.0))
+        dirn[sx.in_basis[:n]] = 0.0
+        assert np.array_equal(sx.dirn, dirn)
+
+    def checked_exchange(sx, r, j, col, step, value, to_upper, row=None):
+        v = exchange(sx, r, j, col, step, value, to_upper, row)
+        check(sx)
+        checked["dual" if row is not None else "other"] += 1
+        return v
+
+    def checked_loop(loop):
+        def wrapped(sx, *args):
+            done = loop(sx, *args)
+            check(sx)
+            return done
+        return wrapped
+
+    for _ in range(10):
+        lp = _sparse_lp(rng, int(rng.integers(10, 40)))
+        # A repeated equality row keeps an artificial basic at 0 past phase
+        # 1, so that pinning it changes a basic upper bound.
+        for row in [row for row in lp._rows if row.sense == "="][:1]:
+            lp.add_row({lp._vars[j].name: c for j, c in row.coeffs.items()}, "=", row.rhs)
+        edited = lp.with_bounds({v.name: (v.lb, v.lb + float(rng.choice([0.0, 0.25, 1.0])))
+                                 for v in lp._vars if rng.random() < 0.3})
+        lb = np.array([v.lb for v in edited._vars])
+        ub = np.array([v.ub for v in edited._vars])
+        for std in _both_forms(lp, monkeypatch):
+            with monkeypatch.context() as patch:
+                patch.setattr(_Simplex, "_exchange", checked_exchange)
+                patch.setattr(_Simplex, "dual", checked_loop(dual))
+                patch.setattr(_Simplex, "run", checked_loop(run))
+                cold = _solve_relaxation(lp, std)
+                assert cold.status == "optimal"
+                _solve_relaxation(edited, std.rebound(lb, ub), cold.basis)
+    assert checked["dual"] > 100 and checked["other"] > 1000
 
 
 def test_solves_on_the_sparse_kernels_reach_the_dense_objectives(monkeypatch):

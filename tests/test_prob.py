@@ -93,6 +93,23 @@ def test_prob_scenarios_require_probabilities():
         enumerate_prob_scenarios(topo)
 
 
+def test_a_nan_cutoff_is_refused_before_any_subset_is_walked():
+    # Against a NaN cutoff both `prob >= cutoff` and the pruning test are
+    # false, so every subset was walked and only the empty scenario kept.
+    topo = make_topology(["a", "b", "c"], [("e1", "a", "b", 1.0, 0.01),
+                                           ("e2", "b", "c", 1.0, 0.01)])
+    with pytest.raises(ValueError, match="cutoff"):
+        enumerate_prob_scenarios(topo, cutoff=float("nan"))
+
+
+@pytest.mark.parametrize("beta", [-0.5, -1e-12, 1.0 + 1e-9, float("nan"), float("inf")])
+def test_a_beta_outside_zero_to_one_is_refused(beta):
+    fx = flow_example()
+    scens = enumerate_prob_scenarios(fx.topology, cutoff=0.0)
+    with pytest.raises(ValueError, match="beta"):
+        ProbabilisticInstance(fx, scens, beta=beta)
+
+
 def test_design_beta_ladder():
     pinst = make_pinst()
     assert design_beta(pinst) == pytest.approx(0.99)
