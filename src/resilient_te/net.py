@@ -168,11 +168,18 @@ def validate_instance(instance: NetworkInstance) -> list[Diagnostic]:
     """Check every structural invariant; returns one diagnostic per violation."""
     out: list[Diagnostic] = []
     topo = instance.topology
-    seen_ids: set[str] = set()
+    for code, kind, ids in (
+            ("DUPLICATE_LINK_ID", "link", [ln.id for ln in topo.links]),
+            ("DUPLICATE_TUNNEL_ID", "tunnel", [t.id for t in instance.tunnels]),
+            ("DUPLICATE_FLOW_ID", "flow", [d.flow_id for d in instance.demands]),
+            ("DUPLICATE_SEQUENCE_ID", "sequence", [q.id for q in instance.logical_sequences]),
+            ("DUPLICATE_CONDITION_ID", "condition", [c.id for c in instance.conditions])):
+        seen_ids: set[str] = set()
+        for i in ids:
+            if i in seen_ids:
+                out.append(Diagnostic(code, f"{kind} id {i} repeats", i))
+            seen_ids.add(i)
     for ln in topo.links:
-        if ln.id in seen_ids:
-            out.append(Diagnostic("DUPLICATE_LINK_ID", f"link id {ln.id} repeats", ln.id))
-        seen_ids.add(ln.id)
         u, v = ln.ends
         if u == v:
             out.append(Diagnostic("SELF_LOOP", f"link {ln.id} joins {u} to itself", ln.id))

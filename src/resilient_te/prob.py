@@ -538,13 +538,11 @@ def check_availability(pinst: ProbabilisticInstance) -> None:
 
 def benders_master(pinst: ProbabilisticInstance, cuts: list[Cut], *,
                    fixed: dict[tuple[str, int], float] | None = None,
-                   previous: dict[tuple[str, int], float] | None = None,
-                   hamming_limit: float | None = None) -> tuple[CriticalSelection, float]:
+                   ) -> tuple[CriticalSelection, float]:
     """Selection minimizing the cut envelope, subject to availability.
 
     `fixed` maps (unit, scenario) to a forced value; disconnected pairs are
-    always forced to 0.  With `previous` and `hamming_limit`, the selection
-    moves at most that many entries away from `previous`.
+    always forced to 0.
     """
     check_availability(pinst)
     units = pinst.units
@@ -568,20 +566,6 @@ def benders_master(pinst: ProbabilisticInstance, cuts: list[Cut], *,
         for uid, w in cut.coeff.items():
             coeffs[f"z::{uid}::{cut.scenario_index}"] = -w
         lp.add_row(coeffs, ">=", cut.const, name=f"cut:{c_idx}")
-    if previous is not None and hamming_limit is not None:
-        coeffs = {}
-        base = 0.0
-        for u in units:
-            for q in Q:
-                key = (u.id, q)
-                if key in fixed:
-                    continue
-                if previous.get(key, 0.0) >= 0.5:
-                    coeffs[f"z::{u.id}::{q}"] = -1.0
-                    base += 1.0
-                else:
-                    coeffs[f"z::{u.id}::{q}"] = 1.0
-        lp.add_row(coeffs, "<=", hamming_limit - base, name="hamming")
     lp.set_objective({"alpha": 1.0}, "min")
     sol = solve_mip(lp)
     if sol.status != "optimal":
@@ -598,9 +582,12 @@ def benders_run(pinst: ProbabilisticInstance, max_iterations: int = 5, *,
     the incumbent or the iteration budget runs out.
 
     Starts from the connectivity selection; perfect-scenario pruning (off
-    with `prune_perfect=False`) pins the scenarios that are lossless there,
-    and a Hamming-distance trust region around the previous selection
-    (doubled whenever an iteration fails to improve) shapes each step.
+    with `prune_perfect=False`) pins the scenarios that are lossless there.
+    Each iteration solves one master: its value is the certified bound, and
+    its selection is the next one consumed.  The loop cannot cycle: a
+    selection consumed before has its tangent cuts in the master, which
+    values it at no less than the incumbent, so a master that picks it
+    again has reached the incumbent and stops the loop.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
@@ -634,7 +621,6 @@ def benders_run(pinst: ProbabilisticInstance, max_iterations: int = 5, *,
                     fixed[(u.id, q)] = 1.0
 
     nontrivial = [q for q in Q if q not in perfect]
-    hamming = max(1.0, 0.1 * len(units) * max(1, len(nontrivial)))
 
     best_allocs: list[ScenarioAlloc] | None = None
     best_report: LossReport | None = None
@@ -652,23 +638,14 @@ def benders_run(pinst: ProbabilisticInstance, max_iterations: int = 5, *,
             best_allocs, best_report = allocs, report
 
     consume(z)
-    prev = z
     while state.iterations < max_iterations:
         state.iterations += 1
-        # The certifying bound comes from the unrestricted master; the trust
-        # region only shapes the next iterate.
-        _, bound = benders_master(pinst, state.cuts, fixed=fixed)
+        selection, bound = benders_master(pinst, state.cuts, fixed=fixed)
         state.lower_bound = max(state.lower_bound, bound)
         state.bound_history.append(state.lower_bound)
         if state.lower_bound >= state.incumbent - 1e-6:
             break
-        z = benders_master(pinst, state.cuts, fixed=fixed, previous=prev,
-                           hamming_limit=hamming)[0].values
-        before = state.incumbent
-        consume(z)
-        if state.incumbent >= before - 1e-12:
-            hamming *= 2
-        prev = z
+        consume(selection.values)
     if best_allocs is None:  # pragma: no cover - consume always runs once
         raise RuntimeError("no incumbent produced")
     return best_allocs, best_report, state

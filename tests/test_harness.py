@@ -215,6 +215,29 @@ def test_cli_solving_commands_refuse_an_instance_that_fails_validation(tmp_path,
             assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
+def test_cli_solving_commands_refuse_repeated_tunnel_and_flow_ids(tmp_path, capsys):
+    # The models key tunnels and flows by id: a repeated tunnel id would drop
+    # one tunnel from the percentile loss (0.333333 where a unique id gives
+    # 0.000000) and fail the ffc build on a re-declared variable.
+    cases = []
+    doc = instance_to_dict(flow_example())
+    doc["tunnels"][2]["id"] = doc["tunnels"][1]["id"]
+    cases.append((doc, ["flomore", "solve", "--beta", "0.99", "--cutoff", "0"],
+                  "DUPLICATE_TUNNEL_ID tunnel id t2 repeats"))
+    doc = instance_to_dict(four_tunnel_example())
+    doc["tunnels"].append(dict(doc["tunnels"][1], id=doc["tunnels"][0]["id"]))
+    cases.append((doc, ["solve", "--model", "ffc", "--k", "1"],
+                  "DUPLICATE_TUNNEL_ID tunnel id T1 repeats"))
+    doc = instance_to_dict(four_tunnel_example())
+    doc["demands"].append(dict(doc["demands"][0]))
+    cases.append((doc, ["oracle", "--k", "2"], "DUPLICATE_FLOW_ID flow id d0 repeats"))
+    for doc, command, error in cases:
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--instance", str(path), *command]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 def test_cli_gen_roundtrip(tmp_path, capsys):
     out = tmp_path / "gen.json"
     assert main(["--fixture", "four-tunnel", "gen", "scenarios", "--k", "1",

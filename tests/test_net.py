@@ -78,6 +78,16 @@ def test_misc_violations_each_get_a_code():
         assert code in got
 
 
+def test_repeated_ids_each_get_a_code():
+    inst = hint_example("cls")
+    twice = dataclasses.replace(
+        inst, tunnels=inst.tunnels + inst.tunnels[:1], demands=inst.demands + inst.demands[:1],
+        logical_sequences=inst.logical_sequences * 2, conditions=inst.conditions * 2)
+    assert codes(validate_instance(twice)) == [
+        "DUPLICATE_TUNNEL_ID", "DUPLICATE_FLOW_ID", "DUPLICATE_SEQUENCE_ID",
+        "DUPLICATE_CONDITION_ID"]
+
+
 def test_condition_contradiction_flagged():
     inst = hint_example("cls")
     bad = Condition("broken", alive_links=frozenset({"s-4"}), dead_links=frozenset({"s-4"}))

@@ -410,13 +410,6 @@ def test_master_heuristic_start_and_bounds():
     assert bound3 == pytest.approx(0.0)
 
 
-def test_master_hamming_zero_freezes_selection():
-    pinst = make_pinst()
-    prev = connectivity_selection(pinst)
-    sel, _ = benders_master(pinst, [], previous=prev, hamming_limit=0.0)
-    assert sel.values == prev
-
-
 def test_master_infeasible_target():
     fx = flow_example()
     scens = enumerate_prob_scenarios(fx.topology, cutoff=0.0)
@@ -501,6 +494,54 @@ def test_benders_solves_each_scenario_column_once(monkeypatch):
         first = len(pinst.scenarios)
         for cut, (q, z_col) in zip(state.cuts[:first], calls[:first]):
             assert cut == solve(pinst, q, dict(z_col)).cut
+
+
+def thirty_scenario_pinst(seed):
+    """Criterion 8's recipe at a larger size: up to 8 nodes, 3-4 pairs with 3
+    tunnels each, and the 30 most probable scenarios."""
+    rng = np.random.default_rng(seed)
+    inst = random_instance(900 + seed, n_nodes=6 + seed % 3, extra_links=4,
+                           n_pairs=3 + seed % 2, tunnels_per_pair=3)
+    topo = sample_link_probs(inst.topology, shape=1.0,
+                             scale=float(rng.uniform(0.02, 0.08)), seed=seed)
+    inst = NetworkInstance(topology=topo, demands=inst.demands, tunnels=inst.tunnels)
+    scens = sorted(enumerate_prob_scenarios(topo, cutoff=1e-4), key=lambda sc: -(sc.prob or 0.0))
+    scens = sorted(scens[:30], key=lambda sc: sc.key())
+    beta = design_beta(ProbabilisticInstance(inst, scens, beta=0.0), ladder=(0.5, 0.8, 0.9, 0.95))
+    return ProbabilisticInstance(inst, scens, beta=beta)
+
+
+def test_benders_certifies_a_thirty_scenario_instance_within_five_iterations():
+    # A Hamming trust region on the master once ran this instance out of
+    # branch-and-bound nodes; the direct MIP's optimum is 0.396997.
+    _, _, state = benders_run(thirty_scenario_pinst(2))
+    assert state.lower_bound >= state.incumbent - 1e-6
+    assert state.incumbent == pytest.approx(0.396997, abs=1e-6)
+
+
+def test_benders_never_consumes_a_selection_twice(monkeypatch):
+    # A selection consumed before has its tight cuts in the master, so the
+    # master that picks it again has reached the incumbent and ends the loop.
+    picked, master = [], prob.benders_master
+
+    def spy(pinst, cuts, **kwargs):
+        out = master(pinst, cuts, **kwargs)
+        picked.append(out[0].values)
+        return out
+
+    monkeypatch.setattr(prob, "benders_master", spy)
+    for pinst in (make_pinst(cutoff=1e-4, beta=0.9), thirty_scenario_pinst(1),
+                  thirty_scenario_pinst(9)):
+        picked.clear()
+        state = benders_run(pinst, 25)[2]
+        assert state.lower_bound >= state.incumbent - 1e-6
+        assert len(picked) == state.iterations
+        # The first selection is the connectivity one; the last master
+        # certified the incumbent, so its selection was not consumed.
+        consumed = [connectivity_selection(pinst)] + picked[:-1]
+        assert len(consumed) == len(state.incumbent_history)
+        assert all(a != b for a, b in itertools.combinations(consumed, 2))
+    assert len(consumed) > 2
 
 
 # -- CVaR formulations ---------------------------------------------------------
