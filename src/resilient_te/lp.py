@@ -73,12 +73,16 @@ branching (Achterberg, Koch & Martin, "Branching rules revisited", 2005; see
 `solve_mip`).  It solves its root cold and each child the same way, from its
 parent's `Solution.basis` under the parent's bounds with one binary fixed.
 
-The first warm start from an optimal relaxation caches its exact entry
-inverse on that `_Start`, read-only.  Every warm start inherits its start's
-artificial signs, and with them its basis matrix, so later ones take that
-inverse in place as their B0: a B&B node's two children, or all re-solves
-from one `solve_lp` start, factor it once and copy nothing.  Starts no warm
-start used hold none.
+Every warm start inherits its start's artificial signs, and with them its
+basis matrix, so it can take the start's inverse as it stands.  A
+relaxation solved warm keeps its inverse on its `_Start`: the read-only B0
+it pivoted from and a copy of its eta file, which a warm start from it loads
+without inverting anything; a chain of warm starts, such as a B&B path,
+inverts only at refactors.  A relaxation solved cold keeps neither, as its
+eta file runs long: the first warm start from it caches its exact entry
+inverse on that `_Start`, read-only, and later ones take it in place as
+their B0.  So a B&B node's two children, or all re-solves from one
+`solve_lp` start, factor a start once at most and copy nothing but etas.
 
 An optimal report is certified on the inverse the solve holds: after a
 pivot, |B x_B - rhs| <= 1e-10 (1 + |rhs|) and |c_B B^-1 B - c_B| <= 1e-10
@@ -315,15 +319,17 @@ class _Standardized:
         self._freeze_bounds(lb, ub)
         self.var_lb, self.var_ub = self.lb, self.ub
 
-    def _freeze_bounds(self, lb: np.ndarray, ub: np.ndarray) -> None:
-        """Take these bounds and set what they decide, `b` = rhs - A lb and
-        `u`; all four arrays are made read-only."""
+    def _freeze_bounds(self, lb: np.ndarray, ub: np.ndarray, b: np.ndarray | None = None) -> None:
+        """Take these bounds and set what they decide, `b` = rhs - A lb
+        (given as `b` when already known) and `u`; all four arrays are made
+        read-only."""
         u = np.full(self.ncols, INF)
         u[:self.n_struct] = ub - lb
-        b = self.rhs.copy()
-        lower = lb[self.vj]
-        nz = np.flatnonzero(lower)
-        np.subtract.at(b, self.ri[nz], self.cv[nz] * lower[nz])
+        if b is None:
+            b = self.rhs.copy()
+            lower = lb[self.vj]
+            nz = np.flatnonzero(lower)
+            np.subtract.at(b, self.ri[nz], self.cv[nz] * lower[nz])
         for array in (lb, ub, u, b):
             array.flags.writeable = False
         self.lb, self.ub, self.u, self.b = lb, ub, u, b
@@ -343,9 +349,13 @@ class _Standardized:
 
     def rebound(self, lb: np.ndarray, ub: np.ndarray) -> _Standardized:
         """A copy of this form under the bounds `lb` and `ub`, which it takes
-        and makes read-only; this form is left as it was."""
+        and makes read-only; this form is left as it was.  When `lb` equals
+        this form's, the copy shares this form's `lb` and `b` instead."""
         new = copy.copy(self)
-        new._freeze_bounds(lb, ub)
+        if np.array_equal(lb, self.lb):
+            new._freeze_bounds(self.lb, ub, self.b)
+        else:
+            new._freeze_bounds(lb, ub)
         return new
 
 
@@ -355,16 +365,23 @@ class _Start:
     columns, the nonbasic columns at their upper bounds and the artificial
     signs `art` (all None for a form without rows, which has no basis).  An
     optimal relaxation's state is kept for warm re-solves; `cold` builds
-    phase 1's.  A solve copies what it changes.  The only write is `factor`:
-    None until a solve from this state inverts its basis, then that exact
-    inverse, read-only; every later solve from the state inherits its
-    signs, hence its basis matrix, and reads the inverse in place."""
+    phase 1's.  A solve copies what it changes.
+
+    The state's basis inverse is `factor` less the eta file `etas`: the
+    `(U[:, :k], V[:k])` of `_Simplex`, None when k is 0.  A warm-solved
+    relaxation carries both from its solve: the read-only B0 it pivoted from
+    and a copy of its k etas.  A cold-solved one carries neither; the first
+    solve from it inverts its basis and caches that exact inverse as
+    `factor`, read-only, the only write to a start.  Every solve from a
+    state inherits its signs, hence its basis matrix, and takes its inverse
+    as it stands."""
 
     std: _Standardized
     basis: np.ndarray | None = None
     at_upper: np.ndarray | None = None
     art: np.ndarray | None = None
     factor: np.ndarray | None = None
+    etas: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def cold(cls, std: _Standardized) -> _Start:
@@ -383,8 +400,8 @@ class _Simplex:
     artificial column is `art[i]` e_i), the basic values `xB`, and the basis
     inverse as `B0` (read-only, from the last refactor) less the eta file
     `U[:, :k] @ V[:k]` of the k = `pivots_since_refactor` pivots since
-    (module docstring).  `U` and `V` belong to this solve alone; `B0` may be
-    a start state's cached factor."""
+    (module docstring).  `U` and `V` belong to this solve alone, a start's
+    etas copied in; `B0` may be a start state's `factor`."""
 
     def __init__(self, std: _Standardized, start: _Start):
         """The basis state of `start`, signs included: `_Start.cold`, or an
@@ -444,9 +461,10 @@ class _Simplex:
         """Invert the basis afresh into `B0`, empty the eta file and
         recompute the basic values (in place, so that local aliases of `xB`
         stay current).  With `start`, the state this basis and its signs were
-        copied from, the inverse is cached on it once, read-only, and read
-        from it in place."""
-        factor = start.factor if start is not None else None
+        copied from, take its inverse instead: its `factor`, read in place
+        (inverted and cached on it first if it has none), and a copy of its
+        etas."""
+        factor, etas = (start.factor, start.etas) if start is not None else (None, None)
         if factor is None:
             try:
                 factor = np.linalg.inv(self._basis_matrix())
@@ -456,8 +474,11 @@ class _Simplex:
             if start is not None:
                 start.factor = factor
         self.B0 = factor
-        self.xB[...] = self.B0 @ self._rhs()
-        self.pivots_since_refactor = 0
+        self.pivots_since_refactor = k = 0 if etas is None else len(etas[1])
+        if k:
+            self.U[:, :k], self.V[:k] = etas
+        rhs = self._rhs()
+        self.xB[...] = self.B0 @ rhs - self.U[:, :k] @ (self.V[:k] @ rhs)
 
     def _rhs(self) -> np.ndarray:
         """`b` less the nonbasic real columns at their upper bounds."""
@@ -656,7 +677,8 @@ class _Simplex:
         bound, then the lowest column index.  When no column qualifies, no
         point within the bounds satisfies the row.  A pivot reads `uB` and
         `dirn` as `_exchange` carries them and gathers each candidate array
-        once; reduced costs are updated, and recomputed at each refactor.
+        once; reduced costs are updated, and recomputed on entry and at each
+        refactor.
         """
         std = self.std
         n = std.n_real
@@ -668,6 +690,7 @@ class _Simplex:
         movable = u[:n] > PIVOT_TOL
         xB = self.xB
         self.pin_artificials()
+        d = None
         while True:
             if self.pivots_since_refactor >= REFACTOR_EVERY:
                 self._refactor()
@@ -693,7 +716,7 @@ class _Simplex:
             cand = np.flatnonzero((rate > PIVOT_TOL) & movable)
             if cand.size == 0:
                 return False
-            if self.pivots_since_refactor == 0:
+            if d is None or self.pivots_since_refactor == 0:  # entry, or a refactor
                 d = c_real - std.price(self._btran(c[basis]))
             # |d_j| on a dual-feasible start; a wrong-signed d_j counts as 0,
             # and phase 2 repairs such a start afterwards.  rate is |alpha|.
@@ -786,6 +809,10 @@ def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Start | Non
         x = np.where(~sx.in_basis & sx.at_upper, sx.u, 0.0)
         x[sx.basis] = sx.xB
         basis, pivots = _Start(std, sx.basis, sx.at_upper, sx.art), tuple(sx.pivots)
+        if start is not None:  # warm: the solve's inverse goes with its state
+            k = sx.pivots_since_refactor
+            basis.factor = sx.B0
+            basis.etas = (sx.U[:, :k].copy(), sx.V[:k].copy()) if k else None
 
     values = (std.lb + x[:std.n_struct]).tolist()
     obj = sum(coef * values[j] for j, coef in lp._obj.items())

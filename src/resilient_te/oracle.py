@@ -7,20 +7,26 @@ any tunnel choice, with one aggregated commodity per destination.
 Scenarios share one LP.  A one-entry memo keeps, for the last (instance,
 objective) asked about, the MCF over every link, built and solved cold once;
 callers sweep one instance's scenarios at a time, so one entry is all they
-reuse.  The no-failure scenario reads that solution as it is.  Any other
-scenario fails a link by setting its arcs' flow upper bounds to 0 in a copy
-of that LP, and `lp.solve_lp` re-solves the copy warm from the intact
-optimal basis with the bounded dual simplex (cold if the dual loop stalls).
-The memo is written to once after it is built: the first re-solve caches
-the exact inverse of the intact optimal basis on it (see `lp`).  It also
-holds each link's flow variables and the (result key, variable) pairs, so a
-scenario edits and reads the LP without formatting a variable name.
+reuse.  It is looked up by identity before value, so a repeated call hashes
+nothing.  The no-failure scenario reads that solution as it is.  Any other
+scenario fails its links by setting their arcs' flow upper bounds to 0 in a
+copy of that LP, and `lp.solve_lp` re-solves the copy warm with the bounded
+dual simplex (cold if the dual loop stalls).  A scenario of one failed link
+starts from the intact optimal basis.  A scenario of two or more starts from
+the scenario of its smallest failed link id alone, whose pivots it would
+otherwise redo; the memo keeps that solution as a warm start, at most one
+per link, solved from the intact basis when a scenario first needs it.
+Every start is thus a function of the scenario alone, never of the calls
+before it, so no answer depends on the order of calls.  The memo also holds
+each link's flow variables and the (result key, variable) pairs, so a
+scenario edits and reads the LP without formatting a variable name.  The
+first re-solve caches the exact inverse of the intact optimal basis on it
+(see `lp`).
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import lp as lp_layer
 from .lp import LinearProgram, Solution, SolverStallError, solve_lp
@@ -49,13 +55,45 @@ class _IntactMcf:
     flows: tuple[tuple[tuple[str, str, str], str], ...]
     #: (pair, variable of its satisfied fraction)
     satisfied: tuple[tuple[tuple[str, str], str], ...]
+    #: link id -> the solution of the scenario that fails that link alone,
+    #: kept as a warm start only (no primal, no duals); filled by `link_start`
+    link_starts: dict[str, Solution] = field(default_factory=dict)
+
+    def cut(self, failed) -> LinearProgram:
+        """The LP with every flow on the links `failed` fixed at 0."""
+        return self.lp.with_bounds({var: (0.0, 0.0) for lid in failed
+                                    for var in self.link_flows[lid]})
+
+    def link_start(self, lid: str) -> Solution:
+        """The start of the scenarios whose smallest failed link is `lid`:
+        the scenario of `lid` alone, solved warm from the intact solution
+        through the lp module, as the intact MCF is, and memoized."""
+        start = self.link_starts.get(lid)
+        if start is None:
+            sol = lp_layer.solve_lp(self.cut((lid,)), start=self.solution)
+            if sol.status != "optimal":
+                raise SolverStallError(f"MCF solve unexpectedly {sol.status}")
+            start = self.link_starts[lid] = Solution(sol.status, sol.objective, {},
+                                                     basis=sol.basis)
+        return start
 
 
-@functools.lru_cache(maxsize=1)
+#: The memo: empty, or the last instance, objective and `_intact_mcf` result.
+_memo: list = []
+
+
 def _intact_mcf(instance: NetworkInstance, objective: str) -> _IntactMcf | None:
+    """The memoized MCF of `instance` with no link failed, built on a miss.
+    The lookup tries identity before value, so a repeated call hashes
+    nothing; callers only read what it returns."""
+    if not (_memo and _memo[1] == objective and (_memo[0] is instance or _memo[0] == instance)):
+        _memo[:] = [instance, objective, _build_intact_mcf(instance, objective)]
+    return _memo[2]
+
+
+def _build_intact_mcf(instance: NetworkInstance, objective: str) -> _IntactMcf | None:
     """Build and solve the MCF of `instance` with no link failed; None when
-    no demand is positive.  Keyed by the instance's value; callers only read
-    what it returns."""
+    no demand is positive."""
     topo = instance.topology
     demands: dict[tuple[str, str], float] = {}
     for d in instance.demands:
@@ -113,9 +151,9 @@ def _intact_mcf(instance: NetworkInstance, objective: str) -> _IntactMcf | None:
             lp.add_row(coeffs, "<=", ln.capacity, name=f"cap:{ln.id}")
 
     # Solved through the lp module, not through this module's `solve_lp`
-    # binding: a wrapper of `oracle.solve_lp` that counts solves (perfbench
-    # has one) then sees one solve per scenario with a failed link,
-    # whichever call built the memo.
+    # binding, as `link_start`'s solves are: a wrapper of `oracle.solve_lp`
+    # that counts solves (perfbench has one) then sees one solve per
+    # scenario with a failed link, whichever call built the memo.
     sol = lp_layer.solve_lp(lp)
     if sol.status != "optimal":
         raise SolverStallError(f"MCF solve unexpectedly {sol.status}")
@@ -131,9 +169,11 @@ def solve_mcf(instance: NetworkInstance, scenario: Scenario, objective: str = "t
     demand can be scaled; "throughput" maximizes total satisfied traffic,
     capping each pair at its full demand.
 
-    A scenario with failed links re-solves warm from the memoized
-    no-failure MCF (see the module docstring), never from another
-    scenario's solution, so no answer depends on the order of calls.
+    A scenario with failed links re-solves warm: from the memoized
+    no-failure MCF, or with two or more failed links from the memoized
+    scenario of its smallest failed link alone (see the module docstring).
+    Either start depends on the scenario only, never on the calls before
+    it, so no answer depends on the order of calls.
     """
     if objective not in ("demand_scale", "throughput"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -145,8 +185,8 @@ def solve_mcf(instance: NetworkInstance, scenario: Scenario, objective: str = "t
         return McfResult(scenario, 0.0, {}, {})
     failed = scenario.failed_links
     if failed:
-        cut = {var: (0.0, 0.0) for lid in failed for var in intact.link_flows[lid]}
-        sol = solve_lp(intact.lp.with_bounds(cut), start=intact.solution)
+        start = intact.link_start(min(failed)) if len(failed) > 1 else intact.solution
+        sol = solve_lp(intact.cut(failed), start=start)
         if sol.status != "optimal":
             raise SolverStallError(f"MCF solve unexpectedly {sol.status}")
     else:

@@ -16,6 +16,6 @@ def rng():
 @pytest.fixture(autouse=True)
 def fresh_oracle_memo():
     """No test sees an intact MCF that another test built."""
-    oracle._intact_mcf.cache_clear()
+    oracle._memo.clear()
     yield
-    oracle._intact_mcf.cache_clear()
+    oracle._memo.clear()

@@ -400,6 +400,31 @@ def test_warm_children_match_a_cold_solve_of_a_fresh_compile():
     assert statuses.count("optimal") > 100 and statuses.count("infeasible") > 20
 
 
+def test_a_rebound_that_keeps_every_lower_bound_shares_b():
+    # `b` = rhs - A lb depends on the lower bounds only.  A copy that edits
+    # upper bounds alone, as every oracle scenario does, shares the form's
+    # read-only `lb` and `b`, bit for bit a recompute; an edited lower bound
+    # recomputes `b`.
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        lp = _sparse_lp(rng, int(rng.integers(4, 20)))
+        std = _Standardized(lp)
+        assert np.any(std.b != std.rhs)
+        j = int(rng.integers(std.n_struct))
+        name, lb, ub = lp._vars[j].name, std.lb.copy(), std.ub.copy()
+        ub[j] = lb[j] + 0.25
+        form = std.rebound(lb, ub)
+        assert form.b is std.b and form.lb is std.lb
+        fresh = _Standardized(lp.with_bounds({name: (lb[j], ub[j])}))
+        np.testing.assert_array_equal(form.b, fresh.b)
+        np.testing.assert_array_equal(form.u, fresh.u)
+        lb, ub = lb.copy(), ub.copy()
+        lb[j] += 0.125
+        raised = std.rebound(lb, ub)
+        assert raised.b is not std.b and not np.array_equal(raised.b, std.b)
+        np.testing.assert_array_equal(raised.b, _Standardized(lp.with_bounds({name: (lb[j], ub[j])})).b)
+
+
 def test_dual_loop_from_an_optimal_parent_ends_optimal():
     # The dual ratio test keeps the parent's dual feasibility, so once every
     # basic variable is within its bounds, phase 2 has no pivot left to take.
@@ -1067,16 +1092,34 @@ def test_the_two_children_of_a_node_factor_their_shared_start_once(monkeypatch):
     assert saved == [0, 1]
 
     # solve_mip hands each popped node's `_Start` to both of its children.
-    starts, relax = [], _solve_relaxation
+    # Below the root, no relaxation calls `np.linalg.inv` unless it
+    # refactors mid-solve: every node but the root was solved warm and holds
+    # its inverse from that solve before any child starts from it.  The
+    # root's basis is inverted once, by its first child.
+    records, refactors = [], [0]
+    relax, refactor = _solve_relaxation, _Simplex._refactor
+
+    def counted_refactor(sx, start=None):
+        refactors[0] += start is None
+        refactor(sx, start)
 
     def spy(lp_, std_, start=None):
-        starts.append(start)
-        return relax(lp_, std_, start)
+        before = len(calls), refactors[0], start is not None and start.factor is not None
+        sol = relax(lp_, std_, start)
+        records.append((start, sol, before[2], len(calls) - before[0], refactors[0] - before[1]))
+        return sol
 
+    monkeypatch.setattr(_Simplex, "_refactor", counted_refactor)
     monkeypatch.setattr(lp_module, "_solve_relaxation", spy)
+    calls.clear()
     solve_mip(lp)
-    warm = [start for start in starts if start is not None]
-    assert warm and all(warm.count(start) == 2 and start.factor is not None for start in warm)
+    (_, root, *_), *below = records
+    starts = [start for start, *_ in below]
+    assert len(below) > 4 and all(starts.count(start) == 2 for start in starts)
+    assert all(held for start, _, held, *_ in below if start is not root.basis)
+    assert [inverted - refactored for *_, inverted, refactored in below] == \
+        [1] + [0] * (len(below) - 1)
+    np.testing.assert_array_equal(root.basis.factor, np.linalg.inv(_basis_matrix(root.basis)))
 
 
 def test_a_start_whose_basic_artificial_row_flips_sign_reuses_its_inverse(monkeypatch):
@@ -1401,33 +1444,70 @@ def test_sparse_products_equal_the_dense_ones(monkeypatch):
 
 def test_the_eta_file_holds_the_exact_inverse_after_every_pivot(monkeypatch):
     # B0 - U V against a fresh inverse of the basis after each pivot: in
-    # both phases of cold solves and in warm dual re-solves, on dense and
-    # sparse forms.
+    # both phases of cold solves, in warm dual re-solves from a cold
+    # solution's start, and in re-solves from a warm solution's start, which
+    # load its eta file, on dense and sparse forms.  That loaded file holds
+    # the exact inverse of the entry basis, and a chain of warm starts
+    # reaches the cold optimum without calling `np.linalg.inv`.
     rng = np.random.default_rng(32)
-    update, checked = _Simplex._update_inverse, {"run": 0, "dual": 0}
+    update, inv = _Simplex._update_inverse, np.linalg.inv
+    checked = {"run": 0, "dual": 0, "from etas": 0}
+    kind = ["run"]
+
+    def held_inverse_is_exact(sx):
+        k = sx.pivots_since_refactor
+        held = sx.B0 - sx.U[:, :k] @ sx.V[:k]
+        exact = inv(_basis_matrix(sx))
+        assert np.abs(held - exact).max() <= 1e-9 * np.abs(exact).max()
 
     def checked_update(sx, leave_pos, col, row=None):
         v = update(sx, leave_pos, col, row)
-        k = sx.pivots_since_refactor
-        held = sx.B0 - sx.U[:, :k] @ sx.V[:k]
-        exact = np.linalg.inv(_basis_matrix(sx))
-        assert np.abs(held - exact).max() <= 1e-9 * np.abs(exact).max()
-        checked["dual" if row is not None else "run"] += 1
+        held_inverse_is_exact(sx)
+        checked["dual" if kind[0] == "run" and row is not None else kind[0]] += 1
         return v
 
+    def edit(lp):
+        return lp.with_bounds({v.name: (v.lb, v.lb + float(rng.choice([0.0, 0.25, 1.0])))
+                               for v in lp._vars if rng.random() < 0.3})
+
+    def bounds(lp):
+        return np.array([v.lb for v in lp._vars]), np.array([v.ub for v in lp._vars])
+
+    calls = _recorded_inversions(monkeypatch)
+    chained = 0
     for _ in range(8):
         lp = _sparse_lp(rng, int(rng.integers(10, 40)))
-        edited = lp.with_bounds({v.name: (v.lb, v.lb + float(rng.choice([0.0, 0.25, 1.0])))
-                                 for v in lp._vars if rng.random() < 0.3})
-        lb = np.array([v.lb for v in edited._vars])
-        ub = np.array([v.ub for v in edited._vars])
+        edited = edit(lp)
         for std in _both_forms(lp, monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(_Simplex, "_update_inverse", checked_update)
+                kind[0] = "run"
                 cold = _solve_relaxation(lp, std)
                 assert cold.status == "optimal"
-                _solve_relaxation(edited, std.rebound(lb, ub), cold.basis)
-    assert checked["run"] > 200 and checked["dual"] > 20
+                warm = _solve_relaxation(edited, std.rebound(*bounds(edited)), cold.basis)
+                # Back to the unedited bounds, from the warm solution's etas.
+                kind[0] = "from etas"
+                if warm.status == "optimal" and warm.basis.etas is not None:
+                    held_inverse_is_exact(_Simplex(std, warm.basis))
+                    back = _solve_relaxation(lp, std.rebound(*bounds(lp)), warm.basis)
+                    assert back.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+            # A chain of warm starts, each from the last solution.
+            start = warm
+            for _ in range(4):
+                if start.status != "optimal":
+                    break
+                target = edit(lp)
+                calls.clear()
+                sol = _solve_relaxation(target, std.rebound(*bounds(target)), start.basis)
+                assert calls == []
+                reference = solve_lp(target)
+                assert sol.status == reference.status
+                if sol.status == "optimal":
+                    assert sol.objective == pytest.approx(reference.objective, rel=1e-9, abs=1e-9)
+                    chained += start.basis.etas is not None
+                start = sol
+    assert checked["run"] > 200 and checked["dual"] > 100 and checked["from etas"] > 100
+    assert chained > 10
 
 
 def test_the_carried_bounds_and_directions_match_a_recompute_after_every_pivot(monkeypatch):

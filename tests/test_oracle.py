@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import pytest
 
@@ -175,15 +176,80 @@ def test_flow_on_a_failed_link_is_never_reported(monkeypatch):
 
 
 def test_mcf_results_do_not_depend_on_call_order():
-    # Each scenario starts from the intact basis, never from the previous
-    # scenario's, so the order of calls and a rebuilt memo change no bit.
-    for name, inst, scenarios in _fixture_scenarios():
-        for objective in ("throughput", "demand_scale"):
-            forward = [repr(solve_mcf(inst, sc, objective)) for sc in scenarios]
-            backward = [repr(solve_mcf(inst, sc, objective)) for sc in reversed(scenarios)]
-            oracle._intact_mcf.cache_clear()
-            rebuilt = [repr(solve_mcf(inst, sc, objective)) for sc in scenarios]
-            assert forward == backward[::-1] == rebuilt, (name, objective)
+    # A scenario starts from the intact basis, or, with two or more failed
+    # links, from the memoized scenario of its smallest failed link alone,
+    # which is itself solved from the intact basis: never from whichever
+    # scenario came before.  So neither the order of calls nor a rebuilt
+    # memo changes a bit, at k = 2 and at k = 3.
+    rng = random.Random(7)
+    for name, inst, _ in _fixture_scenarios():
+        for k in (2, 3):
+            scenarios = enumerate_scenarios(inst.topology, k)
+            shuffled = rng.sample(range(len(scenarios)), len(scenarios))
+            for objective in ("throughput", "demand_scale"):
+                oracle._memo.clear()
+                forward = [repr(solve_mcf(inst, sc, objective)) for sc in scenarios]
+                backward = [repr(solve_mcf(inst, sc, objective)) for sc in reversed(scenarios)]
+                oracle._memo.clear()  # rebuilt, in a shuffled order
+                mixed = {i: repr(solve_mcf(inst, scenarios[i], objective)) for i in shuffled}
+                assert forward == backward[::-1] == [mixed[i] for i in range(len(scenarios))], \
+                    (name, k, objective)
+
+
+def test_each_scenario_makes_one_solve_and_the_link_memo_keeps_one_entry_per_link(monkeypatch):
+    # Every scenario with a failed link makes exactly one `oracle.solve_lp`
+    # call, whether its link's memo entry is built yet or not: entries are
+    # solved through the lp module, as the intact MCF is.  An entry is kept
+    # only for a link that is the smallest failed link of some scenario with
+    # two or more, at most one per link, stripped to its warm start; the
+    # entries go when the intact memo does.
+    solves = []
+
+    def counted(lp, start=None):
+        solves.append(start)
+        return solve_lp(lp, start=start)
+
+    monkeypatch.setattr(oracle, "solve_lp", counted)
+    for name, inst, _ in _fixture_scenarios():
+        scenarios = enumerate_scenarios(inst.topology, 3)
+        for sweep in range(2):  # the link memo cold, then warm
+            for sc in random.Random(sweep).sample(scenarios, len(scenarios)):
+                solves.clear()
+                solve_mcf(inst, sc, "throughput")
+                assert len(solves) == bool(sc.failed_links), (name, sc)
+        intact = oracle._intact_mcf(inst, "throughput")
+        chained = {min(sc.failed_links) for sc in scenarios if len(sc.failed_links) > 1}
+        assert set(intact.link_starts) == chained, name
+        for lid, start in intact.link_starts.items():
+            assert (start.primal, start.duals) == ({}, None)
+            alone = solve_lp(intact.cut((lid,)), start=intact.solution)
+            assert start.objective == alone.objective
+        oracle._memo.clear()
+        assert oracle._intact_mcf(inst, "throughput").link_starts == {}
+
+
+def test_the_memo_is_found_by_identity_before_value(monkeypatch):
+    # A repeated call finds its memo entry without hashing or comparing the
+    # instance.  An equal but distinct instance finds it by value and gets
+    # byte-identical results, from the same entry.
+    inst = four_tunnel_example()
+    scenarios = enumerate_scenarios(inst.topology, 2)
+    first = [repr(solve_mcf(inst, sc)) for sc in scenarios]
+    intact = oracle._intact_mcf(inst, "throughput")
+
+    def refused(*args):
+        raise AssertionError("the memo hashed or compared the instance")
+
+    with monkeypatch.context() as m:
+        m.setattr(type(inst), "__hash__", refused)
+        m.setattr(type(inst), "__eq__", refused)
+        assert [repr(solve_mcf(inst, sc)) for sc in scenarios] == first
+    equal = dataclasses.replace(inst)
+    assert equal is not inst and equal == inst
+    assert [repr(solve_mcf(equal, sc)) for sc in scenarios] == first
+    assert oracle._intact_mcf(equal, "throughput") is intact
+    oracle._memo.clear()
+    assert [repr(solve_mcf(equal, sc)) for sc in scenarios] == first
 
 
 def test_mcf_solve_that_is_not_optimal_is_a_solver_error(monkeypatch, capsys):
