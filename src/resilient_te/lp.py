@@ -86,7 +86,10 @@ their B0.  So a B&B node's two children, or all re-solves from one
 
 An optimal report is certified on the inverse the solve holds: after a
 pivot, |B x_B - rhs| <= 1e-10 (1 + |rhs|) and |c_B B^-1 B - c_B| <= 1e-10
-(1 + |c|) in max norms.  Otherwise the basis is refactored, and its exact
+(1 + |c|) in max norms.  Both products go through `A`, not a gathered B:
+B x_B is A z, z the basic real values in place, and y B is y A at the
+basic real columns, each plus the basic artificials' terms, art_i x_i and
+y_i art_i.  Otherwise the basis is refactored, and its exact
 point must have a primal residual and bound violations within FEAS_TOL
 (1 + |rhs|) and nonbasic reduced costs of the optimal sign to COST_TOL: on a
 basic solution, that is optimality.  A warm solve that fails solves cold
@@ -340,6 +343,12 @@ class _Standardized:
             return y @ self.A
         return np.bincount(self.nz_cols, y[self.nz_rows] * self.nz_vals, self.n_real)
 
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """`A @ x`."""
+        if not self.sparse:
+            return self.A @ x
+        return np.bincount(self.nz_rows, self.nz_vals * x[self.nz_cols], self.m)
+
     def ftran(self, M: np.ndarray, j: int) -> np.ndarray:
         """`M @ A[:, j]`, for M with m columns."""
         if not self.sparse:
@@ -507,20 +516,39 @@ class _Simplex:
             y -= (cB @ self.U[:, :k]) @ self.V[:k]
         return y
 
+    def _basis_products(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`B x_B` and `y B` without gathering B: `A z`, z the basic real
+        values in place, and `y A` at the basic real columns, each with the
+        terms of the basic artificials' columns `art[i]` e_i."""
+        std, basis, xB = self.std, self.basis, self.xB
+        real = basis < std.n_real
+        z = np.zeros(std.n_real)
+        z[basis[real]] = xB[real]
+        Bx, yB = std.times(z), np.empty(std.m)
+        yB[real] = std.price(y)[basis[real]]
+        rows = basis[~real] - std.n_real
+        Bx[rows] += self.art[rows] * xB[~real]
+        yB[~real] = y[rows] * self.art[rows]
+        return Bx, yB
+
     def certify(self) -> np.ndarray:
-        """Certify an optimal report (module docstring); returns c_B B^-1."""
+        """Certify an optimal report (module docstring); returns c_B B^-1.
+        The residuals take B x_B and c_B B^-1 B through `A` (see
+        `_basis_products`), so only a refactor gathers B."""
         std = self.std
         cB = std.c[self.basis]
         y = self._btran(cB)
         if self.pivots_since_refactor:  # else B0 and x_B are exact
-            B, rhs = self._basis_matrix(), self._rhs()
+            rhs = self._rhs()
             scale = 1.0 + np.abs(rhs).max()
-            if (np.abs(B @ self.xB - rhs).max() > 1e-10 * scale
-                    or np.abs(y @ B - cB).max() > 1e-10 * (1.0 + np.abs(std.c).max())):
+            Bx, yB = self._basis_products(y)
+            if (np.abs(Bx - rhs).max() > 1e-10 * scale
+                    or np.abs(yB - cB).max() > 1e-10 * (1.0 + np.abs(std.c).max())):
                 self._refactor()
                 y = self._btran(cB)
                 xB, n = self.xB, std.n_real
-                primal = max(np.abs(B @ xB - rhs).max(), (-xB).max(),
+                Bx, _ = self._basis_products(y)
+                primal = max(np.abs(Bx - rhs).max(), (-xB).max(),
                              (xB - self.u[self.basis]).max())
                 dual = np.max((std.c[:n] - std.price(y)) * self._directions()[:n], initial=0.0)
                 if primal > FEAS_TOL * scale or dual > COST_TOL:

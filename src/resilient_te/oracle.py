@@ -11,17 +11,22 @@ reuse.  It is looked up by identity before value, so a repeated call hashes
 nothing.  The no-failure scenario reads that solution as it is.  Any other
 scenario fails its links by setting their arcs' flow upper bounds to 0 in a
 copy of that LP, and `lp.solve_lp` re-solves the copy warm with the bounded
-dual simplex (cold if the dual loop stalls).  A scenario of one failed link
-starts from the intact optimal basis.  A scenario of two or more starts from
-the scenario of its smallest failed link id alone, whose pivots it would
-otherwise redo; the memo keeps that solution as a warm start, at most one
-per link, solved from the intact basis when a scenario first needs it.
-Every start is thus a function of the scenario alone, never of the calls
-before it, so no answer depends on the order of calls.  The memo also holds
-each link's flow variables and the (result key, variable) pairs, so a
-scenario edits and reads the LP without formatting a variable name.  The
-first re-solve caches the exact inverse of the intact optimal basis on it
-(see `lp`).
+dual simplex (cold if the dual loop stalls).
+
+A scenario starts from the scenario of one of its failed links alone, the
+busiest: the link with the most flow variables positive in the intact
+solution, ties to the smallest link id.  Each such variable is a row a
+dual re-solve from the intact basis starts infeasible in when that link
+fails (Koberstein, "The dual simplex method", 2005), so a scenario of two
+or more links starts after its heaviest repair, and a scenario of one link
+re-solves from its own start without a pivot.  The memo keeps that start
+as a warm start, at most one per link, solved from the intact basis when
+a scenario first needs it.  Every start is thus a function of the scenario
+alone, never of the calls before it, so no answer depends on the order of
+calls.  The memo also holds each link's flow variables and the (result
+key, variable) pairs, so a scenario edits and reads the LP without
+formatting a variable name.  The first re-solve caches the exact inverse of
+the intact optimal basis on it (see `lp`).
 """
 
 from __future__ import annotations
@@ -55,6 +60,9 @@ class _IntactMcf:
     flows: tuple[tuple[tuple[str, str, str], str], ...]
     #: (pair, variable of its satisfied fraction)
     satisfied: tuple[tuple[tuple[str, str], str], ...]
+    #: link id -> its chain rank, (-#its flow variables positive in the
+    #: intact solution, link id): a scenario starts from its least-ranked link
+    rank: dict[str, tuple[int, str]]
     #: link id -> the solution of the scenario that fails that link alone,
     #: kept as a warm start only (no primal, no duals); filled by `link_start`
     link_starts: dict[str, Solution] = field(default_factory=dict)
@@ -65,9 +73,10 @@ class _IntactMcf:
                                     for var in self.link_flows[lid]})
 
     def link_start(self, lid: str) -> Solution:
-        """The start of the scenarios whose smallest failed link is `lid`:
-        the scenario of `lid` alone, solved warm from the intact solution
-        through the lp module, as the intact MCF is, and memoized."""
+        """The start of the scenarios whose least-ranked failed link is
+        `lid`: the scenario of `lid` alone, solved warm from the intact
+        solution through the lp module, as the intact MCF is, and
+        memoized."""
         start = self.link_starts.get(lid)
         if start is None:
             sol = lp_layer.solve_lp(self.cut((lid,)), start=self.solution)
@@ -159,7 +168,9 @@ def _build_intact_mcf(instance: NetworkInstance, objective: str) -> _IntactMcf |
         raise SolverStallError(f"MCF solve unexpectedly {sol.status}")
     satisfied = tuple(((s, t), "Z" if objective == "demand_scale" else f"zz::{s}>{t}")
                       for (s, t) in demands)
-    return _IntactMcf(lp, sol, link_flows, flows, satisfied)
+    rank = {lid: (-sum(sol.primal[var] > 1e-9 for var in link_vars), lid)
+            for lid, link_vars in link_flows.items()}
+    return _IntactMcf(lp, sol, link_flows, flows, satisfied, rank)
 
 
 def solve_mcf(instance: NetworkInstance, scenario: Scenario, objective: str = "throughput") -> McfResult:
@@ -169,11 +180,13 @@ def solve_mcf(instance: NetworkInstance, scenario: Scenario, objective: str = "t
     demand can be scaled; "throughput" maximizes total satisfied traffic,
     capping each pair at its full demand.
 
-    A scenario with failed links re-solves warm: from the memoized
-    no-failure MCF, or with two or more failed links from the memoized
-    scenario of its smallest failed link alone (see the module docstring).
-    Either start depends on the scenario only, never on the calls before
-    it, so no answer depends on the order of calls.
+    A scenario with failed links re-solves warm from the memoized scenario
+    of its busiest failed link alone: the one with the most flow variables
+    positive in the intact solution, ties to the smallest link id (see the
+    module docstring).  A scenario of one link thus re-solves from its own
+    memo entry, without a pivot once that entry is built.  The start
+    depends on the scenario only, never on the calls before it, so no
+    answer depends on the order of calls.
     """
     if objective not in ("demand_scale", "throughput"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -185,7 +198,7 @@ def solve_mcf(instance: NetworkInstance, scenario: Scenario, objective: str = "t
         return McfResult(scenario, 0.0, {}, {})
     failed = scenario.failed_links
     if failed:
-        start = intact.link_start(min(failed)) if len(failed) > 1 else intact.solution
+        start = intact.link_start(min(failed, key=intact.rank.__getitem__))
         sol = solve_lp(intact.cut(failed), start=start)
         if sol.status != "optimal":
             raise SolverStallError(f"MCF solve unexpectedly {sol.status}")

@@ -1353,6 +1353,53 @@ def test_a_report_whose_exact_basic_point_is_not_optimal_raises(monkeypatch):
         assert reports == [1]
 
 
+def test_the_certificate_residuals_equal_the_ones_through_the_dense_basis(monkeypatch):
+    # `certify` takes B x_B and y B through the compiled matrix and the
+    # basic artificials' signed unit columns, without gathering B.  At every
+    # report of cold solves and warm re-solves, on dense and sparse forms,
+    # its residuals equal B x_B - rhs and y B - c_B through the dense B to
+    # 1e-12 relative, for the solver's own x_B and y and for random ones
+    # (a basic artificial sits at 0 in a report).  Each LP repeats some of
+    # its equality rows negated, so artificials stay basic with both signs.
+    rng = np.random.default_rng(34)
+    certify = _Simplex.certify
+    seen = {"reports": 0, "artificial +1": 0, "artificial -1": 0, "at upper": 0}
+
+    def compared(sx):
+        std, held = sx.std, sx.xB.copy()
+        B, rhs, cB = _basis_matrix(sx), sx._rhs(), std.c[sx.basis]
+        for xB, y in ((held, sx._btran(cB)), (rng.normal(size=std.m), rng.normal(size=std.m))):
+            sx.xB[...] = xB
+            Bx, yB = sx._basis_products(y)
+            assert np.all(np.abs((Bx - rhs) - (B @ xB - rhs))
+                          <= 1e-12 * (np.abs(B) @ np.abs(xB) + np.abs(rhs)))
+            assert np.all(np.abs((yB - cB) - (y @ B - cB))
+                          <= 1e-12 * (np.abs(y) @ np.abs(B) + np.abs(cB)))
+        sx.xB[...] = held
+        seen["reports"] += 1
+        art = sx.basis[sx.basis >= std.n_real] - std.n_real
+        seen["artificial +1"] += int(np.sum(sx.art[art] > 0))
+        seen["artificial -1"] += int(np.sum(sx.art[art] < 0))
+        seen["at upper"] += int(np.sum(~sx.in_basis[:std.n_real] & sx.at_upper[:std.n_real]))
+        return certify(sx)
+
+    for m in (12, 20, SPARSE_MIN_ROWS // 2, SPARSE_MIN_ROWS):
+        lp = _sparse_lp(rng, m)
+        for row in list(lp._rows):
+            if row.sense == "=" and rng.random() < 0.5:
+                lp.add_row({lp._vars[j].name: -c for j, c in row.coeffs.items()}, "=", -row.rhs)
+        edited = lp.with_bounds({v.name: (v.lb, v.lb + float(rng.choice([0.0, 0.5])))
+                                 for v in lp._vars if rng.random() < 0.2})
+        lb, ub = np.array([v.lb for v in edited._vars]), np.array([v.ub for v in edited._vars])
+        for std in _both_forms(lp, monkeypatch):
+            with monkeypatch.context() as patch:
+                patch.setattr(_Simplex, "certify", compared)
+                cold = _solve_relaxation(lp, std)
+                assert cold.status == "optimal"
+                _solve_relaxation(edited, std.rebound(lb, ub), cold.basis)
+    assert seen["reports"] >= 16 and min(seen.values()) > 0, seen
+
+
 def test_optimal_flow_lp_solutions_satisfy_their_rows_and_duality():
     # Checked from `sol.primal` against the LP's own rows and bounds, not
     # the compiled form, for cold solves and warm re-solves after bound

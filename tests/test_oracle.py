@@ -176,11 +176,10 @@ def test_flow_on_a_failed_link_is_never_reported(monkeypatch):
 
 
 def test_mcf_results_do_not_depend_on_call_order():
-    # A scenario starts from the intact basis, or, with two or more failed
-    # links, from the memoized scenario of its smallest failed link alone,
-    # which is itself solved from the intact basis: never from whichever
-    # scenario came before.  So neither the order of calls nor a rebuilt
-    # memo changes a bit, at k = 2 and at k = 3.
+    # A scenario starts from the memoized scenario of its busiest failed
+    # link alone, which is itself solved from the intact basis: never from
+    # whichever scenario came before.  So neither the order of calls nor a
+    # rebuilt memo changes a bit, at k = 2 and at k = 3.
     rng = random.Random(7)
     for name, inst, _ in _fixture_scenarios():
         for k in (2, 3):
@@ -196,13 +195,24 @@ def test_mcf_results_do_not_depend_on_call_order():
                     (name, k, objective)
 
 
+def _load(intact, lid):
+    """The flow variables of link `lid` positive in the intact solution:
+    counted here from the intact primal, not read from the memo's ranks."""
+    return sum(intact.solution.primal[var] > 1e-9 for var in intact.link_flows[lid])
+
+
+def _busiest(intact, failed):
+    """The failed link of the largest `_load`, ties to the smallest id."""
+    return min(sorted(failed), key=lambda lid: -_load(intact, lid))
+
+
 def test_each_scenario_makes_one_solve_and_the_link_memo_keeps_one_entry_per_link(monkeypatch):
     # Every scenario with a failed link makes exactly one `oracle.solve_lp`
     # call, whether its link's memo entry is built yet or not: entries are
     # solved through the lp module, as the intact MCF is.  An entry is kept
-    # only for a link that is the smallest failed link of some scenario with
-    # two or more, at most one per link, stripped to its warm start; the
-    # entries go when the intact memo does.
+    # only for a link that is the busiest failed link of some scenario (a
+    # single-link scenario's own link among them), at most one per link,
+    # stripped to its warm start; the entries go when the intact memo does.
     solves = []
 
     def counted(lp, start=None):
@@ -218,7 +228,7 @@ def test_each_scenario_makes_one_solve_and_the_link_memo_keeps_one_entry_per_lin
                 solve_mcf(inst, sc, "throughput")
                 assert len(solves) == bool(sc.failed_links), (name, sc)
         intact = oracle._intact_mcf(inst, "throughput")
-        chained = {min(sc.failed_links) for sc in scenarios if len(sc.failed_links) > 1}
+        chained = {_busiest(intact, sc.failed_links) for sc in scenarios if sc.failed_links}
         assert set(intact.link_starts) == chained, name
         for lid, start in intact.link_starts.items():
             assert (start.primal, start.duals) == ({}, None)
@@ -226,6 +236,56 @@ def test_each_scenario_makes_one_solve_and_the_link_memo_keeps_one_entry_per_lin
             assert start.objective == alone.objective
         oracle._memo.clear()
         assert oracle._intact_mcf(inst, "throughput").link_starts == {}
+
+
+def test_a_scenario_starts_from_its_busiest_failed_link_ties_to_the_smallest_id(monkeypatch):
+    # A scenario of two or three failed links starts from the memo entry of
+    # the failed link with the most flow variables positive in the intact
+    # solution, the smallest id among equals: on the fixtures, some of those
+    # links are not the smallest failed id, and some win a tie.
+    starts = []
+
+    def recorded(lp, start=None):
+        starts.append(start)
+        return solve_lp(lp, start=start)
+
+    monkeypatch.setattr(oracle, "solve_lp", recorded)
+    seen = {"not smallest": 0, "tie": 0}
+    for name, inst, _ in _fixture_scenarios():
+        for objective in ("throughput", "demand_scale"):
+            intact = oracle._intact_mcf(inst, objective)
+            for sc in enumerate_scenarios(inst.topology, 3):
+                if len(sc.failed_links) < 2:
+                    continue
+                starts.clear()
+                solve_mcf(inst, sc, objective)
+                busiest = _busiest(intact, sc.failed_links)
+                assert starts == [intact.link_starts[busiest]], (name, objective, sc)
+                loads = sorted(_load(intact, lid) for lid in sc.failed_links)
+                seen["not smallest"] += busiest != min(sc.failed_links)
+                seen["tie"] += loads[-1] == loads[-2] and loads[-1] > 0
+    assert min(seen.values()) > 0, seen
+
+
+def test_a_single_link_scenario_on_a_warm_memo_takes_no_pivot(monkeypatch):
+    # A scenario of one failed link re-solves from its own memo entry: once
+    # the entry is built, its one solve reports pivots (0, 0).
+    pivots = []
+
+    def recorded(lp, start=None):
+        sol = solve_lp(lp, start=start)
+        pivots.append(sol.pivots)
+        return sol
+
+    monkeypatch.setattr(oracle, "solve_lp", recorded)
+    for name, inst, _ in _fixture_scenarios():
+        singles = [sc for sc in enumerate_scenarios(inst.topology, 1) if sc.failed_links]
+        for objective in ("throughput", "demand_scale"):
+            for sweep in range(2):  # the link memo cold, then warm
+                pivots.clear()
+                for sc in singles:
+                    solve_mcf(inst, sc, objective)
+            assert pivots == [(0, 0)] * len(singles), (name, objective)
 
 
 def test_the_memo_is_found_by_identity_before_value(monkeypatch):
