@@ -119,8 +119,10 @@ def select_tunnels(topo: Topology, pair: tuple[str, str], count: int,
     Iterative shortest paths on a residual graph with used links removed;
     once disjointness is exhausted, paths minimize overlap with links
     already used, then hops, then lexicographic node order.  Disconnected
-    pairs yield an empty tuple.
+    pairs yield an empty tuple; a negative `count` raises ValueError.
     """
+    if count < 0:
+        raise ValueError(f"tunnel count {count} is negative")
     src, dst = pair
     prefix = id_prefix if id_prefix is not None else f"tn::{src}>{dst}"
     used: set[str] = set()

@@ -848,8 +848,7 @@ def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Start | Non
     return Solution("optimal", float(obj), primal, (std.obj_sign * y).tolist(), pivots, basis)
 
 
-def solve_mip(lp: LinearProgram, node_budget: int = 100_000,
-              cutoff: float | None = None) -> Solution:
+def solve_mip(lp: LinearProgram, node_budget: int = 100_000) -> Solution:
     """Branch and bound over the binary variables of `lp`.
 
     Best-bound node selection with reliability branching.  Each binary keeps
@@ -858,12 +857,14 @@ def solve_mip(lp: LinearProgram, node_budget: int = 100_000,
     removed.  At a node, every fractional binary not yet observed in both
     directions is strong-branched, most fractional first (ties to the
     lowest index): both its children are solved.  If one of them is
-    infeasible or cannot beat the incumbent or cutoff, the node branches on
-    that binary at once; otherwise on the largest
+    infeasible or cannot beat the incumbent, the node branches on that
+    binary at once; otherwise on the largest
     `max(f * psi_down, 1e-6) * max((1 - f) * psi_up, 1e-6)` over its
     fractional binaries, ties to the lowest index, reusing the children that
     strong branching solved.  A solved relaxation that is integral and beats
-    the incumbent or cutoff becomes the incumbent at once.
+    the incumbent becomes the incumbent at once; the search starts with
+    none, so "infeasible" means that no 0/1 fixing of the binaries is
+    feasible.
 
     The root relaxation is solved cold; each child is re-solved warm from
     its parent's `Solution.basis`, as by `solve_lp(start=)`.  The returned
@@ -873,17 +874,13 @@ def solve_mip(lp: LinearProgram, node_budget: int = 100_000,
     (carrying the incumbent, if any) is raised when it is exhausted before
     the tree is.
 
-    `cutoff` declares a known achievable objective: subtrees that cannot
-    strictly beat it are pruned, and "infeasible" is returned when nothing
-    better exists (the caller already holds the cutoff solution).
-
     An LP without binaries is its own root: its relaxation is integral.
     """
     bin_idx = [lp._index[name] for name in lp.binary_vars()]
     # Search in min orientation: key = sign * objective, and `best` is the
-    # key to beat, first the cutoff's, then the incumbent's.
+    # incumbent's key.
     sign = 1.0 if lp.sense == "min" else -1.0
-    best = INF if cutoff is None else sign * cutoff
+    best = INF
 
     root = _solve_relaxation(lp, _Standardized(lp))
     if root.status != "optimal":

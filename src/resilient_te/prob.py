@@ -357,56 +357,18 @@ def _connected_mass(pinst: ProbabilisticInstance, unit: ProbUnit) -> float:
 # Direct MIP: joint critical-scenario selection and routing.
 
 
-def selection_from_losses(pinst: ProbabilisticInstance,
-                          allocs: list[ScenarioAlloc]) -> dict[tuple[str, int], float]:
-    """Greedy per-unit critical sets for a fixed routing: lowest losses
-    first, until the unit's probability target is covered."""
-    selection = {}
-    for u in pinst.units:
-        order = sorted(range(len(pinst.scenarios)),
-                       key=lambda q: (allocs[q].unit_loss[u.id], q))
-        mass = 0.0
-        chosen = set()
-        for q in order:
-            if mass >= u.beta - 1e-9:
-                break
-            chosen.add(q)
-            mass += pinst.probs[q]
-        for q in range(len(pinst.scenarios)):
-            selection[(u.id, q)] = 1.0 if q in chosen else 0.0
-    return selection
-
-
-def _objective_value(pinst: ProbabilisticInstance, report: LossReport) -> float:
-    """The worst threshold-adjusted percentile loss, which is what the
-    MIP and the Benders bound certify."""
-    return max((max(0.0, report.flow_loss[u.id] - u.threshold) for u in pinst.units),
-               default=0.0)
-
-
 def solve_direct_mip(pinst: ProbabilisticInstance,
                      ) -> tuple[list[ScenarioAlloc], CriticalSelection, LossReport]:
     """Minimize the worst per-unit percentile loss by choosing critical
-    scenarios and a per-scenario routing jointly.
+    scenarios and a per-scenario routing jointly, as one MIP solved by
+    `solve_mip` with no incumbent in front of its branch and bound.
 
-    A connectivity-based warm start (route every scenario for its connected
-    units, then pick each unit's best scenarios) supplies an incumbent bound
-    so the search only explores strictly better selections.  Raises
-    InfeasibleTargetError, as the Benders loop does, when a unit is connected
-    in less probability mass than its target.
+    Raises InfeasibleTargetError, as the Benders loop does, when a unit is
+    connected in less probability mass than its target.
     """
     check_availability(pinst)
     units = pinst.units
     Q = range(len(pinst.scenarios))
-    z0 = connectivity_selection(pinst)
-    warm_allocs = [
-        benders_subproblem(pinst, q, {u.id: z0[(u.id, q)] for u in units}).alloc
-        for q in Q
-    ]
-    warm_report = percentile_analysis(warm_allocs, pinst)
-    warm = (warm_allocs, CriticalSelection(selection_from_losses(pinst, warm_allocs)),
-            warm_report, _objective_value(pinst, warm_report))
-
     lp = LinearProgram(name="pct-loss-mip")
     lp.add_var("alpha")
     for u in units:
@@ -422,19 +384,13 @@ def solve_direct_mip(pinst: ProbabilisticInstance,
             lp.add_row({"alpha": 1.0, f"l::{u.id}::{q}": -1.0, f"z::{u.id}::{q}": -1.0},
                        ">=", -1.0 - u.threshold, name=f"lossbound:{u.id}:{q}")
     lp.set_objective({"alpha": 1.0}, "min")
-    sol = solve_mip(lp, cutoff=warm[3])
+    sol = solve_mip(lp)
     if sol.status != "optimal":
-        if sol.status == "infeasible":
-            # nothing beats the warm start, so it is optimal
-            return warm[0], warm[1], warm[2]
         raise RuntimeError(f"direct MIP reported {sol.status}")
     allocs = [_read_alloc(sol, pinst, q, f"::{q}") for q in Q]
     selection = CriticalSelection(
         {(u.id, q): round(sol.value(f"z::{u.id}::{q}")) * 1.0 for u in units for q in Q})
-    report = percentile_analysis(allocs, pinst)
-    if warm[3] < _objective_value(pinst, report) - 1e-12:
-        return warm[0], warm[1], warm[2]
-    return allocs, selection, report
+    return allocs, selection, percentile_analysis(allocs, pinst)
 
 
 # --------------------------------------------------------------------------
@@ -575,14 +531,21 @@ def benders_master(pinst: ProbabilisticInstance, cuts: list[Cut], *,
     return selection, max(0.0, sol.objective)
 
 
-def benders_run(pinst: ProbabilisticInstance, max_iterations: int = 5, *,
-                prune_perfect: bool = True,
+def _objective_value(pinst: ProbabilisticInstance, report: LossReport) -> float:
+    """The worst threshold-adjusted percentile loss, which is what the
+    MIP and the Benders bound certify."""
+    return max((max(0.0, report.flow_loss[u.id] - u.threshold) for u in pinst.units),
+               default=0.0)
+
+
+def benders_run(pinst: ProbabilisticInstance, max_iterations: int = 5,
                 ) -> tuple[list[ScenarioAlloc], LossReport, BendersState]:
     """Iterate master and per-scenario subproblems until the bound certifies
     the incumbent or the iteration budget runs out.
 
-    Starts from the connectivity selection; perfect-scenario pruning (off
-    with `prune_perfect=False`) pins the scenarios that are lossless there.
+    Starts from the connectivity selection and pins the perfect scenarios,
+    those lossless there: their cuts could never bind, so they are solved
+    once and get no cut.
     Each iteration solves one master: its value is the certified bound, and
     its selection is the next one consumed.  The loop cannot cycle: a
     selection consumed before has its tangent cuts in the master, which
@@ -608,13 +571,11 @@ def benders_run(pinst: ProbabilisticInstance, max_iterations: int = 5, *,
         return solved[q, column]
 
     z = connectivity_selection(pinst)
-    # Perfect scenarios: lossless at the connectivity selection; their cuts
-    # are never binding, so they are solved once and pinned.
     perfect: dict[int, ScenarioAlloc] = {}
     fixed: dict[tuple[str, int], float] = {}
     for q in Q:
         res = subproblem(q, z)
-        if prune_perfect and res.alpha <= 1e-9:
+        if res.alpha <= 1e-9:
             perfect[q] = res.alloc
             for u in units:
                 if pinst.connected[(u.id, q)]:

@@ -264,6 +264,16 @@ def test_cli_gen_demands_and_tunnels(tmp_path):
     assert gd.demands
 
 
+def test_cli_gen_tunnels_refuses_a_negative_count(capsys):
+    # A negative count must not write the instance with every tunnel deleted.
+    assert main(["--fixture", "four-tunnel", "gen", "tunnels", "--count", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: USAGE") and "-1" in captured.err
+    assert main(["--fixture", "four-tunnel", "gen", "tunnels", "--count", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["tunnels"] == []
+
+
 def test_cli_rejects_a_malformed_seed_variable(monkeypatch, capsys):
     assert main(["--fixture", "four-tunnel", "gen", "demands", "--seed", "3"]) == 0
     explicit = capsys.readouterr().out

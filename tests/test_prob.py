@@ -461,6 +461,8 @@ def test_benders_cvar_topo_and_initial_dominance():
 
 
 def test_perfect_scenario_pruning_is_neutral():
+    # Benders pins the scenarios lossless at the connectivity selection and
+    # still certifies the direct MIP's optimum.
     for seed in (0, 1):
         inst = random_instance(seed, n_nodes=4, extra_links=2, n_pairs=2,
                                tunnels_per_pair=2)
@@ -469,14 +471,17 @@ def test_perfect_scenario_pruning_is_neutral():
                                tunnels=inst.tunnels)
         scens = enumerate_prob_scenarios(topo, cutoff=1e-4)
         pinst = ProbabilisticInstance(inst, scens, beta=design_beta(pinst=ProbabilisticInstance(inst, scens, beta=0.5)))
-        a = benders_run(pinst, 4, prune_perfect=True)[2]
-        b = benders_run(pinst, 4, prune_perfect=False)[2]
-        assert a.incumbent == pytest.approx(b.incumbent, abs=1e-6)
+        state = benders_run(pinst, 4)[2]
+        _, _, direct = solve_direct_mip(pinst)
+        assert state.lower_bound >= state.incumbent - 1e-6
+        assert state.incumbent == pytest.approx(direct.max_flow_pct_loss, abs=1e-6)
 
 
 def test_benders_solves_each_scenario_column_once(monkeypatch):
     # A (scenario, selection column) seen before reuses its subproblem, and
     # its cut is appended again, so the masters see what re-solves gave.
+    # Perfect scenarios are solved once, at the connectivity selection, and
+    # give no cut.
     calls, solve = [], prob.benders_subproblem
 
     def spy(pinst, q, z_col):
@@ -484,16 +489,17 @@ def test_benders_solves_each_scenario_column_once(monkeypatch):
         return solve(pinst, q, z_col)
 
     monkeypatch.setattr(prob, "benders_subproblem", spy)
-    for pinst in (make_pinst(), make_pinst(cutoff=1e-4, beta=0.9)):
+    for pinst in (make_pinst(), make_pinst(cutoff=1e-4, beta=0.9), thirty_scenario_pinst(1)):
         calls.clear()
-        state = benders_run(pinst, 5, prune_perfect=False)[2]
+        state = benders_run(pinst, 5)[2]
         assert len(calls) == len(set(calls))
-        assert len(state.cuts) == len(pinst.scenarios) * len(state.incumbent_history)
-        assert len(calls) <= len(state.cuts)
-        # The first cuts are those of the connectivity selection, solved once.
-        first = len(pinst.scenarios)
-        for cut, (q, z_col) in zip(state.cuts[:first], calls[:first]):
-            assert cut == solve(pinst, q, dict(z_col)).cut
+        # The first calls route the connectivity selection; the first cuts
+        # are those of its scenarios that are not perfect.
+        first = [solve(pinst, q, dict(z_col)) for q, z_col in calls[:len(pinst.scenarios)]]
+        cuts = [res.cut for res in first if res.alpha > 1e-9]
+        assert state.cuts[:len(cuts)] == cuts
+        assert len(state.cuts) == len(cuts) * len(state.incumbent_history)
+        assert len(calls) - (len(first) - len(cuts)) <= len(state.cuts)
 
 
 def thirty_scenario_pinst(seed):
@@ -517,6 +523,29 @@ def test_benders_certifies_a_thirty_scenario_instance_within_five_iterations():
     _, _, state = benders_run(thirty_scenario_pinst(2))
     assert state.lower_bound >= state.incumbent - 1e-6
     assert state.incumbent == pytest.approx(0.396997, abs=1e-6)
+
+
+def test_direct_mip_solves_no_benders_subproblem(monkeypatch):
+    # The MIP is its own search: no Benders round runs in front of it.
+    calls, solve = [], prob.benders_subproblem
+
+    def spy(pinst, q, z_col):
+        calls.append(q)
+        return solve(pinst, q, z_col)
+
+    monkeypatch.setattr(prob, "benders_subproblem", spy)
+    for pinst in (make_pinst(), make_pinst(cutoff=1e-4, beta=0.9)):
+        _, selection, _ = solve_direct_mip(pinst)
+        assert selection.covers(pinst)
+    assert calls == []
+
+
+def test_direct_mip_solves_a_thirty_scenario_instance():
+    # Benders certifies the same optimum on this instance.
+    pinst = thirty_scenario_pinst(2)
+    _, selection, report = solve_direct_mip(pinst)
+    assert selection.covers(pinst)
+    assert report.max_flow_pct_loss == pytest.approx(0.396997, abs=1e-6)
 
 
 def test_benders_never_consumes_a_selection_twice(monkeypatch):
