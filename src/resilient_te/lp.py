@@ -120,6 +120,8 @@ COST_TOL = 1e-9
 INT_TOL = 1e-6
 DEGENERATE_RUN_LIMIT = 40
 REFACTOR_EVERY = 150
+# Branch-and-bound relaxations below the root that `solve_mip` may solve.
+NODE_BUDGET = 100_000
 # Forms with this many rows price and update over their nonzeros.  Replayed
 # on the benchmark's LPs, the sparse kernels took 1.2-1.4x the dense time
 # below 96 rows, broke even at 96-111, and won from 112 (0.6x at 271).
@@ -848,7 +850,7 @@ def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Start | Non
     return Solution("optimal", float(obj), primal, (std.obj_sign * y).tolist(), pivots, basis)
 
 
-def solve_mip(lp: LinearProgram, node_budget: int = 100_000) -> Solution:
+def solve_mip(lp: LinearProgram) -> Solution:
     """Branch and bound over the binary variables of `lp`.
 
     Best-bound node selection with reliability branching.  Each binary keeps
@@ -870,7 +872,7 @@ def solve_mip(lp: LinearProgram, node_budget: int = 100_000) -> Solution:
     its parent's `Solution.basis`, as by `solve_lp(start=)`.  The returned
     solution has no duals and no basis; its pivots are those of every
     relaxation solved.  Every relaxation below the root, strong-branching
-    ones included, counts toward `node_budget`; BudgetExceededError
+    ones included, counts toward NODE_BUDGET; BudgetExceededError
     (carrying the incumbent, if any) is raised when it is exhausted before
     the tree is.
 
@@ -922,10 +924,10 @@ def solve_mip(lp: LinearProgram, node_budget: int = 100_000) -> Solution:
         out = []
         for up in (0, 1):
             nodes += 1
-            if nodes > node_budget:
+            if nodes > NODE_BUDGET:
                 if incumbent is not None:
                     incumbent.pivots = tuple(pivots)
-                raise BudgetExceededError(f"node budget {node_budget} exceeded", incumbent)
+                raise BudgetExceededError(f"node budget {NODE_BUDGET} exceeded", incumbent)
             lb, ub = node.std.lb.copy(), node.std.ub.copy()
             lb[j] = ub[j] = float(up)
             sol = _solve_relaxation(lp, node.std.rebound(lb, ub), node)

@@ -5,10 +5,13 @@ probability; the routing only needs to keep the flow's loss under the
 objective in those scenarios.  The joint selection-and-routing problem is a
 MIP; it also decomposes into a master over selections plus one small LP per
 scenario whose duals yield valid tangent cuts, since the inner optimum is
-convex in the selection.
+convex in the selection.  The MIP and the master share one selection
+model (`_selection_lp`).
 
 All of an instance's subproblems are bound edits of one LP, solved cold
 once per instance and re-solved warm per scenario (see `benders_subproblem`).
+The three CVaR baselines share one block of losses and routing rows and
+put one Rockafellar-Uryasev tail on each loss series (see `solve_cvar`).
 """
 
 from __future__ import annotations
@@ -331,21 +334,27 @@ def _scenario_rows(lp: LinearProgram, pinst: ProbabilisticInstance, q: int, sfx:
 
 
 def _read_alloc(sol: Solution, pinst: ProbabilisticInstance, q: int, sfx: str,
-                static: bool = False, pair_losses: bool = False) -> ScenarioAlloc:
+                static: bool = False) -> ScenarioAlloc:
     """Scenario q's positive allocations, from the shared x::{tunnel} when
-    `static`, and each unit's loss clipped into [0, 1]: l::{unit}{sfx}, or
-    with `pair_losses` the worst pl::{q}::{pair} of its members with demand."""
+    `static`, and each unit's loss: l::{unit}{sfx} clipped into [0, 1] and
+    scaled, per member pair with demand, down to the shortfall the pair's
+    live tunnels leave, the worst member pair counting.  Only a demand row
+    bounds a loss from below, so a loss no objective term presses on may
+    sit anywhere up to 1."""
     tunnels, x_sfx = (pinst.instance.tunnels, "") if static else (pinst.routed[q], sfx)
     alloc = {}
     for t in tunnels:
         v = sol.value(f"x::{t.id}{x_sfx}")
         if v > 1e-12:
             alloc[t.id] = v
-    losses = {}
-    for u in pinst.units:
-        names = ([f"pl::{q}::{a}>{b}" for (a, b), d in u.members if d > 0] if pair_losses
-                 else [f"l::{u.id}{sfx}"])
-        losses[u.id] = min(1.0, max(0.0, max((sol.value(n, 1.0) for n in names), default=0.0)))
+    read = {u.id: min(1.0, max(0.0, sol.value(f"l::{u.id}{sfx}"))) for u in pinst.units}
+    losses = dict.fromkeys(read, 0.0)
+    for pair, (total, shares) in pinst.pair_demand.items():
+        short = total - sum(alloc.get(t.id, 0.0) for t in pinst.live[q][pair])
+        charged = sum(d * read[uid] for uid, d in shares.items())
+        scale = min(1.0, max(0.0, short) / charged) if charged > 0 else 0.0
+        for uid in shares:
+            losses[uid] = max(losses[uid], read[uid] * scale)
     return ScenarioAlloc(alloc, losses)
 
 
@@ -354,42 +363,64 @@ def _connected_mass(pinst: ProbabilisticInstance, unit: ProbUnit) -> float:
 
 
 # --------------------------------------------------------------------------
-# Direct MIP: joint critical-scenario selection and routing.
+# The selection model: which scenarios are critical for which unit.  The
+# direct MIP adds the routing to it, the Benders master cuts in its place.
+
+
+def _selection_lp(pinst: ProbabilisticInstance, name: str,
+                  fixed: dict[tuple[str, int], float] | None = None) -> LinearProgram:
+    """min alpha over binaries z::{unit}::{q} (q is critical for the unit),
+    each unit's critical scenarios covering its beta (row avail:{unit}),
+    with `fixed` as in `benders_master`."""
+    check_availability(pinst)
+    Q = range(len(pinst.scenarios))
+    fixed = dict(fixed or {})
+    fixed.update({key: 0.0 for key, ok in pinst.connected.items() if not ok})
+    lp = LinearProgram(name=name)
+    lp.add_var("alpha")
+    for u in pinst.units:
+        for q in Q:
+            lb, ub = (fixed[u.id, q],) * 2 if (u.id, q) in fixed else (0.0, 1.0)
+            lp.add_var(f"z::{u.id}::{q}", lb, ub, binary=True)
+        lp.add_row({f"z::{u.id}::{q}": pinst.probs[q] for q in Q}, ">=", u.beta,
+                   name=f"avail:{u.id}")
+    lp.set_objective({"alpha": 1.0}, "min")
+    return lp
+
+
+def _solve_selection(lp: LinearProgram, pinst: ProbabilisticInstance,
+                     ) -> tuple[Solution, CriticalSelection]:
+    sol = solve_mip(lp)
+    if sol.status != "optimal":
+        raise RuntimeError(f"{lp.name} reported {sol.status}")
+    return sol, CriticalSelection({(u.id, q): round(sol.value(f"z::{u.id}::{q}")) * 1.0
+                                   for u in pinst.units for q in range(len(pinst.scenarios))})
 
 
 def solve_direct_mip(pinst: ProbabilisticInstance,
                      ) -> tuple[list[ScenarioAlloc], CriticalSelection, LossReport]:
     """Minimize the worst per-unit percentile loss by choosing critical
     scenarios and a per-scenario routing jointly, as one MIP solved by
-    `solve_mip` with no incumbent in front of its branch and bound.
+    `solve_mip` with no incumbent in front of its branch and bound: the
+    selection model plus each scenario's routing and the rows
+    alpha >= l + z - 1 - threshold.
 
     Raises InfeasibleTargetError, as the Benders loop does, when a unit is
     connected in less probability mass than its target.
     """
-    check_availability(pinst)
-    units = pinst.units
+    lp = _selection_lp(pinst, "direct MIP")
     Q = range(len(pinst.scenarios))
-    lp = LinearProgram(name="pct-loss-mip")
-    lp.add_var("alpha")
-    for u in units:
+    for u in pinst.units:
         for q in Q:
-            lp.add_var(f"z::{u.id}::{q}", binary=True)
             lp.add_var(f"l::{u.id}::{q}", 0.0, 1.0)
     for q in Q:
         _scenario_rows(lp, pinst, q, f"::{q}")
-    for u in units:
-        lp.add_row({f"z::{u.id}::{q}": pinst.probs[q] for q in Q}, ">=", u.beta,
-                   name=f"avail:{u.id}")
+    for u in pinst.units:
         for q in Q:
             lp.add_row({"alpha": 1.0, f"l::{u.id}::{q}": -1.0, f"z::{u.id}::{q}": -1.0},
                        ">=", -1.0 - u.threshold, name=f"lossbound:{u.id}:{q}")
-    lp.set_objective({"alpha": 1.0}, "min")
-    sol = solve_mip(lp)
-    if sol.status != "optimal":
-        raise RuntimeError(f"direct MIP reported {sol.status}")
+    sol, selection = _solve_selection(lp, pinst)
     allocs = [_read_alloc(sol, pinst, q, f"::{q}") for q in Q]
-    selection = CriticalSelection(
-        {(u.id, q): round(sol.value(f"z::{u.id}::{q}")) * 1.0 for u in units for q in Q})
     return allocs, selection, percentile_analysis(allocs, pinst)
 
 
@@ -495,39 +526,19 @@ def check_availability(pinst: ProbabilisticInstance) -> None:
 def benders_master(pinst: ProbabilisticInstance, cuts: list[Cut], *,
                    fixed: dict[tuple[str, int], float] | None = None,
                    ) -> tuple[CriticalSelection, float]:
-    """Selection minimizing the cut envelope, subject to availability.
+    """Selection minimizing the cut envelope: the selection model with
+    alpha above every cut.
 
     `fixed` maps (unit, scenario) to a forced value; disconnected pairs are
     always forced to 0.
     """
-    check_availability(pinst)
-    units = pinst.units
-    Q = range(len(pinst.scenarios))
-    fixed = dict(fixed or {})
-    for key, ok in pinst.connected.items():
-        if not ok:
-            fixed[key] = 0.0
-
-    lp = LinearProgram(name="master")
-    lp.add_var("alpha")
-    for u in units:
-        for q in Q:
-            lb, ub = (fixed[u.id, q],) * 2 if (u.id, q) in fixed else (0.0, 1.0)
-            lp.add_var(f"z::{u.id}::{q}", lb, ub, binary=True)
-    for u in units:
-        lp.add_row({f"z::{u.id}::{q}": pinst.probs[q] for q in Q}, ">=", u.beta,
-                   name=f"avail:{u.id}")
+    lp = _selection_lp(pinst, "master", fixed)
     for c_idx, cut in enumerate(cuts):
         coeffs = {"alpha": 1.0}
         for uid, w in cut.coeff.items():
             coeffs[f"z::{uid}::{cut.scenario_index}"] = -w
         lp.add_row(coeffs, ">=", cut.const, name=f"cut:{c_idx}")
-    lp.set_objective({"alpha": 1.0}, "min")
-    sol = solve_mip(lp)
-    if sol.status != "optimal":
-        raise RuntimeError(f"master reported {sol.status}")
-    selection = CriticalSelection({(u.id, q): round(sol.value(f"z::{u.id}::{q}")) * 1.0
-                                   for u in units for q in Q})
+    sol, selection = _solve_selection(lp, pinst)
     return selection, max(0.0, sol.objective)
 
 
@@ -636,61 +647,45 @@ def solve_cvar(pinst: ProbabilisticInstance, variant: str = "flow_adaptive",
         raise ValueError(f"unknown CVaR variant {variant!r}")
     if not pinst.beta < 1:
         raise ValueError(f"CVaR needs beta < 1, got {pinst.beta}")
-    units = pinst.units
     Q = range(len(pinst.scenarios))
-    probs = pinst.probs
-    beta = pinst.beta
     lp = LinearProgram(name=f"cvar:{variant}")
     lp.add_var("theta", -1.0)
-
     static = variant != "flow_adaptive"
     if static:
         for t in pinst.instance.tunnels:
             lp.add_var(f"x::{t.id}")
         _capacity_rows(lp, pinst, pinst.instance.tunnels, "", "static")
+    for u in pinst.units:
+        for q in Q:
+            lp.add_var(f"l::{u.id}::{q}", 0.0, 1.0)
 
     if variant == "scen_static":
-        # CVaR of the per-scenario worst loss across pairs.
-        pairs = pinst.pairs()
-        lp.add_var("var_anchor", -1.0)
+        # One series: each scenario's worst unit loss.
+        series = {"scen": [lp.add_var(f"sl::{q}", 0.0, 1.0) for q in Q]}
         for q in Q:
-            lp.add_var(f"sl::{q}", 0.0, 1.0)
-            lp.add_var(f"s::{q}")
-            lp.add_row({f"s::{q}": 1.0, f"sl::{q}": -1.0, "var_anchor": 1.0},
-                       ">=", 0.0, name=f"tail:{q}")
-            for pair in pairs:
-                pl = f"pl::{q}::{pair[0]}>{pair[1]}"
-                lp.add_var(pl, 0.0, 1.0)
-                lp.add_row({f"sl::{q}": 1.0, pl: -1.0}, ">=", 0.0, name=f"worst:{q}:{pair}")
-                D = sum(d for u in units for (p2, d) in u.members if p2 == pair)
-                coeffs = {pl: D}
-                for t in pinst.live[q][pair]:
-                    coeffs[f"x::{t.id}"] = coeffs.get(f"x::{t.id}", 0.0) + 1.0
-                lp.add_row(coeffs, ">=", D, name=f"demand:{q}:{pair}")
-        lp.add_row({"theta": 1.0, "var_anchor": -1.0,
-                    **{f"s::{q}": -probs[q] / (1 - beta) for q in Q}}, ">=", 0.0,
-                   name="cvar")
+            for u in pinst.units:
+                lp.add_row({f"sl::{q}": 1.0, f"l::{u.id}::{q}": -1.0}, ">=", 0.0,
+                           name=f"worst:{q}:{u.id}")
     else:
-        # Per-unit CVaR.
-        for u in units:
-            lp.add_var(f"anchor::{u.id}", -1.0)
-            tail = {"theta": 1.0, f"anchor::{u.id}": -1.0}
-            for q in Q:
-                lp.add_var(f"l::{u.id}::{q}", 0.0, 1.0)
-                lp.add_var(f"s::{u.id}::{q}")
-                lp.add_row({f"s::{u.id}::{q}": 1.0, f"anchor::{u.id}": 1.0,
-                            f"l::{u.id}::{q}": -1.0}, ">=", 0.0, name=f"tail:{u.id}:{q}")
-                tail[f"s::{u.id}::{q}"] = -probs[q] / (1 - beta)
-            lp.add_row(tail, ">=", 0.0, name=f"cvar:{u.id}")
-        for q in Q:
-            if static:
-                _demand_rows(lp, pinst, pinst.live[q], str(q), f"::{q}", "")
-            else:
-                _scenario_rows(lp, pinst, q, f"::{q}")
+        series = {u.id: [f"l::{u.id}::{q}" for q in Q] for u in pinst.units}
+    # theta >= anchor + sum_q p_q s_q / (1 - beta), s_q >= loss_q - anchor,
+    # per series: at its optimal anchor, the series' CVaR.
+    for key, losses in series.items():
+        anchor = lp.add_var(f"anchor::{key}", -1.0)
+        tail = {"theta": 1.0, anchor: -1.0}
+        for q, loss in zip(Q, losses):
+            s = lp.add_var(f"s::{key}::{q}")
+            lp.add_row({s: 1.0, anchor: 1.0, loss: -1.0}, ">=", 0.0, name=f"tail:{key}:{q}")
+            tail[s] = -pinst.probs[q] / (1 - pinst.beta)
+        lp.add_row(tail, ">=", 0.0, name=f"cvar:{key}")
+    for q in Q:
+        if static:
+            _demand_rows(lp, pinst, pinst.live[q], str(q), f"::{q}", "")
+        else:
+            _scenario_rows(lp, pinst, q, f"::{q}")
     lp.set_objective({"theta": 1.0}, "min")
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise RuntimeError(f"{variant} CVaR reported {sol.status}")
-    allocs = [_read_alloc(sol, pinst, q, f"::{q}", static, variant == "scen_static")
-              for q in Q]
+    allocs = [_read_alloc(sol, pinst, q, f"::{q}", static) for q in Q]
     return allocs, percentile_analysis(allocs, pinst), float(sol.objective)

@@ -52,7 +52,6 @@ class ReservationMatrix:
     demand_by_dest: dict[str, np.ndarray]
     live_tunnels: dict[Pair, list[Tunnel]]
     active_sequences: dict[Pair, list[LogicalSequence]]
-    reservation: ReservationPlan
 
 
 @dataclass
@@ -128,7 +127,7 @@ def build_reservation_matrix(plan: ReservationPlan, instance: NetworkInstance,
             D[idx[pair]] = sd
             vec = dests.setdefault(pair[1], np.zeros(n))
             vec[idx[pair]] = sd
-    return ReservationMatrix(pairs, M, D, dests, live, active, plan)
+    return ReservationMatrix(pairs, M, D, dests, live, active)
 
 
 def _check_wcdd(M: np.ndarray) -> None:

@@ -611,14 +611,15 @@ def _best_assignment(lp):
     return best
 
 
-def test_budget_exceeded_carries_incumbent():
+def test_budget_exceeded_carries_incumbent(monkeypatch):
     lp = LinearProgram()
     for j in range(8):
         lp.add_var(f"z{j}", binary=True)
     lp.add_row({f"z{j}": 1 for j in range(8)}, "<=", 4.5)
     lp.set_objective({f"z{j}": 1 + 0.01 * j for j in range(8)}, "max")
+    monkeypatch.setattr(lp_module, "NODE_BUDGET", 2)
     with pytest.raises(BudgetExceededError) as exc:
-        solve_mip(lp, node_budget=2)
+        solve_mip(lp)
     # an incumbent may or may not exist after two nodes, but the attribute does
     assert hasattr(exc.value, "incumbent")
 
@@ -758,10 +759,13 @@ def test_node_budget_counts_strong_branching_relaxations(monkeypatch):
         trees += 1
         first = [fixed for _, fixed in solves[1:5]]
         root_tried_two += all(len(f) == 1 for f in first) and len(set().union(*first)) == 2
-        assert repr(solve_mip(lp, node_budget=children)) == repr(expected)
-        solves.clear()
-        with pytest.raises(BudgetExceededError) as exc:
-            solve_mip(lp, node_budget=children - 1)
+        with monkeypatch.context() as m:
+            m.setattr(lp_module, "NODE_BUDGET", children)
+            assert repr(solve_mip(lp)) == repr(expected)
+            solves.clear()
+            m.setattr(lp_module, "NODE_BUDGET", children - 1)
+            with pytest.raises(BudgetExceededError) as exc:
+                solve_mip(lp)
         assert len(solves) == children
         incumbent = exc.value.incumbent
         if incumbent is not None:

@@ -548,6 +548,33 @@ def test_direct_mip_solves_a_thirty_scenario_instance():
     assert report.max_flow_pct_loss == pytest.approx(0.396997, abs=1e-6)
 
 
+def test_direct_mip_and_master_share_the_selection_model(monkeypatch):
+    # Both MIPs fix exactly the disconnected (unit, scenario) binaries at 0
+    # and carry the same availability rows.
+    lps, solve = [], prob.solve_mip
+
+    def spy(lp):
+        lps.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(prob, "solve_mip", spy)
+    pinst = make_pinst()
+    disconnected = {f"z::{u}::{q}" for (u, q), ok in pinst.connected.items() if not ok}
+    assert disconnected
+    solve_direct_mip(pinst)
+    benders_master(pinst, [])
+    avail = []
+    for lp in lps:
+        fixed = {v.name for v in lp._vars if v.binary and v.ub == 0.0}
+        assert fixed == disconnected
+        assert all(v.lb == 0.0 and v.ub == 1.0 for v in lp._vars
+                   if v.binary and v.name not in fixed)
+        avail.append([(row.name, {lp._vars[j].name: c for j, c in row.coeffs.items()},
+                       row.sense, row.rhs) for row in lp._rows if row.name.startswith("avail:")])
+    assert len(lps) == 2 and len(avail[0]) == len(pinst.units)
+    assert avail[0] == avail[1]
+
+
 def test_benders_never_consumes_a_selection_twice(monkeypatch):
     # A selection consumed before has its tight cuts in the master, so the
     # master that picks it again has reached the incumbent and ends the loop.
@@ -616,6 +643,46 @@ def test_reported_var_below_cvar_for_solved_routings():
             var = percentile_of(losses, pinst.probs, u.beta)
             cv = cvar_of(losses, pinst.probs, u.beta)
             assert var <= cv + 1e-9
+
+
+def test_cvar_objectives_equal_their_recorded_values():
+    # flow_adaptive, flow_static and scen_static, recorded when scen_static
+    # had its own per-pair losses and each variant its own tail; "flow-example
+    # sets" has a unit of two flows.
+    recorded = {
+        "cvar-topo": (1.0000000000000004, 1.0, 1.0),
+        "flow-example": (0.5561177628974878, 0.556117762897381, 0.60044900050001),
+        "flow-example sets": (0.6004490004999996, 0.6004490004999996, 0.60044900050001),
+        "make_pinst": (0.5561177628974878, 0.556117762897381, 0.60044900050001),
+        "thirty 1": (0.7351819166096909, 0.7881231931771138, 0.8407565820226599),
+        "thirty 2": (0.6849606431586561, 0.7837384913120611, 0.7983060639227046),
+        "thirty 3": (0.6077016672980631, 0.8038508336490402, 0.8038508336490351),
+    }
+    pinsts = subproblem_pinsts()
+    pinsts.update({f"thirty {s}": thirty_scenario_pinst(s) for s in (1, 2, 3)})
+    assert set(pinsts) == set(recorded)
+    for name, pinst in pinsts.items():
+        for variant, want in zip(("flow_adaptive", "flow_static", "scen_static"), recorded[name]):
+            assert solve_cvar(pinst, variant)[2] == pytest.approx(want, abs=1e-9), (name, variant)
+
+
+def test_cvar_reports_the_losses_its_routing_causes():
+    # A loss no objective term presses on could sit anywhere up to 1: it
+    # must be read as the shortfall that the scenario's allocation leaves.
+    for s in (1, 2, 3):
+        pinst = thirty_scenario_pinst(s)
+        for variant in ("flow_adaptive", "flow_static", "scen_static"):
+            allocs, _, _ = solve_cvar(pinst, variant)
+            for q, alloc in enumerate(allocs):
+                def shortfall(pair):
+                    total = pinst.pair_demand[pair][0]
+                    got = sum(alloc.tunnel_alloc.get(t.id, 0.0) for t in pinst.live[q][pair])
+                    return max(0.0, total - got) / total
+
+                for u in pinst.units:
+                    want = max((shortfall(pair) for pair, d in u.members if d > 0), default=0.0)
+                    assert alloc.unit_loss[u.id] == pytest.approx(want, abs=1e-9), \
+                        (s, variant, q, u.id)
 
 
 # -- property tests -------------------------------------------------------------
