@@ -6,11 +6,13 @@ reservation, off-diagonals the sequence loads a pair must carry for others.
 The matrix is weakly-chained diagonally dominant, hence invertible, and its
 solution gives the fraction of each reservation actually used.  When active
 sequences admit a topological order the same fractions emerge from purely
-local proportional splitting.
+local proportional splitting.  Sequence conditions are read only for `cls`
+plans: the other models reserve every sequence as always active.
 """
 
 from __future__ import annotations
 
+import graphlib
 import heapq
 from dataclasses import dataclass
 from typing import TypeVar
@@ -39,6 +41,8 @@ class MatrixNotWcddError(RuntimeError):
 
 
 class NotTopologicallySortedError(RuntimeError):
+    """Active sequences ride on each other; `cycle` is one cycle, not necessarily the shortest."""
+
     def __init__(self, cycle: list[Pair]):
         super().__init__(f"active sequences contain the pair cycle {cycle}")
         self.cycle = cycle
@@ -75,7 +79,7 @@ def _live_structures(plan: ReservationPlan, instance: NetworkInstance, scenario:
     for q in instance.logical_sequences:
         if plan.ls_reservation.get(q.id, 0.0) <= 0.0:
             continue
-        if sequence_active(instance, q, scenario):
+        if plan.model != "cls" or sequence_active(instance, q, scenario):
             active.setdefault((q.src, q.dst), []).append(q)
     return live, active
 
@@ -181,17 +185,29 @@ def solve_reservation_system(matrix: ReservationMatrix,
     return {pair: float(U[i]) for i, pair in enumerate(matrix.pairs)}
 
 
+def _order_or_cycle(predecessors: dict[Node, set[Node]]) -> tuple[list[Node] | None,
+                                                                  list[Node] | None]:
+    """(order, None) with every node after its predecessors, or (None, a
+    cycle) listing each node before a successor, its first node repeated at
+    the end.  Sorted input keeps both deterministic."""
+    graph = {v: sorted(us) for v, us in sorted(predecessors.items())}
+    try:
+        return list(graphlib.TopologicalSorter(graph).static_order()), None
+    except graphlib.CycleError as exc:
+        return None, exc.args[1]
+
+
 def _cancel_cycles(arc_flow: dict[Pair, float]) -> dict[Pair, float]:
     """Remove directed cycles by subtracting the cycle's bottleneck flow."""
     flows = {a: f for a, f in arc_flow.items() if f > CYCLE_TOL}
     while True:
-        out: dict[str, set[str]] = {}
+        into: dict[str, set[str]] = {}
         for (u, v) in flows:
-            out.setdefault(u, set()).add(v)
-        cycle = _shortest_cycle(set(out), out)
+            into.setdefault(v, set()).add(u)
+        _, cycle = _order_or_cycle(into)
         if cycle is None:
             return flows
-        arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
+        arcs = list(zip(cycle, cycle[1:]))
         c = min(flows[a] for a in arcs)
         for a in arcs:
             flows[a] -= c
@@ -232,129 +248,71 @@ def extract_routing(plan: ReservationPlan, instance: NetworkInstance,
 def routing_node_balance(instance: NetworkInstance, routing: ScenarioRouting,
                          dest: str) -> dict[str, float]:
     """Net tunnel outflow minus inflow per node for one destination."""
+    tunnels = {t.id: t for t in instance.tunnels}
     balance: dict[str, float] = {}
     for (tid, d), val in routing.flow.items():
         if d != dest:
             continue
-        t = next(x for x in instance.tunnels if x.id == tid)
+        t = tunnels[tid]
         balance[t.src] = balance.get(t.src, 0.0) + val
         balance[t.dst] = balance.get(t.dst, 0.0) - val
     return balance
 
 
-def check_topological_sort(instance: NetworkInstance, sequences: list[LogicalSequence],
-                           scenario: Scenario) -> tuple[list[Pair] | None, list[Pair] | None]:
-    """Order the pairs touched by active sequences so every pair precedes the
+def check_topological_sort(sequences: list[LogicalSequence]
+                           ) -> tuple[list[Pair] | None, list[Pair] | None]:
+    """Order the pairs the sequences touch so every segment precedes the
     pairs whose sequences ride on it.
 
-    Returns (order, None) when acyclic, else (None, shortest cycle found).
+    Returns (order, None) when acyclic, else (None, a cycle): each pair in it
+    is a segment of a sequence of the next, and the first pair is repeated
+    at the end.  The cycle is one found, not necessarily the shortest.
     """
-    active = [q for q in sequences if sequence_active(instance, q, scenario)]
-    edges: dict[Pair, set[Pair]] = {}
-    nodes: set[Pair] = set()
-    for q in active:
-        src_pair = (q.src, q.dst)
-        nodes.add(src_pair)
-        for seg in q.segments:
-            nodes.add(seg)
-            edges.setdefault(src_pair, set()).add(seg)
-    cycle = _shortest_cycle(nodes, edges)
-    if cycle is not None:
-        return None, cycle
-    # Kahn over reversed edges: pairs nothing rides on come out first.
-    order: list[Pair] = []
-    out_count = {p: len(edges.get(p, ())) for p in nodes}
-    users: dict[Pair, set[Pair]] = {}
-    for src_pair, segs in edges.items():
-        for seg in segs:
-            users.setdefault(seg, set()).add(src_pair)
-    ready = sorted(p for p in nodes if out_count[p] == 0)
-    while ready:
-        p = ready.pop(0)
-        order.append(p)
-        freed = []
-        for user in users.get(p, ()):  # user rides on p
-            out_count[user] -= 1
-            if out_count[user] == 0:
-                freed.append(user)
-        ready = sorted(ready + freed)
-    return order, None
-
-
-def _shortest_cycle(nodes: set[Node], edges: dict[Node, set[Node]]) -> list[Node] | None:
-    """A shortest directed cycle, as its nodes in order; ties go to the
-    smallest start node."""
-    best: list[Node] | None = None
-    for start in sorted(nodes):
-        # BFS back to start gives the shortest cycle through it.
-        parent: dict[Node, Node] = {}
-        frontier = [start]
-        seen = {start}
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in sorted(edges.get(u, ())):
-                    if v == start:
-                        cyc = [u]
-                        while cyc[-1] != start:
-                            cyc.append(parent[cyc[-1]])
-                        cyc.reverse()
-                        if best is None or len(cyc) < len(best):
-                            best = cyc
-                        nxt = []
-                        frontier = []
-                        break
-                    if v not in seen:
-                        seen.add(v)
-                        parent[v] = u
-                        nxt.append(v)
-                else:
-                    continue
-                break
-            frontier = nxt
-    return best
+    segments: dict[Pair, set[Pair]] = {}
+    for q in sequences:
+        segments.setdefault((q.src, q.dst), set()).update(q.segments)
+    return _order_or_cycle(segments)
 
 
 def proportional_routing(plan: ReservationPlan, instance: NetworkInstance,
                          scenario: Scenario) -> ScenarioRouting:
-    """Local proportional splitting, valid when active sequences sort.
+    """Local proportional splitting, valid when the active sequences sort.
 
     Each pair splits its offered traffic (demand plus inbound sequence
     loads) across live tunnels and active sequences in proportion to their
     reservations; sequence shares become offered traffic on their segments.
     """
-    order, cycle = check_topological_sort(instance, list(instance.logical_sequences), scenario)
+    matrix = build_reservation_matrix(plan, instance, scenario)
+    live, active = matrix.live_tunnels, matrix.active_sequences
+    order, cycle = check_topological_sort([q for qs in active.values() for q in qs])
     if cycle is not None:
         raise NotTopologicallySortedError(cycle)
-    matrix = build_reservation_matrix(plan, instance, scenario)
     _check_wcdd(matrix.matrix)
-    live, active = matrix.live_tunnels, matrix.active_sequences
-
-    process: list[Pair] = [p for p in reversed(order) if p in set(matrix.pairs)]
-    for pair in matrix.pairs:
-        if pair not in process:
-            process.append(pair)
+    idx = {pair: i for i, pair in enumerate(matrix.pairs)}
+    # Riders before their segments; pairs no sequence touches in any order.
+    process = [p for p in reversed(order) if p in idx]
+    process += sorted(idx.keys() - set(process))
 
     flow: dict[tuple[str, str], float] = {}
     util: dict[Pair, float] = {}
-    # offered[(pair, dest)] accumulates traffic the pair must move toward dest.
-    offered: dict[tuple[Pair, str], float] = {}
+    # offered[pair][dest] accumulates traffic the pair must move toward dest.
+    offered: dict[Pair, dict[str, float]] = {}
     for pair in matrix.pairs:
         sd = plan.scaled_demand(instance, pair)
         if sd > 0:
-            offered[(pair, pair[1])] = offered.get((pair, pair[1]), 0.0) + sd
+            offered[pair] = {pair[1]: sd}
     for pair in process:
-        reserve = sum(plan.tunnel_reservation[t.id] for t in live.get(pair, []))
-        reserve += sum(plan.ls_reservation[q.id] for q in active.get(pair, []))
-        total_offer = sum(v for (p, _), v in offered.items() if p == pair)
+        reserve = float(matrix.matrix[idx[pair], idx[pair]])
+        by_dest = offered.get(pair, {})
+        total_offer = sum(by_dest.values())
         if total_offer <= 1e-12:
             util[pair] = 0.0
             continue
         if reserve <= 1e-12:
             raise MatrixNotWcddError(f"pair {pair} offered traffic with no live reservation")
         util[pair] = total_offer / reserve
-        for dest in sorted({d for (p, d) in offered if p == pair}):
-            amount = offered[(pair, dest)]
+        for dest in sorted(by_dest):
+            amount = by_dest[dest]
             if amount <= 1e-15:
                 continue
             for t in live.get(pair, []):
@@ -363,7 +321,8 @@ def proportional_routing(plan: ReservationPlan, instance: NetworkInstance,
             for q in active.get(pair, []):
                 share = amount * plan.ls_reservation[q.id] / reserve
                 for seg in q.segments:
-                    offered[(seg, dest)] = offered.get((seg, dest), 0.0) + share
+                    seg_offer = offered.setdefault(seg, {})
+                    seg_offer[dest] = seg_offer.get(dest, 0.0) + share
     delivered = {pair: plan.scaled_demand(instance, pair) for pair in plan.pair_scale}
     return ScenarioRouting(scenario, flow, delivered, util)
 

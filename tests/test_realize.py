@@ -7,9 +7,12 @@ from resilient_te.fixtures import (
     parallel_example,
     realization_example,
 )
-from resilient_te.generators import random_instance
+from resilient_te.cli import main
+from resilient_te.generators import random_instance, with_conditional_sequences
+from resilient_te.io import dump_instance
 from resilient_te.net import (
     EMPTY_SCENARIO,
+    LogicalSequence,
     NetworkInstance,
     Scenario,
     enumerate_scenarios,
@@ -17,6 +20,7 @@ from resilient_te.net import (
 from resilient_te.realize import (
     MatrixNotWcddError,
     NotTopologicallySortedError,
+    _cancel_cycles,
     build_reservation_matrix,
     check_topological_sort,
     extract_routing,
@@ -194,14 +198,35 @@ def test_proportional_split_ratios():
 
 def test_topological_sort_order_and_cycle():
     inst = realization_example(False)
-    order, cycle = check_topological_sort(inst, list(inst.logical_sequences), EMPTY_SCENARIO)
+    order, cycle = check_topological_sort(list(inst.logical_sequences))
     assert cycle is None
     assert order.index(("A", "D")) < order.index(("A", "B"))
     inst3 = realization_example(True)
-    order3, cycle3 = check_topological_sort(inst3, list(inst3.logical_sequences), EMPTY_SCENARIO)
+    order3, cycle3 = check_topological_sort(list(inst3.logical_sequences))
     assert order3 is None
     assert set(cycle3) == {("A", "B"), ("D", "B")}
-    assert check_topological_sort(inst, [], EMPTY_SCENARIO)[0] == []
+    assert check_topological_sort([])[0] == []
+
+
+def test_topological_sort_cycle_runs_from_segment_to_rider():
+    # (a,c) rides on (a,b), (a,b) on (a,d), (a,d) on (a,c): one 3-cycle.
+    seqs = [LogicalSequence("X", "a", "c", ("a", "b", "c")),
+            LogicalSequence("Y", "a", "b", ("a", "d", "b")),
+            LogicalSequence("Z", "a", "d", ("a", "c", "d"))]
+    order, cycle = check_topological_sort(seqs)
+    assert order is None
+    assert len(cycle) == 4 and cycle[0] == cycle[-1]
+    riders = {(q.src, q.dst): q for q in seqs}
+    for seg, rider in zip(cycle, cycle[1:]):
+        assert seg in riders[rider].segments
+
+
+def test_cancel_cycles_sharing_an_arc():
+    # a->b->a and a->b->c->a share the arc a->b; both cancel, whichever
+    # comes first, leaving each node's net outflow unchanged.
+    flows = {("a", "b"): 3.0, ("b", "a"): 1.0, ("b", "c"): 1.0, ("c", "a"): 1.0}
+    assert _cancel_cycles(flows) == {("a", "b"): 1.0}
+    assert _cancel_cycles({("a", "b"): 1.0, ("b", "c"): 2.0}) == {("a", "b"): 1.0, ("b", "c"): 2.0}
 
 
 def test_proportional_refuses_cycles():
@@ -210,9 +235,54 @@ def test_proportional_refuses_cycles():
         proportional_routing(plan, inst, EMPTY_SCENARIO)
 
 
+def test_proportional_ignores_an_unreserved_cycle():
+    # L3 closes a cycle with L2, but reserves nothing, so only L1 and L2
+    # are active and sort.
+    inst = realization_example(True)
+    _, plan = nested_plan(False)
+    plan.ls_reservation["L3"] = 0.0
+    a = extract_routing(plan, inst, EMPTY_SCENARIO)
+    b = proportional_routing(plan, inst, EMPTY_SCENARIO)
+    for key in set(a.flow) | set(b.flow):
+        assert a.flow.get(key, 0.0) == pytest.approx(b.flow.get(key, 0.0), abs=1e-8)
+    for tid in ("T1", "T2", "T3"):
+        assert b.flow[(tid, "B")] == pytest.approx(0.25)
+    for tid in ("T5", "T6"):
+        assert b.flow[(tid, "B")] == pytest.approx(0.5)
+
+
+def assert_realizes(inst: NetworkInstance, plan: ReservationPlan, sc: Scenario) -> None:
+    """Criterion 6: flow balance, reservation caps, utilization box and link
+    capacity, with proportional splitting equal to the matrix solve."""
+    routing = extract_routing(plan, inst, sc)
+    for val in routing.utilization.values():
+        assert -1e-7 <= val <= 1 + 1e-7
+    tunnels = {t.id: t for t in inst.tunnels}
+    link_load = {}
+    per_tunnel = {}
+    for (tid, dest), val in routing.flow.items():
+        per_tunnel[tid] = per_tunnel.get(tid, 0.0) + val
+        for e in tunnels[tid].path:
+            link_load[e] = link_load.get(e, 0.0) + val
+    for tid, tot in per_tunnel.items():
+        assert tot <= plan.tunnel_reservation[tid] + 1e-7
+    for ln in inst.topology.links:
+        assert link_load.get(ln.id, 0.0) <= ln.capacity + 1e-7
+    for dest in {p[1] for p in plan.pair_scale}:
+        balance = routing_node_balance(inst, routing, dest)
+        for node in inst.topology.nodes:
+            if node == dest:
+                want = -sum(plan.scaled_demand(inst, p) for p in plan.pair_scale if p[1] == dest)
+            else:
+                want = plan.scaled_demand(inst, (node, dest))
+            assert balance.get(node, 0.0) == pytest.approx(want, abs=1e-7)
+    prop = proportional_routing(plan, inst, sc)
+    for key in set(routing.flow) | set(prop.flow):
+        assert routing.flow.get(key, 0.0) == pytest.approx(prop.flow.get(key, 0.0), abs=1e-8)
+
+
 def test_plan_realization_over_designed_scenarios():
-    # Every solved plan must realize every scenario it was designed for:
-    # flow balance, reservation caps, utilization box, link capacity.
+    # Every solved plan must realize every scenario it was designed for.
     cases = [
         (four_tunnel_example(), "ffc_plus", 1, "throughput"),
         (parallel_example("ls"), "ls", 1, "demand_scale"),
@@ -221,26 +291,33 @@ def test_plan_realization_over_designed_scenarios():
     for inst, model, k, objective in cases:
         plan = solve_robust(inst, model, k, objective, "dual")
         for sc in enumerate_scenarios(inst.topology, k):
-            routing = extract_routing(plan, inst, sc)
-            for val in routing.utilization.values():
-                assert -1e-7 <= val <= 1 + 1e-7
-            link_load = {}
-            per_tunnel = {}
-            for (tid, dest), val in routing.flow.items():
-                per_tunnel[tid] = per_tunnel.get(tid, 0.0) + val
-                tun = next(t for t in inst.tunnels if t.id == tid)
-                for e in tun.path:
-                    link_load[e] = link_load.get(e, 0.0) + val
-            for tid, tot in per_tunnel.items():
-                assert tot <= plan.tunnel_reservation[tid] + 1e-7
-            for ln in inst.topology.links:
-                assert link_load.get(ln.id, 0.0) <= ln.capacity + 1e-7
-            for pair in plan.pair_scale:
-                dest = pair[1]
-                balance = routing_node_balance(inst, routing, dest)
-                want = sum(plan.scaled_demand(inst, p)
-                           for p in plan.pair_scale if p[1] == dest)
-                assert balance.get(dest, 0.0) == pytest.approx(-want, abs=1e-7)
+            assert_realizes(inst, plan, sc)
+
+
+def conditional_instance(seed: int) -> NetworkInstance:
+    return with_conditional_sequences(
+        random_instance(seed, 8, 6, 3, 3, with_sequences=True), 500 + seed)
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_plans_realize_on_instances_with_conditional_sequences(seed):
+    # An ls plan reserves every sequence as always active, so its sequences
+    # stay in the matrix whatever their conditions say; a cls plan's follow
+    # them.
+    inst = conditional_instance(seed)
+    for model in ("ls", "cls"):
+        plan = solve_robust(inst, model, 1, "throughput", "dual")
+        for sc in enumerate_scenarios(inst.topology, 1):
+            assert_realizes(inst, plan, sc)
+
+
+def test_cli_realizes_an_ls_plan_on_conditional_sequences(tmp_path, capsys):
+    # At seed 8 the ls plan reserves the conditional sequence cq1, whose
+    # condition is false with no link failed.
+    path = tmp_path / "seed8.json"
+    dump_instance(conditional_instance(8), str(path))
+    assert main(["--instance", str(path), "realize", "--model", "ls", "--k", "1"]) == 0
+    assert capsys.readouterr().out
 
 
 def test_widest_path_single_route():
