@@ -190,8 +190,11 @@ def _dispatch(args) -> int:
 
     if args.command == "realize":
         objective = _OBJ_FLAG[args.objective]
-        plan = solve_robust(instance, _MODEL_FLAG[args.model], args.k, objective, "dual")
         failed = frozenset(x for x in args.scenario.split(",") if x)
+        unknown = sorted(e for e in failed if not instance.topology.has_link(e))
+        if unknown:
+            raise ValueError(f"--scenario names links not in the topology: {', '.join(unknown)}")
+        plan = solve_robust(instance, _MODEL_FLAG[args.model], args.k, objective, "dual")
         routing = extract_routing(plan, instance, Scenario(failed))
         for (tid, dest), val in sorted(routing.flow.items()):
             print(f"{tid},{dest},{val:.6f}")

@@ -9,9 +9,13 @@ a copy of that form under its own bounds (`_Standardized.rebound`).  The
 solver holds the basis inverse as an eta file on top of its last refactor
 (below), prices with the Dantzig rule, and falls back to Bland's rule after
 a run of degenerate pivots.  The primal ratio test takes the minimum
-ratio; ratios within 1e-12 of it tie, and ties go to the largest |pivot
-column entry|, then to the lowest basis index (under Bland's rule, to the
-lowest basis index alone).
+ratio; ratios within 1e-12 of it tie.  In phase 1 a tie that holds basic
+artificials is cut to them, so a tied artificial leaves first (Maros 2003,
+ch. 9).  Ties then go to the largest |pivot column entry|, then to the
+lowest basis index (under Bland's rule, to the lowest basis index alone).
+Under Bland's rule that is the least-index rule on a column order with the
+artificials first; no artificial enters, so entering columns follow the
+same order, and phase 1 stays finite.
 
 The basis inverse is held as B^-1 = B0 - U V.  B0 is the dense inverse
 from the last refactor, and nothing writes to it.  Each pivot since then
@@ -654,8 +658,11 @@ class _Simplex:
             a = -col if from_upper else col
             # Ratio test: a basic variable falling to 0 or rising to its
             # upper bound blocks the step.  Ties within 1e-12 of the minimum
-            # go to the largest |col| (Bland: any size), then the lowest
-            # basis index.
+            # go, in phase 1, to the basic artificials among them if any;
+            # then to the largest |col| (Bland: any size), then the lowest
+            # basis index.  Bland's rule thus orders the artificials before
+            # the real columns, and since no artificial enters, entering
+            # and leaving follow one order: it stays finite.
             ratio.fill(INF)
             np.divide(xB, a, out=ratio, where=a > PIVOT_TOL)
             np.divide(ubB - xB, -a, out=ratio, where=a < -PIVOT_TOL)
@@ -665,6 +672,9 @@ class _Simplex:
             if tmin < t:
                 t = max(tmin, 0.0)
                 ties = (ratio <= tmin + 1e-12).nonzero()[0]
+                if phase == 1 and ties.size > 1:
+                    artificial = ties[basis[ties] >= std.n_real]
+                    ties = artificial if artificial.size else ties
                 if ties.size > 1 and not self.bland:
                     size = np.abs(col[ties])
                     ties = ties[size == size.max()]

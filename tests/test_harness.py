@@ -294,6 +294,22 @@ def test_cli_realize_lists_flows(capsys):
     assert rows and all(len(r.split(",")) == 3 for r in rows)
 
 
+def test_cli_realize_refuses_an_unknown_scenario_link_before_solving(monkeypatch, capsys):
+    # This printed the bare `error: USAGE 'nosuch'`, after solving the plan.
+    import resilient_te.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved a plan for an unknown scenario")
+
+    monkeypatch.setattr(cli, "solve_robust", unreachable)
+    assert main(["--fixture", "parallel-ls", "realize", "--model", "ls", "--k", "1",
+                 "--scenario", "e1,nosuch"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: USAGE --scenario names links not in the topology: "
+                            "nosuch\n")
+
+
 def test_cli_flomore_and_analyze(capsys):
     assert main(["--fixture", "flow-example", "flomore", "solve", "--beta", "0.99",
                  "--cutoff", "0"]) == 0

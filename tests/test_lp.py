@@ -1237,6 +1237,60 @@ def test_phase_one_never_enters_an_artificial(monkeypatch):
     assert statuses.count("optimal") > 40 and statuses.count("infeasible") > 20
 
 
+def _phase_one_leaving(monkeypatch, bland):
+    """Run phase 1 on `_artificial_tie_lp` from the all-artificial start and
+    list the columns that leave the basis, as variable names and `a<row>`
+    for artificials; with `bland`, under Bland's rule from the first pivot.
+    Phase 1 must end with no artificial basic."""
+    std = _Standardized(_artificial_tie_lp())
+    sx = _Simplex(std, _Start.cold(std))
+    sx.bland = bland
+    exchange, leaving = _Simplex._exchange, []
+
+    def recorded(sx, r, *args, **kwargs):
+        k, n = int(sx.basis[r]), sx.std.n_real
+        leaving.append(f"a{k - n}" if k >= n else sx.std.names[k])
+        return exchange(sx, r, *args, **kwargs)
+
+    monkeypatch.setattr(_Simplex, "_exchange", recorded)
+    c1 = np.zeros(std.ncols)
+    c1[std.n_real:] = 1.0
+    assert sx.run(c1, 1, 100)
+    assert (sx.basis < std.n_real).all()
+    return leaving
+
+
+def _artificial_tie_lp() -> LinearProgram:
+    """y + z = 2 and 2x + 2y + z = 2, whose only point is (0, 0, 2).  Phase
+    1 reaches the basis (a0, y) at x_B = (1, 1), where z enters with
+    B^-1 a_z = (1/2, 1/2): the artificial a0 and the real y tie at ratio 2
+    with equal |col|."""
+    lp = LinearProgram()
+    for name in "xyz":
+        lp.add_var(name)
+    lp.add_row({"y": 1, "z": 1}, "=", 2)
+    lp.add_row({"x": 2, "y": 2, "z": 1}, "=", 2)
+    lp.set_objective({"x": 2, "y": 1, "z": 1})
+    return lp
+
+
+def test_a_tied_basic_artificial_leaves_before_a_real_variable(monkeypatch):
+    # Dantzig enters y (column sum 3), and a1 leaves at ratio 1; then z
+    # enters and a0 leaves on the tie.  A real variable leaving first (y, the
+    # lower basis index) would end phase 1 with a0 basic at 0.
+    assert _phase_one_leaving(monkeypatch, bland=False) == ["a1", "a0"]
+    sol = solve_lp(_artificial_tie_lp())
+    assert sol.status == "optimal"
+    assert (sol["x"], sol["y"], sol["z"]) == pytest.approx((0.0, 0.0, 2.0))
+
+
+def test_a_tied_basic_artificial_leaves_first_under_blands_rule(monkeypatch):
+    # Bland enters x (the first improving column), a1 leaves; y enters and
+    # x leaves, untied; then z enters and the tie of a0 and y goes to a0,
+    # which Bland's rule orders before every real column in phase 1.
+    assert _phase_one_leaving(monkeypatch, bland=True) == ["a1", "x", "a0"]
+
+
 def test_bound_edits_are_checked_as_declarations_are():
     lp = LinearProgram()
     lp.add_var("z", binary=True)
@@ -1640,3 +1694,7 @@ def test_twenty_node_robust_rungs_keep_their_objectives():
         sol = solve_lp(lp)
         assert sol.status == "optimal"
         assert abs(sol.objective - objective) <= 1e-9
+        if mode == "enumerate":
+            # Phase 1 lets tied artificials leave first: 306 pivots on these
+            # 335 rows, where real variables leaving first took 1,202.
+            assert sol.pivots[0] <= lp.num_rows
