@@ -10,7 +10,11 @@ the exact selection MIP.  Writes one CSV row per scheme.
 import argparse
 import csv
 import sys
+from pathlib import Path
 import time
+
+# Run from a checkout without an install: the checkout's own package first.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from resilient_te.generators import generate_gravity_demands, random_instance, select_tunnels
 from resilient_te.net import FlowDemand, NetworkInstance

@@ -5,6 +5,10 @@ enumerated per-scenario optimum."""
 
 import argparse
 import sys
+from pathlib import Path
+
+# Run from a checkout without an install: the checkout's own package first.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from resilient_te.fixtures import (
     four_tunnel_example,

@@ -12,13 +12,27 @@ All of an instance's subproblems are bound edits of one LP, solved cold
 once per instance and re-solved warm per scenario (see `benders_subproblem`).
 The three CVaR baselines share one block of losses and routing rows and
 put one Rockafellar-Uryasev tail on each loss series (see `solve_cvar`).
+
+Scenarios that leave the same tunnels alive for every pair with demand form
+a class (`ProbabilisticInstance.classes`): their routing blocks are one LP
+block.  A model solves one block per class, weighted by the class's summed
+probability, wherever that is exact, and hands each scenario its class's
+`ScenarioAlloc`.  It is exact for the CVaR baselines and the scenario
+min-max, which are convex in the routing, so averaging the members'
+routings loses nothing (CVaR respects the convex order), and for a Benders
+subproblem, which depends only on the class and the selection column.  The
+selection model (direct MIP and Benders master) merges only with one unit.
+With several, one member's routing may favour one unit and another
+member's another, and a merged block must serve both, so each (unit,
+scenario) keeps its own binary.  Merging identical scenarios is the
+lossless case of scenario reduction (Dupacova, Growe-Kuska & Romisch 2003).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -47,6 +61,16 @@ class ProbUnit:
     members: tuple[tuple[Pair, float], ...]  # (pair, demand)
     beta: float
     threshold: float = 0.0
+
+
+@dataclass(frozen=True)
+class ScenarioClasses:
+    """A partition of the scenario indices: each class's first scenario, its
+    summed probability, and each scenario's class."""
+
+    reps: tuple[int, ...]
+    mass: tuple[float, ...]
+    of: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -118,6 +142,30 @@ class ProbabilisticInstance:
         live tunnel."""
         return {(u.id, q): all(live[pair] for pair, d in u.members if d > 0)
                 for u in self.units for q, live in enumerate(self.live)}
+
+    @cached_property
+    def classes(self) -> ScenarioClasses:
+        """Scenarios with the same live tunnels for every pair with demand."""
+        index: dict[tuple, int] = {}
+        reps, mass, of = [], [], []
+        for q, live in enumerate(self.live):
+            c = index.setdefault(tuple(tuple(t.id for t in live[pair])
+                                       for pair in self.pair_demand), len(reps))
+            if c == len(reps):
+                reps.append(q)
+                mass.append(0.0)
+            mass[c] += self.probs[q]
+            of.append(c)
+        return ScenarioClasses(tuple(reps), tuple(mass), tuple(of))
+
+    @cached_property
+    def selection_classes(self) -> ScenarioClasses:
+        """`classes` with one unit; with several, one class per scenario, as
+        merging the selection model is not exact there."""
+        if len(self.units) == 1:
+            return self.classes
+        Q = tuple(range(len(self.scenarios)))
+        return ScenarioClasses(Q, tuple(self.probs), Q)
 
     @cached_property
     def subproblem(self) -> _SubproblemLP:
@@ -369,20 +417,21 @@ def _connected_mass(pinst: ProbabilisticInstance, unit: ProbUnit) -> float:
 
 def _selection_lp(pinst: ProbabilisticInstance, name: str,
                   fixed: dict[tuple[str, int], float] | None = None) -> LinearProgram:
-    """min alpha over binaries z::{unit}::{q} (q is critical for the unit),
-    each unit's critical scenarios covering its beta (row avail:{unit}),
-    with `fixed` as in `benders_master`."""
+    """min alpha over binaries z::{unit}::{q} (class q of
+    `pinst.selection_classes`, named by its first scenario, is critical for
+    the unit), each unit's critical classes covering its beta (row
+    avail:{unit}), with `fixed` as in `benders_master`."""
     check_availability(pinst)
-    Q = range(len(pinst.scenarios))
+    cls = pinst.selection_classes
     fixed = dict(fixed or {})
     fixed.update({key: 0.0 for key, ok in pinst.connected.items() if not ok})
     lp = LinearProgram(name=name)
     lp.add_var("alpha")
     for u in pinst.units:
-        for q in Q:
+        for q in cls.reps:
             lb, ub = (fixed[u.id, q],) * 2 if (u.id, q) in fixed else (0.0, 1.0)
             lp.add_var(f"z::{u.id}::{q}", lb, ub, binary=True)
-        lp.add_row({f"z::{u.id}::{q}": pinst.probs[q] for q in Q}, ">=", u.beta,
+        lp.add_row({f"z::{u.id}::{q}": m for q, m in zip(cls.reps, cls.mass)}, ">=", u.beta,
                    name=f"avail:{u.id}")
     lp.set_objective({"alpha": 1.0}, "min")
     return lp
@@ -393,8 +442,9 @@ def _solve_selection(lp: LinearProgram, pinst: ProbabilisticInstance,
     sol = solve_mip(lp)
     if sol.status != "optimal":
         raise RuntimeError(f"{lp.name} reported {sol.status}")
-    return sol, CriticalSelection({(u.id, q): round(sol.value(f"z::{u.id}::{q}")) * 1.0
-                                   for u in pinst.units for q in range(len(pinst.scenarios))})
+    cls = pinst.selection_classes
+    return sol, CriticalSelection({(u.id, q): round(sol.value(f"z::{u.id}::{cls.reps[c]}")) * 1.0
+                                   for u in pinst.units for q, c in enumerate(cls.of)})
 
 
 def solve_direct_mip(pinst: ProbabilisticInstance,
@@ -402,25 +452,26 @@ def solve_direct_mip(pinst: ProbabilisticInstance,
     """Minimize the worst per-unit percentile loss by choosing critical
     scenarios and a per-scenario routing jointly, as one MIP solved by
     `solve_mip` with no incumbent in front of its branch and bound: the
-    selection model plus each scenario's routing and the rows
-    alpha >= l + z - 1 - threshold.
+    selection model plus the routing of each of its classes (one per
+    scenario with several units) and the rows alpha >= l + z - 1 - threshold.
 
     Raises InfeasibleTargetError, as the Benders loop does, when a unit is
     connected in less probability mass than its target.
     """
     lp = _selection_lp(pinst, "direct MIP")
-    Q = range(len(pinst.scenarios))
+    cls = pinst.selection_classes
     for u in pinst.units:
-        for q in Q:
+        for q in cls.reps:
             lp.add_var(f"l::{u.id}::{q}", 0.0, 1.0)
-    for q in Q:
+    for q in cls.reps:
         _scenario_rows(lp, pinst, q, f"::{q}")
     for u in pinst.units:
-        for q in Q:
+        for q in cls.reps:
             lp.add_row({"alpha": 1.0, f"l::{u.id}::{q}": -1.0, f"z::{u.id}::{q}": -1.0},
                        ">=", -1.0 - u.threshold, name=f"lossbound:{u.id}:{q}")
     sol, selection = _solve_selection(lp, pinst)
-    allocs = [_read_alloc(sol, pinst, q, f"::{q}") for q in Q]
+    allocs = [_read_alloc(sol, pinst, q, f"::{q}") for q in cls.reps]
+    allocs = [allocs[c] for c in cls.of]
     return allocs, selection, percentile_analysis(allocs, pinst)
 
 
@@ -533,10 +584,12 @@ def benders_master(pinst: ProbabilisticInstance, cuts: list[Cut], *,
     always forced to 0.
     """
     lp = _selection_lp(pinst, "master", fixed)
+    cls = pinst.selection_classes
     for c_idx, cut in enumerate(cuts):
+        q = cls.reps[cls.of[cut.scenario_index]]
         coeffs = {"alpha": 1.0}
         for uid, w in cut.coeff.items():
-            coeffs[f"z::{uid}::{cut.scenario_index}"] = -w
+            coeffs[f"z::{uid}::{q}"] = -w
         lp.add_row(coeffs, ">=", cut.const, name=f"cut:{c_idx}")
     sol, selection = _solve_selection(lp, pinst)
     return selection, max(0.0, sol.objective)
@@ -570,16 +623,18 @@ def benders_run(pinst: ProbabilisticInstance, max_iterations: int = 5,
     Q = range(len(pinst.scenarios))
     state = BendersState()
 
-    # Each (scenario, selection column) is solved once; a repeat reuses the
-    # result and appends its cut again, as a re-solve would.
+    # Each (class, selection column) is solved once; a repeat reuses the
+    # result, with a cut carrying its own scenario, and appends that cut as a
+    # re-solve would.
     solved: dict[tuple[int, tuple[float, ...]], SubproblemResult] = {}
 
     def subproblem(q: int, iteration_z) -> SubproblemResult:
         column = tuple(iteration_z[(u.id, q)] for u in units)
-        if (q, column) not in solved:
-            z_col = dict(zip((u.id for u in units), column))
-            solved[q, column] = benders_subproblem(pinst, q, z_col)
-        return solved[q, column]
+        key = pinst.classes.of[q], column
+        if key not in solved:
+            solved[key] = benders_subproblem(pinst, q, dict(zip((u.id for u in units), column)))
+        res = solved[key]
+        return replace(res, cut=replace(res.cut, scenario_index=q))
 
     z = connectivity_selection(pinst)
     perfect: dict[int, ScenarioAlloc] = {}
@@ -629,9 +684,12 @@ def benders_run(pinst: ProbabilisticInstance, max_iterations: int = 5,
 
 def solve_scenario_minmax(pinst: ProbabilisticInstance) -> list[ScenarioAlloc]:
     """Independently minimize the worst unit loss in every scenario (the
-    scenario-centric baseline); every unit is treated as critical."""
-    return [benders_subproblem(pinst, q, {u.id: 1.0 for u in pinst.units}).alloc
-            for q in range(len(pinst.scenarios))]
+    scenario-centric baseline); every unit is treated as critical.  One
+    subproblem per class."""
+    cls = pinst.classes
+    allocs = [benders_subproblem(pinst, q, {u.id: 1.0 for u in pinst.units}).alloc
+              for q in cls.reps]
+    return [allocs[c] for c in cls.of]
 
 
 def solve_cvar(pinst: ProbabilisticInstance, variant: str = "flow_adaptive",
@@ -647,7 +705,7 @@ def solve_cvar(pinst: ProbabilisticInstance, variant: str = "flow_adaptive",
         raise ValueError(f"unknown CVaR variant {variant!r}")
     if not pinst.beta < 1:
         raise ValueError(f"CVaR needs beta < 1, got {pinst.beta}")
-    Q = range(len(pinst.scenarios))
+    cls = pinst.classes
     lp = LinearProgram(name=f"cvar:{variant}")
     lp.add_var("theta", -1.0)
     static = variant != "flow_adaptive"
@@ -656,29 +714,29 @@ def solve_cvar(pinst: ProbabilisticInstance, variant: str = "flow_adaptive",
             lp.add_var(f"x::{t.id}")
         _capacity_rows(lp, pinst, pinst.instance.tunnels, "", "static")
     for u in pinst.units:
-        for q in Q:
+        for q in cls.reps:
             lp.add_var(f"l::{u.id}::{q}", 0.0, 1.0)
 
     if variant == "scen_static":
-        # One series: each scenario's worst unit loss.
-        series = {"scen": [lp.add_var(f"sl::{q}", 0.0, 1.0) for q in Q]}
-        for q in Q:
+        # One series: each class's worst unit loss.
+        series = {"scen": [lp.add_var(f"sl::{q}", 0.0, 1.0) for q in cls.reps]}
+        for q in cls.reps:
             for u in pinst.units:
                 lp.add_row({f"sl::{q}": 1.0, f"l::{u.id}::{q}": -1.0}, ">=", 0.0,
                            name=f"worst:{q}:{u.id}")
     else:
-        series = {u.id: [f"l::{u.id}::{q}" for q in Q] for u in pinst.units}
-    # theta >= anchor + sum_q p_q s_q / (1 - beta), s_q >= loss_q - anchor,
-    # per series: at its optimal anchor, the series' CVaR.
+        series = {u.id: [f"l::{u.id}::{q}" for q in cls.reps] for u in pinst.units}
+    # theta >= anchor + sum_c p_c s_c / (1 - beta), s_c >= loss_c - anchor,
+    # per series over the classes c: at its optimal anchor, the series' CVaR.
     for key, losses in series.items():
         anchor = lp.add_var(f"anchor::{key}", -1.0)
         tail = {"theta": 1.0, anchor: -1.0}
-        for q, loss in zip(Q, losses):
+        for q, mass, loss in zip(cls.reps, cls.mass, losses):
             s = lp.add_var(f"s::{key}::{q}")
             lp.add_row({s: 1.0, anchor: 1.0, loss: -1.0}, ">=", 0.0, name=f"tail:{key}:{q}")
-            tail[s] = -pinst.probs[q] / (1 - pinst.beta)
+            tail[s] = -mass / (1 - pinst.beta)
         lp.add_row(tail, ">=", 0.0, name=f"cvar:{key}")
-    for q in Q:
+    for q in cls.reps:
         if static:
             _demand_rows(lp, pinst, pinst.live[q], str(q), f"::{q}", "")
         else:
@@ -687,5 +745,6 @@ def solve_cvar(pinst: ProbabilisticInstance, variant: str = "flow_adaptive",
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise RuntimeError(f"{variant} CVaR reported {sol.status}")
-    allocs = [_read_alloc(sol, pinst, q, f"::{q}", static) for q in Q]
+    allocs = [_read_alloc(sol, pinst, q, f"::{q}", static) for q in cls.reps]
+    allocs = [allocs[c] for c in cls.of]
     return allocs, percentile_analysis(allocs, pinst), float(sol.objective)

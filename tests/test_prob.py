@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from resilient_te import prob
+from resilient_te.cli import FIXTURES
 from resilient_te.fixtures import cvar_topo, flow_example
 from resilient_te.generators import random_instance
 from resilient_te.lp import LinearProgram, solve_lp
@@ -477,29 +478,42 @@ def test_perfect_scenario_pruning_is_neutral():
         assert state.incumbent == pytest.approx(direct.max_flow_pct_loss, abs=1e-6)
 
 
-def test_benders_solves_each_scenario_column_once(monkeypatch):
-    # A (scenario, selection column) seen before reuses its subproblem, and
-    # its cut is appended again, so the masters see what re-solves gave.
-    # Perfect scenarios are solved once, at the connectivity selection, and
-    # give no cut.
-    calls, solve = [], prob.benders_subproblem
+def test_benders_solves_each_class_column_once(monkeypatch):
+    # Members of a class route the same LP, so a (class, selection column)
+    # seen before reuses its subproblem.  Each consumed selection still
+    # appends one cut per scenario that is not perfect, carrying its own
+    # scenario and equal to a direct call on it, so the masters see what
+    # re-solves gave.  Perfect scenarios are solved at the connectivity
+    # selection and give no cut.
+    calls, solve, master = [], prob.benders_subproblem, prob.benders_master
+    picked = []
 
     def spy(pinst, q, z_col):
-        calls.append((q, tuple(sorted(z_col.items()))))
+        calls.append((pinst.classes.of[q], tuple(sorted(z_col.items()))))
         return solve(pinst, q, z_col)
 
+    def master_spy(pinst, cuts, **kwargs):
+        out = master(pinst, cuts, **kwargs)
+        picked.append(out[0].values)
+        return out
+
     monkeypatch.setattr(prob, "benders_subproblem", spy)
+    monkeypatch.setattr(prob, "benders_master", master_spy)
     for pinst in (make_pinst(), make_pinst(cutoff=1e-4, beta=0.9), thirty_scenario_pinst(1)):
         calls.clear()
+        picked.clear()
         state = benders_run(pinst, 5)[2]
         assert len(calls) == len(set(calls))
-        # The first calls route the connectivity selection; the first cuts
-        # are those of its scenarios that are not perfect.
-        first = [solve(pinst, q, dict(z_col)) for q, z_col in calls[:len(pinst.scenarios)]]
-        cuts = [res.cut for res in first if res.alpha > 1e-9]
-        assert state.cuts[:len(cuts)] == cuts
-        assert len(state.cuts) == len(cuts) * len(state.incumbent_history)
-        assert len(calls) - (len(first) - len(cuts)) <= len(state.cuts)
+        assert len(pinst.classes.reps) < len(pinst.scenarios)
+        units = [u.id for u in pinst.units]
+        z0 = connectivity_selection(pinst)
+        nontrivial = [q for q in range(len(pinst.scenarios))
+                      if solve(pinst, q, {u: z0[u, q] for u in units}).alpha > 1e-9]
+        assert len(state.cuts) == len(nontrivial) * len(state.incumbent_history)
+        consumed = ([z0] + picked)[:len(state.incumbent_history)]
+        want = [solve(pinst, q, {u: z[u, q] for u in units}).cut
+                for z in consumed for q in nontrivial]
+        assert state.cuts == want
 
 
 def thirty_scenario_pinst(seed):
@@ -598,6 +612,106 @@ def test_benders_never_consumes_a_selection_twice(monkeypatch):
         assert len(consumed) == len(state.incumbent_history)
         assert all(a != b for a, b in itertools.combinations(consumed, 2))
     assert len(consumed) > 2
+
+
+# -- scenario classes ------------------------------------------------------------
+
+
+def unmerged(pinst):
+    """A copy of `pinst` whose class views hold one scenario each, so every
+    model builds one block per scenario, as before classes."""
+    copy = ProbabilisticInstance(pinst.instance, pinst.scenarios, pinst.beta, pinst.flow_sets)
+    Q = tuple(range(len(pinst.scenarios)))
+    copy.__dict__["classes"] = prob.ScenarioClasses(Q, tuple(copy.probs), Q)
+    copy.__dict__["selection_classes"] = copy.classes
+    return copy
+
+
+def fixture_pinst(name, beta=0.99):
+    """A CLI fixture at cutoff 0, with the CLI's default link probabilities."""
+    inst = FIXTURES[name]()
+    inst = dataclasses.replace(inst, topology=sample_link_probs(inst.topology, seed=0))
+    return ProbabilisticInstance(inst, enumerate_prob_scenarios(inst.topology, 0.0), beta=beta)
+
+
+def class_pinsts():
+    pinsts = subproblem_pinsts()
+    pinsts.update({name: fixture_pinst(name)
+                   for name in ("four-tunnel-three", "parallel", "realization-3ls")})
+    pinsts.update({f"thirty {s}": thirty_scenario_pinst(s) for s in (1, 2, 3)})
+    return pinsts
+
+
+def test_classes_group_the_scenarios_with_the_same_live_tunnels():
+    for name, pinst in class_pinsts().items():
+        cls = pinst.classes
+        assert len(cls.reps) < len(pinst.scenarios), name
+        for c, q in enumerate(cls.reps):
+            members = [m for m, of in enumerate(cls.of) if of == c]
+            assert members[0] == q
+            assert cls.mass[c] == pytest.approx(sum(pinst.probs[m] for m in members))
+            assert all(pinst.routed[m] == pinst.routed[q] for m in members)
+        keys = {tuple(t.id for t in pinst.routed[q]) for q in cls.reps}
+        assert len(keys) == len(cls.reps), name
+    assert len(make_pinst().classes.reps) == 6  # of 16 scenarios
+
+
+def test_cvar_and_minmax_over_classes_equal_their_unmerged_values():
+    # Exact for the convex models: members of a class have the same routings,
+    # and averaging them by probability loses no CVaR.
+    for name, pinst in class_pinsts().items():
+        plain = unmerged(pinst)
+        for variant in ("flow_adaptive", "flow_static", "scen_static"):
+            got, want = solve_cvar(pinst, variant)[2], solve_cvar(plain, variant)[2]
+            assert got == pytest.approx(want, abs=1e-9), (name, variant)
+        # Min-max solves one subproblem per class; members' subproblems are
+        # one LP, so every allocation is the member's own, to the bit.
+        assert solve_scenario_minmax(pinst) == solve_scenario_minmax(plain), name
+
+
+def test_one_unit_selection_over_classes_keeps_its_unmerged_optimum():
+    # With one unit, a class's members have the same best loss, so taking a
+    # whole class is never worse than taking some of it.
+    for s, flow in ((1, 1), (2, 2), (3, 1)):
+        full = thirty_scenario_pinst(s)
+        inst = dataclasses.replace(full.instance, demands=(full.instance.demands[flow],))
+        pinst = ProbabilisticInstance(inst, full.scenarios, beta=full.beta)
+        assert pinst.selection_classes is pinst.classes
+        assert len(pinst.classes.reps) < len(pinst.scenarios)
+        want = solve_direct_mip(unmerged(pinst))[2].max_flow_pct_loss
+        assert want > 0.1
+        allocs, selection, report = solve_direct_mip(pinst)
+        assert selection.covers(pinst)
+        assert report.max_flow_pct_loss == pytest.approx(want, abs=1e-9), s
+        _, _, state = benders_run(pinst)
+        assert state.incumbent == pytest.approx(want, abs=1e-9), s
+        assert state.lower_bound >= state.incumbent - 1e-6
+
+
+def test_two_unit_selection_keeps_one_binary_per_scenario():
+    # Built as the benchmark's flomore/9 at instance seed 4 (generator seed
+    # 310).  One member of a class favours one unit, another member the
+    # other, so a merged selection must serve both units in every member:
+    # merged, the direct MIP reads 0.356259.
+    seed = 310
+    rng = np.random.default_rng(seed)
+    inst = random_instance(seed + 900, n_nodes=4 + seed % 3, extra_links=2,
+                           n_pairs=2 + seed % 2, tunnels_per_pair=2)
+    topo = sample_link_probs(inst.topology, shape=1.0,
+                             scale=float(rng.uniform(0.02, 0.08)), seed=seed)
+    inst = NetworkInstance(topology=topo, demands=inst.demands, tunnels=inst.tunnels)
+    scens = sorted(enumerate_prob_scenarios(topo, cutoff=1e-4), key=lambda sc: -(sc.prob or 0.0))
+    pinst = ProbabilisticInstance(inst, sorted(scens[:12], key=lambda sc: sc.key()), beta=0.95)
+    assert len(pinst.units) == 2
+    assert len(pinst.classes.reps) == 6
+    assert pinst.selection_classes.reps == tuple(range(12))
+    value = prob._objective_value(pinst, solve_direct_mip(pinst)[2])
+    assert value == pytest.approx(0.048994, abs=1e-6)
+    assert benders_run(pinst)[2].incumbent == pytest.approx(value, abs=1e-9)
+    merged = ProbabilisticInstance(inst, pinst.scenarios, beta=pinst.beta)
+    merged.__dict__["selection_classes"] = merged.classes
+    assert prob._objective_value(merged, solve_direct_mip(merged)[2]) == \
+        pytest.approx(0.356259, abs=1e-6)
 
 
 # -- CVaR formulations ---------------------------------------------------------
