@@ -578,15 +578,21 @@ def benders_master(pinst: ProbabilisticInstance, cuts: list[Cut], *,
                    fixed: dict[tuple[str, int], float] | None = None,
                    ) -> tuple[CriticalSelection, float]:
     """Selection minimizing the cut envelope: the selection model with
-    alpha above every cut.
+    alpha above every cut, one row per distinct cut (a cut is the same when
+    it reads the same selection binaries with the same const and coeff).
 
     `fixed` maps (unit, scenario) to a forced value; disconnected pairs are
     always forced to 0.
     """
     lp = _selection_lp(pinst, "master", fixed)
     cls = pinst.selection_classes
+    seen: set[tuple] = set()
     for c_idx, cut in enumerate(cuts):
         q = cls.reps[cls.of[cut.scenario_index]]
+        key = (q, cut.const, tuple(sorted(cut.coeff.items())))
+        if key in seen:
+            continue
+        seen.add(key)
         coeffs = {"alpha": 1.0}
         for uid, w in cut.coeff.items():
             coeffs[f"z::{uid}::{q}"] = -w

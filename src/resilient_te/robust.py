@@ -10,6 +10,10 @@ Either way each pair's failure set is built on its own sub-instance: its
 tunnels, the conditions its carriers name and only the links those use.
 That set is the exact projection of the instance-wide one onto the pair's
 indicators, and enumerate mode's scenario guard counts the pair's links.
+A logical flow of pair (s, t) loads only the segments whose tail s reaches
+and whose head reaches t, neither through the other end.  Any other load
+is a circulation, which adds load and offers nothing, so the optimum is
+unchanged in both modes.
 """
 
 from __future__ import annotations
@@ -362,6 +366,23 @@ def _extract_plan(instance: NetworkInstance, model: str, k: int, objective: str,
 # Logical flows: reservations carried by arbitrary flows over segments.
 
 
+def _on_path_segments(support: list[tuple[str, str]], s: str, t: str) -> list[tuple[str, str]]:
+    """The segments of `support`, in order, whose tail s reaches without
+    passing t and whose head reaches t without passing s: one forward and
+    one backward search.  Every arc of a simple s->t path is among them."""
+    def reach(start: str, avoid: str, arcs: list[tuple[str, str]]) -> set[str]:
+        seen, stack = {start}, [start]
+        while stack:
+            u = stack.pop()
+            new = {v for a, v in arcs if a == u and v != avoid} - seen
+            seen |= new
+            stack += new
+        return seen
+
+    fwd, bwd = reach(s, t, support), reach(t, s, [(j, i) for i, j in support])
+    return [(i, j) for i, j in support if i in fwd and j in bwd]
+
+
 def solve_logical_flow(instance: NetworkInstance, conditions: list[Condition | None],
                        k: int, objective: str = "throughput",
                        mode: str = "dual") -> tuple[ReservationPlan, LogicalFlowPlan]:
@@ -369,7 +390,13 @@ def solve_logical_flow(instance: NetworkInstance, conditions: list[Condition | N
     condition; flow reservations ride segment loads that obey flow balance.
 
     `conditions` may contain None for the unconditional base flow.  With no
-    flows at all this reduces exactly to the tunnel-only model.
+    flows at all this reduces exactly to the tunnel-only model.  A flow of
+    pair (s, t) gets a load only on the segments of `_on_path_segments`.
+    That is exact: a flow's loads decompose into s->t paths, whose arcs are
+    all among those segments, and circulations (flow decomposition, Ahuja,
+    Magnanti & Orlin 1993, ch. 3).  A load enters the capacity, protected
+    and dualized rows only as a load, so removing the circulations keeps a
+    plan feasible with the same reservations and objective.
     """
     named = [c for c in conditions if c is not None]
     demand_pairs = instance.demand_pairs()
@@ -380,24 +407,25 @@ def solve_logical_flow(instance: NetworkInstance, conditions: list[Condition | N
             wid = f"w::{s}>{t}::{cid or 'always'}"
             flows.append(LogicalFlow(wid, (s, t), cid))
     support = list(dict.fromkeys(sorted({(t.src, t.dst) for t in instance.tunnels}) + demand_pairs))
+    paths = {pair: _on_path_segments(support, *pair) for pair in demand_pairs}
 
     variables: list[str] = []
     carriers: dict[tuple[str, str], list[Carrier]] = {pair: [] for pair in support}
     for w in flows:
         variables.append(f"bw::{w.id}")
         carriers[w.pair].append((f"bw::{w.id}", 1.0, w.condition))
-        for (i, j) in support:
+        for (i, j) in paths[w.pair]:
             variables.append(f"pw::{w.id}::{i}>{j}")
             carriers[(i, j)].append((f"pw::{w.id}::{i}>{j}", -1.0, w.condition))
 
-    # Flow balance of each logical flow over the segment graph.
+    # Flow balance of each logical flow over its segments.
     rows = []
     nodes = sorted(instance.topology.nodes)
     for w in flows:
         s, t = w.pair
         for i in nodes:
             coeffs: dict[str, float] = {}
-            for (u, v) in support:
+            for (u, v) in paths[w.pair]:
                 var = f"pw::{w.id}::{u}>{v}"
                 if u == i:
                     coeffs[var] = coeffs.get(var, 0.0) + 1.0
@@ -418,7 +446,7 @@ def solve_logical_flow(instance: NetworkInstance, conditions: list[Condition | N
     reservation = {w.id: _reserved(sol, f"bw::{w.id}") for w in flows}
     segment_load = {}
     for w in flows:
-        for (i, j) in support:
+        for (i, j) in paths[w.pair]:
             val = sol.value(f"pw::{w.id}::{i}>{j}")
             if val > _NOISE_TOL:
                 segment_load[(w.id, i, j)] = val

@@ -614,6 +614,29 @@ def test_benders_never_consumes_a_selection_twice(monkeypatch):
     assert len(consumed) > 2
 
 
+def test_the_master_holds_one_row_per_distinct_cut(monkeypatch):
+    # With one unit every member's cut lands on its class's binary, so most
+    # of a run's cuts repeat a row already in the master.
+    lps, solve = [], prob.solve_mip
+
+    def spy(lp):
+        lps.append(lp)
+        return solve(lp)
+
+    pinst = fixture_pinst("four-tunnel")
+    cuts = benders_run(pinst)[2].cuts
+    monkeypatch.setattr(prob, "solve_mip", spy)
+    benders_master(pinst, cuts)
+    cls = pinst.selection_classes
+    want = {(frozenset({"alpha": 1.0, **{f"z::{uid}::{cls.reps[cls.of[c.scenario_index]]}": -w
+                                         for uid, w in c.coeff.items()}}.items()), c.const)
+            for c in cuts}
+    rows = [(frozenset((lps[0]._vars[j].name, coef) for j, coef in row.coeffs.items()), row.rhs)
+            for row in lps[0]._rows if row.name.startswith("cut:")]
+    assert len(rows) == len(set(rows)) == len(want) < len(cuts)
+    assert set(rows) == want
+
+
 # -- scenario classes ------------------------------------------------------------
 
 

@@ -221,6 +221,85 @@ def test_dual_mode_is_never_optimistic_on_conditional_instances():
             assert flows["dual"] <= flows["enumerate"] + 1e-6
 
 
+#: Logical-flow objectives of `random_instance(seed, 8, 6, 3, 3,
+#: with_sequences=True)` with `with_conditional_sequences(., 500 + seed)`, as
+#: solved with a load on every segment for every flow, per seed:
+#: (demand_scale k=1, k=2, throughput k=1, k=2), the same in both modes.
+LOGICAL_FLOW_OBJECTIVES = {
+    1: (0.0, 0.0, 1.112, 0.336),
+    2: (0.590653396798, 0.0, 1.365, 0.0),
+    3: (0.403269754768, 0.0, 1.308, 0.0),
+    4: (0.0, 0.0, 1.137, 0.767),
+    5: (0.601060304838, 0.0, 1.488, 0.0),
+    6: (0.679759377212, 0.0, 1.921, 0.66),
+    7: (0.999481477214, 0.0, 2.0361, 0.633),
+    8: (1.25015518312, 0.0, 1.611, 0.862),
+}
+
+
+def conditional_instance(seed):
+    inst = with_conditional_sequences(
+        random_instance(seed, 8, 6, 3, 3, with_sequences=True), 500 + seed)
+    return inst, [None] + [inst.condition(c) for c in
+                           sorted({q.condition for q in inst.logical_sequences if q.condition})]
+
+
+def test_logical_flow_objectives_equal_their_recorded_values():
+    for seed, want in LOGICAL_FLOW_OBJECTIVES.items():
+        inst, conds = conditional_instance(seed)
+        cases = itertools.product(("demand_scale", "throughput"), (1, 2))
+        for mode, ((objective, k), value) in itertools.product(MODES, zip(cases, want)):
+            got = solve_logical_flow(inst, conds, k, objective, mode)[0].objective
+            assert got == pytest.approx(value, abs=1e-9), (seed, mode, objective, k)
+
+
+def test_logical_flows_load_only_segments_on_a_path_of_their_pair(monkeypatch):
+    # A flow of (s, t) gets a segment (i, j) only when i is reachable from s
+    # and j reaches t, neither through the other end; any other load would
+    # be a circulation.
+    seen = []
+
+    def capture(lp):
+        seen.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(robust, "solve_lp", capture)
+    for seed in (1, 2, 3):
+        inst, conds = conditional_instance(seed)
+        support = {(t.src, t.dst) for t in inst.tunnels} | set(inst.demand_pairs())
+
+        def reach(start, avoid, arcs):
+            out, frontier = {start}, [start]
+            while frontier:
+                u = frontier.pop()
+                for a, b in arcs:
+                    if a == u and b != avoid and b not in out:
+                        out.add(b)
+                        frontier.append(b)
+            return out
+
+        for mode in MODES:
+            seen.clear()
+            _, flow_plan = solve_logical_flow(inst, conds, 1, "throughput", mode)
+            pairs = {w.id: w.pair for w in flow_plan.flows}
+            loaded = [name[len("pw::"):].rsplit("::", 1)
+                      for name in (v.name for v in seen[0]._vars) if name.startswith("pw::")]
+            assert loaded
+            for wid, seg in loaded:
+                s, t = pairs[wid]
+                i, j = seg.split(">")
+                assert (i, j) in support
+                assert i in reach(s, t, support), (seed, wid, seg)
+                assert j in reach(t, s, {(b, a) for a, b in support}), (seed, wid, seg)
+            for w in flow_plan.flows:
+                b, loads = flow_plan.reservation[w.id], flow_plan.loads_for(w.id)
+                for node in inst.topology.nodes:
+                    net = sum(v for (i, _), v in loads.items() if i == node) - \
+                        sum(v for (_, j), v in loads.items() if j == node)
+                    want = b if node == w.pair[0] else -b if node == w.pair[1] else 0.0
+                    assert net == pytest.approx(want, abs=1e-7), (seed, mode, w.id, node)
+
+
 def test_zero_demand_instance_trivial():
     inst = random_instance(1)
     empty = NetworkInstance(topology=inst.topology, tunnels=inst.tunnels)
