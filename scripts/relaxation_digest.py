@@ -18,11 +18,11 @@ vertex, same basis.  A relaxation solved from inside another (the cold
 fallback of a warm start) is part of the outer result and is not counted on
 its own.
 
-`--out` prints the digests of robust-plan and flomore at instance seeds 1-5
-and of oracle-sweep at instance seed 1, all at `--seed`, and writes them to
-a JSON file of counts, with no wall times.  The file also holds every CLI
-fixture at `flomore --cutoff 0` with the CLI's default link probabilities:
-its scenarios and scenario classes, and per `solve` (direct MIP) and `cvar`
+`--out` prints the digests of robust-plan, oracle-sweep and flomore at
+instance seeds 1-5, all at `--seed`, and writes them to a JSON file of
+counts, with no wall times.  The file also holds every CLI fixture at
+`flomore --cutoff 0` with the CLI's default link probabilities: its
+scenarios and scenario classes, and per `solve` (direct MIP) and `cvar`
 (flow_adaptive) the relaxations solved and the rows and columns of the
 largest compiled form, or the error raised.
 """
@@ -44,8 +44,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from perfbench import run  # noqa: E402  (stdlib only; numpy is not yet imported)
 
 #: (workload, instance seed) of every digest `--out` records
-OUT_DIGESTS = (tuple(("robust-plan", s) for s in range(1, 6)) + (("oracle-sweep", 1),)
-               + tuple(("flomore", s) for s in range(1, 6)))
+OUT_DIGESTS = tuple((workload, s) for workload in ("robust-plan", "oracle-sweep", "flomore")
+                    for s in range(1, 6))
 
 
 def serialize(sol) -> bytes:

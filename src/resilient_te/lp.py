@@ -5,10 +5,11 @@ solve call compiles its LP once into a standard form with one column per
 variable, holding x - lb: every lower bound is finite (`add_var` and
 `with_bounds` refuse any other), so no variable is split or reflected.
 Every warm re-solve, a branch-and-bound child or `solve_lp(start=)`, solves
-a copy of that form under its own bounds (`_Standardized.rebound`).  The
-solver holds the basis inverse as an eta file on top of its last refactor
-(below), prices with the Dantzig rule, and falls back to Bland's rule after
-a run of degenerate pivots.  The primal ratio test takes the minimum
+a copy of that form under its own bounds (`_Standardized.rebound`), and a
+`solve_lp(start=)` under its own objective too (`_Standardized.reprice`).
+The solver holds the basis inverse as an eta file on top of its last
+refactor (below), prices with the Dantzig rule, and falls back to Bland's
+rule after a run of degenerate pivots.  The primal ratio test takes the minimum
 ratio; ratios within 1e-12 of it tie.  In phase 1 a tie that holds basic
 artificials is cut to them, so a tied artificial leaves first (Maros 2003,
 ch. 9).  Ties then go to the largest |pivot column entry|, then to the
@@ -62,16 +63,23 @@ ratio is within that bound, the largest |alpha|, then the lowest column
 index.  So a tiny |alpha| enters only when no larger one has a ratio near
 the minimum.  A row that no column can repair proves the re-solve
 infeasible.  Once every basic variable is within its bounds, phase 2
-finishes the solve; it stops at once on an optimal basis.  If the warm path
-fails anywhere (a singular entry basis, the iteration cap, a singular
-basis, or the certificate below), the form is solved cold instead, once.
+finishes the solve; it stops at once on an optimal basis.  A
+`solve_lp(start=)` re-solve may also change the objective, which can leave
+the start's basis dual infeasible: the dual loop counts a wrong-signed
+reduced cost as 0, and phase 2 repairs it.  Under the start's own bounds
+the dual loop has nothing to repair, so phase 2 alone re-solves, from the
+start's basis and without a phase-1 pivot.  If the warm path fails
+anywhere (a singular entry basis, the iteration cap, a singular basis, or
+the certificate below), the form is solved cold instead, once.
 Neither loop rebuilds the basis state per pivot: `_exchange` carries the
 basic upper bounds and each real column's pricing direction, which both
 loops read, and the dual ratio test gathers each candidate array once.
 
 `solve_lp(lp, start=sol)` re-solves `lp` this way from `sol`, an optimal
-solution of an LP with the same variables, rows and objective
-(`LinearProgram.with_bounds` makes one): only the bounds may differ.
+solution of an LP with the same variables and rows
+(`LinearProgram.with_bounds` makes one): the bounds, the objective and its
+sense may differ.  A new objective is compiled onto the copy of the start's
+form, which still shares its `A`.
 Branch and bound pops the best bound first and branches by reliability
 branching (Achterberg, Koch & Martin, "Branching rules revisited", 2005; see
 `solve_mip`).  It solves its root cold and each child the same way, from its
@@ -252,8 +260,9 @@ class Solution:
     #: phase 2.
     pivots: tuple[int, int] = (0, 0)
     #: Opaque: what `solve_lp(..., start=)` re-solves from, the compiled form
-    #: and final basis state (`_Start`).  Set on every optimal LP solution;
-    #: None otherwise, and on every `solve_mip` result.
+    #: and final basis state (`_Start`), for an LP with the same variables
+    #: and rows under any bounds and objective.  Set on every optimal LP
+    #: solution; None otherwise, and on every `solve_mip` result.
     basis: _Start | None = field(default=None, compare=False, repr=False)
 
     def __getitem__(self, var: str) -> float:
@@ -272,15 +281,17 @@ class Solution:
 class _Standardized:
     """One LP compiled into the internal form.
 
-    `A`, the row rhs, `c`, the LP's `vars` with their bounds `var_lb` and
-    `var_ub`, their `names` and its `shape` (rows, objective, sense) are
-    built once and kept by every `rebound` copy.  `A` holds the `n_real`
-    real columns: variable j's, x_j - lb_j, at j, then one slack per
-    inequality row.  Column n_real + i is row i's artificial, in `c` and
-    `u` but not in `A`: its sign is basis state (`_Simplex.art`).  The
-    bounds `lb` and `ub` decide `b` and `u`; `rebound` copies the form
-    under other bounds.  `A` and these four arrays are read-only, so a
-    form shared by several solves cannot be changed by one of them.
+    `A`, the row rhs, the LP's `vars` with their bounds `var_lb` and
+    `var_ub`, their `names` and its `rows` are built once and kept by every
+    `rebound` copy.  So are the cost `c`, `obj_sign` and the `objective`
+    (coefficients, sense) they compile, except on a copy that `reprice`
+    gives another objective.  `A` holds the `n_real` real columns:
+    variable j's, x_j - lb_j, at j, then one slack per inequality row.
+    Column n_real + i is row i's artificial, in `c` and `u` but not in `A`:
+    its sign is basis state (`_Simplex.art`).  The bounds `lb` and `ub`
+    decide `b` and `u`; `rebound` copies the form under other bounds.  `A`,
+    `c` and these four arrays are read-only, so a form shared by several
+    solves cannot be changed by one of them.
 
     A form with at least SPARSE_MIN_ROWS rows is `sparse`: it also keeps `A`
     by columns (`nz_rows`, `nz_vals`, column starts `col_start`), and `price`
@@ -290,7 +301,7 @@ class _Standardized:
     def __init__(self, lp: LinearProgram):
         self.vars = tuple(lp._vars)
         self.names = tuple(v.name for v in self.vars)
-        self.shape = (tuple(lp._rows), lp._obj, lp.sense)
+        self.rows = tuple(lp._rows)
         lb = np.array([v.lb for v in self.vars], dtype=float)
         ub = np.array([v.ub for v in self.vars], dtype=float)
         self.n_struct = len(self.vars)
@@ -314,12 +325,7 @@ class _Standardized:
         A.flags.writeable = False
         self.A = A
         self.rhs = np.array([row.rhs for row in rows], dtype=float)
-
-        self.obj_sign = 1.0 if lp.sense == "min" else -1.0
-        c = np.zeros(self.ncols)
-        oj = np.fromiter(lp._obj.keys(), dtype=np.intp, count=len(lp._obj))
-        c[oj] += self.obj_sign * np.fromiter(lp._obj.values(), dtype=float, count=len(lp._obj))
-        self.c = c
+        self.reprice(lp)
         self.sparse = m >= SPARSE_MIN_ROWS
         if self.sparse:
             cols, self.nz_rows = np.nonzero(A.T)
@@ -342,6 +348,17 @@ class _Standardized:
         for array in (lb, ub, u, b):
             array.flags.writeable = False
         self.lb, self.ub, self.u, self.b = lb, ub, u, b
+
+    def reprice(self, lp: LinearProgram) -> None:
+        """Take the objective and sense of `lp`: set `objective`, `obj_sign`
+        and the cost `c`, made read-only."""
+        self.objective = (lp._obj, lp.sense)
+        self.obj_sign = 1.0 if lp.sense == "min" else -1.0
+        c = np.zeros(self.ncols)
+        oj = np.fromiter(lp._obj.keys(), dtype=np.intp, count=len(lp._obj))
+        c[oj] += self.obj_sign * np.fromiter(lp._obj.values(), dtype=float, count=len(lp._obj))
+        c.flags.writeable = False
+        self.c = c
 
     def price(self, y: np.ndarray) -> np.ndarray:
         """`y @ A`."""
@@ -775,10 +792,10 @@ def solve_lp(lp: LinearProgram, start: Solution | None = None) -> Solution:
     """Solve an LP (no binaries) to optimality, returning primal and duals.
 
     With `start`, an optimal `solve_lp` solution of an LP with the same
-    variables, rows and objective as `lp` (when that LP was solved), `lp`
-    is re-solved warm from its basis (see the module docstring); only the
-    bounds may differ.  A `start` without a basis or of another LP raises
-    ValueError.
+    variables and rows as `lp` (when that LP was solved), `lp` is re-solved
+    warm from its basis (see the module docstring); the bounds, the
+    objective and its sense may differ.  A `start` without a basis or of an
+    LP with other variables or rows raises ValueError.
     """
     if start is None:
         if lp.binary_vars():
@@ -786,8 +803,7 @@ def solve_lp(lp: LinearProgram, start: Solution | None = None) -> Solution:
         return _solve_relaxation(lp, _Standardized(lp))
     warm = start.basis
     mismatch = "start is not an optimal solution of an LP with these rows and columns"
-    if warm is None or len(lp._vars) != warm.std.n_struct \
-            or (tuple(lp._rows), lp._obj, lp.sense) != warm.std.shape:
+    if warm is None or len(lp._vars) != warm.std.n_struct or tuple(lp._rows) != warm.std.rows:
         raise ValueError(mismatch)
     held, lb, ub = warm.std.vars, warm.std.var_lb.copy(), warm.std.var_ub.copy()
     for j in [j for j, v in enumerate(lp._vars) if v is not held[j]]:  # edited
@@ -795,7 +811,10 @@ def solve_lp(lp: LinearProgram, start: Solution | None = None) -> Solution:
         if v.binary or v.name != held[j].name:
             raise ValueError("solve_lp requires a pure LP; use solve_mip" if v.binary else mismatch)
         lb[j], ub[j] = v.lb, v.ub
-    return _solve_relaxation(lp, warm.std.rebound(lb, ub), warm)
+    std = warm.std.rebound(lb, ub)
+    if (lp._obj, lp.sense) != std.objective:
+        std.reprice(lp)
+    return _solve_relaxation(lp, std, warm)
 
 
 def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Start | None = None
@@ -804,14 +823,14 @@ def _solve_relaxation(lp: LinearProgram, std: _Standardized, start: _Start | Non
     solution's `basis` is its `_Start` on `std`.
 
     Cold, phase 1 runs from `_Start.cold` and phase 2 finishes.
-    With `start`, an optimal relaxation of this form under other bounds, the
-    dual simplex re-solves from its basis state and phase 2 finishes.  An
-    optimum is certified before it is reported (`_Simplex.certify`): the
-    basis is refactored only when the updated inverse fails its residuals,
-    and the exact point must then pass the full certificate.  When any step
-    of a warm solve raises SolverStallError, the form is solved cold instead
-    and the warm pivots count as phase 2 of that cold solve; a cold solve
-    raises it.
+    With `start`, an optimal relaxation of this form under other bounds or
+    another objective, the dual simplex re-solves from its basis state and
+    phase 2 finishes.  An optimum is certified before it is reported
+    (`_Simplex.certify`): the basis is refactored only when the updated
+    inverse fails its residuals, and the exact point must then pass the full
+    certificate.  When any step of a warm solve raises SolverStallError, the
+    form is solved cold instead and the warm pivots count as phase 2 of that
+    cold solve; a cold solve raises it.
     """
     if std.m == 0:
         # Only bounds: minimize each cost coordinate independently.

@@ -776,12 +776,33 @@ def test_node_budget_counts_strong_branching_relaxations(monkeypatch):
     assert trees > 30 and root_tried_two > 5 and carried > 20
 
 
+def _reference(lp: LinearProgram) -> tuple[str, float | None]:
+    """`linprog(method="highs")`'s status for `lp`, and its objective in the
+    LP's own sense when optimal."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    sign = 1.0 if lp.sense == "min" else -1.0
+    c = np.zeros(lp.num_vars)
+    c[list(lp._obj)] = [sign * coef for coef in lp._obj.values()]
+    A = np.zeros((lp.num_rows, lp.num_vars))
+    for i, row in enumerate(lp._rows):
+        A[i, list(row.coeffs)] = list(row.coeffs.values())
+    b = np.array([row.rhs for row in lp._rows])
+    senses = np.array([row.sense for row in lp._rows])
+    flip = np.where(senses == ">=", -1.0, 1.0)[:, None]
+    ub, eq = senses != "=", senses == "="
+    ref = linprog(c, A_ub=(flip * A)[ub] if ub.any() else None,
+                  b_ub=(flip[:, 0] * b)[ub] if ub.any() else None,
+                  A_eq=A[eq] if eq.any() else None, b_eq=b[eq] if eq.any() else None,
+                  bounds=[(v.lb, None if v.ub == INF else v.ub) for v in lp._vars],
+                  method="highs")
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(ref.status, "?")
+    return status, sign * ref.fun if status == "optimal" else None
+
+
 def _match_external_reference(rng, cases):
     """Random LPs whose variables take the `BOUND_KINDS`; status and
     objective must match `linprog(method="highs")`.  Returns the LPs and
     solutions found optimal."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    status_map = {0: "optimal", 2: "infeasible", 3: "unbounded"}
     optimal = []
     for _ in range(cases):
         n = int(rng.integers(1, 6))
@@ -792,29 +813,16 @@ def _match_external_reference(rng, cases):
         senses = rng.choice(["<=", ">=", "="], size=m, p=[0.5, 0.3, 0.2])
         kinds = rng.choice(list(BOUND_KINDS), size=n)
         lp = LinearProgram()
-        bounds = []
         for j in range(n):
-            lb, ub = BOUND_KINDS[str(kinds[j])]
-            lp.add_var(f"x{j}", lb, ub)
-            bounds.append((lb, None if ub == INF else ub))
+            lp.add_var(f"x{j}", *BOUND_KINDS[str(kinds[j])])
         for i in range(m):
             lp.add_row({f"x{j}": A[i, j] for j in range(n)}, str(senses[i]), b[i])
         lp.set_objective({f"x{j}": c[j] for j in range(n)}, "min")
         sol = solve_lp(lp)
-        Aub = [A[i] for i in range(m) if senses[i] == "<="] + \
-              [-A[i] for i in range(m) if senses[i] == ">="]
-        bub = [b[i] for i in range(m) if senses[i] == "<="] + \
-              [-b[i] for i in range(m) if senses[i] == ">="]
-        Aeq = [A[i] for i in range(m) if senses[i] == "="]
-        beq = [b[i] for i in range(m) if senses[i] == "="]
-        ref = linprog(c, A_ub=np.array(Aub) if Aub else None,
-                      b_ub=np.array(bub) if bub else None,
-                      A_eq=np.array(Aeq) if Aeq else None,
-                      b_eq=np.array(beq) if beq else None,
-                      bounds=bounds, method="highs")
-        assert sol.status == status_map.get(ref.status, "?")
+        status, objective = _reference(lp)
+        assert sol.status == status
         if sol.status == "optimal":
-            assert sol.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
+            assert sol.objective == pytest.approx(objective, abs=1e-6, rel=1e-6)
             optimal.append((lp, sol))
     return optimal
 
@@ -978,6 +986,56 @@ def test_warm_lp_start_must_come_from_an_lp_with_the_same_rows_and_columns():
     assert lp._vars[0].ub > 0.0
     assert solve_lp(copy_lp, start=base).status == "optimal"
     assert solve_lp(lp.with_bounds({}), start=base).objective == base.objective
+    # A new objective does not excuse other rows or variables.
+    for changed, start in ((other, base), (grown, base), (edited_later, later)):
+        changed.set_objective({"f0": 1.0}, "max")
+        with pytest.raises(ValueError):
+            solve_lp(changed, start=start)
+
+
+def test_warm_lp_resolves_under_a_new_objective_match_an_external_reference():
+    # `solve_lp(lp2, start=sol1)` where lp2 flips sol1's sense, or takes a
+    # new objective with or without bound edits: status, objective and
+    # duals must agree with `linprog(method="highs")`.  The re-solve shares
+    # the start's `A` and leaves the start's costs as they were.  With the
+    # bounds kept, the start is feasible, so it takes no phase-1 pivot.
+    rng = np.random.default_rng(33)
+    seen = {}
+    for _ in range(200):
+        lp = _random_lp(rng)
+        base = solve_lp(lp)
+        if base.status != "optimal":
+            continue
+        names = [v.name for v in lp._vars]
+        costs = base.basis.std.c.copy()
+        flipped = lp.with_bounds({})
+        flipped.set_objective({names[j]: coef for j, coef in lp._obj.items()},
+                              "max" if lp.sense == "min" else "min")
+        reweighted = lp.with_bounds({})
+        reweighted.set_objective(dict(zip(names, np.round(rng.normal(size=len(names)) * 2, 2))),
+                                 str(rng.choice(["min", "max"])))
+        edits = {}
+        for name in rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False):
+            ub = float(rng.choice([0.0, 0.5, 2.5, INF]))
+            edits[str(name)] = (min(ub, float(rng.choice([-1.0, 0.0, 0.5]))), ub)
+        edited = reweighted.with_bounds(edits)
+        for kind, target in (("flip", flipped), ("new", reweighted), ("bounds", edited)):
+            warm = solve_lp(target, start=base)
+            status, objective = _reference(target)
+            assert warm.status == status, kind
+            seen[kind, status] = seen.get((kind, status), 0) + 1
+            if kind != "bounds":
+                assert warm.pivots[0] == 0, kind
+            if status == "optimal":
+                assert warm.objective == pytest.approx(objective, abs=1e-6, rel=1e-6), kind
+                assert dual_objective(target, warm) == pytest.approx(warm.objective, abs=1e-6,
+                                                                     rel=1e-6), kind
+                assert warm.basis.std.A is base.basis.std.A
+        np.testing.assert_array_equal(base.basis.std.c, costs)
+    assert seen["flip", "optimal"] > 50 and seen["flip", "unbounded"] > 5
+    assert seen["new", "optimal"] > 50 and seen["new", "unbounded"] > 5
+    assert seen["bounds", "optimal"] > 40 and seen["bounds", "infeasible"] > 10
+    assert seen["bounds", "unbounded"] > 0
 
 
 def _recorded_inversions(monkeypatch):

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from resilient_te import lp as lp_module
 from resilient_te import oracle
 from resilient_te.cli import FIXTURES, main
 from resilient_te.fixtures import flow_example, four_tunnel_example, hint_example, parallel_example
+from resilient_te.generators import random_instance
 from resilient_te.lp import Solution, SolverStallError, solve_lp
 from resilient_te.net import Scenario, UnknownLinkError, enumerate_scenarios
 from resilient_te.oracle import generalized_family, solve_mcf, worst_case_optimal
@@ -22,29 +24,70 @@ def test_mcf_hand_flow_after_one_failure():
 
 
 def test_mcf_phase_one_stops_when_no_artificial_is_positive(monkeypatch):
-    # The intact MCF is solved cold once.  Its balance rows have rhs 0, so
-    # their artificials start at 0 and phase 1 only has to price out the
-    # capacity rows; running phase 1 until no column prices out took 10
-    # pivots on this LP.  The no-failure scenario reads that solution; a
-    # scenario with a failed link re-solves warm from its basis, through
-    # `oracle.solve_lp`, and runs no phase 1 at all.
-    sols = []
+    # The intact MCF is solved cold once, through the lp module, under its
+    # flow-charged objective.  Its balance rows have rhs 0, so their
+    # artificials start at 0 and phase 1 only has to price out the capacity
+    # rows; running phase 1 until no column prices out took 10 pivots on
+    # this LP.  The plain LP then re-solves warm from that vertex, without a
+    # pivot.  The no-failure scenario reads that solution; a scenario with a
+    # failed link re-solves warm from its basis, through `oracle.solve_lp`,
+    # and runs no phase 1 at all.
+    stages, sols = [], []
+
+    def staged(lp, start=None):
+        sol = solve_lp(lp, start=start)
+        stages.append((start is None, sol.pivots))
+        return sol
 
     def capture(lp, start=None):
         sols.append(solve_lp(lp, start=start))
         return sols[-1]
 
+    monkeypatch.setattr(lp_module, "solve_lp", staged)
     monkeypatch.setattr(oracle, "solve_lp", capture)
     inst = flow_example()
     res = solve_mcf(inst, Scenario(frozenset()), "throughput")
-    intact = oracle._intact_mcf(inst, "throughput").solution
     assert res.objective == pytest.approx(2.0)
-    assert intact.pivots[0] <= 10
+    (cold, charged), (warm, plain) = stages
+    assert cold and charged[0] <= 10
+    assert not warm and plain == (0, 0)
     assert sols == []
     failed = solve_mcf(inst, Scenario(frozenset({inst.topology.links[0].id})), "throughput")
     (sol,) = sols
     assert sol.pivots[0] == 0
     assert failed.objective <= res.objective + 1e-9
+
+
+def _least_total_flow(intact) -> float:
+    """The least total flow of an optimum of the intact MCF, from a second
+    LP: the intact rows and bounds, the objective held at its optimum less
+    1e-9, and the total flow minimized."""
+    lp = intact.lp.with_bounds({})
+    lp.add_row({lp._vars[j].name: c for j, c in lp._obj.items()}, ">=",
+               intact.solution.objective - 1e-9)
+    lp.set_objective({var: 1.0 for _, var in intact.flows}, "min")
+    sol = solve_lp(lp)
+    assert sol.status == "optimal"
+    return sol.objective
+
+
+@pytest.mark.parametrize("objective", ["throughput", "demand_scale"])
+def test_the_intact_mcf_routes_its_optimum_with_the_least_total_flow(objective):
+    # The memo keeps the plain LP's optimum, with the objective of a cold
+    # plain solve, at a vertex that carries no more flow than that optimum
+    # needs: on every fixture and on the oracle-sweep benchmark's instance.
+    sweep = dict(n_nodes=14, extra_links=11, n_pairs=10, tunnels_per_pair=3)
+    instances = [(name, make()) for name, make in sorted(FIXTURES.items())]
+    instances += [(f"oracle-sweep instance seed {seed}", random_instance(seed, **sweep))
+                  for seed in (1, 2, 3)]
+    for name, inst in instances:
+        intact = oracle._intact_mcf(inst, objective)
+        if intact is None:
+            continue
+        assert intact.solution.objective == pytest.approx(solve_lp(intact.lp).objective,
+                                                          abs=1e-9), name
+        total = sum(intact.solution.primal[var] for _, var in intact.flows)
+        assert total == pytest.approx(_least_total_flow(intact), abs=1e-6), name
 
 
 def test_mcf_without_demand_builds_no_lp(monkeypatch):
