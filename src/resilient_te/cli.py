@@ -60,6 +60,11 @@ def _load(args) -> tuple:
     return load_instance(args.instance)
 
 
+def _fmt(x: float) -> str:
+    """`x` to six decimals, with no -0.000000 for a value that rounds to 0."""
+    return f"{round(x, 6) + 0.0:.6f}"
+
+
 def _default_seed() -> int:
     value = os.environ.get("RESILIENT_TE_SEED", "0")
     try:
@@ -179,12 +184,12 @@ def _dispatch(args) -> int:
             plan, _ = solve_logical_flow(instance, conds, args.k, objective, args.mode)
         else:
             plan = solve_robust(instance, _MODEL_FLAG[args.model], args.k, objective, args.mode)
-        print(f"{plan.objective:.6f}")
+        print(_fmt(plan.objective))
         return 0
 
     if args.command == "oracle":
         value, witness = worst_case_optimal(instance, args.k, _OBJ_FLAG[args.objective])
-        print(f"{value:.6f}")
+        print(_fmt(value))
         print("worst-scenario:", ",".join(sorted(witness.failed_links)) or "<none>")
         return 0
 
@@ -197,7 +202,7 @@ def _dispatch(args) -> int:
         plan = solve_robust(instance, _MODEL_FLAG[args.model], args.k, objective, "dual")
         routing = extract_routing(plan, instance, Scenario(failed))
         for (tid, dest), val in sorted(routing.flow.items()):
-            print(f"{tid},{dest},{val:.6f}")
+            print(f"{tid},{dest},{_fmt(val)}")
         return 0
 
     if args.command in ("flomore", "analyze"):
@@ -215,14 +220,14 @@ def _dispatch(args) -> int:
             _, _, report = solve_direct_mip(pinst)
         elif args.action == "benders":
             _, report, state = benders_run(pinst, args.iterations)
-            print(f"lower-bound,{state.lower_bound:.6f}")
+            print(f"lower-bound,{_fmt(state.lower_bound)}")
         else:
             _, report, value = solve_cvar(pinst, args.variant)
-            print(f"cvar,{value:.6f}")
-        print(f"max-flow-pct-loss,{report.max_flow_pct_loss:.6f}")
-        print(f"scen-pct-loss,{report.scen_pct_loss:.6f}")
+            print(f"cvar,{_fmt(value)}")
+        print(f"max-flow-pct-loss,{_fmt(report.max_flow_pct_loss)}")
+        print(f"scen-pct-loss,{_fmt(report.scen_pct_loss)}")
         for fid in sorted(report.flow_loss):
-            print(f"flow-loss,{fid},{report.flow_loss[fid]:.6f}")
+            print(f"flow-loss,{fid},{_fmt(report.flow_loss[fid])}")
         return 0
 
     # report: argparse admits no other command.
@@ -234,8 +239,7 @@ def _dispatch(args) -> int:
             continue
         plan = solve_robust(instance, model, args.k, objective, args.mode)
         normalized = plan.objective / optimum if optimum > 0 else 0.0
-        rows.append([model, args.k, objective, f"{plan.objective:.6f}",
-                     f"{normalized:.6f}"])
+        rows.append([model, args.k, objective, _fmt(plan.objective), _fmt(normalized)])
     out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     try:
         writer = csv.writer(out)

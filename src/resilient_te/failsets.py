@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .net import Condition, NetworkInstance, Scenario, Tunnel, UnknownLinkError, enumerate_scenarios
+from .net import Condition, NetworkInstance, Tunnel, UnknownLinkError, enumerate_scenarios
 
 #: Indicator variables are identified by (kind, ref) where kind is "x" for a
 #: link, "y" for a tunnel, "h" for a condition.
@@ -50,25 +50,6 @@ class FailurePolytope:
             if lhs > row.rhs + HOLDS_TOL:
                 return False
         return True
-
-
-@dataclass(frozen=True)
-class TunnelFailurePattern:
-    """Integral (y, h) point realized by one concrete failure scenario."""
-
-    scenario: Scenario
-    tunnel_failed: tuple[tuple[str, bool], ...]
-    condition_state: tuple[tuple[str, bool], ...]
-
-    def as_point(self) -> dict[Indicator, float]:
-        point: dict[Indicator, float] = {}
-        for e in self.scenario.failed_links:
-            point[("x", e)] = 1.0
-        for tid, dead in self.tunnel_failed:
-            point[("y", tid)] = 1.0 if dead else 0.0
-        for cid, active in self.condition_state:
-            point[("h", cid)] = 1.0 if active else 0.0
-        return point
 
 
 def shared_link_bound(instance: NetworkInstance, src: str, dst: str) -> int:
@@ -156,13 +137,14 @@ def build_hint_polytope(instance: NetworkInstance, k: int,
 
 
 def enumerate_patterns(instance: NetworkInstance, k: int,
-                       conditions: list[Condition] | None = None) -> list[TunnelFailurePattern]:
-    """One integral (y, h) point per scenario of at most k link failures.
-
-    Distinct scenarios may induce identical patterns; both are kept so the
-    originating scenario stays attached.  The robust models call this on one
-    pair's sub-instance, so the scenario guard (see `enumerate_scenarios`)
-    counts that pair's own links, and drop the duplicate patterns per pair.
+                       conditions: list[Condition] | None = None) -> list[dict[Indicator, float]]:
+    """One integral indicator point per scenario of at most k link failures,
+    in `enumerate_scenarios` order: ("x", e) is 1.0 per failed link, and each
+    ("y", tunnel) and ("h", condition) is 1.0 when the tunnel fails or the
+    condition holds, else 0.0.  The robust models call this on one pair's
+    sub-instance, so the scenario guard (see `enumerate_scenarios`) counts
+    that pair's own links, and drop the points that repeat on the pair's
+    indicators.
     """
     conditions = conditions if conditions is not None else list(instance.conditions)
     topo = instance.topology
@@ -177,10 +159,10 @@ def enumerate_patterns(instance: NetworkInstance, k: int,
     out = []
     for sc in enumerate_scenarios(topo, k):
         failed = sc.failed_links
-        out.append(TunnelFailurePattern(
-            scenario=sc,
-            tunnel_failed=tuple((tid, not path.isdisjoint(failed)) for tid, path in paths),
-            condition_state=tuple((c.id, c.alive_links.isdisjoint(failed) and c.dead_links <= failed)
-                                  for c in conditions),
-        ))
+        point: dict[Indicator, float] = dict.fromkeys((("x", e) for e in failed), 1.0)
+        for tid, path in paths:
+            point[("y", tid)] = 0.0 if path.isdisjoint(failed) else 1.0
+        for c in conditions:
+            point[("h", c.id)] = 1.0 if c.alive_links.isdisjoint(failed) and c.dead_links <= failed else 0.0
+        out.append(point)
     return out

@@ -166,13 +166,7 @@ def _build_intact_mcf(instance: NetworkInstance, objective: str) -> _IntactMcf |
             if coeffs:
                 lp.add_row(coeffs, "=", 0.0, name=f"bal:{t}:{i}")
     for ln in topo.links:
-        u, v = ln.ends
-        coeffs = {}
-        for t in dests:
-            coeffs[f"f::{t}::{ln.id}::{v}"] = 1.0
-            coeffs[f"f::{t}::{ln.id}::{u}"] = 1.0
-        if coeffs:
-            lp.add_row(coeffs, "<=", ln.capacity, name=f"cap:{ln.id}")
+        lp.add_row(dict.fromkeys(link_flows[ln.id], 1.0), "<=", ln.capacity, name=f"cap:{ln.id}")
 
     # Solved through the lp module, not through this module's `solve_lp`
     # binding, as `link_start`'s solves are: a wrapper of `oracle.solve_lp`

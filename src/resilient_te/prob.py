@@ -107,9 +107,6 @@ class ProbabilisticInstance:
                          d.loss_threshold if d.loss_threshold is not None else 0.0)
                 for d in self.instance.demands]
 
-    def pairs(self) -> list[Pair]:
-        return list(dict.fromkeys(pair for u in self.units for pair, _ in u.members))
-
     @cached_property
     def pair_demand(self) -> dict[Pair, tuple[float, dict[str, float]]]:
         """Each pair with positive demand: its total demand and each unit's
@@ -125,10 +122,10 @@ class ProbabilisticInstance:
 
     @cached_property
     def live(self) -> list[dict[Pair, list[Tunnel]]]:
-        """Per scenario index, each member pair's live tunnels."""
-        topo, pairs = self.instance.topology, self.pairs()
+        """Per scenario index, the live tunnels of each pair with demand."""
+        topo = self.instance.topology
         return [{pair: [t for t in self.instance.tunnels_for(*pair) if tunnel_alive(topo, t, sc)]
-                 for pair in pairs} for sc in self.scenarios]
+                 for pair in self.pair_demand} for sc in self.scenarios]
 
     @cached_property
     def routed(self) -> list[list[Tunnel]]:
@@ -202,7 +199,6 @@ class CriticalSelection:
 class LossReport:
     flow_loss: dict[str, float]
     max_flow_pct_loss: float
-    scen_loss: list[float]
     scen_pct_loss: float
 
 
@@ -225,7 +221,6 @@ class BendersState:
     lower_bound: float = 0.0
     iterations: int = 0
     incumbent_history: list[float] = field(default_factory=list)
-    bound_history: list[float] = field(default_factory=list)
 
 
 # --------------------------------------------------------------------------
@@ -343,7 +338,6 @@ def percentile_analysis(allocs: list[ScenarioAlloc], pinst: ProbabilisticInstanc
     return LossReport(
         flow_loss=flow_loss,
         max_flow_pct_loss=max(flow_loss.values(), default=0.0),
-        scen_loss=scen_loss,
         scen_pct_loss=percentile_of(scen_loss, probs, pinst.beta),
     )
 
@@ -675,7 +669,6 @@ def benders_run(pinst: ProbabilisticInstance, max_iterations: int = 5,
         state.iterations += 1
         selection, bound = benders_master(pinst, state.cuts, fixed=fixed)
         state.lower_bound = max(state.lower_bound, bound)
-        state.bound_history.append(state.lower_bound)
         if state.lower_bound >= state.incumbent - 1e-6:
             break
         consume(selection.values)

@@ -63,7 +63,6 @@ class ScenarioRouting:
     scenario: Scenario
     #: flow[(tunnel_id, destination)] = traffic toward that destination
     flow: dict[tuple[str, str], float]
-    delivered: dict[Pair, float]
     utilization: dict[Pair, float]
 
 
@@ -241,8 +240,7 @@ def extract_routing(plan: ReservationPlan, instance: NetworkInstance,
             for t in matrix.live_tunnels.get(pair, []):
                 share = plan.tunnel_reservation[t.id] / reserved[pair]
                 flow[(t.id, dest)] = flow.get((t.id, dest), 0.0) + value * share
-    delivered = {pair: plan.scaled_demand(instance, pair) for pair in plan.pair_scale}
-    return ScenarioRouting(scenario, flow, delivered, util)
+    return ScenarioRouting(scenario, flow, util)
 
 
 def routing_node_balance(instance: NetworkInstance, routing: ScenarioRouting,
@@ -323,8 +321,7 @@ def proportional_routing(plan: ReservationPlan, instance: NetworkInstance,
                 for seg in q.segments:
                     seg_offer = offered.setdefault(seg, {})
                     seg_offer[dest] = seg_offer.get(dest, 0.0) + share
-    delivered = {pair: plan.scaled_demand(instance, pair) for pair in plan.pair_scale}
-    return ScenarioRouting(scenario, flow, delivered, util)
+    return ScenarioRouting(scenario, flow, util)
 
 
 def widest_path_decompose(flow_plan: LogicalFlowPlan) -> list[LogicalSequence]:

@@ -56,7 +56,6 @@ class ReservationPlan:
     tunnel_reservation: dict[str, float]
     ls_reservation: dict[str, float]
     pair_scale: dict[tuple[str, str], float]
-    designed_k: int
 
     def scaled_demand(self, instance: NetworkInstance, pair: tuple[str, str]) -> float:
         return self.pair_scale.get(pair, 0.0) * instance.demand_for(*pair)
@@ -297,7 +296,7 @@ def _assemble(instance: NetworkInstance, model: str, k: int, objective: str, mod
         elif model == "ffc":
             _enumerate_rows(lp, protected, _ffc_worst_points(instance, pair, k))
         else:
-            _enumerate_rows(lp, protected, [p.as_point() for p in enumerate_patterns(scope, k, own)])
+            _enumerate_rows(lp, protected, enumerate_patterns(scope, k, own))
     return lp
 
 
@@ -337,7 +336,7 @@ def solve_robust(instance: NetworkInstance, model: str, k: int,
     if sol.status != "optimal":
         raise InternalModelError(
             f"{model} model reported {sol.status}; the zero plan is always feasible")
-    return _extract_plan(instance, model, k, objective, mode, sol)
+    return _extract_plan(instance, model, objective, mode, sol)
 
 
 def _reserved(sol: Solution, var: str) -> float:
@@ -350,8 +349,8 @@ def _reserved(sol: Solution, var: str) -> float:
     return val if val > _NOISE_TOL else 0.0
 
 
-def _extract_plan(instance: NetworkInstance, model: str, k: int, objective: str,
-                  mode: str, sol: Solution) -> ReservationPlan:
+def _extract_plan(instance: NetworkInstance, model: str, objective: str, mode: str,
+                  sol: Solution) -> ReservationPlan:
     a = {t.id: _reserved(sol, f"a::{t.id}") for t in instance.tunnels}
     b = {q.id: _reserved(sol, f"b::{q.id}")
          for q in instance.logical_sequences if sol.primal.get(f"b::{q.id}") is not None}
@@ -359,7 +358,7 @@ def _extract_plan(instance: NetworkInstance, model: str, k: int, objective: str,
     return ReservationPlan(
         model=model, mode=mode, objective_kind=objective,
         objective=float(sol.objective), tunnel_reservation=a,
-        ls_reservation=b, pair_scale=z, designed_k=k)
+        ls_reservation=b, pair_scale=z)
 
 
 # --------------------------------------------------------------------------
@@ -442,7 +441,7 @@ def solve_logical_flow(instance: NetworkInstance, conditions: list[Condition | N
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise InternalModelError(f"logical flow model reported {sol.status}")
-    plan = _extract_plan(instance, "logical_flow", k, objective, mode, sol)
+    plan = _extract_plan(instance, "logical_flow", objective, mode, sol)
     reservation = {w.id: _reserved(sol, f"bw::{w.id}") for w in flows}
     segment_load = {}
     for w in flows:

@@ -211,7 +211,7 @@ def test_criterion_6_realization():
     inst1 = realization_example(False)
     plan1 = ReservationPlan("ls", "dual", "throughput", 1.0,
                             {t.id: 1.0 for t in inst1.tunnels},
-                            {"L1": 1.0, "L2": 1.0}, {("A", "B"): 1.0}, 0)
+                            {"L1": 1.0, "L2": 1.0}, {("A", "B"): 1.0})
     mat1 = build_reservation_matrix(plan1, inst1, EMPTY_SCENARIO)
     U1 = solve_reservation_system(mat1)
     want1 = {("A", "C"): 0.25, ("C", "D"): 0.25, ("A", "D"): 0.25,
@@ -222,7 +222,7 @@ def test_criterion_6_realization():
     plan2 = ReservationPlan("ls", "dual", "throughput", 1.0,
                             {t.id: 1.0 for t in inst2.tunnels},
                             {"L1": 1.0, "L2": 1.0, "L3": 1.0},
-                            {("A", "B"): 1.0, ("D", "B"): 1.0}, 0)
+                            {("A", "B"): 1.0, ("D", "B"): 1.0})
     mat2 = build_reservation_matrix(plan2, inst2, EMPTY_SCENARIO)
     want2 = {
         ("A", "B"): {("A", "C"): 1 / 3, ("C", "D"): 1 / 3, ("A", "D"): 1 / 3,

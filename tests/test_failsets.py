@@ -76,8 +76,7 @@ def test_exact_polytope_k0_single_point():
 def test_single_link_tunnel_ties_exactly():
     inst = hint_example("cls")
     poly = build_exact_polytope(inst, 2)
-    for pattern in enumerate_patterns(inst, 2):
-        point = pattern.as_point()
+    for point in enumerate_patterns(inst, 2):
         assert poly.holds(point)
         assert point[("y", "S4")] == point.get(("x", "s-4"), 0.0)
 
@@ -86,11 +85,10 @@ def test_hint_polytope_general_condition():
     inst = hint_example("cls")
     cond = Condition("mix", alive_links=frozenset({"s-1"}), dead_links=frozenset({"s-2"}))
     poly = build_hint_polytope(inst, 2, [cond])
-    for pattern in enumerate_patterns(inst, 2, [cond]):
-        point = pattern.as_point()
-        assert poly.holds(point), pattern.scenario
-        expect = "s-1" not in pattern.scenario.failed_links and \
-            "s-2" in pattern.scenario.failed_links
+    for sc, point in zip(enumerate_scenarios(inst.topology, 2),
+                         enumerate_patterns(inst, 2, [cond]), strict=True):
+        assert poly.holds(point), sc
+        expect = "s-1" not in sc.failed_links and "s-2" in sc.failed_links
         assert point[("h", "mix")] == (1.0 if expect else 0.0)
 
 
@@ -120,27 +118,29 @@ def test_enumerate_patterns_counts_and_consistency():
     assert len(pats) == 1 + len(inst.topology.links)  # empty plus one per link
     assert len(enumerate_patterns(inst, 0)) == 1
     base = enumerate_patterns(inst, 0)[0]
-    assert all(not dead for _, dead in base.tunnel_failed)
+    assert base == {("y", t.id): 0.0 for t in inst.tunnels}
     poly = build_exact_polytope(inst, 1)
     for p in pats:
-        assert poly.holds(p.as_point())
+        assert poly.holds(p)
 
 
 def test_enumerate_patterns_matches_the_per_scenario_checks():
     # Links are checked once per call, then liveness is a set test; every
-    # pattern must still read as `tunnel_alive` and `condition_active` do.
+    # point must still read as `tunnel_alive` and `condition_active` do, one
+    # per scenario in `enumerate_scenarios` order.
     inst = hint_example("cls")
     topo = inst.topology
     conditions = list(inst.conditions) + [Condition("both", frozenset({"s-1"}), frozenset({"s-4"}))]
     for k in range(3):
-        pats = enumerate_patterns(inst, k, conditions)
-        assert [p.scenario for p in pats] == enumerate_scenarios(topo, k)
-        for p in pats:
-            assert p.tunnel_failed == tuple(
-                (t.id, not tunnel_alive(topo, t, p.scenario)) for t in inst.tunnels)
-            assert p.condition_state == tuple(
-                (c.id, condition_active(topo, c, p.scenario)) for c in conditions)
-    assert any(dict(p.condition_state)["both"] for p in enumerate_patterns(inst, 2, conditions))
+        scenarios = enumerate_scenarios(topo, k)
+        points = enumerate_patterns(inst, k, conditions)
+        assert len(points) == len(scenarios)
+        for sc, point in zip(scenarios, points):
+            want = {("x", e): 1.0 for e in sc.failed_links}
+            want.update({("y", t.id): 0.0 if tunnel_alive(topo, t, sc) else 1.0 for t in inst.tunnels})
+            want.update({("h", c.id): 1.0 if condition_active(topo, c, sc) else 0.0 for c in conditions})
+            assert point == want, sc
+    assert any(p[("h", "both")] == 1.0 for p in enumerate_patterns(inst, 2, conditions))
 
 
 def test_enumerate_patterns_rejects_unknown_links():
@@ -173,16 +173,15 @@ def test_exact_points_satisfy_ffc_rows():
     for seed in range(6):
         inst = random_instance(seed, n_nodes=5, extra_links=3, n_pairs=2)
         ffc = build_ffc_polytope(inst, 1)
-        for pattern in enumerate_patterns(inst, 1):
-            assert ffc.holds(pattern.as_point())
+        for point in enumerate_patterns(inst, 1):
+            assert ffc.holds(point)
 
 
 def test_duplicate_patterns_keep_scenario_identity():
     inst = four_tunnel_example("three")
-    pats = enumerate_patterns(inst, 1)
-    # links off every tunnel produce the same all-alive pattern as the empty
-    # scenario, yet each keeps its own scenario
-    signatures = {}
-    for p in pats:
-        signatures.setdefault(p.tunnel_failed, []).append(p.scenario)
-    assert any(len(v) > 1 for v in signatures.values())
+    points = enumerate_patterns(inst, 1)
+    # Links off every tunnel give the same tunnel states as the empty
+    # scenario, yet each scenario keeps its own point.
+    assert len(points) == len(enumerate_scenarios(inst.topology, 1))
+    states = [tuple(point[("y", t.id)] for t in inst.tunnels) for point in points]
+    assert len(set(states)) < len(states)

@@ -172,6 +172,20 @@ def test_cli_fixture_solve_values(capsys):
     assert out.splitlines()[0] == "1.000000"
 
 
+def test_cli_prints_no_negative_zero(capsys):
+    # Each of these optima comes back as a tiny negative number, which
+    # `:.6f` alone prints as -0.000000.
+    cases = [(["--fixture", "cvar-topo", "oracle", "--k", "2", "--objective", "demand-scale"],
+              "0.000000")]
+    cases += [(["--fixture", fixture, "flomore", "cvar"], "cvar,0.000000")
+              for fixture in ("hint", "hint-cls", "hint-ls")]
+    for argv, first in cases:
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == first, argv
+        assert all(field != "-0.000000" for line in lines for field in line.split(",")), argv
+
+
 def test_cli_unknown_flag_is_usage_error(capsys):
     assert main(["--fixture", "four-tunnel", "solve", "--model", "ffc", "--wat", "1"]) == 1
 

@@ -59,7 +59,7 @@ def nested_plan(with_third: bool) -> tuple[NetworkInstance, ReservationPlan]:
         ls["L3"] = 1.0
         scale[("D", "B")] = 1.0
     plan = ReservationPlan("ls", "dual", "throughput", 1.0,
-                           {t.id: 1.0 for t in inst.tunnels}, ls, scale, 0)
+                           {t.id: 1.0 for t in inst.tunnels}, ls, scale)
     return inst, plan
 
 
@@ -109,7 +109,7 @@ def test_coupled_pair_utilizations():
 def test_zero_demand_gives_zero_utilization():
     inst, plan = nested_plan(False)
     plan2 = ReservationPlan(plan.model, plan.mode, plan.objective_kind, 0.0,
-                            plan.tunnel_reservation, plan.ls_reservation, {}, 0)
+                            plan.tunnel_reservation, plan.ls_reservation, {})
     mat = build_reservation_matrix(plan2, inst, EMPTY_SCENARIO)
     assert mat.pairs == []
     assert solve_reservation_system(mat) == {}
@@ -168,7 +168,7 @@ def test_single_tunnel_plan_routes_demand():
     inst = four_tunnel_example("three")
     plan = ReservationPlan("ffc", "dual", "throughput", 1.0,
                            {"T1": 1.0, "T2": 0.0, "T3": 0.0},
-                           {}, {("s", "t"): 0.5}, 0)
+                           {}, {("s", "t"): 0.5})
     routing = extract_routing(plan, inst, EMPTY_SCENARIO)
     assert routing.flow[("T1", "t")] == pytest.approx(1.0)
 
@@ -187,7 +187,7 @@ def test_proportional_split_ratios():
     inst = four_tunnel_example("three")
     plan = ReservationPlan("ffc", "dual", "throughput", 1.0,
                            {"T1": 2.0, "T2": 3.0, "T3": 5.0}, {},
-                           {("s", "t"): 1.0}, 1)
+                           {("s", "t"): 1.0})
     # demand 2 scaled by 0.5 -> one unit offered; T1 dies with s-1
     routing = proportional_routing(plan, inst, Scenario(frozenset({"s-1"})))
     offered = plan.scaled_demand(inst, ("s", "t"))
