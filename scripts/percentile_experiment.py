@@ -44,6 +44,11 @@ def build(seed: int, scale: float, max_scenarios: int) -> ProbabilisticInstance:
     return ProbabilisticInstance(inst, scens, beta=beta)
 
 
+def fmt(x: float) -> str:
+    """`x` to six decimals, with no -0.000000 for a value that rounds to 0."""
+    return f"{round(x, 6) + 0.0:.6f}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7)
@@ -61,17 +66,16 @@ def main() -> int:
     rows = []
 
     def record(name, report, extra=""):
-        rows.append([name, f"{report.max_flow_pct_loss:.6f}",
-                     f"{report.scen_pct_loss:.6f}", extra])
+        rows.append([name, fmt(report.max_flow_pct_loss), fmt(report.scen_pct_loss), extra])
 
     t0 = time.monotonic()
     record("scenario-minmax", percentile_analysis(solve_scenario_minmax(pinst), pinst))
     for variant in ("scen_static", "flow_static", "flow_adaptive"):
         _, report, value = solve_cvar(pinst, variant)
-        record(f"cvar-{variant}", report, f"cvar={value:.6f}")
+        record(f"cvar-{variant}", report, f"cvar={fmt(value)}")
     _, report, state = benders_run(pinst, args.iterations)
     record("decomposition", report,
-           f"bound={state.lower_bound:.6f} iters={state.iterations}")
+           f"bound={fmt(state.lower_bound)} iters={state.iterations}")
     _, _, report = solve_direct_mip(pinst)
     record("selection-mip", report)
     elapsed = time.monotonic() - t0

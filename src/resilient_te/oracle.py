@@ -16,25 +16,33 @@ flow variables are positive on a link that fails.  FLOW_COST is above
 `lp.COST_TOL`, so pricing sees it; its size cannot change the answer, as
 the plain re-solve's phase 2 makes the objective exact whatever it is.
 The memo is looked up by identity before value, so a repeated call hashes
-nothing.  The no-failure scenario reads that solution as it is.  Any other
+nothing.  The no-failure scenario reads that optimum as it is.  Any other
 scenario fails its links by setting their arcs' flow upper bounds to 0 in a
 copy of that LP, and `lp.solve_lp` re-solves the copy warm with the bounded
 dual simplex (cold if the dual loop stalls).
 
-A scenario starts from the scenario of one of its failed links alone, the
+A scenario starts from the optimum of one of its failed links alone, the
 busiest: the link with the most flow variables positive in the intact
 solution, ties to the smallest link id.  Each such variable is a row a
 dual re-solve from the intact basis starts infeasible in when that link
 fails (Koberstein, "The dual simplex method", 2005), so a scenario of two
-or more links starts after its heaviest repair, and a scenario of one link
-re-solves from its own start without a pivot.  The memo keeps that start
-as a warm start, at most one per link, solved from the intact basis when
-a scenario first needs it.  Every start is thus a function of the scenario
-alone, never of the calls before it, so no answer depends on the order of
-calls.  The memo also holds each link's flow variables and the (result
-key, variable) pairs, so a scenario edits and reads the LP without
-formatting a variable name.  The intact optimum, solved warm, carries its
-basis inverse (see `lp`), so no re-solve from it inverts its basis.
+or more links starts after its heaviest repair.  The memo keeps that
+optimum, at most one per link, made when a scenario first needs it.
+
+One rule saves many solves: if F is a subset of G and no link of G - F
+carries flow in the optimum of F, that optimum is also G's, as it stays
+feasible in G's smaller region.  A scenario whose other failed links carry
+no flow in its busiest link's optimum reads that optimum, and a link that
+carries no flow in the intact optimum takes the intact optimum as its own.
+Only the other scenarios re-solve, warm from their busiest link's optimum.
+Every answer is thus a function of the scenario alone, never of the calls
+before it, so no answer depends on the order of calls.  A memoized
+optimum keeps only what a scenario reads: its warm start, objective,
+positive flows and satisfied fractions.  The memo also holds each link's
+flow variables and the (result key, variable) pairs, so a scenario edits
+and reads the LP without formatting a variable name.  The intact optimum,
+solved warm, carries its basis inverse (see `lp`), so no re-solve from it
+inverts its basis.
 """
 
 from __future__ import annotations
@@ -63,12 +71,27 @@ class McfResult:
 
 
 @dataclass(frozen=True)
+class _Optimum:
+    """An optimal MCF solution, kept as what a scenario reads from it."""
+
+    #: the solution as a warm start only (no primal, no duals)
+    start: Solution
+    objective: float
+    #: (dst, link id, head) -> flow, for every flow above 1e-12
+    flow: dict[tuple[str, str, str], float]
+    satisfied: dict[tuple[str, str], float]
+
+    def carries_flow(self, links) -> bool:
+        """Whether any of `links` carries flow in this optimum."""
+        return any(lid in links for _, lid, _ in self.flow)
+
+
+@dataclass(frozen=True)
 class _IntactMcf:
-    """The MCF over every link of an instance, with its cold optimal solution
-    and the tables a scenario edits and reads it through."""
+    """The MCF over every link of an instance, with its optimum and the
+    tables a scenario edits and reads it through."""
 
     lp: LinearProgram
-    solution: Solution
     #: link id -> the flow variables of both its directions, every destination
     link_flows: dict[str, tuple[str, ...]]
     #: ((dst, link id, head), flow variable), destinations outer
@@ -78,28 +101,40 @@ class _IntactMcf:
     #: link id -> its chain rank, (-#its flow variables positive in the
     #: intact solution, link id): a scenario starts from its least-ranked link
     rank: dict[str, tuple[int, str]]
-    #: link id -> the solution of the scenario that fails that link alone,
-    #: kept as a warm start only (no primal, no duals); filled by `link_start`
-    link_starts: dict[str, Solution] = field(default_factory=dict)
+    optimum: _Optimum
+    #: link id -> the optimum of the scenario that fails that link alone;
+    #: filled by `link_optimum`
+    link_optima: dict[str, _Optimum] = field(default_factory=dict)
 
     def cut(self, failed) -> LinearProgram:
         """The LP with every flow on the links `failed` fixed at 0."""
         return self.lp.with_bounds({var: (0.0, 0.0) for lid in failed
                                     for var in self.link_flows[lid]})
 
-    def link_start(self, lid: str) -> Solution:
-        """The start of the scenarios whose least-ranked failed link is
-        `lid`: the scenario of `lid` alone, solved warm from the intact
-        solution through the lp module, as the intact MCF is, and
-        memoized."""
-        start = self.link_starts.get(lid)
-        if start is None:
-            sol = lp_layer.solve_lp(self.cut((lid,)), start=self.solution)
-            if sol.status != "optimal":
-                raise SolverStallError(f"MCF solve unexpectedly {sol.status}")
-            start = self.link_starts[lid] = Solution(sol.status, sol.objective, {},
-                                                     basis=sol.basis)
-        return start
+    def link_optimum(self, lid: str) -> _Optimum:
+        """The optimum of the scenario that fails `lid` alone, memoized: the
+        intact optimum if `lid` carries no flow in it, else solved warm from
+        it through the lp module, as the intact MCF is."""
+        opt = self.link_optima.get(lid)
+        if opt is None:
+            opt = self.optimum
+            if opt.carries_flow((lid,)):
+                opt = _optimum(lp_layer.solve_lp(self.cut((lid,)), start=opt.start),
+                               self.flows, self.satisfied)
+            self.link_optima[lid] = opt
+        return opt
+
+
+def _optimum(sol: Solution, flows, satisfied) -> _Optimum:
+    """What the memo keeps of an MCF solution: its start, objective, flows
+    above 1e-12 and satisfied fractions, read through the `_IntactMcf`
+    tables `flows` and `satisfied`."""
+    if sol.status != "optimal":
+        raise SolverStallError(f"MCF solve unexpectedly {sol.status}")
+    primal = sol.primal
+    return _Optimum(Solution(sol.status, sol.objective, {}, basis=sol.basis), sol.objective,
+                    {key: val for key, var in flows if (val := primal.get(var, 0.0)) > 1e-12},
+                    {pair: primal.get(var, 0.0) for pair, var in satisfied})
 
 
 #: The memo: empty, or the last instance, objective and `_intact_mcf` result.
@@ -169,22 +204,21 @@ def _build_intact_mcf(instance: NetworkInstance, objective: str) -> _IntactMcf |
         lp.add_row(dict.fromkeys(link_flows[ln.id], 1.0), "<=", ln.capacity, name=f"cap:{ln.id}")
 
     # Solved through the lp module, not through this module's `solve_lp`
-    # binding, as `link_start`'s solves are: a wrapper of `oracle.solve_lp`
+    # binding, as `link_optimum`'s solves are: a wrapper of `oracle.solve_lp`
     # that counts solves (perfbench has one) then sees one solve per
-    # scenario with a failed link, whichever call built the memo.  Both
-    # solves are the least-flow tie-break (module docstring).
+    # scenario that re-solves, whichever call built the memo.  Both solves
+    # are the least-flow tie-break (module docstring).
     charged = lp.with_bounds({})
     charged.set_objective({**obj, **{var: -FLOW_COST for _, var in flows}}, "max")
     sol = lp_layer.solve_lp(charged)
     if sol.status == "optimal":
         sol = lp_layer.solve_lp(lp, start=sol)
-    if sol.status != "optimal":
-        raise SolverStallError(f"MCF solve unexpectedly {sol.status}")
     satisfied = tuple(((s, t), "Z" if objective == "demand_scale" else f"zz::{s}>{t}")
                       for (s, t) in demands)
+    optimum = _optimum(sol, flows, satisfied)
     rank = {lid: (-sum(sol.primal[var] > 1e-9 for var in link_vars), lid)
             for lid, link_vars in link_flows.items()}
-    return _IntactMcf(lp, sol, link_flows, flows, satisfied, rank)
+    return _IntactMcf(lp, link_flows, flows, satisfied, rank, optimum)
 
 
 def solve_mcf(instance: NetworkInstance, scenario: Scenario, objective: str = "throughput") -> McfResult:
@@ -196,13 +230,14 @@ def solve_mcf(instance: NetworkInstance, scenario: Scenario, objective: str = "t
 
     The no-failure scenario reads the memoized intact optimum, routed with
     the least total flow among the optima (module docstring); its objective
-    is the plain LP's, exact.  A scenario with failed links re-solves warm
-    from the memoized scenario of its busiest failed link alone: the one
-    with the most flow variables positive in the intact solution, ties to
-    the smallest link id (see the module docstring).  A scenario of one
-    link thus re-solves from its own memo entry, without a pivot once that
-    entry is built.  The start depends on the scenario only, never on the
-    calls before it, so no answer depends on the order of calls.
+    is the plain LP's, exact.  A scenario with failed links takes the
+    memoized optimum of its busiest failed link alone: the one with the
+    most flow variables positive in the intact solution, ties to the
+    smallest link id.  That optimum is the scenario's own when no other
+    failed link carries flow in it; otherwise the scenario re-solves warm
+    from it (see the module docstring).  Either way the answer depends on
+    the scenario only, never on the calls before it, so no answer depends
+    on the order of calls.
     """
     if objective not in ("demand_scale", "throughput"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -213,18 +248,15 @@ def solve_mcf(instance: NetworkInstance, scenario: Scenario, objective: str = "t
     if intact is None:
         return McfResult(scenario, 0.0, {}, {})
     failed = scenario.failed_links
+    opt = intact.optimum
     if failed:
-        start = intact.link_start(min(failed, key=intact.rank.__getitem__))
-        sol = solve_lp(intact.cut(failed), start=start)
-        if sol.status != "optimal":
-            raise SolverStallError(f"MCF solve unexpectedly {sol.status}")
-    else:
-        sol = intact.solution
-    primal = sol.primal
-    flow = {key: val for key, var in intact.flows
-            if key[1] not in failed and (val := primal.get(var, 0.0)) > 1e-12}
-    satisfied = {pair: primal.get(var, 0.0) for pair, var in intact.satisfied}
-    return McfResult(scenario, sol.objective, flow, satisfied)
+        busiest = min(failed, key=intact.rank.__getitem__)
+        opt = intact.link_optimum(busiest)
+        if opt.carries_flow(failed - {busiest}):
+            opt = _optimum(solve_lp(intact.cut(failed), start=opt.start),
+                           intact.flows, intact.satisfied)
+    flow = {key: val for key, val in opt.flow.items() if key[1] not in failed}
+    return McfResult(scenario, opt.objective, flow, dict(opt.satisfied))
 
 
 def worst_case_optimal(instance: NetworkInstance, k: int,

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import importlib.util
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +186,18 @@ def test_cli_prints_no_negative_zero(capsys):
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == first, argv
         assert all(field != "-0.000000" for line in lines for field in line.split(",")), argv
+
+
+def test_percentile_experiment_prints_no_negative_zero():
+    # The experiment script formats its values as the CLI does: one that
+    # rounds to 0 prints 0.000000, any other as `:.6f` prints it.
+    path = Path(__file__).resolve().parent.parent / "scripts" / "percentile_experiment.py"
+    spec = importlib.util.spec_from_file_location("percentile_experiment", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.fmt(-1.1102e-16) == script.fmt(-4e-7) == "0.000000"
+    for x in (0.0, 1.0, -0.25, 0.1234565, 2.5e-7, -2.5e-6):
+        assert script.fmt(x) == f"{x:.6f}", x
 
 
 def test_cli_unknown_flag_is_usage_error(capsys):

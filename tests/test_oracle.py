@@ -29,9 +29,9 @@ def test_mcf_phase_one_stops_when_no_artificial_is_positive(monkeypatch):
     # artificials start at 0 and phase 1 only has to price out the capacity
     # rows; running phase 1 until no column prices out took 10 pivots on
     # this LP.  The plain LP then re-solves warm from that vertex, without a
-    # pivot.  The no-failure scenario reads that solution; a scenario with a
-    # failed link re-solves warm from its basis, through `oracle.solve_lp`,
-    # and runs no phase 1 at all.
+    # pivot.  The no-failure scenario reads that solution; a scenario that
+    # has to re-solve does so warm, through `oracle.solve_lp`, and runs no
+    # phase 1 at all.
     stages, sols = [], []
 
     def staged(lp, start=None):
@@ -52,10 +52,10 @@ def test_mcf_phase_one_stops_when_no_artificial_is_positive(monkeypatch):
     assert cold and charged[0] <= 10
     assert not warm and plain == (0, 0)
     assert sols == []
-    failed = solve_mcf(inst, Scenario(frozenset({inst.topology.links[0].id})), "throughput")
-    (sol,) = sols
-    assert sol.pivots[0] == 0
-    assert failed.objective <= res.objective + 1e-9
+    for sc in enumerate_scenarios(inst.topology, 2):
+        failed = solve_mcf(inst, sc, "throughput")
+        assert failed.objective <= res.objective + 1e-9
+    assert sols and all(sol.pivots[0] == 0 for sol in sols)
 
 
 def _least_total_flow(intact) -> float:
@@ -64,7 +64,7 @@ def _least_total_flow(intact) -> float:
     1e-9, and the total flow minimized."""
     lp = intact.lp.with_bounds({})
     lp.add_row({lp._vars[j].name: c for j, c in lp._obj.items()}, ">=",
-               intact.solution.objective - 1e-9)
+               intact.optimum.objective - 1e-9)
     lp.set_objective({var: 1.0 for _, var in intact.flows}, "min")
     sol = solve_lp(lp)
     assert sol.status == "optimal"
@@ -84,9 +84,9 @@ def test_the_intact_mcf_routes_its_optimum_with_the_least_total_flow(objective):
         intact = oracle._intact_mcf(inst, objective)
         if intact is None:
             continue
-        assert intact.solution.objective == pytest.approx(solve_lp(intact.lp).objective,
-                                                          abs=1e-9), name
-        total = sum(intact.solution.primal[var] for _, var in intact.flows)
+        assert intact.optimum.objective == pytest.approx(solve_lp(intact.lp).objective,
+                                                         abs=1e-9), name
+        total = sum(intact.optimum.flow.values())
         assert total == pytest.approx(_least_total_flow(intact), abs=1e-6), name
 
 
@@ -186,24 +186,23 @@ def _fixture_scenarios():
 
 
 @pytest.mark.parametrize("objective", ["throughput", "demand_scale"])
-def test_warm_scenarios_match_a_cold_solve(monkeypatch, objective):
-    # Every scenario re-solves warm from the intact basis; a cold solve of
-    # the same bounds-edited LP must give the same objective, and no flow
-    # may be reported on a failed link.
+def test_warm_scenarios_match_a_cold_solve(objective):
+    # Every scenario reads a memoized optimum or re-solves warm from one; a
+    # cold solve of the same bounds-edited LP must give the same objective,
+    # and no flow may be reported on a failed link.
     for name, inst, scenarios in _fixture_scenarios():
-        warm = [solve_mcf(inst, sc, objective) for sc in scenarios]
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "solve_lp", lambda lp, start=None: solve_lp(lp))
-            cold = [solve_mcf(inst, sc, objective) for sc in scenarios]
-        for sc, w, c in zip(scenarios, warm, cold):
-            assert w.objective == pytest.approx(c.objective, abs=1e-9), (name, sc)
+        for sc in scenarios:
+            w = solve_mcf(inst, sc, objective)
+            cold = solve_lp(oracle._intact_mcf(inst, objective).cut(sc.failed_links))
+            assert w.objective == pytest.approx(cold.objective, abs=1e-9), (name, sc)
             assert not {lid for (_, lid, _) in w.flow} & sc.failed_links, (name, sc)
 
 
 def test_flow_on_a_failed_link_is_never_reported(monkeypatch):
     # A failed link's arcs can stay basic at a value within the feasibility
     # tolerance (on one oracle-sweep instance, 42 of them at up to 1e-15);
-    # they carry no flow.
+    # they carry no flow, whether the scenario re-solves or reads a link's
+    # memoized optimum.
     def noisy(lp, start=None):
         sol = solve_lp(lp, start=start)
         for v in lp._vars:
@@ -212,10 +211,13 @@ def test_flow_on_a_failed_link_is_never_reported(monkeypatch):
         return sol
 
     monkeypatch.setattr(oracle, "solve_lp", noisy)
+    monkeypatch.setattr(lp_module, "solve_lp", noisy)
+    oracle._memo.clear()
     inst = four_tunnel_example()
     for sc in enumerate_scenarios(inst.topology, 2):
         res = solve_mcf(inst, sc, "throughput")
         assert not {lid for (_, lid, _) in res.flow} & sc.failed_links
+    oracle._memo.clear()
 
 
 def test_mcf_results_do_not_depend_on_call_order():
@@ -239,9 +241,9 @@ def test_mcf_results_do_not_depend_on_call_order():
 
 
 def _load(intact, lid):
-    """The flow variables of link `lid` positive in the intact solution:
-    counted here from the intact primal, not read from the memo's ranks."""
-    return sum(intact.solution.primal[var] > 1e-9 for var in intact.link_flows[lid])
+    """The flow variables of link `lid` positive in the intact optimum:
+    counted here from its flows, not read from the memo's ranks."""
+    return sum(val > 1e-9 for (_, link, _), val in intact.optimum.flow.items() if link == lid)
 
 
 def _busiest(intact, failed):
@@ -249,14 +251,25 @@ def _busiest(intact, failed):
     return min(sorted(failed), key=lambda lid: -_load(intact, lid))
 
 
+def _needs_repair(intact, failed) -> bool:
+    """Whether a failed link other than the busiest carries flow in the
+    busiest link's memoized optimum."""
+    busiest = _busiest(intact, failed)
+    return any(lid in failed - {busiest} for _, lid, _ in intact.link_optima[busiest].flow)
+
+
 def test_each_scenario_makes_one_solve_and_the_link_memo_keeps_one_entry_per_link(monkeypatch):
-    # Every scenario with a failed link makes exactly one `oracle.solve_lp`
-    # call, whether its link's memo entry is built yet or not: entries are
-    # solved through the lp module, as the intact MCF is.  An entry is kept
-    # only for a link that is the busiest failed link of some scenario (a
-    # single-link scenario's own link among them), at most one per link,
-    # stripped to its warm start; the entries go when the intact memo does.
-    solves = []
+    # A scenario makes at most one `oracle.solve_lp` call: one when a failed
+    # link other than its busiest carries flow in the busiest link's
+    # optimum, none otherwise (so a single-link scenario makes none),
+    # whether the link memo is built yet or not, since entries are solved
+    # through the lp module, as the intact MCF is.  An entry is kept only
+    # for a link that is the busiest failed link of some scenario, at most
+    # one per link: the intact optimum itself for a link that carries no
+    # intact flow, else that link's scenario solved warm from the intact
+    # optimum, kept with a bare warm start.  The entries go when the intact
+    # memo does.
+    solves, seen = [], {"repaired": 0, "read": 0, "intact entries": 0, "solved entries": 0}
 
     def counted(lp, start=None):
         solves.append(start)
@@ -269,23 +282,34 @@ def test_each_scenario_makes_one_solve_and_the_link_memo_keeps_one_entry_per_lin
             for sc in random.Random(sweep).sample(scenarios, len(scenarios)):
                 solves.clear()
                 solve_mcf(inst, sc, "throughput")
-                assert len(solves) == bool(sc.failed_links), (name, sc)
-        intact = oracle._intact_mcf(inst, "throughput")
+                intact = oracle._intact_mcf(inst, "throughput")
+                repaired = bool(sc.failed_links) and _needs_repair(intact, sc.failed_links)
+                assert len(solves) == repaired, (name, sc)
+                if len(sc.failed_links) > 1:
+                    seen["repaired" if repaired else "read"] += 1
         chained = {_busiest(intact, sc.failed_links) for sc in scenarios if sc.failed_links}
-        assert set(intact.link_starts) == chained, name
-        for lid, start in intact.link_starts.items():
-            assert (start.primal, start.duals) == ({}, None)
-            alone = solve_lp(intact.cut((lid,)), start=intact.solution)
-            assert start.objective == alone.objective
+        assert set(intact.link_optima) == chained, name
+        loaded = {lid for _, lid, _ in intact.optimum.flow}
+        for lid, opt in intact.link_optima.items():
+            assert (opt.start.primal, opt.start.duals) == ({}, None)
+            if lid not in loaded:
+                assert opt is intact.optimum, (name, lid)
+                seen["intact entries"] += 1
+                continue
+            alone = solve_lp(intact.cut((lid,)), start=intact.optimum.start)
+            assert opt.objective == alone.objective, (name, lid)
+            seen["solved entries"] += 1
         oracle._memo.clear()
-        assert oracle._intact_mcf(inst, "throughput").link_starts == {}
+        assert oracle._intact_mcf(inst, "throughput").link_optima == {}
+    assert min(seen.values()) > 0, seen
 
 
 def test_a_scenario_starts_from_its_busiest_failed_link_ties_to_the_smallest_id(monkeypatch):
-    # A scenario of two or three failed links starts from the memo entry of
-    # the failed link with the most flow variables positive in the intact
-    # solution, the smallest id among equals: on the fixtures, some of those
-    # links are not the smallest failed id, and some win a tie.
+    # A scenario of two or three failed links that re-solves starts from
+    # the memoized optimum of the failed link with the most flow variables
+    # positive in the intact solution, the smallest id among equals: on the
+    # fixtures, some of those links are not the smallest failed id, and
+    # some win a tie.
     starts = []
 
     def recorded(lp, start=None):
@@ -302,8 +326,10 @@ def test_a_scenario_starts_from_its_busiest_failed_link_ties_to_the_smallest_id(
                     continue
                 starts.clear()
                 solve_mcf(inst, sc, objective)
+                if not starts:
+                    continue
                 busiest = _busiest(intact, sc.failed_links)
-                assert starts == [intact.link_starts[busiest]], (name, objective, sc)
+                assert starts == [intact.link_optima[busiest].start], (name, objective, sc)
                 loads = sorted(_load(intact, lid) for lid in sc.failed_links)
                 seen["not smallest"] += busiest != min(sc.failed_links)
                 seen["tie"] += loads[-1] == loads[-2] and loads[-1] > 0
@@ -311,24 +337,66 @@ def test_a_scenario_starts_from_its_busiest_failed_link_ties_to_the_smallest_id(
 
 
 def test_a_single_link_scenario_on_a_warm_memo_takes_no_pivot(monkeypatch):
-    # A scenario of one failed link re-solves from its own memo entry: once
-    # the entry is built, its one solve reports pivots (0, 0).
-    pivots = []
-
-    def recorded(lp, start=None):
-        sol = solve_lp(lp, start=start)
-        pivots.append(sol.pivots)
-        return sol
-
-    monkeypatch.setattr(oracle, "solve_lp", recorded)
+    # A scenario of one failed link reads its own memo entry, with the link
+    # memo cold or warm: it makes no `oracle.solve_lp` call, so it takes no
+    # pivot.  A warm re-solve of it from that entry would take none either.
+    calls = []
+    monkeypatch.setattr(oracle, "solve_lp", lambda lp, start=None: calls.append(lp))
     for name, inst, _ in _fixture_scenarios():
         singles = [sc for sc in enumerate_scenarios(inst.topology, 1) if sc.failed_links]
         for objective in ("throughput", "demand_scale"):
+            oracle._memo.clear()
             for sweep in range(2):  # the link memo cold, then warm
-                pivots.clear()
                 for sc in singles:
                     solve_mcf(inst, sc, objective)
-            assert pivots == [(0, 0)] * len(singles), (name, objective)
+            assert calls == [], (name, objective)
+            intact = oracle._intact_mcf(inst, objective)
+            for sc in singles:
+                (lid,) = sc.failed_links
+                again = solve_lp(intact.cut((lid,)), start=intact.link_optima[lid].start)
+                assert again.pivots == (0, 0), (name, objective, lid)
+
+
+@pytest.mark.parametrize("objective", ["throughput", "demand_scale"])
+def test_a_scenario_read_from_the_memo_matches_a_warm_re_solve(monkeypatch, objective):
+    # A scenario that makes no `oracle.solve_lp` call reads its busiest
+    # link's memoized optimum.  A warm re-solve of its LP from that optimum
+    # gives the same objective, flows and satisfied fractions, within 1e-9:
+    # on every fixture at k <= 3 and on the oracle-sweep benchmark's
+    # instance (k = 2) at instance seeds 1-3.
+    calls = []
+
+    def recorded(lp, start=None):
+        calls.append(lp)
+        return solve_lp(lp, start=start)
+
+    monkeypatch.setattr(oracle, "solve_lp", recorded)
+    sweep = dict(n_nodes=14, extra_links=11, n_pairs=10, tunnels_per_pair=3)
+    cases = [(name, inst, enumerate_scenarios(inst.topology, 3))
+             for name, inst, _ in _fixture_scenarios()]
+    for seed in (1, 2, 3):
+        inst = random_instance(seed, **sweep)
+        cases.append((f"oracle-sweep instance seed {seed}", inst, enumerate_scenarios(inst.topology, 2)))
+    read = 0
+    for name, inst, scenarios in cases:
+        for sc in scenarios:
+            calls.clear()
+            res = solve_mcf(inst, sc, objective)
+            if calls or not sc.failed_links:
+                continue
+            read += 1
+            intact = oracle._intact_mcf(inst, objective)
+            start = intact.link_optima[_busiest(intact, sc.failed_links)].start
+            sol = solve_lp(intact.cut(sc.failed_links), start=start)
+            assert res.objective == pytest.approx(sol.objective, abs=1e-9), (name, sc)
+            flow = {key: sol.primal[var] for key, var in intact.flows
+                    if key[1] not in sc.failed_links}
+            for key in flow.keys() | res.flow.keys():
+                assert res.flow.get(key, 0.0) == pytest.approx(flow.get(key, 0.0), abs=1e-9), \
+                    (name, sc, key)
+            for pair, var in intact.satisfied:
+                assert res.satisfied[pair] == pytest.approx(sol.primal[var], abs=1e-9), (name, sc)
+    assert read > 0
 
 
 def test_the_memo_is_found_by_identity_before_value(monkeypatch):
@@ -357,10 +425,17 @@ def test_the_memo_is_found_by_identity_before_value(monkeypatch):
 
 def test_mcf_solve_that_is_not_optimal_is_a_solver_error(monkeypatch, capsys):
     # A scenario LP that comes back non-optimal is numerical trouble, which
-    # the CLI reports with exit code 2.
+    # the CLI reports with exit code 2.  Only a scenario that needs repair
+    # solves through `oracle.solve_lp`: none of one failed link, but some
+    # of two, on flow-example and in `oracle --k 2` on four-tunnel.
     monkeypatch.setattr(oracle, "solve_lp", lambda lp, start=None: Solution("infeasible", math.nan, {}))
     inst = flow_example()
+    scenarios = enumerate_scenarios(inst.topology, 2)
+    for sc in scenarios:
+        if len(sc.failed_links) < 2:
+            solve_mcf(inst, sc, "throughput")
     with pytest.raises(SolverStallError):
-        solve_mcf(inst, Scenario(frozenset({inst.topology.links[0].id})), "throughput")
-    assert main(["--fixture", "four-tunnel", "oracle", "--k", "1"]) == 2
+        for sc in scenarios:
+            solve_mcf(inst, sc, "throughput")
+    assert main(["--fixture", "four-tunnel", "oracle", "--k", "2"]) == 2
     assert capsys.readouterr().out == ""
